@@ -4,18 +4,43 @@ A basis is the family of 2^{2n} matrices B^(α) obtained by reshaping the
 measurement states with the measured-information side as the row index.
 The canonical construction applies each quaternary Pauli string to the
 first n qubits of a seed state whose matrix already satisfies the
-maximal-entanglement condition B†B = 2^-n·1.
+maximal-entanglement condition B†B = 2^-n·1, so B^(α) = P_α B^(0).
+
+Such a basis is stored as its seed B^(0) plus the label α: `PauliMembers`
+builds the dense member P_α B^(0) only when it is indexed, one member per
+index, from the signed-permutation tables of `pauli.action_tables`.  A
+family given member by member (e.g. a ``--basis`` file) is stored densely
+as a tuple and has no seed.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError, ShapeError, ValidationError
 from .linalg import DEFAULT_TOL, StateVector, Tolerance, dagger, is_scaled_identity
-from .pauli import matrix_of, pauli_from_quaternary
+from .pauli import action_tables
+
+
+class PauliMembers(Sequence):
+    """The members P_α B^(0), α = 0 .. 4^n - 1, each built when it is indexed."""
+
+    def __init__(self, seed: np.ndarray):
+        self.seed = seed
+        self.n = int(seed.shape[0]).bit_length() - 1
+
+    def __len__(self) -> int:
+        return 4**self.n
+
+    def __getitem__(self, alpha: int) -> np.ndarray:
+        if not -len(self) <= alpha < len(self):
+            raise IndexError(f"member index {alpha} out of range for {len(self)} members")
+        perm, phase = action_tables(self.n)
+        # + 0.0 turns the -0.0 that a sign flip makes of a zero entry into 0.0
+        return phase[alpha][:, None] * self.seed[perm[alpha]] + 0.0
 
 
 @dataclass(frozen=True)
@@ -23,11 +48,16 @@ class BellBasis:
     """Family of 2^{2n} measurement-state matrices, each 2^n x 2^n."""
 
     n: int
-    members: tuple[np.ndarray, ...] = field(repr=False)
+    members: Sequence[np.ndarray] = field(repr=False)
 
     @property
     def size(self) -> int:
         return 4**self.n
+
+    @property
+    def seed(self) -> np.ndarray | None:
+        """B^(0) when every member is P_α B^(0), None for a family stored densely."""
+        return self.members.seed if isinstance(self.members, PauliMembers) else None
 
     def member_state(self, alpha: int) -> StateVector:
         """The measurement state |B^(α)> as a 2n-qubit vector."""
@@ -45,6 +75,7 @@ def generate_from_seed(seed: StateVector, tol: Tolerance = DEFAULT_TOL) -> BellB
 
     Member α is σ^(α)|B^(0)> with σ^(α) the quaternary Pauli string acting
     on the measured-information side, i.e. B^(α) = P_α · B^(0) as matrices.
+    Only the seed is stored; members are built when indexed.
     """
     if seed.n_qubits % 2 != 0:
         raise ShapeError(f"seed must have an even qubit count, got {seed.n_qubits}")
@@ -52,14 +83,14 @@ def generate_from_seed(seed: StateVector, tol: Tolerance = DEFAULT_TOL) -> BellB
     dim = 2**n
     if not seed.is_normalized(tol):
         raise ValidationError("seed state is not normalized")
-    b0 = seed.amplitudes.reshape(dim, dim)
+    b0 = seed.amplitudes.reshape(dim, dim).copy()
+    b0.flags.writeable = False
     ok, deviation = is_scaled_identity(dagger(b0) @ b0, 2.0**-n, tol)
     if not ok:
         raise ValidationError(
             f"seed is not maximally entangled: max |B†B - 2^-n·1| = {deviation:.3e}"
         )
-    members = tuple(matrix_of(pauli_from_quaternary(alpha, n)) @ b0 for alpha in range(4**n))
-    return BellBasis(n, members)
+    return BellBasis(n, PauliMembers(b0))
 
 
 def standard_basis(n: int) -> BellBasis:

@@ -80,16 +80,6 @@ def is_scaled_identity(a, scale: float, tol: Tolerance = DEFAULT_TOL) -> tuple[b
     return deviation <= tol.abs_eps, deviation
 
 
-def max_abs_diff(a, b) -> float:
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
-    if a.shape != b.shape:
-        raise ShapeError(f"shape mismatch: {a.shape} vs {b.shape}")
-    if a.size == 0:
-        return 0.0
-    return float(np.max(np.abs(a - b)))
-
-
 @dataclass(frozen=True)
 class StateVector:
     """Pure state of ``n_qubits`` qubits, amplitudes indexed big-endian."""

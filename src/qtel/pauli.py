@@ -12,6 +12,7 @@ Y (the family's hermiticity and square-to-one properties require it).
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 
@@ -111,6 +112,40 @@ def pauli_from_quaternary(alpha: int, n_qubits: int) -> PauliString:
         raise DomainError(f"alpha={alpha} out of range for {n_qubits} qubits")
     digits = [(alpha >> (2 * (n_qubits - 1 - j))) & 3 for j in range(n_qubits)]
     return pauli_from_digits(digits, n_qubits)
+
+
+def _bit_count(a: np.ndarray, n_bits: int) -> np.ndarray:
+    """Set bits of each entry (a per-bit loop: numpy < 2.0 has no bitwise_count)."""
+    count = np.zeros_like(a)
+    for k in range(n_bits):
+        count += (a >> k) & 1
+    return count
+
+
+@functools.lru_cache(maxsize=None)
+def action_tables(n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Signed-permutation form of every family element P_α, α = 0 .. 4^n - 1.
+
+    Returns read-only ``(perm, phase)`` of shape (4^n, 2^n) with
+    ``(P_α v)[r] = phase[α, r] · v[perm[α, r]]``: each string permutes basis
+    indices by XOR with its X mask and multiplies them by a power of i, so
+    ``matrix_of(pauli_from_quaternary(α, n))`` is never needed to apply it.
+    """
+    if n_qubits < 1:
+        raise ValidationError(f"n_qubits must be >= 1, got {n_qubits}")
+    alphas = np.arange(4**n_qubits)
+    x = np.zeros_like(alphas)
+    z = np.zeros_like(alphas)
+    for k in range(n_qubits):  # qubit n-1-k is digit k from the right and mask bit k
+        x |= ((alphas >> (2 * k + 1)) & 1) << k
+        z |= ((alphas >> (2 * k)) & 1) << k
+    perm = x[:, None] ^ np.arange(2**n_qubits)[None, :]
+    # P_α = i^{|x & z|} X^x Z^z, and X^x Z^z |s> = (-1)^{z·s} |s ^ x> with s = r ^ x
+    powers = 2 * _bit_count(z[:, None] & perm, n_qubits) + _bit_count(x & z, n_qubits)[:, None]
+    phase = np.array([1, 1j, -1, -1j])[powers % 4]
+    perm.flags.writeable = False
+    phase.flags.writeable = False
+    return perm, phase
 
 
 def product(p: PauliString, q: PauliString) -> PauliString:

@@ -8,6 +8,16 @@ information state exactly.  Imperfect channels still run: the engine
 falls back to the (phase-normalized) inverse of O^(α) when that operator
 is a scaled unitary, and to the identity otherwise, and the per-outcome
 fidelity reports the damage.
+
+All 4^n outcomes are evaluated together, one row of a (4^n, 2^n) array
+each.  For a seed-generated basis B^(α) = P_α B^(0), so O^(α) = K P_α with
+K = E^T B^(0)† and O^(α)†O^(α) = P_α G P_α with G = K†K: one product K, one
+Gram matrix G and one scaled-identity test serve every outcome, and P_α is
+applied as a signed permutation (`pauli.action_tables`).  The test on G is
+exact for each α, since P_α only permutes the entries of G - s·1 and
+multiplies them by unit phases.  A basis given member by member (``--basis``)
+takes the dense path: every O^(α) from one stacked ``einsum`` and a
+scaled-identity test per member.
 """
 
 from __future__ import annotations
@@ -15,15 +25,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .bell import BellBasis, is_maximal_member, standard_basis
 from .channel import Channel, is_perfect
 from .errors import InternalConsistencyError, ShapeError, ValidationError
 from .linalg import DEFAULT_TOL, StateVector, Tolerance, dagger, is_scaled_identity
-from .pauli import matrix_of, pauli_from_quaternary
+from .pauli import action_tables, matrix_of, pauli_from_quaternary
 
 ZERO_PROBABILITY_EPS = 1e-14
+# Sampled mode draws from the probabilities rounded to multiples of
+# 1/SAMPLING_GRID.  numpy's binomial draws branch on p <= 1/2, and tied
+# probabilities (every perfect channel) put the multinomial exactly on that
+# branch point, so unrounded, a 1e-17 change in how a probability is
+# computed would change the counts drawn for a seed.
+SAMPLING_GRID = 2.0**40
 
 
 @dataclass(frozen=True)
@@ -55,12 +70,12 @@ class ProtocolResult:
     counts: tuple[int, ...] | None = None  # per-alpha shot counts in sampled mode
 
 
-def _check_dims(info: StateVector, ch: Channel, basis: BellBasis):
+def _check_dims(info: StateVector, ch: Channel, basis: BellBasis, tol: Tolerance):
     if ch.n != info.n_qubits:
         raise ShapeError(f"channel n={ch.n} does not match {info.n_qubits}-qubit info state")
     if basis.n != info.n_qubits:
         raise ShapeError(f"basis n={basis.n} does not match {info.n_qubits}-qubit info state")
-    if not info.is_normalized():
+    if not info.is_normalized(tol):
         raise ValidationError("information state must be normalized")
 
 
@@ -94,25 +109,68 @@ def correction_unitary(
     return u
 
 
-def _best_correction(op: TransformationOperator, dim: int) -> np.ndarray:
-    """Unitary part of O^(α)^-1 when available, identity otherwise."""
-    if op.unitary_scaled:
-        return dagger(op.matrix) / np.sqrt(op.scale)
-    return np.eye(dim, dtype=np.complex128)
+def _seed_operator(ch: Channel, basis: BellBasis) -> np.ndarray:
+    """K = E^T B^(0)† of a seed-generated basis, so that O^(α) = K P_α."""
+    return ch.e_matrix.T @ dagger(basis.seed)
 
 
-def composite_expand(info: StateVector, ch: Channel, basis: BellBasis) -> tuple[OutcomeRecord, ...]:
+def _outcome_amplitudes(info: StateVector, ch: Channel, basis: BellBasis) -> np.ndarray:
+    """Bob's unnormalized amplitudes b_α = O^(α)·I, one row per outcome α."""
+    if basis.seed is not None:
+        perm, phase = action_tables(basis.n)
+        return (phase * info.amplitudes[perm]) @ _seed_operator(ch, basis).T
+    members = np.array(basis.members, dtype=np.complex128)
+    return np.einsum("akj,k->aj", members.conj(), info.amplitudes) @ ch.e_matrix
+
+
+def _corrected_states(bob: np.ndarray, alphas: np.ndarray, ch: Channel, basis: BellBasis,
+                      tol: Tolerance) -> np.ndarray:
+    """Rows C^(α) b_α / |C^(α) b_α| for the best available correction C^(α).
+
+    C^(α) is the unitary part O^(α)†/√s of O^(α)^-1 when O^(α)†O^(α) = s·1
+    with s > 0, and the identity otherwise.  `bob` holds the Bob states of
+    the outcomes `alphas`, one row each.
+    """
+    dim = 2**basis.n
+    if basis.seed is not None:  # one test on G = K†K covers every α
+        k = _seed_operator(ch, basis)
+        gram = dagger(k) @ k
+        scale = float(np.real(np.trace(gram)) / dim)
+        ok, _ = is_scaled_identity(gram, scale, tol)
+        if not (ok and scale > tol.abs_eps):
+            return bob
+        perm, phase = action_tables(basis.n)
+        kdag_b = bob @ k.conj()  # rows K† b_α
+        corrected = phase[alphas] * np.take_along_axis(kdag_b, perm[alphas], axis=1)
+    else:
+        members = np.array(basis.members, dtype=np.complex128)[alphas]
+        ops = np.einsum("ij,akj->aik", ch.e_matrix.T, members.conj())
+        grams = np.conj(np.swapaxes(ops, 1, 2)) @ ops
+        scales = np.real(np.trace(grams, axis1=1, axis2=2)) / dim
+        unitary_scaled = [is_scaled_identity(g, s, tol)[0] and s > tol.abs_eps
+                          for g, s in zip(grams, scales)]
+        corrected = np.where(
+            np.array(unitary_scaled, dtype=bool)[:, None],
+            np.einsum("aji,aj->ai", ops.conj(), bob),
+            bob,
+        )
+    return corrected / np.linalg.norm(corrected, axis=1, keepdims=True)
+
+
+def composite_expand(
+    info: StateVector, ch: Channel, basis: BellBasis, tol: Tolerance = DEFAULT_TOL
+) -> tuple[OutcomeRecord, ...]:
     """Per-outcome Bob states and probabilities, no corrections applied."""
-    _check_dims(info, ch, basis)
-    records = []
-    for alpha in range(basis.size):
-        b = ch.e_matrix.T @ dagger(basis.members[alpha]) @ info.amplitudes
-        p = float(np.real(np.vdot(b, b)))
-        if p < ZERO_PROBABILITY_EPS:
-            records.append(OutcomeRecord(alpha, p, zero_probability=True))
-        else:
-            records.append(OutcomeRecord(alpha, p, StateVector(info.n_qubits, b / np.sqrt(p))))
-    return tuple(records)
+    _check_dims(info, ch, basis, tol)
+    b = _outcome_amplitudes(info, ch, basis)
+    probs = np.real(np.einsum("ai,ai->a", b.conj(), b))
+    zero = probs < ZERO_PROBABILITY_EPS
+    bob = b / np.sqrt(np.where(zero, 1.0, probs))[:, None]
+    return tuple(
+        OutcomeRecord(alpha, float(p), zero_probability=True) if is_zero
+        else OutcomeRecord(alpha, float(p), StateVector(info.n_qubits, row))
+        for alpha, (p, is_zero, row) in enumerate(zip(probs, zero, bob))
+    )
 
 
 def run_protocol(
@@ -130,29 +188,22 @@ def run_protocol(
     `shots` outcomes from the BSM distribution with a deterministic generator
     seeded by `seed` and reports per-outcome counts.
     """
-    _check_dims(info, ch, basis)
-    records = []
-    for raw in composite_expand(info, ch, basis):
-        if raw.zero_probability:
-            records.append(raw)
-            continue
-        op = transformation_operator(ch, basis, raw.alpha, tol)
-        correction = _best_correction(op, ch.dim)
-        corrected = correction @ raw.bob_state.amplitudes
-        corrected /= np.linalg.norm(corrected)
-        fidelity = float(abs(np.vdot(info.amplitudes, corrected)) ** 2)
-        records.append(
-            OutcomeRecord(
-                raw.alpha,
-                raw.probability,
-                raw.bob_state,
-                StateVector(info.n_qubits, corrected),
-                fidelity,
-            )
+    records = list(composite_expand(info, ch, basis, tol))
+    useful = [r for r in records if not r.zero_probability]
+    bob = np.array([r.bob_state.amplitudes for r in useful]).reshape(len(useful), info.dim)
+    alphas = np.array([r.alpha for r in useful], dtype=int)
+    corrected = _corrected_states(bob, alphas, ch, basis, tol)
+    fidelities = np.abs(corrected @ info.amplitudes.conj()) ** 2
+    for raw, state, fidelity in zip(useful, corrected, fidelities):
+        records[raw.alpha] = OutcomeRecord(
+            raw.alpha,
+            raw.probability,
+            raw.bob_state,
+            StateVector(info.n_qubits, state),
+            float(fidelity),
         )
-    records = tuple(records)
     if mode == "exhaustive":
-        return ProtocolResult(records)
+        return ProtocolResult(tuple(records))
     if mode != "sampled":
         raise ValidationError(f"unknown mode: {mode!r}")
     if shots is None or shots < 1:
@@ -160,9 +211,11 @@ def run_protocol(
     if seed is None:
         raise ValidationError("sampled mode requires a seed")
     rng = np.random.default_rng(seed)
-    probs = np.array([r.probability for r in records])
-    counts = rng.multinomial(shots, probs / probs.sum())
-    return ProtocolResult(records, "sampled", shots, seed, tuple(int(c) for c in counts))
+    weights = np.round(np.array([r.probability for r in records]) * SAMPLING_GRID)
+    if not weights.any():
+        raise ValidationError("no outcome has a nonzero probability to sample")
+    counts = rng.multinomial(shots, weights / weights.sum())
+    return ProtocolResult(tuple(records), "sampled", shots, seed, tuple(int(c) for c in counts))
 
 
 @dataclass(frozen=True)
@@ -190,6 +243,17 @@ class MasfiResult:
     argmin: tuple[float, float] = (0.0, 0.0)  # Bloch angles (theta, phi)
 
 
+def minimize(fun, x0, **options):
+    """`scipy.optimize.minimize`, imported on first call.
+
+    Importing scipy.optimize is most of the start-up time of ``qtel``, and
+    only `masfi_1q` uses it.
+    """
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(fun, x0, **options)
+
+
 def masfi_1q(
     ch: Channel,
     grid_theta: int = 64,
@@ -210,7 +274,7 @@ def masfi_1q(
         return MasfiResult(0.0, degenerate=True)
     basis = standard_basis(1)
     corrections = [matrix_of(pauli_from_quaternary(alpha, 1)) for alpha in range(4)]
-    operators = [ch.e_matrix.T @ dagger(basis.members[alpha]) for alpha in range(4)]
+    operators = [transformation_operator(ch, basis, alpha, tol).matrix for alpha in range(4)]
 
     def worst_fidelity(angles) -> float:
         theta, phi = angles

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import qtel
 from qtel.cli import main
 from qtel.linalg import StateVector
 from qtel.serialize import save_state
@@ -226,3 +230,11 @@ class TestDeterminismAndTolerance:
         out = capsys.readouterr().out
         assert code == 0
         assert "perfect: True" in out
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize is most of the CLI's start-up time and only masfi uses it
+    src = os.path.dirname(os.path.dirname(qtel.__file__))
+    code = "import sys, qtel.cli; sys.exit('scipy.optimize' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0

@@ -1,0 +1,184 @@
+"""The Pauli-structured protocol engine against the dense per-outcome formula.
+
+The reference below builds every member B^(α) = P_α B^(0) as a dense
+matrix and evaluates each outcome on its own: O^(α) = E^T B^(α)†,
+b = O^(α) I, p = |b|², the correction O^(α)†/√s when O^(α)†O^(α) = s·1
+with s > 0 (the identity otherwise), and the fidelity |<I|C b>|² / |C b|².
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qtel.bell import BellBasis, generate_from_seed, standard_basis
+from qtel.channel import channel_from_state, state_from_matrix
+from qtel.errors import ValidationError
+from qtel.linalg import (
+    DEFAULT_TOL,
+    StateVector,
+    Tolerance,
+    basis_state,
+    haar_random_unitary,
+    random_state,
+)
+from qtel.pauli import action_tables, matrix_of, pauli_from_quaternary
+from qtel.teleport import SAMPLING_GRID, ZERO_PROBABILITY_EPS, composite_expand, run_protocol
+
+
+def dense_members(b0, n):
+    return [matrix_of(pauli_from_quaternary(alpha, n)) @ b0 for alpha in range(4**n)]
+
+
+def dense_reference(info, e, b0, n, tol=DEFAULT_TOL):
+    """Per-α probabilities, fidelities (nan for zero outcomes) and zero flags."""
+    probs, fids, zero = [], [], []
+    for member in dense_members(b0, n):
+        o = e.T @ member.conj().T
+        b = o @ info
+        p = float(np.real(np.vdot(b, b)))
+        probs.append(p)
+        zero.append(p < ZERO_PROBABILITY_EPS)
+        if zero[-1]:
+            fids.append(np.nan)
+            continue
+        gram = o.conj().T @ o
+        s = np.real(np.trace(gram)) / 2**n
+        scaled = np.max(np.abs(gram - s * np.eye(2**n))) <= tol.abs_eps and s > tol.abs_eps
+        c = (o.conj().T / np.sqrt(s) if scaled else np.eye(2**n)) @ (b / np.sqrt(p))
+        fids.append(abs(np.vdot(info, c)) ** 2 / np.vdot(c, c).real)
+    return np.array(probs), np.array(fids), np.array(zero)
+
+
+def make_case(n, channel_kind, seed_kind, info_kind, rng):
+    d = 2**n
+    if channel_kind == "perfect":
+        e = haar_random_unitary(d, rng) / np.sqrt(d)
+    elif channel_kind == "imperfect":
+        e = random_state(2 * n, rng).amplitudes.reshape(d, d)
+    else:  # GHZ corner matrix: rank 2, perfect only for n = 1
+        e = np.zeros((d, d), dtype=complex)
+        e[0, 0] = e[-1, -1] = 1 / np.sqrt(2)
+    if seed_kind == "standard":
+        b0 = np.eye(d, dtype=complex) / np.sqrt(d)
+    else:
+        b0 = haar_random_unitary(d, rng) / np.sqrt(d)
+    info = (random_state(n, rng) if info_kind == "haar"
+            else basis_state(n, int(rng.integers(d))))
+    return info, channel_from_state(state_from_matrix(e, n), n), b0
+
+
+cases = st.tuples(
+    st.integers(1, 4),
+    st.sampled_from(["perfect", "imperfect", "ghz"]),
+    st.sampled_from(["standard", "haar"]),
+    st.sampled_from(["haar", "basis"]),
+    st.integers(0, 2**32 - 1),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=cases, storage=st.sampled_from(["seeded", "dense"]))
+def test_protocol_matches_dense_reference(case, storage):
+    n, channel_kind, seed_kind, info_kind, rng_seed = case
+    rng = np.random.default_rng(rng_seed)
+    info, ch, b0 = make_case(n, channel_kind, seed_kind, info_kind, rng)
+    basis = generate_from_seed(state_from_matrix(b0, n))
+    if storage == "dense":
+        basis = BellBasis(n, tuple(dense_members(b0, n)))
+    shot_seed = int(rng.integers(2**31))
+    result = run_protocol(info, ch, basis, mode="sampled", seed=shot_seed, shots=500)
+
+    probs, fids, zero = dense_reference(info.amplitudes, ch.e_matrix, b0, n)
+    assert np.max(np.abs([r.probability for r in result.records] - probs)) <= 1e-12
+    assert [r.zero_probability for r in result.records] == zero.tolist()
+    got = np.array([np.nan if r.fidelity is None else r.fidelity for r in result.records])
+    assert np.array_equal(np.isnan(got), zero)
+    assert np.max(np.abs(got[~zero] - fids[~zero])) <= 1e-12
+    weights = np.round(probs * SAMPLING_GRID)
+    expected = np.random.default_rng(shot_seed).multinomial(500, weights / weights.sum())
+    assert result.counts == tuple(int(c) for c in expected)
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=cases)
+def test_bob_states_match_dense_reference(case):
+    n, channel_kind, seed_kind, info_kind, rng_seed = case
+    info, ch, b0 = make_case(n, channel_kind, seed_kind, info_kind,
+                             np.random.default_rng(rng_seed))
+    records = composite_expand(info, ch, generate_from_seed(state_from_matrix(b0, n)))
+    for record, member in zip(records, dense_members(b0, n)):
+        if record.zero_probability:
+            continue
+        b = ch.e_matrix.T @ member.conj().T @ info.amplitudes
+        assert np.max(np.abs(record.bob_state.amplitudes - b / np.linalg.norm(b))) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_action_tables_match_dense_matrices(n):
+    perm, phase = action_tables(n)
+    rows = np.arange(2**n)
+    for alpha in range(4**n):
+        table = np.zeros((2**n, 2**n), dtype=complex)
+        table[rows, perm[alpha]] = phase[alpha]
+        assert np.array_equal(table, matrix_of(pauli_from_quaternary(alpha, n)))
+
+
+def test_action_tables_are_read_only():
+    perm, phase = action_tables(2)
+    with pytest.raises(ValueError):
+        phase[0, 0] = 2.0
+    assert action_tables(2)[0] is perm
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("seed_kind", ["standard", "haar"])
+def test_members_equal_pauli_times_seed(n, seed_kind):
+    rng = np.random.default_rng(40 + n)
+    b0 = (np.eye(2**n, dtype=complex) if seed_kind == "standard"
+          else haar_random_unitary(2**n, rng)) / np.sqrt(2**n)
+    basis = generate_from_seed(state_from_matrix(b0, n))
+    assert np.array_equal(basis.seed, b0)
+    assert len(basis.members) == basis.size == 4**n
+    for alpha, member in enumerate(basis.members):
+        assert np.array_equal(member, matrix_of(pauli_from_quaternary(alpha, n)) @ b0)
+    assert np.array_equal(basis.members[-1], basis.members[4**n - 1])
+    with pytest.raises(IndexError):
+        basis.members[4**n]
+
+
+def test_seed_is_copied_from_the_seed_state():
+    seed = state_from_matrix(np.eye(2) / np.sqrt(2), 1)
+    basis = generate_from_seed(seed)
+    seed.amplitudes[0] = 0.0
+    assert basis.members[0][0, 0] == 1 / np.sqrt(2)
+
+
+def test_dense_family_has_no_seed():
+    basis = BellBasis(1, tuple(standard_basis(1).members))
+    assert basis.seed is None and len(basis.members) == 4
+
+
+@pytest.mark.parametrize("dense", [False, True])
+def test_zero_info_state_within_a_loose_tolerance(dense):
+    basis = standard_basis(1)
+    if dense:
+        basis = BellBasis(1, tuple(basis.members))
+    info = StateVector(1, np.zeros(2))
+    ch = channel_from_state(state_from_matrix(np.eye(2) / np.sqrt(2), 1), 1)
+    result = run_protocol(info, ch, basis, tol=Tolerance(1.0))
+    assert all(r.zero_probability and r.fidelity is None for r in result.records)
+    with pytest.raises(ValidationError, match="nonzero probability"):
+        run_protocol(info, ch, basis, mode="sampled", seed=1, shots=10, tol=Tolerance(1.0))
+
+
+def test_seven_qubits_without_dense_basis():
+    # the dense N = 7 basis would hold 4^7 matrices of 128 x 128 (4.3 GB)
+    n, d = 7, 2**7
+    rng = np.random.default_rng(70)
+    ch = channel_from_state(state_from_matrix(haar_random_unitary(d, rng) / np.sqrt(d), n), n)
+    result = run_protocol(random_state(n, rng), ch, standard_basis(n))
+    probs = np.array([r.probability for r in result.records])
+    fids = np.array([r.fidelity for r in result.records])
+    assert np.max(np.abs(probs - 4.0**-n)) < 1e-12
+    assert np.max(np.abs(fids - 1.0)) < 1e-9

@@ -4,7 +4,7 @@ import pytest
 from qtel.bell import generate_from_seed, standard_basis
 from qtel.channel import channel_from_state, state_from_matrix
 from qtel.errors import ShapeError, ValidationError
-from qtel.linalg import StateVector, basis_state, haar_random_unitary, random_state
+from qtel.linalg import StateVector, Tolerance, basis_state, haar_random_unitary, random_state
 from qtel.teleport import (
     composite_expand,
     correction_unitary,
@@ -182,6 +182,13 @@ class TestRunProtocol:
                               mode="sampled", seed=17, shots=10_000)
         for record, count in zip(result.records, result.counts):
             assert count / 10_000 == pytest.approx(record.probability, abs=0.02)
+
+    def test_info_state_normalization_uses_the_callers_tolerance(self):
+        info = StateVector(1, np.array([1.0 + 5e-7, 0.0]))
+        result = run_protocol(info, bell_channel(), standard_basis(1), tol=Tolerance(1e-3))
+        assert len(result.records) == 4
+        with pytest.raises(ValidationError, match="normalized"):
+            run_protocol(info, bell_channel(), standard_basis(1))
 
     def test_sampled_requires_seed_and_shots(self):
         with pytest.raises(ValidationError):
