@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, ShapeError, ValidationError
-from .linalg import DEFAULT_TOL, StateVector, Tolerance, dagger, is_scaled_identity
+from .linalg import (DEFAULT_TOL, StateVector, Tolerance, is_maximally_entangled,
+                     is_scaled_identity)
 from .pauli import action_tables
 
 
@@ -66,6 +67,8 @@ class BellBasis:
 
 def standard_seed(n: int) -> StateVector:
     """Product of Bell pairs pairing qubit r with qubit n+r; matrix 2^{-n/2}·I."""
+    if n < 1:
+        raise ValidationError(f"n must be >= 1, got {n}")
     dim = 2**n
     return StateVector(2 * n, np.eye(dim, dtype=np.complex128).reshape(-1) / np.sqrt(dim))
 
@@ -85,7 +88,7 @@ def generate_from_seed(seed: StateVector, tol: Tolerance = DEFAULT_TOL) -> BellB
         raise ValidationError("seed state is not normalized")
     b0 = seed.amplitudes.reshape(dim, dim).copy()
     b0.flags.writeable = False
-    ok, deviation = is_scaled_identity(dagger(b0) @ b0, 2.0**-n, tol)
+    ok, deviation = is_maximally_entangled(b0, tol)
     if not ok:
         raise ValidationError(
             f"seed is not maximally entangled: max |B†B - 2^-n·1| = {deviation:.3e}"
@@ -104,6 +107,8 @@ def bell_basis_from_members(members, tol: Tolerance = DEFAULT_TOL) -> BellBasis:
     before constructing the basis.
     """
     members = tuple(np.asarray(m, dtype=np.complex128) for m in members)
+    if not members:
+        raise ValidationError("basis family is empty")
     dim = members[0].shape[0]
     n = int(dim).bit_length() - 1
     if 2**n != dim or len(members) != 4**n:
@@ -111,7 +116,7 @@ def bell_basis_from_members(members, tol: Tolerance = DEFAULT_TOL) -> BellBasis:
     for alpha, m in enumerate(members):
         if m.shape != (dim, dim):
             raise ShapeError(f"member {alpha} has shape {m.shape}")
-        ok, deviation = is_scaled_identity(dagger(m) @ m, 2.0**-n, tol)
+        ok, deviation = is_maximally_entangled(m, tol)
         if not ok:
             raise ValidationError(
                 f"member {alpha} is not maximally entangled (deviation {deviation:.3e})"
@@ -135,6 +140,4 @@ def is_maximal_member(basis: BellBasis, alpha: int, tol: Tolerance = DEFAULT_TOL
     """Per-member condition B^(α)†B^(α) = 2^-n·1."""
     if not 0 <= alpha < basis.size:
         raise DomainError(f"alpha={alpha} out of range for basis of size {basis.size}")
-    m = basis.members[alpha]
-    ok, _ = is_scaled_identity(dagger(m) @ m, 2.0**-basis.n, tol)
-    return ok
+    return is_maximally_entangled(basis.members[alpha], tol)[0]

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ShapeError, ValidationError
-from .linalg import DEFAULT_TOL, StateVector, Tolerance, dagger, is_scaled_identity
+from .linalg import DEFAULT_TOL, StateVector, Tolerance, is_maximally_entangled
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,7 @@ def state_from_matrix(matrix: np.ndarray, n: int) -> StateVector:
 
 def is_perfect(ch: Channel, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float]:
     """Perfect-channel criterion: E†E = 2^-n times the identity."""
-    return is_scaled_identity(dagger(ch.e_matrix) @ ch.e_matrix, 2.0**-ch.n, tol)
+    return is_maximally_entangled(ch.e_matrix, tol)
 
 
 def character_matrix(ch: Channel) -> np.ndarray:
@@ -66,7 +66,7 @@ def character_matrix(ch: Channel) -> np.ndarray:
     return (2.0 ** (ch.n / 2)) * ch.e_matrix
 
 
-def concurrence_2q(state: StateVector) -> float:
+def concurrence_2q(state: StateVector, tol: Tolerance = DEFAULT_TOL) -> float:
     """Concurrence |sum_i c_i^2| of a normalized 2-qubit pure state.
 
     The c_i are the coefficients in the Hill-Wootters magic basis,
@@ -75,7 +75,7 @@ def concurrence_2q(state: StateVector) -> float:
     """
     if state.n_qubits != 2:
         raise ShapeError(f"concurrence_2q needs a 2-qubit state, got {state.n_qubits} qubits")
-    if not state.is_normalized():
+    if not state.is_normalized(tol):
         raise ValidationError("state must be normalized")
     from .magic import hill_wootters_basis  # local import to avoid a cycle
 

@@ -1,10 +1,10 @@
 """Command-line front end.
 
-Exit codes: 0 on success, 1 when a numerical assertion fails, 2 on usage
-or file-format errors.  JSON reports carry a top-level ``"schema":
-"qtel/1"`` key and are byte-identical for identical invocations and
-seeds; the text renderings are for humans and carry no stability
-promise.
+Exit codes: 0 on success; 1 when a numerical assertion fails or an
+`InternalConsistencyError` is raised; 2 on usage or file-format errors,
+that is any other `QtelError` or an `OSError`.  JSON reports carry a
+top-level ``"schema": "qtel/1"`` key and are byte-identical for identical
+invocations and seeds; the text renderings carry no stability promise.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import bell, channel, magic, pauli, serialize, teleport
-from .errors import QtelError, ValidationError
+from .errors import InternalConsistencyError, QtelError, ValidationError
 from .linalg import DEFAULT_ABS_EPS, Tolerance
 
 SCHEMA = "qtel/1"
@@ -216,8 +216,7 @@ def _resolve_set(tokens: list[str], n: int | None):
     paulis = []
     for token in tokens:
         if token in magic.N2_NAMES:
-            d1, d2 = magic.N2_NAMES[token]
-            paulis.append(pauli.pauli_from_quaternary(4 * d1 + d2, 2))
+            paulis.append(pauli.pauli_from_digits(magic.N2_NAMES[token]))
         elif token.isdigit():
             if n is None:
                 raise ValidationError("--n is required when selecting by index")
@@ -281,7 +280,7 @@ def cmd_masfi(args) -> int:
         raise ValidationError("masfi requires a 2-qubit (n = 1) channel state")
     ch = channel.channel_from_state(state, 1, tol)
     result = teleport.masfi_1q(ch, tol=tol)
-    concurrence = channel.concurrence_2q(state)
+    concurrence = channel.concurrence_2q(state, tol)
     report = {
         "schema": SCHEMA,
         "command": "masfi",
@@ -389,15 +388,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValidationError as exc:
+    except (QtelError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except QtelError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ASSERTION
+        return EXIT_ASSERTION if isinstance(exc, InternalConsistencyError) else EXIT_USAGE
 
 
 if __name__ == "__main__":

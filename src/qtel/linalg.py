@@ -4,7 +4,7 @@ Everything here is a thin, shape-checked layer over numpy.  The qubit
 convention is fixed once and for all: a basis index i of an n-qubit state
 encodes the bit string i_1 i_2 ... i_n big-endian, with qubit 1 the most
 significant bit.  Kronecker products put their left factor on the more
-significant qubits, so ``kron(a, b)`` acts with ``a`` on the leading
+significant qubits, so ``np.kron(a, b)`` acts with ``a`` on the leading
 qubits.
 """
 
@@ -41,29 +41,9 @@ def as_complex_matrix(a) -> np.ndarray:
     return m
 
 
-def matmul(a, b) -> np.ndarray:
-    a = as_complex_matrix(a)
-    b = as_complex_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
 def dagger(a) -> np.ndarray:
     """Conjugate transpose."""
     return as_complex_matrix(a).conj().T
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product, left factor most significant."""
-    return np.kron(as_complex_matrix(a), as_complex_matrix(b))
-
-
-def trace(a) -> complex:
-    a = as_complex_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ShapeError(f"trace requires a square matrix, got {a.shape}")
-    return complex(np.trace(a))
 
 
 def is_scaled_identity(a, scale: float, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float]:
@@ -78,6 +58,16 @@ def is_scaled_identity(a, scale: float, tol: Tolerance = DEFAULT_TOL) -> tuple[b
     target = scale * np.eye(a.shape[0])
     deviation = float(np.max(np.abs(a - target)))
     return deviation <= tol.abs_eps, deviation
+
+
+def is_maximally_entangled(m, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float]:
+    """The maximal-entanglement condition M†M = 2^-n·1 on a 2^n x 2^n matrix.
+
+    It is the perfect-channel criterion for E and the per-member condition
+    for B^(α).  Returns ``(ok, max_deviation)`` as `is_scaled_identity`.
+    """
+    m = as_complex_matrix(m)
+    return is_scaled_identity(dagger(m) @ m, 1.0 / m.shape[0], tol)
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,9 @@ import numpy as np
 from .bell import standard_basis
 from .channel import channel_from_state, is_perfect, state_from_matrix
 from .errors import ResourceLimitError, ValidationError
-from .linalg import DEFAULT_TOL, StateVector, Tolerance, random_state
-from .pauli import PauliString, commutes, matrix_of, pauli_from_quaternary
+from .linalg import DEFAULT_TOL, StateVector, Tolerance, is_maximally_entangled, random_state
+from .pauli import PauliString, commutes, matrix_of, pauli_from_digits, pauli_from_quaternary
+from .teleport import run_protocol
 
 GRAPH_EXHAUSTIVE_MAX_QUBITS = 3
 
@@ -156,8 +157,6 @@ def verify_partial_basis(
     """
     if trials < 1:
         raise ValidationError("trials must be >= 1")
-    from .teleport import run_protocol  # deferred to avoid an import cycle
-
     rng = np.random.default_rng(seed)
     n = basis.n
     matrices = [m.amplitudes.reshape(2**n, 2**n) for m in basis.members]
@@ -170,11 +169,9 @@ def verify_partial_basis(
         mags /= np.linalg.norm(mags)
         phase = np.exp(1j * rng.uniform(0, 2 * np.pi))
         combined = sum(phase * c * m for c, m in zip(mags, matrices))
-        dev = float(np.max(np.abs(
-            combined.conj().T @ combined - 2.0**-n * np.eye(2**n))))
+        ok, dev = is_maximally_entangled(combined, tol)
         worst_dev = max(worst_dev, dev)
-        ok = dev <= tol.abs_eps
-        ch = channel_from_state(state_from_matrix(combined, n), n)
+        ch = channel_from_state(state_from_matrix(combined, n), n, tol)
         info = random_state(n, rng)
         result = run_protocol(info, ch, measurement, tol=tol)
         fid = min(r.fidelity for r in result.records if not r.zero_probability)
@@ -209,7 +206,11 @@ def no_full_magic_basis_witness(n: int) -> WitnessReport:
 
     For n = 2 the report also carries the explicit counterexample channel
     (|0000> + |1111>)/sqrt(2), which fails the perfect-channel condition
-    and is not resolved by any maximal partial basis without residual.
+    (deviation 0.25) although its residual is 0.0: it lies in the span of
+    both size-5 cliques that contain ZZ (α = 5), (2, 3, 5, 9, 13) and
+    (5, 6, 7, 8, 12), with coefficients 1/√2 on the identity member and
+    -i/√2 on the ZZ member.  The two phases differ, so it is not a magic
+    combination, which needs one shared phase.
     """
     if not 1 <= n <= GRAPH_EXHAUSTIVE_MAX_QUBITS:
         raise ResourceLimitError(f"witness supports 1 <= n <= {GRAPH_EXHAUSTIVE_MAX_QUBITS}")
@@ -374,8 +375,7 @@ def n2_catalog() -> N2Catalog:
     n = 2
     states: dict[str, StateVector] = {}
     for name, digits in N2_NAMES.items():
-        p = pauli_from_quaternary(4 * digits[0] + digits[1], n)
-        states[name] = state_from_matrix(0.5 * matrix_of(p), n)
+        states[name] = state_from_matrix(0.5 * matrix_of(pauli_from_digits(digits)), n)
 
     typos: dict[str, str] = {}
     for name, entries in N2_PRINTED_STATES.items():
@@ -393,7 +393,7 @@ def n2_catalog() -> N2Catalog:
     named_sets = tuple(_names_of_clique(c) for c in report.maximal_cliques)
     bases = tuple(_basis_from_alpha_clique(c, n) for c in report.maximal_cliques)
 
-    alpha_of = {name: 4 * d1 + d2 for name, (d1, d2) in N2_NAMES.items()}
+    alpha_of = {name: alpha for alpha, name in _N2_ALPHA_TO_NAME.items()}
 
     def reconcile(printed: tuple[str, ...], candidates) -> ReconciliationEntry:
         flags = []
@@ -419,12 +419,11 @@ def n2_catalog() -> N2Catalog:
         for printed in N2_PRINTED_MAXIMAL_SETS
     ]
 
+    alphas = graph.alphas
     triangles = sorted(
-        t for t in itertools.combinations(graph.alphas, 3)
-        if all(
-            not commutes(pauli_from_quaternary(a, n), pauli_from_quaternary(b, n))
-            for a, b in itertools.combinations(t, 2)
-        )
+        tuple(alphas[v] for v in t)
+        for t in itertools.combinations(range(len(alphas)), 3)
+        if all(graph.adjacency[u, v] for u, v in itertools.combinations(t, 2))
     )
     packing = _max_disjoint_triangle_packing(triangles)
     quarter_families = tuple(_names_of_clique(t) for t in packing)

@@ -6,8 +6,9 @@ and commutation tests are pure bit arithmetic and the tracked phase makes
 
 Bitmask convention: bit 0 (the most significant qubit, qubit index 0) is
 the highest bit of the mask, i.e. qubit r occupies bit ``n_qubits-1-r``.
-Quaternary digits map 0, 1, 2, 3 to I, Z, X, Y; digit 3 is the hermitian
-Y (the family's hermiticity and square-to-one properties require it).
+Quaternary digits map 0, 1, 2, 3 to I, Z, X, Y: a factor with x bit x and
+z bit z has digit d = 2·x + z.  Digit 3 is the hermitian Y (the family's
+hermiticity and square-to-one properties require it).
 """
 
 from __future__ import annotations
@@ -19,18 +20,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, ResourceLimitError, ShapeError, ValidationError
-from .linalg import matmul
 
 _I2 = np.eye(2, dtype=np.complex128)
 _Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 _X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 _Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 
-# digit -> (x bit, z bit); the hermitian factor for (1,1) is Y = i*X*Z
-_DIGIT_TO_BITS = {0: (0, 0), 1: (0, 1), 2: (1, 0), 3: (1, 1)}
-_BITS_TO_DIGIT = {v: k for k, v in _DIGIT_TO_BITS.items()}
-_BITS_TO_LETTER = {(0, 0): "I", (0, 1): "Z", (1, 0): "X", (1, 1): "Y"}
-_LETTER_TO_BITS = {v: k for k, v in _BITS_TO_LETTER.items()}
+# indexed by digit d = 2·x + z; the hermitian factor for x = z = 1 is Y = i·X·Z
+_LETTERS = "IZXY"
+_FACTORS = (_I2, _Z, _X, _Y)
 _PHASE_PREFIX = {0: "", 1: "i·", 2: "-", 3: "-i·"}
 
 FAMILY_EXHAUSTIVE_MAX_QUBITS = 3
@@ -38,6 +36,18 @@ FAMILY_EXHAUSTIVE_MAX_QUBITS = 3
 
 def _popcount(x: int) -> int:
     return bin(x).count("1")
+
+
+def _split(alpha, n: int):
+    """X and Z masks of the label ``alpha``, an int or an int array.
+
+    Base-4 digit k from the right, d = 2·x + z, is qubit n-1-k: mask bit k.
+    """
+    x = z = 0
+    for k in range(n):
+        x = x | (((alpha >> (2 * k + 1)) & 1) << k)
+        z = z | (((alpha >> (2 * k)) & 1) << k)
+    return x, z
 
 
 @dataclass(frozen=True)
@@ -69,7 +79,7 @@ class PauliString:
     def digit(self, qubit: int) -> int:
         """Quaternary digit of the factor on 0-based qubit index."""
         shift = self.n_qubits - 1 - qubit
-        return _BITS_TO_DIGIT[((self.x_bits >> shift) & 1, (self.z_bits >> shift) & 1)]
+        return 2 * ((self.x_bits >> shift) & 1) + ((self.z_bits >> shift) & 1)
 
     def digits(self) -> tuple[int, ...]:
         return tuple(self.digit(q) for q in range(self.n_qubits))
@@ -83,8 +93,7 @@ class PauliString:
         return alpha
 
     def __str__(self) -> str:
-        letters = "".join(_BITS_TO_LETTER[_DIGIT_TO_BITS[d]] for d in self.digits())
-        return _PHASE_PREFIX[self.phase_power] + letters
+        return render(self)
 
 
 def identity(n_qubits: int) -> PauliString:
@@ -96,22 +105,19 @@ def pauli_from_digits(digits, n_qubits: int | None = None, phase_power: int = 0)
     n = len(digits) if n_qubits is None else n_qubits
     if len(digits) != n:
         raise ShapeError(f"expected {n} digits, got {len(digits)}")
-    x = z = 0
+    alpha = 0
     for d in digits:
-        if d not in _DIGIT_TO_BITS:
+        if d not in range(4):
             raise DomainError(f"quaternary digit out of range: {d}")
-        xb, zb = _DIGIT_TO_BITS[d]
-        x = (x << 1) | xb
-        z = (z << 1) | zb
-    return PauliString(n, x, z, phase_power)
+        alpha = 4 * alpha + int(d)
+    return PauliString(n, *_split(alpha, n), phase_power)
 
 
 def pauli_from_quaternary(alpha: int, n_qubits: int) -> PauliString:
     """The alpha-th family element, alpha read in base 4 (qubit 1 = leading digit)."""
     if not 0 <= alpha < 4**n_qubits:
         raise DomainError(f"alpha={alpha} out of range for {n_qubits} qubits")
-    digits = [(alpha >> (2 * (n_qubits - 1 - j))) & 3 for j in range(n_qubits)]
-    return pauli_from_digits(digits, n_qubits)
+    return PauliString(n_qubits, *map(int, _split(alpha, n_qubits)))
 
 
 def _bit_count(a: np.ndarray, n_bits: int) -> np.ndarray:
@@ -133,12 +139,7 @@ def action_tables(n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
     """
     if n_qubits < 1:
         raise ValidationError(f"n_qubits must be >= 1, got {n_qubits}")
-    alphas = np.arange(4**n_qubits)
-    x = np.zeros_like(alphas)
-    z = np.zeros_like(alphas)
-    for k in range(n_qubits):  # qubit n-1-k is digit k from the right and mask bit k
-        x |= ((alphas >> (2 * k + 1)) & 1) << k
-        z |= ((alphas >> (2 * k)) & 1) << k
+    x, z = _split(np.arange(4**n_qubits), n_qubits)
     perm = x[:, None] ^ np.arange(2**n_qubits)[None, :]
     # P_α = i^{|x & z|} X^x Z^z, and X^x Z^z |s> = (-1)^{z·s} |s ^ x> with s = r ^ x
     powers = 2 * _bit_count(z[:, None] & perm, n_qubits) + _bit_count(x & z, n_qubits)[:, None]
@@ -175,16 +176,15 @@ def commutes(p: PauliString, q: PauliString) -> bool:
 
 def matrix_of(p: PauliString) -> np.ndarray:
     """Dense 2^n x 2^n realization, i^phase_power times the factor product."""
-    factors = {0: _I2, 1: _Z, 2: _X, 3: _Y}
     m = np.array([[1.0 + 0j]])
     for d in p.digits():
-        m = np.kron(m, factors[d])
+        m = np.kron(m, _FACTORS[d])
     return (1j**p.phase_power) * m
 
 
 def render(p: PauliString, separator: str = "") -> str:
     """Text form like "i·ZX" or, with separator "⊗", "Y⊗I"."""
-    letters = separator.join(_BITS_TO_LETTER[_DIGIT_TO_BITS[d]] for d in p.digits())
+    letters = separator.join(_LETTERS[d] for d in p.digits())
     return _PHASE_PREFIX[p.phase_power] + letters
 
 
@@ -199,7 +199,7 @@ def parse(text: str) -> PauliString:
     phase_text = m.group("phase") or ""
     phase = {"": 0, "i": 1, "i·": 1, "-": 2, "-i": 3, "-i·": 3}[phase_text]
     letters = m.group("letters").replace("⊗", "")
-    digits = [_BITS_TO_DIGIT[_LETTER_TO_BITS[c]] for c in letters]
+    digits = [_LETTERS.index(c) for c in letters]
     return pauli_from_digits(digits, phase_power=phase)
 
 
@@ -262,7 +262,7 @@ def family_property_report(n: int) -> FamilyPropertyReport:
         for b, q in enumerate(family):
             r = product(p, q)
             base = matrix_of(PauliString(n, r.x_bits, r.z_bits, 0))
-            dense = matmul(mats[a], mats[b])
+            dense = mats[a] @ mats[b]
             if min(np.max(np.abs(dense - (1j**k) * base)) for k in range(4)) > 1e-12:
                 fails.append(f"{p}·{q}")
     check("products close up to ±1, ±i", fails)

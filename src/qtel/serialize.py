@@ -36,11 +36,25 @@ def state_to_dict(state: StateVector) -> dict:
     }
 
 
-def state_from_dict(data: dict) -> StateVector:
-    for key in ("n_qubits", "amplitudes"):
+def _fields(data, keys: tuple[str, ...], what: str) -> list:
+    if not isinstance(data, dict):
+        raise ValidationError(f"{what}: expected a JSON object")
+    for key in keys:
         if key not in data:
-            raise ValidationError(f"state file: missing field {key!r}")
-    return StateVector(int(data["n_qubits"]), pairs_to_array(data["amplitudes"], "amplitudes"))
+            raise ValidationError(f"{what}: missing field {key!r}")
+    return [data[key] for key in keys]
+
+
+def _integer(value, what: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{what} must be an integer, got {value!r}") from exc
+
+
+def state_from_dict(data: dict) -> StateVector:
+    n_qubits, amplitudes = _fields(data, ("n_qubits", "amplitudes"), "state file")
+    return StateVector(_integer(n_qubits, "n_qubits"), pairs_to_array(amplitudes, "amplitudes"))
 
 
 def matrix_to_dict(matrix: np.ndarray) -> dict:
@@ -53,11 +67,11 @@ def matrix_to_dict(matrix: np.ndarray) -> dict:
 
 
 def matrix_from_dict(data: dict) -> np.ndarray:
-    for key in ("rows", "cols", "entries"):
-        if key not in data:
-            raise ValidationError(f"matrix object: missing field {key!r}")
-    rows, cols = int(data["rows"]), int(data["cols"])
-    flat = pairs_to_array(data["entries"], "entries")
+    rows, cols, entries = _fields(data, ("rows", "cols", "entries"), "matrix object")
+    rows, cols = _integer(rows, "rows"), _integer(cols, "cols")
+    if rows < 1 or cols < 1:
+        raise ValidationError(f"matrix object: {rows}x{cols} is not a matrix shape")
+    flat = pairs_to_array(entries, "entries")
     if flat.size != rows * cols:
         raise ValidationError(
             f"matrix object: expected {rows * cols} entries, got {flat.size}"
@@ -65,12 +79,18 @@ def matrix_from_dict(data: dict) -> np.ndarray:
     return flat.reshape(rows, cols)
 
 
-def load_state(path: str) -> StateVector:
-    with open(path) as fh:
+def _load_json(path: str):
+    with open(path, encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}")
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
+def load_state(path: str) -> StateVector:
+    data = _load_json(path)
     try:
         return state_from_dict(data)
     except ValidationError as exc:
@@ -88,11 +108,7 @@ def basis_to_list(members) -> list[dict]:
 
 
 def load_basis_members(path: str) -> list[np.ndarray]:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    data = _load_json(path)
     if not isinstance(data, list):
         raise ValidationError(f"{path}: expected a JSON array of matrix objects")
     try:

@@ -79,16 +79,21 @@ def _check_dims(info: StateVector, ch: Channel, basis: BellBasis, tol: Tolerance
         raise ValidationError("information state must be normalized")
 
 
+def _unitary_scale(o: np.ndarray, tol: Tolerance) -> float:
+    """s when O†O = s·1 with s > tol, else 0.0: O is then √s times a unitary."""
+    gram = dagger(o) @ o
+    scale = float(np.real(np.trace(gram)) / o.shape[0])
+    ok, _ = is_scaled_identity(gram, scale, tol)
+    return scale if ok and scale > tol.abs_eps else 0.0
+
+
 def transformation_operator(
     ch: Channel, basis: BellBasis, alpha: int, tol: Tolerance = DEFAULT_TOL
 ) -> TransformationOperator:
     """Works for arbitrary channels; flags whether O†O is a scaled identity."""
     o = ch.e_matrix.T @ dagger(basis.members[alpha])
-    gram = dagger(o) @ o
-    scale = float(np.real(np.trace(gram)) / o.shape[0])
-    ok, _ = is_scaled_identity(gram, scale, tol)
-    unitary_scaled = ok and scale > tol.abs_eps
-    return TransformationOperator(alpha, o, unitary_scaled, scale if unitary_scaled else 0.0)
+    scale = _unitary_scale(o, tol)
+    return TransformationOperator(alpha, o, scale > 0.0, scale)
 
 
 def correction_unitary(
@@ -131,13 +136,9 @@ def _corrected_states(bob: np.ndarray, alphas: np.ndarray, ch: Channel, basis: B
     with s > 0, and the identity otherwise.  `bob` holds the Bob states of
     the outcomes `alphas`, one row each.
     """
-    dim = 2**basis.n
     if basis.seed is not None:  # one test on G = K†K covers every α
         k = _seed_operator(ch, basis)
-        gram = dagger(k) @ k
-        scale = float(np.real(np.trace(gram)) / dim)
-        ok, _ = is_scaled_identity(gram, scale, tol)
-        if not (ok and scale > tol.abs_eps):
+        if not _unitary_scale(k, tol):
             return bob
         perm, phase = action_tables(basis.n)
         kdag_b = bob @ k.conj()  # rows K† b_α
@@ -145,15 +146,8 @@ def _corrected_states(bob: np.ndarray, alphas: np.ndarray, ch: Channel, basis: B
     else:
         members = np.array(basis.members, dtype=np.complex128)[alphas]
         ops = np.einsum("ij,akj->aik", ch.e_matrix.T, members.conj())
-        grams = np.conj(np.swapaxes(ops, 1, 2)) @ ops
-        scales = np.real(np.trace(grams, axis1=1, axis2=2)) / dim
-        unitary_scaled = [is_scaled_identity(g, s, tol)[0] and s > tol.abs_eps
-                          for g, s in zip(grams, scales)]
-        corrected = np.where(
-            np.array(unitary_scaled, dtype=bool)[:, None],
-            np.einsum("aji,aj->ai", ops.conj(), bob),
-            bob,
-        )
+        scaled = np.array([_unitary_scale(o, tol) > 0.0 for o in ops], dtype=bool)
+        corrected = np.where(scaled[:, None], np.einsum("aji,aj->ai", ops.conj(), bob), bob)
     return corrected / np.linalg.norm(corrected, axis=1, keepdims=True)
 
 

@@ -232,6 +232,61 @@ class TestDeterminismAndTolerance:
         assert "perfect: True" in out
 
 
+def _write(tmp_path, name, content) -> str:
+    path = tmp_path / name
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content if isinstance(content, str) else json.dumps(content))
+    return str(path)
+
+
+# each builds the argv of one usage or file-format error from tmp_path and
+# the good info2 / two_bell files
+MALFORMED = {
+    "three_member_basis": lambda t, info, ch: [
+        "teleport", "run", "--info", info, "--channel", ch, "--basis",
+        _write(t, "b3.json", [{"rows": 4, "cols": 4, "entries": [[0.5, 0]] * 16}] * 3)],
+    "empty_basis": lambda t, info, ch: [
+        "teleport", "run", "--info", info, "--channel", ch, "--basis",
+        _write(t, "b0.json", [])],
+    "negative_matrix_shape": lambda t, info, ch: [
+        "teleport", "run", "--info", info, "--channel", ch, "--basis",
+        _write(t, "bneg.json", [{"rows": -1, "cols": -1, "entries": [[1, 0]]}])],
+    "set_index_out_of_range": lambda t, info, ch: [
+        "magic", "verify", "--set", "99", "--n", "2"],
+    "directory_as_file": lambda t, info, ch: ["channel", "check", "--file", str(t)],
+    "amplitude_count": lambda t, info, ch: [
+        "channel", "check", "--file",
+        _write(t, "short.json", {"n_qubits": 2, "amplitudes": [[1, 0]] * 3})],
+    "top_level_number": lambda t, info, ch: [
+        "channel", "check", "--file", _write(t, "number.json", "42")],
+    "n_qubits_text": lambda t, info, ch: [
+        "channel", "check", "--file",
+        _write(t, "text_n.json", {"n_qubits": "abc", "amplitudes": [[1, 0]]})],
+    "not_utf8": lambda t, info, ch: [
+        "channel", "check", "--file", _write(t, "latin1.json", b'{"n_qubits": "\xe9"}')],
+    "negative_n": lambda t, info, ch: ["bell", "gen", "--n", "-1"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_is_usage_error(case, capsys, tmp_path, info2_file, two_bell_file):
+    argv = MALFORMED[case](tmp_path, info2_file, two_bell_file)
+    assert main(["--format", "json"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err and captured.err.startswith("error: ")
+
+
+def test_masfi_tolerance_reaches_concurrence(capsys, tmp_path):
+    # |norm - 1| = 1e-7 passes --tol 1e-6 in every check, concurrence included
+    amps = (1 + 1e-7) * np.array([1, 0, 0, 1]) / np.sqrt(2)
+    path = tmp_path / "bell_off.json"
+    save_state(str(path), StateVector(2, amps))
+    assert main(["--tol", "1e-6", "masfi", "--channel", str(path)]) == 0
+
+
 def test_import_leaves_scipy_optimize_unloaded():
     # scipy.optimize is most of the CLI's start-up time and only masfi uses it
     src = os.path.dirname(os.path.dirname(qtel.__file__))

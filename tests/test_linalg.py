@@ -8,38 +8,15 @@ from qtel.linalg import (
     basis_state,
     dagger,
     haar_random_unitary,
+    is_maximally_entangled,
     is_scaled_identity,
-    kron,
-    matmul,
     random_state,
-    trace,
 )
 
 I2 = np.eye(2)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]])
 SZ = np.diag([1.0, -1.0]).astype(complex)
-
-
-class TestMatmul:
-    def test_identity(self):
-        m = np.array([[1, 2j], [3, 4]], dtype=complex)
-        assert np.array_equal(matmul(I2, m), m)
-
-    def test_sz_times_sx_is_i_sy(self):
-        expected = np.array([[0, 1], [-1, 0]], dtype=complex)
-        assert np.array_equal(matmul(SZ, SX), expected)
-        assert np.allclose(expected, 1j * SY)
-
-    def test_bell_pair_contraction(self):
-        # E^T times B^(0)† for a matched Bell pair collapses to half identity
-        e = I2 / np.sqrt(2)
-        b0 = I2 / np.sqrt(2)
-        assert np.allclose(matmul(e.T, dagger(b0)), I2 / 2)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            matmul(np.ones((2, 3)), np.ones((2, 3)))
 
 
 class TestDaggerKronTrace:
@@ -50,32 +27,6 @@ class TestDaggerKronTrace:
         rng = np.random.default_rng(7)
         m = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
         assert np.array_equal(dagger(dagger(m)), m)
-
-    def test_kron_left_factor_most_significant(self):
-        # kron(I, X) flips the least significant qubit (qubit 2 of 2)
-        op = kron(I2, SX)
-        v = np.zeros(4)
-        v[0b00] = 1
-        assert np.array_equal(op @ v, np.eye(4)[0b01])
-
-    def test_kron_associative_exact_on_integers(self):
-        rng = np.random.default_rng(3)
-        a, b, c = (rng.integers(-3, 4, (2, 2)).astype(complex) for _ in range(3))
-        assert np.array_equal(kron(kron(a, b), c), kron(a, kron(b, c)))
-
-    def test_trace_sz_zero(self):
-        assert trace(SZ) == 0
-
-    def test_trace_cyclic(self):
-        rng = np.random.default_rng(11)
-        for _ in range(10):
-            a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-            b = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-            assert abs(trace(matmul(a, b)) - trace(matmul(b, a))) < 1e-12
-
-    def test_trace_requires_square(self):
-        with pytest.raises(ShapeError):
-            trace(np.ones((2, 3)))
 
 
 class TestScaledIdentity:
@@ -99,6 +50,25 @@ class TestScaledIdentity:
     def test_reports_deviation_on_failure(self):
         ok, dev = is_scaled_identity(np.eye(3), 0.5, Tolerance(1e-12))
         assert not ok and dev == pytest.approx(0.5)
+
+    def test_two_bell_pairs_maximally_entangled(self):
+        ok, dev = is_maximally_entangled(np.eye(4) / 2)
+        assert ok and dev == 0.0
+
+    def test_ghz_not_maximally_entangled(self):
+        amps = np.zeros(16)
+        amps[0] = amps[15] = 1 / np.sqrt(2)
+        ok, dev = is_maximally_entangled(amps.reshape(4, 4))
+        assert not ok
+        assert dev == pytest.approx(0.25, abs=1e-15)
+
+    def test_maximally_entangled_scale_is_inverse_dimension(self):
+        # a unitary over 2^{n/2} meets M†M = 2^-n·1 for every n
+        rng = np.random.default_rng(9)
+        for n in range(1, 5):
+            u = haar_random_unitary(2**n, rng)
+            ok, dev = is_maximally_entangled(u / np.sqrt(2**n))
+            assert ok and dev < 1e-14
 
 
 class TestStateVector:
