@@ -34,40 +34,48 @@ DEFAULT_TOL = Tolerance()
 
 
 def as_complex_matrix(a) -> np.ndarray:
-    """Coerce input to a 2-D complex128 array."""
+    """Coerce input to a complex128 matrix, or to a stack (..., m, n) of them."""
     m = np.asarray(a, dtype=np.complex128)
-    if m.ndim != 2:
-        raise ShapeError(f"expected a 2-D matrix, got ndim={m.ndim}")
+    if m.ndim < 2:
+        raise ShapeError(f"expected a 2-D matrix or a stack of them, got ndim={m.ndim}")
     return m
 
 
 def dagger(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_complex_matrix(a).conj().T
+    """Conjugate transpose, of each matrix of a stack."""
+    return as_complex_matrix(a).conj().swapaxes(-1, -2)
 
 
-def is_scaled_identity(a, scale: float, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float]:
+def is_scaled_identity(a, scale, tol: Tolerance = DEFAULT_TOL):
     """Test whether ``a`` equals ``scale`` times the identity.
 
     Returns ``(ok, max_deviation)`` where the deviation is the largest
-    entrywise distance from the target, reported even on failure.
+    entrywise distance from the target, reported even on failure.  For a
+    stack (..., d, d) of matrices, with ``scale`` a number or an array over
+    the stack, both are arrays over the stack.
     """
     a = as_complex_matrix(a)
-    if a.shape[0] != a.shape[1]:
+    if a.shape[-2] != a.shape[-1]:
         raise ShapeError(f"expected a square matrix, got {a.shape}")
-    target = scale * np.eye(a.shape[0])
-    deviation = float(np.max(np.abs(a - target)))
+    # |a - scale·1| entry by entry, without building the target
+    deviation = np.abs(a)
+    diag = np.arange(a.shape[-1])
+    deviation[..., diag, diag] = np.abs(a[..., diag, diag] - np.expand_dims(scale, -1))
+    deviation = np.max(deviation, axis=(-2, -1))
+    if a.ndim == 2:
+        deviation = float(deviation)
     return deviation <= tol.abs_eps, deviation
 
 
-def is_maximally_entangled(m, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float]:
+def is_maximally_entangled(m, tol: Tolerance = DEFAULT_TOL):
     """The maximal-entanglement condition M†M = 2^-n·1 on a 2^n x 2^n matrix.
 
     It is the perfect-channel criterion for E and the per-member condition
-    for B^(α).  Returns ``(ok, max_deviation)`` as `is_scaled_identity`.
+    for B^(α).  Returns ``(ok, max_deviation)`` as `is_scaled_identity`,
+    also for a stack of matrices.
     """
     m = as_complex_matrix(m)
-    return is_scaled_identity(dagger(m) @ m, 1.0 / m.shape[0], tol)
+    return is_scaled_identity(dagger(m) @ m, 1.0 / m.shape[-2], tol)
 
 
 @dataclass(frozen=True)

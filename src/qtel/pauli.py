@@ -239,7 +239,8 @@ def family_property_report(n: int) -> FamilyPropertyReport:
             f"exhaustive family check supports n <= {FAMILY_EXHAUSTIVE_MAX_QUBITS}, got {n}"
         )
     family = [pauli_from_quaternary(a, n) for a in range(4**n)]
-    mats = [matrix_of(p) for p in family]
+    mats = np.array([matrix_of(p) for p in family])
+    index_of = {(p.x_bits, p.z_bits): a for a, p in enumerate(family)}
     dim = 2**n
     eye = np.eye(dim)
     checks: list[PropertyCheck] = []
@@ -249,22 +250,31 @@ def family_property_report(n: int) -> FamilyPropertyReport:
             PropertyCheck(name, not failures, "; ".join(failures[:3]))
         )
 
-    fails = [str(p) for p, m in zip(family, mats)
-             if np.max(np.abs(m @ m - eye)) > 1e-12]
+    def worst(a):  # largest entry modulus of each matrix in a stack
+        return np.max(np.abs(a), axis=(-2, -1))
+
+    fails = [str(p) for p, dev in zip(family, worst(mats @ mats - eye)) if dev > 1e-12]
     check("square is identity", fails)
 
-    fails = [str(p) for p, m in zip(family, mats)
-             if np.max(np.abs(m - m.conj().T)) > 1e-12]
+    adjoints = mats.conj().swapaxes(-1, -2)
+    fails = [str(p) for p, dev in zip(family, worst(mats - adjoints)) if dev > 1e-12]
     check("hermitian", fails)
 
-    fails = []
+    closure_index = np.empty((4**n, 4**n), dtype=int)
     for a, p in enumerate(family):
         for b, q in enumerate(family):
             r = product(p, q)
-            base = matrix_of(PauliString(n, r.x_bits, r.z_bits, 0))
-            dense = mats[a] @ mats[b]
-            if min(np.max(np.abs(dense - (1j**k) * base)) for k in range(4)) > 1e-12:
-                fails.append(f"{p}·{q}")
+            closure_index[a, b] = index_of[r.x_bits, r.z_bits]
+    # entry [a, b] compares mats[a] @ mats[b] with the product's string and
+    # with mats[b] @ mats[a]; one row of products at a time keeps memory small
+    closure, comm, anti = (np.empty((4**n, 4**n)) for _ in range(3))
+    for a in range(4**n):
+        prods, flipped = mats[a] @ mats, mats @ mats[a]
+        targets = mats[closure_index[a]]
+        closure[a] = np.min([worst(prods - (1j**k) * targets) for k in range(4)], axis=0)
+        comm[a] = worst(prods - flipped)
+        anti[a] = worst(prods + flipped)
+    fails = [f"{family[a]}·{family[b]}" for a, b in zip(*np.nonzero(closure > 1e-12))]
     check("products close up to ±1, ±i", fails)
 
     fails = []
@@ -274,11 +284,9 @@ def family_property_report(n: int) -> FamilyPropertyReport:
         for b in range(1, 4**n):
             if a == b:
                 continue
-            comm = np.max(np.abs(mats[a] @ mats[b] - mats[b] @ mats[a]))
-            anti = np.max(np.abs(mats[a] @ mats[b] + mats[b] @ mats[a]))
-            if comm > 1e-12 and anti > 1e-12:
+            if comm[a, b] > 1e-12 and anti[a, b] > 1e-12:
                 fails.append(f"{family[a]},{family[b]}")
-            dense_anticommutes = anti <= 1e-12
+            dense_anticommutes = anti[a, b] <= 1e-12
             if dense_anticommutes != (not commutes(family[a], family[b])):
                 fails.append(f"symplectic mismatch {family[a]},{family[b]}")
             if dense_anticommutes:
@@ -288,11 +296,11 @@ def family_property_report(n: int) -> FamilyPropertyReport:
     fails = [str(family[a]) for a in range(1, 4**n) if counts[a] == 0]
     check("anticommuting partner exists", fails)
 
-    fails = [str(p) for a, (p, m) in enumerate(zip(family, mats))
-             if a != 0 and abs(np.trace(m)) > 1e-12]
+    traces = np.abs(np.trace(mats, axis1=-2, axis2=-1))
+    fails = [str(p) for a, p in enumerate(family) if a != 0 and traces[a] > 1e-12]
     check("zero trace off identity", fails)
 
-    stacked = np.array([m.reshape(-1) for m in mats])
+    stacked = mats.reshape(4**n, -1)
     gram = stacked.conj() @ stacked.T
     independent = np.linalg.matrix_rank(gram) == 4**n
     check("linearly independent", [] if independent else ["Gram matrix singular"])

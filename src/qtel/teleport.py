@@ -18,6 +18,13 @@ exact for each α, since P_α only permutes the entries of G - s·1 and
 multiplies them by unit phases.  A basis given member by member (``--basis``)
 takes the dense path: every O^(α) from one stacked ``einsum`` and a
 scaled-identity test per member.
+
+The private stages carry a leading batch axis of T protocol runs, each
+with its own information state and channel matrix: arrays (T, 2^n),
+(T, 2^n, 2^n) and (T, 4^n, 2^n).  `run_protocol` is a batch of one;
+`min_fidelities` runs many, e.g. the trials of
+`magic.verify_partial_basis`.  Every stacked product is a ``matmul``,
+which computes each run's product exactly as it would alone.
 """
 
 from __future__ import annotations
@@ -79,12 +86,15 @@ def _check_dims(info: StateVector, ch: Channel, basis: BellBasis, tol: Tolerance
         raise ValidationError("information state must be normalized")
 
 
-def _unitary_scale(o: np.ndarray, tol: Tolerance) -> float:
-    """s when O†O = s·1 with s > tol, else 0.0: O is then √s times a unitary."""
+def _unitary_scale(o: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """s when O†O = s·1 with s > tol, else 0.0: O is then √s times a unitary.
+
+    For a stack (..., d, d) of operators, an array of s over the stack.
+    """
     gram = dagger(o) @ o
-    scale = float(np.real(np.trace(gram)) / o.shape[0])
+    scale = np.real(np.trace(gram, axis1=-2, axis2=-1)) / o.shape[-1]
     ok, _ = is_scaled_identity(gram, scale, tol)
-    return scale if ok and scale > tol.abs_eps else 0.0
+    return np.where(ok & (scale > tol.abs_eps), scale, 0.0)
 
 
 def transformation_operator(
@@ -92,8 +102,19 @@ def transformation_operator(
 ) -> TransformationOperator:
     """Works for arbitrary channels; flags whether O†O is a scaled identity."""
     o = ch.e_matrix.T @ dagger(basis.members[alpha])
-    scale = _unitary_scale(o, tol)
+    scale = float(_unitary_scale(o, tol))
     return TransformationOperator(alpha, o, scale > 0.0, scale)
+
+
+def _synthesized_correction(ch: Channel, basis: BellBasis, alpha: int, tol: Tolerance):
+    """U^(α) = 2^n · B^(α) · E* for a channel and member already known to be maximal."""
+    u = (2**ch.n) * basis.members[alpha] @ ch.e_matrix.conj()
+    ok, udev = is_scaled_identity(dagger(u) @ u, 1.0, Tolerance(10 * tol.abs_eps))
+    if not ok:
+        raise InternalConsistencyError(
+            f"synthesized correction for alpha={alpha} is not unitary (deviation {udev:.3e})"
+        )
+    return u
 
 
 def correction_unitary(
@@ -105,50 +126,67 @@ def correction_unitary(
         raise ValidationError(f"channel is not perfect (deviation {deviation:.3e})")
     if not is_maximal_member(basis, alpha, tol):
         raise ValidationError(f"basis member {alpha} is not maximally entangled")
-    u = (2**ch.n) * basis.members[alpha] @ ch.e_matrix.conj()
-    ok, udev = is_scaled_identity(dagger(u) @ u, 1.0, Tolerance(10 * tol.abs_eps))
-    if not ok:
-        raise InternalConsistencyError(
-            f"synthesized correction for alpha={alpha} is not unitary (deviation {udev:.3e})"
-        )
-    return u
+    return _synthesized_correction(ch, basis, alpha, tol)
 
 
-def _seed_operator(ch: Channel, basis: BellBasis) -> np.ndarray:
-    """K = E^T B^(0)† of a seed-generated basis, so that O^(α) = K P_α."""
-    return ch.e_matrix.T @ dagger(basis.seed)
+def _seed_operator(e: np.ndarray, basis: BellBasis) -> np.ndarray:
+    """K = E^T B^(0)† of a seed-generated basis, so that O^(α) = K P_α, per run."""
+    return e.swapaxes(-1, -2) @ dagger(basis.seed)
 
 
-def _outcome_amplitudes(info: StateVector, ch: Channel, basis: BellBasis) -> np.ndarray:
-    """Bob's unnormalized amplitudes b_α = O^(α)·I, one row per outcome α."""
+def _outcome_amplitudes(info: np.ndarray, e: np.ndarray, basis: BellBasis) -> np.ndarray:
+    """Bob's unnormalized amplitudes b_α = O^(α)·I, one row per outcome α, per run."""
     if basis.seed is not None:
         perm, phase = action_tables(basis.n)
-        return (phase * info.amplitudes[perm]) @ _seed_operator(ch, basis).T
+        return (phase * info[:, perm]) @ _seed_operator(e, basis).swapaxes(-1, -2)
     members = np.array(basis.members, dtype=np.complex128)
-    return np.einsum("akj,k->aj", members.conj(), info.amplitudes) @ ch.e_matrix
+    return np.einsum("akj,tk->taj", members.conj(), info) @ e
 
 
-def _corrected_states(bob: np.ndarray, alphas: np.ndarray, ch: Channel, basis: BellBasis,
+def _bob_states(info: np.ndarray, e: np.ndarray, basis: BellBasis):
+    """Probabilities and zero flags (T, 4^n) and Bob's states (T, 4^n, 2^n) of T runs.
+
+    The state of an outcome whose probability is below ZERO_PROBABILITY_EPS
+    is left unnormalized.
+    """
+    b = _outcome_amplitudes(info, e, basis)
+    probs = np.real(np.einsum("...ai,...ai->...a", b.conj(), b))
+    zero = probs < ZERO_PROBABILITY_EPS
+    return probs, zero, b / np.sqrt(np.where(zero, 1.0, probs))[..., None]
+
+
+def _corrected_states(bob: np.ndarray, alphas: np.ndarray, e: np.ndarray, basis: BellBasis,
                       tol: Tolerance) -> np.ndarray:
     """Rows C^(α) b_α / |C^(α) b_α| for the best available correction C^(α).
 
     C^(α) is the unitary part O^(α)†/√s of O^(α)^-1 when O^(α)†O^(α) = s·1
-    with s > 0, and the identity otherwise.  `bob` holds the Bob states of
-    the outcomes `alphas`, one row each.
+    with s > 0, and the identity otherwise.  `bob` (T, U, 2^n) holds, for
+    each of T runs with channel matrix e[t], the Bob states of the outcomes
+    `alphas` (U,), one row each.
     """
-    if basis.seed is not None:  # one test on G = K†K covers every α
-        k = _seed_operator(ch, basis)
-        if not _unitary_scale(k, tol):
+    if basis.seed is not None:  # one test on G = K†K covers every α of a run
+        k = _seed_operator(e, basis)
+        scaled = _unitary_scale(k, tol) > 0.0
+        if not scaled.any():
             return bob
         perm, phase = action_tables(basis.n)
         kdag_b = bob @ k.conj()  # rows K† b_α
-        corrected = phase[alphas] * np.take_along_axis(kdag_b, perm[alphas], axis=1)
-    else:
-        members = np.array(basis.members, dtype=np.complex128)[alphas]
-        ops = np.einsum("ij,akj->aik", ch.e_matrix.T, members.conj())
-        scaled = np.array([_unitary_scale(o, tol) > 0.0 for o in ops], dtype=bool)
-        corrected = np.where(scaled[:, None], np.einsum("aji,aj->ai", ops.conj(), bob), bob)
-    return corrected / np.linalg.norm(corrected, axis=1, keepdims=True)
+        # in place, to spare a (T, U, 2^n) array; phases are ±1, ±i, so products are exact
+        corrected = np.take_along_axis(kdag_b, perm[alphas][None], axis=-1)
+        corrected *= phase[alphas]
+        corrected /= np.linalg.norm(corrected, axis=-1, keepdims=True)
+        np.copyto(corrected, bob, where=~scaled[:, None, None])
+        return corrected
+    members = np.array(basis.members, dtype=np.complex128)[alphas]
+    ops = np.einsum("tij,akj->taik", e.swapaxes(-1, -2), members.conj())
+    scaled = _unitary_scale(ops, tol) > 0.0
+    corrected = np.where(scaled[..., None], np.einsum("taji,taj->tai", ops.conj(), bob), bob)
+    return corrected / np.linalg.norm(corrected, axis=-1, keepdims=True)
+
+
+def _fidelities(corrected: np.ndarray, info: np.ndarray) -> np.ndarray:
+    """|<I|row>|² for the rows (T, U, 2^n) of T runs with information states (T, 2^n)."""
+    return np.abs(corrected @ info.conj()[..., None])[..., 0] ** 2
 
 
 def composite_expand(
@@ -156,14 +194,11 @@ def composite_expand(
 ) -> tuple[OutcomeRecord, ...]:
     """Per-outcome Bob states and probabilities, no corrections applied."""
     _check_dims(info, ch, basis, tol)
-    b = _outcome_amplitudes(info, ch, basis)
-    probs = np.real(np.einsum("ai,ai->a", b.conj(), b))
-    zero = probs < ZERO_PROBABILITY_EPS
-    bob = b / np.sqrt(np.where(zero, 1.0, probs))[:, None]
+    probs, zero, bob = _bob_states(info.amplitudes[None], ch.e_matrix[None], basis)
     return tuple(
         OutcomeRecord(alpha, float(p), zero_probability=True) if is_zero
         else OutcomeRecord(alpha, float(p), StateVector(info.n_qubits, row))
-        for alpha, (p, is_zero, row) in enumerate(zip(probs, zero, bob))
+        for alpha, (p, is_zero, row) in enumerate(zip(probs[0], zero[0], bob[0]))
     )
 
 
@@ -184,11 +219,11 @@ def run_protocol(
     """
     records = list(composite_expand(info, ch, basis, tol))
     useful = [r for r in records if not r.zero_probability]
-    bob = np.array([r.bob_state.amplitudes for r in useful]).reshape(len(useful), info.dim)
+    bob = np.array([r.bob_state.amplitudes for r in useful]).reshape(1, len(useful), info.dim)
     alphas = np.array([r.alpha for r in useful], dtype=int)
-    corrected = _corrected_states(bob, alphas, ch, basis, tol)
-    fidelities = np.abs(corrected @ info.amplitudes.conj()) ** 2
-    for raw, state, fidelity in zip(useful, corrected, fidelities):
+    corrected = _corrected_states(bob, alphas, ch.e_matrix[None], basis, tol)
+    fidelities = _fidelities(corrected, info.amplitudes[None])[0]
+    for raw, state, fidelity in zip(useful, corrected[0], fidelities):
         records[raw.alpha] = OutcomeRecord(
             raw.alpha,
             raw.probability,
@@ -202,6 +237,8 @@ def run_protocol(
         raise ValidationError(f"unknown mode: {mode!r}")
     if shots is None or shots < 1:
         raise ValidationError("sampled mode requires shots >= 1")
+    if shots > np.iinfo(np.int64).max:
+        raise ValidationError(f"sampled mode requires shots <= {np.iinfo(np.int64).max}")
     if seed is None:
         raise ValidationError("sampled mode requires a seed")
     rng = np.random.default_rng(seed)
@@ -210,6 +247,22 @@ def run_protocol(
         raise ValidationError("no outcome has a nonzero probability to sample")
     counts = rng.multinomial(shots, weights / weights.sum())
     return ProtocolResult(tuple(records), "sampled", shots, seed, tuple(int(c) for c in counts))
+
+
+def min_fidelities(info: np.ndarray, e: np.ndarray, basis: BellBasis,
+                   tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Worst fidelity over the nonzero-probability outcomes of each of T runs.
+
+    Run t sends info[t] (T, 2^n) over the channel matrix e[t] (T, 2^n, 2^n)
+    through the code of `run_protocol`, and the value equals the least
+    fidelity of its records; to the bit unless an outcome has probability
+    zero (`run_protocol` then corrects fewer rows, which BLAS may round
+    differently).  The inputs are not validated.
+    """
+    _, zero, bob = _bob_states(info, e, basis)
+    with np.errstate(invalid="ignore"):  # a zero-probability row may be all zero
+        corrected = _corrected_states(bob, np.arange(basis.size), e, basis, tol)
+    return np.min(np.where(zero, np.inf, _fidelities(corrected, info)), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -224,7 +277,7 @@ class KernelReport:
 def kernel_operator(ch: Channel, basis: BellBasis, tol: Tolerance = DEFAULT_TOL) -> KernelReport:
     perfect, _ = is_perfect(ch, tol)
     if perfect and is_maximal_member(basis, 0, tol):
-        return KernelReport(correction_unitary(ch, basis, 0, tol), True, True)
+        return KernelReport(_synthesized_correction(ch, basis, 0, tol), True, True)
     op = transformation_operator(ch, basis, 0, tol)
     return KernelReport(op.matrix, False, op.unitary_scaled)
 
@@ -261,6 +314,12 @@ def masfi_1q(
     basis and standard Pauli corrections.  A channel with a vanishing
     Schmidt coefficient cannot assure any fidelity and returns 0 flagged
     as degenerate.
+
+    The grid is evaluated as one array.  Its points within 1e-12 of the
+    array minimum are then re-scored with the scalar function, in grid
+    order (θ outer, φ inner), and the first strict minimum starts the
+    Nelder-Mead refinement: the point a scalar loop over the whole grid
+    would choose, even where values tie to the last bit.
     """
     if ch.n != 1:
         raise ShapeError(f"masfi_1q requires a single-qubit channel, got n={ch.n}")
@@ -285,12 +344,25 @@ def masfi_1q(
 
     thetas = np.linspace(0.0, np.pi, grid_theta)
     phis = np.linspace(0.0, 2 * np.pi, grid_phi, endpoint=False)
+    # <I|A|I> over the grid, rows θ and columns φ, for I = (cos θ/2, e^{iφ} sin θ/2)
+    c, s = np.cos(thetas / 2)[:, None], np.sin(thetas / 2)[:, None]
+    w = np.exp(1j * phis)
+
+    def form(a):
+        return c * c * a[0, 0] + s * s * a[1, 1] + c * s * (w * a[0, 1] + w.conj() * a[1, 0])
+
+    grid = np.ones((grid_theta, grid_phi))
+    for o, u in zip(operators, corrections):
+        p = np.real(form(dagger(o) @ o))  # |O I|²
+        skip = p < ZERO_PROBABILITY_EPS
+        f = np.abs(form(u @ o)) ** 2 / np.where(skip, 1.0, p)  # |<I|U O I>|² / p
+        grid = np.minimum(grid, np.where(skip, 1.0, f))
     best = (1.0, (0.0, 0.0))
-    for theta in thetas:
-        for phi in phis:
-            f = worst_fidelity((theta, phi))
-            if f < best[0]:
-                best = (f, (float(theta), float(phi)))
+    for i in np.flatnonzero(grid <= grid.min() + 1e-12):  # row-major: the loop order
+        angles = (thetas[i // grid_phi], phis[i % grid_phi])
+        value = worst_fidelity(angles)
+        if value < best[0]:
+            best = (value, tuple(float(x) for x in angles))
     refined = minimize(
         worst_fidelity, best[1], method="Nelder-Mead",
         options={"xatol": 1e-6, "fatol": 1e-10},

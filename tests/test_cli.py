@@ -267,6 +267,9 @@ MALFORMED = {
     "not_utf8": lambda t, info, ch: [
         "channel", "check", "--file", _write(t, "latin1.json", b'{"n_qubits": "\xe9"}')],
     "negative_n": lambda t, info, ch: ["bell", "gen", "--n", "-1"],
+    "oversized_shots": lambda t, info, ch: [
+        "teleport", "run", "--info", info, "--channel", ch, "--mode", "sampled",
+        "--seed", "1", "--shots", "100000000000000000000"],
 }
 
 

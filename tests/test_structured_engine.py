@@ -1,16 +1,23 @@
-"""The Pauli-structured protocol engine against the dense per-outcome formula.
+"""The fast paths against the loops they replace.
 
-The reference below builds every member B^(α) = P_α B^(0) as a dense
+The first reference builds every member B^(α) = P_α B^(0) as a dense
 matrix and evaluates each outcome on its own: O^(α) = E^T B^(α)†,
 b = O^(α) I, p = |b|², the correction O^(α)†/√s when O^(α)†O^(α) = s·1
 with s > 0 (the identity otherwise), and the fidelity |<I|C b>|² / |C b|².
+The others are the per-trial loop of `verify_partial_basis`, one
+`run_protocol` call per trial, and the scalar grid loop of `masfi_1q`.
 """
+
+import functools
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qtel import teleport
 from qtel.bell import BellBasis, generate_from_seed, standard_basis
 from qtel.channel import channel_from_state, state_from_matrix
 from qtel.errors import ValidationError
@@ -20,10 +27,26 @@ from qtel.linalg import (
     Tolerance,
     basis_state,
     haar_random_unitary,
+    is_maximally_entangled,
     random_state,
 )
-from qtel.pauli import action_tables, matrix_of, pauli_from_quaternary
-from qtel.teleport import SAMPLING_GRID, ZERO_PROBABILITY_EPS, composite_expand, run_protocol
+from qtel.magic import (
+    VERIFY_BLOCK_TRIALS,
+    MagicPartialBasis,
+    build_anticomm_graph,
+    maximal_anticommuting_sets,
+    partial_basis_from_set,
+    verify_partial_basis,
+)
+from qtel.pauli import action_tables, matrix_of, pauli_from_digits, pauli_from_quaternary
+from qtel.teleport import (
+    SAMPLING_GRID,
+    ZERO_PROBABILITY_EPS,
+    composite_expand,
+    masfi_1q,
+    run_protocol,
+    transformation_operator,
+)
 
 
 def dense_members(b0, n):
@@ -182,3 +205,122 @@ def test_seven_qubits_without_dense_basis():
     fids = np.array([r.fidelity for r in result.records])
     assert np.max(np.abs(probs - 4.0**-n)) < 1e-12
     assert np.max(np.abs(fids - 1.0)) < 1e-9
+
+
+def reference_verification(basis, trials, seed, tol=DEFAULT_TOL):
+    """`verify_partial_basis` as one `run_protocol` call per trial."""
+    rng = np.random.default_rng(seed)
+    n = basis.n
+    matrices = [m.amplitudes.reshape(2**n, 2**n) for m in basis.members]
+    measurement = standard_basis(n)
+    worst_dev, min_fid, failures = 0.0, 1.0, 0
+    for _ in range(trials):
+        mags = np.abs(rng.standard_normal(len(matrices)))
+        mags /= np.linalg.norm(mags)
+        phase = np.exp(1j * rng.uniform(0, 2 * np.pi))
+        combined = sum(phase * c * m for c, m in zip(mags, matrices))
+        ok, dev = is_maximally_entangled(combined, tol)
+        worst_dev = max(worst_dev, dev)
+        ch = channel_from_state(state_from_matrix(combined, n), n, tol)
+        result = run_protocol(random_state(n, rng), ch, measurement, tol=tol)
+        fid = min(r.fidelity for r in result.records if not r.zero_probability)
+        min_fid = min(min_fid, fid)
+        failures += not ok or fid < 1.0 - tol.abs_eps
+    return worst_dev, min_fid, failures
+
+
+@functools.cache
+def cliques(n):
+    return maximal_anticommuting_sets(build_anticomm_graph(n)).maximal_cliques
+
+
+def commuting_fake():
+    # identity, ZI and IZ: combinations are not scaled unitaries
+    strings = [pauli_from_digits(d) for d in ([0, 0], [1, 0], [0, 1])]
+    members = tuple(state_from_matrix(0.5 * matrix_of(p), 2) for p in strings)
+    return MagicPartialBasis(2, members, tuple(strings[1:]))
+
+
+@st.composite
+def partial_bases(draw):
+    """A random nonempty subset of a random maximal clique, or the commuting fake."""
+    n = draw(st.sampled_from([1, 2, 3, "fake"]))
+    if n == "fake":
+        return commuting_fake()
+    clique = draw(st.sampled_from(cliques(n)))
+    subset = draw(st.lists(st.sampled_from(clique), min_size=1, unique=True))
+    return partial_basis_from_set(pauli_from_quaternary(a, n) for a in subset)
+
+
+@settings(max_examples=60, deadline=None)
+@given(basis=partial_bases(), seed=st.integers(0, 2**32 - 1),
+       trials=st.sampled_from([1, 7, VERIFY_BLOCK_TRIALS + 3]),
+       tol=st.sampled_from([DEFAULT_TOL, Tolerance(1e-3)]))
+def test_verification_equals_per_trial_protocol_runs(basis, seed, trials, tol):
+    result = verify_partial_basis(basis, trials, seed, tol)
+    worst_dev, min_fid, failures = reference_verification(basis, trials, seed, tol)
+    assert result.max_condition_deviation == worst_dev
+    assert result.min_fidelity == min_fid
+    assert result.failures == failures
+    assert result.passed == (failures == 0)
+
+
+def test_verification_memory_does_not_grow_with_trials():
+    basis = partial_basis_from_set(pauli_from_quaternary(a, 3) for a in cliques(3)[0])
+    verify_partial_basis(basis, 1, 0)  # fills the action-table cache
+
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            verify_partial_basis(basis, trials, 0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(10 * VERIFY_BLOCK_TRIALS) <= 1.1 * peak(VERIFY_BLOCK_TRIALS)
+
+
+def reference_grid_start(ch, tol=DEFAULT_TOL):
+    """The scalar grid loop of `masfi_1q`: its first strict minimum and value."""
+    basis = standard_basis(1)
+    operators = [transformation_operator(ch, basis, alpha, tol).matrix for alpha in range(4)]
+    corrections = [matrix_of(pauli_from_quaternary(alpha, 1)) for alpha in range(4)]
+
+    def worst_fidelity(theta, phi):
+        info = np.array([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)])
+        worst = 1.0
+        for o, u in zip(operators, corrections):
+            b = o @ info
+            p = np.real(np.vdot(b, b))
+            if p >= ZERO_PROBABILITY_EPS:
+                worst = min(worst, float(abs(np.vdot(info, u @ b)) ** 2 / p))
+        return worst
+
+    best = (1.0, (0.0, 0.0))
+    for theta in np.linspace(0.0, np.pi, 64):
+        for phi in np.linspace(0.0, 2 * np.pi, 128, endpoint=False):
+            f = worst_fidelity(theta, phi)
+            if f < best[0]:
+                best = (f, (float(theta), float(phi)))
+    return best[1], best[0]
+
+
+@settings(max_examples=8, deadline=None)
+@given(kind=st.sampled_from(["schmidt", "haar"]), rng_seed=st.integers(0, 2**32 - 1))
+def test_masfi_starts_where_the_scalar_grid_loop_does(kind, rng_seed):
+    rng = np.random.default_rng(rng_seed)
+    if kind == "schmidt":
+        lam = rng.uniform(0.01, np.pi / 2 - 0.01)
+        state = StateVector(2, np.array([np.cos(lam), 0, 0, np.sin(lam)]))
+    else:
+        state = random_state(2, rng)
+    starts = []
+
+    def spy(fun, x0, **options):
+        starts.append((tuple(x0), fun(x0)))
+        return real_minimize(fun, x0, **options)
+
+    real_minimize = teleport.minimize
+    with mock.patch.object(teleport, "minimize", spy):
+        masfi_1q(channel_from_state(state, 1))
+    assert starts == [reference_grid_start(channel_from_state(state, 1))]

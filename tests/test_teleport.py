@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qtel import teleport
 from qtel.bell import generate_from_seed, standard_basis
 from qtel.channel import channel_from_state, state_from_matrix
 from qtel.errors import ShapeError, ValidationError
@@ -207,6 +208,17 @@ class TestKernelOperator:
         report = kernel_operator(channel_from_state(state, 1), standard_basis(1))
         assert report.channel_perfect
         assert np.allclose(report.matrix, SZ)
+
+    def test_perfect_channel_checked_once(self, monkeypatch):
+        calls = {"is_perfect": 0, "is_maximal_member": 0}
+        for name in calls:
+            def counted(*args, name=name, real=getattr(teleport, name)):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(teleport, name, counted)
+        report = kernel_operator(two_bell_channel(), standard_basis(2))
+        assert report.channel_perfect and report.unitary_scaled
+        assert calls == {"is_perfect": 1, "is_maximal_member": 1}
 
     def test_ghz_reports_singular_operator(self):
         report = kernel_operator(ghz_channel(), standard_basis(2))
