@@ -19,10 +19,12 @@ from .linalg import DEFAULT_TOL, StateVector, Tolerance, is_maximally_entangled
 
 @dataclass(frozen=True)
 class Channel:
-    """2N-qubit resource state together with its 2^N x 2^N matrix E."""
+    """2N-qubit resource channel, held as its 2^N x 2^N matrix E.
+
+    `state_from_matrix` recovers the 2N-qubit state.
+    """
 
     n: int
-    state: StateVector = field(repr=False)
     e_matrix: np.ndarray = field(repr=False)
 
     @property
@@ -44,7 +46,7 @@ def channel_from_state(state: StateVector, n: int, tol: Tolerance = DEFAULT_TOL)
         raise ValidationError(f"channel state is not normalized: |norm - 1| = "
                               f"{abs(state.norm() - 1.0):.3e}")
     dim = 2**n
-    return Channel(n, state, state.amplitudes.reshape(dim, dim).copy())
+    return Channel(n, state.amplitudes.reshape(dim, dim).copy())
 
 
 def state_from_matrix(matrix: np.ndarray, n: int) -> StateVector:

@@ -2,9 +2,10 @@
 
 Exit codes: 0 on success; 1 when a numerical assertion fails or an
 `InternalConsistencyError` is raised; 2 on usage or file-format errors,
-that is any other `QtelError` or an `OSError`.  JSON reports carry a
-top-level ``"schema": "qtel/1"`` key and are byte-identical for identical
-invocations and seeds; the text renderings carry no stability promise.
+that is any other `QtelError` or an `OSError`.  JSON reports carry
+top-level ``"schema": "qtel/1"`` and ``"command"`` keys and are
+byte-identical for identical invocations and seeds; the text renderings
+carry no stability promise.
 """
 
 from __future__ import annotations
@@ -31,21 +32,24 @@ def _tolerance(args) -> Tolerance:
     if args.tol is not None:
         return Tolerance(args.tol)
     env = os.environ.get("QTEL_TOL")
-    if env:
-        try:
-            return Tolerance(float(env))
-        except ValueError:
-            raise ValidationError(f"QTEL_TOL is not a number: {env!r}")
-    return Tolerance(DEFAULT_ABS_EPS)
+    if not env:
+        return Tolerance(DEFAULT_ABS_EPS)
+    try:
+        value = float(env)
+    except ValueError:
+        raise ValidationError(f"QTEL_TOL is not a number: {env!r}")
+    return Tolerance(value)
 
 
-def _emit(report: dict, args, out=None):
-    out = out if out is not None else sys.stdout
+def _emit(report: dict, args):
+    """Write the report under the schema and the name of the subcommand that made it."""
+    command = " ".join(filter(None, (args.command, getattr(args, "subcommand", None))))
+    report = {"schema": SCHEMA, "command": command, **report}
     if args.format == "json":
-        out.write(json.dumps(report, sort_keys=True, separators=(",", ":")))
-        out.write("\n")
+        sys.stdout.write(json.dumps(report, sort_keys=True, separators=(",", ":")))
+        sys.stdout.write("\n")
     else:
-        _emit_text(report, out)
+        _emit_text(report, sys.stdout)
 
 
 def _emit_text(report: dict, out, indent: int = 0):
@@ -82,8 +86,6 @@ def cmd_channel_check(args) -> int:
     ch = channel.channel_from_state(state, n, tol)
     perfect, deviation = channel.is_perfect(ch, tol)
     report = {
-        "schema": SCHEMA,
-        "command": "channel check",
         "n": n,
         "perfect": perfect,
         "deviation": deviation,
@@ -102,8 +104,6 @@ def cmd_bell_gen(args) -> int:
     basis = bell.generate_from_seed(seed, tol)
     complete, deviation = bell.verify_completeness(basis, tol)
     report = {
-        "schema": SCHEMA,
-        "command": "bell gen",
         "n": basis.n,
         "size": basis.size,
         "complete": complete,
@@ -144,8 +144,6 @@ def cmd_teleport_run(args) -> int:
     fidelities = [r.fidelity for r in result.records if r.fidelity is not None]
     all_perfect = bool(fidelities) and min(fidelities) >= 1.0 - tol.abs_eps
     report = {
-        "schema": SCHEMA,
-        "command": "teleport run",
         "n": info.n_qubits,
         "mode": result.mode,
         "outcomes": rows,
@@ -171,8 +169,6 @@ def cmd_magic_cliques(args) -> int:
         v.quaternary_index: pauli.render(v) for v in graph.vertices
     }
     out = {
-        "schema": SCHEMA,
-        "command": "magic cliques",
         "n": args.n,
         "vertices": len(graph.vertices),
         "max_size": report.max_size,
@@ -188,8 +184,6 @@ def cmd_magic_cliques(args) -> int:
 def cmd_magic_catalog(args) -> int:
     catalog = magic.n2_catalog()
     out = {
-        "schema": SCHEMA,
-        "command": "magic catalog",
         "states": {
             name: serialize.state_to_dict(state)
             for name, state in sorted(catalog.states.items())
@@ -232,8 +226,6 @@ def cmd_magic_verify(args) -> int:
     basis = magic.partial_basis_from_set(paulis)
     verification = magic.verify_partial_basis(basis, args.trials, args.seed, tol)
     report = {
-        "schema": SCHEMA,
-        "command": "magic verify",
         "set": [pauli.render(p) for p in basis.source_set],
         "dimension": basis.dimension,
         "trials": verification.trials,
@@ -249,8 +241,6 @@ def cmd_magic_verify(args) -> int:
 def cmd_magic_witness(args) -> int:
     report = magic.no_full_magic_basis_witness(args.n)
     out = {
-        "schema": SCHEMA,
-        "command": "magic witness",
         "n": report.n,
         "max_clique_size": report.max_clique_size,
         "required_size": report.required_size,
@@ -282,8 +272,6 @@ def cmd_masfi(args) -> int:
     result = teleport.masfi_1q(ch, tol=tol)
     concurrence = channel.concurrence_2q(state, tol)
     report = {
-        "schema": SCHEMA,
-        "command": "masfi",
         "masfi": result.value,
         "degenerate": result.degenerate,
         "converged": result.converged,

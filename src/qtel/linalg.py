@@ -26,8 +26,8 @@ class Tolerance:
     abs_eps: float = DEFAULT_ABS_EPS
 
     def __post_init__(self):
-        if not (self.abs_eps > 0):
-            raise ValidationError(f"tolerance must be positive, got {self.abs_eps}")
+        if not 0 < self.abs_eps < np.inf:
+            raise ValidationError(f"tolerance must be positive and finite, got {self.abs_eps}")
 
 
 DEFAULT_TOL = Tolerance()

@@ -166,6 +166,8 @@ def verify_partial_basis(
     """
     if trials < 1:
         raise ValidationError("trials must be >= 1")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     n = basis.n
     matrices = [m.amplitudes.reshape(2**n, 2**n) for m in basis.members]

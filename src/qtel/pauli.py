@@ -100,11 +100,9 @@ def identity(n_qubits: int) -> PauliString:
     return PauliString(n_qubits, 0, 0, 0)
 
 
-def pauli_from_digits(digits, n_qubits: int | None = None, phase_power: int = 0) -> PauliString:
+def pauli_from_digits(digits, phase_power: int = 0) -> PauliString:
     digits = tuple(digits)
-    n = len(digits) if n_qubits is None else n_qubits
-    if len(digits) != n:
-        raise ShapeError(f"expected {n} digits, got {len(digits)}")
+    n = len(digits)
     alpha = 0
     for d in digits:
         if d not in range(4):

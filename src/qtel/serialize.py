@@ -15,8 +15,9 @@ from .errors import ValidationError
 from .linalg import StateVector
 
 
-def complex_to_pair(z: complex) -> list[float]:
-    return [float(np.real(z)), float(np.imag(z))]
+def _to_pairs(a: np.ndarray) -> list[list[float]]:
+    """The row-major [[re, im], ...] list of a complex array of any shape."""
+    return np.stack([a.real, a.imag], -1).reshape(-1, 2).tolist()
 
 
 def pairs_to_array(pairs, what: str) -> np.ndarray:
@@ -32,7 +33,7 @@ def pairs_to_array(pairs, what: str) -> np.ndarray:
 def state_to_dict(state: StateVector) -> dict:
     return {
         "n_qubits": state.n_qubits,
-        "amplitudes": [complex_to_pair(a) for a in state.amplitudes],
+        "amplitudes": _to_pairs(state.amplitudes),
     }
 
 
@@ -62,7 +63,7 @@ def matrix_to_dict(matrix: np.ndarray) -> dict:
     return {
         "rows": matrix.shape[0],
         "cols": matrix.shape[1],
-        "entries": [complex_to_pair(z) for z in matrix.reshape(-1)],
+        "entries": _to_pairs(matrix),
     }
 
 

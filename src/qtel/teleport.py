@@ -46,16 +46,17 @@ ZERO_PROBABILITY_EPS = 1e-14
 # branch point, so unrounded, a 1e-17 change in how a probability is
 # computed would change the counts drawn for a seed.
 SAMPLING_GRID = 2.0**40
+# The Bloch-sphere grid of `masfi_1q`: θ in [0, π], φ in [0, 2π)
+MASFI_GRID_THETA = 64
+MASFI_GRID_PHI = 128
 
 
 @dataclass(frozen=True)
 class TransformationOperator:
     """O^(α) = E^T B^(α)†, the map from information to Bob's amplitudes."""
 
-    alpha: int
     matrix: np.ndarray = field(repr=False)
     unitary_scaled: bool = False
-    scale: float = 0.0  # s with O†O = s·1, meaningful when unitary_scaled
 
 
 @dataclass(frozen=True)
@@ -102,8 +103,7 @@ def transformation_operator(
 ) -> TransformationOperator:
     """Works for arbitrary channels; flags whether O†O is a scaled identity."""
     o = ch.e_matrix.T @ dagger(basis.members[alpha])
-    scale = float(_unitary_scale(o, tol))
-    return TransformationOperator(alpha, o, scale > 0.0, scale)
+    return TransformationOperator(o, bool(_unitary_scale(o, tol) > 0.0))
 
 
 def _synthesized_correction(ch: Channel, basis: BellBasis, alpha: int, tol: Tolerance):
@@ -241,6 +241,8 @@ def run_protocol(
         raise ValidationError(f"sampled mode requires shots <= {np.iinfo(np.int64).max}")
     if seed is None:
         raise ValidationError("sampled mode requires a seed")
+    if seed < 0:
+        raise ValidationError(f"sampled mode requires seed >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     weights = np.round(np.array([r.probability for r in records]) * SAMPLING_GRID)
     if not weights.any():
@@ -301,12 +303,7 @@ def minimize(fun, x0, **options):
     return scipy_minimize(fun, x0, **options)
 
 
-def masfi_1q(
-    ch: Channel,
-    grid_theta: int = 64,
-    grid_phi: int = 128,
-    tol: Tolerance = DEFAULT_TOL,
-) -> MasfiResult:
+def masfi_1q(ch: Channel, tol: Tolerance = DEFAULT_TOL) -> MasfiResult:
     """Minimum assured fidelity for a single-qubit channel.
 
     Minimizes, over information states on a Bloch-sphere grid with local
@@ -342,8 +339,8 @@ def masfi_1q(
             worst = min(worst, float(abs(np.vdot(info, t)) ** 2 / p))
         return worst
 
-    thetas = np.linspace(0.0, np.pi, grid_theta)
-    phis = np.linspace(0.0, 2 * np.pi, grid_phi, endpoint=False)
+    thetas = np.linspace(0.0, np.pi, MASFI_GRID_THETA)
+    phis = np.linspace(0.0, 2 * np.pi, MASFI_GRID_PHI, endpoint=False)
     # <I|A|I> over the grid, rows θ and columns φ, for I = (cos θ/2, e^{iφ} sin θ/2)
     c, s = np.cos(thetas / 2)[:, None], np.sin(thetas / 2)[:, None]
     w = np.exp(1j * phis)
@@ -351,7 +348,7 @@ def masfi_1q(
     def form(a):
         return c * c * a[0, 0] + s * s * a[1, 1] + c * s * (w * a[0, 1] + w.conj() * a[1, 0])
 
-    grid = np.ones((grid_theta, grid_phi))
+    grid = np.ones((MASFI_GRID_THETA, MASFI_GRID_PHI))
     for o, u in zip(operators, corrections):
         p = np.real(form(dagger(o) @ o))  # |O I|²
         skip = p < ZERO_PROBABILITY_EPS
@@ -359,7 +356,7 @@ def masfi_1q(
         grid = np.minimum(grid, np.where(skip, 1.0, f))
     best = (1.0, (0.0, 0.0))
     for i in np.flatnonzero(grid <= grid.min() + 1e-12):  # row-major: the loop order
-        angles = (thetas[i // grid_phi], phis[i % grid_phi])
+        angles = (thetas[i // MASFI_GRID_PHI], phis[i % MASFI_GRID_PHI])
         value = worst_fidelity(angles)
         if value < best[0]:
             best = (value, tuple(float(x) for x in angles))

@@ -225,6 +225,12 @@ class TestDeterminismAndTolerance:
         monkeypatch.setenv("QTEL_TOL", "not-a-number")
         assert main(["channel", "check", "--file", ghz4_file]) == 2
 
+    def test_infinite_tol_env_is_usage_error(self, capsys, ghz4_file, monkeypatch):
+        # an infinite tolerance would pass every check and print "Infinity", not JSON
+        monkeypatch.setenv("QTEL_TOL", "inf")
+        assert main(["--format", "json", "channel", "check", "--file", ghz4_file]) == 2
+        assert capsys.readouterr().out == ""
+
     def test_text_format_renders(self, capsys, two_bell_file):
         code = main(["channel", "check", "--file", two_bell_file])
         out = capsys.readouterr().out
@@ -270,6 +276,11 @@ MALFORMED = {
     "oversized_shots": lambda t, info, ch: [
         "teleport", "run", "--info", info, "--channel", ch, "--mode", "sampled",
         "--seed", "1", "--shots", "100000000000000000000"],
+    "infinite_tol": lambda t, info, ch: ["--tol", "inf", "channel", "check", "--file", ch],
+    "negative_sampling_seed": lambda t, info, ch: [
+        "teleport", "run", "--info", info, "--channel", ch, "--mode", "sampled",
+        "--seed", "-1", "--shots", "5"],
+    "negative_verify_seed": lambda t, info, ch: ["magic", "verify", "--set", "F,G", "--seed", "-1"],
 }
 
 
@@ -280,6 +291,29 @@ def test_malformed_input_is_usage_error(case, capsys, tmp_path, info2_file, two_
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "Traceback" not in captured.err and captured.err.startswith("error: ")
+
+
+LEAF_COMMANDS = {
+    "channel check": lambda info, ch, bell: ["--file", ch],
+    "bell gen": lambda info, ch, bell: ["--n", "1"],
+    "teleport run": lambda info, ch, bell: ["--info", info, "--channel", ch],
+    "magic cliques": lambda info, ch, bell: ["--n", "1"],
+    "magic catalog": lambda info, ch, bell: [],
+    "magic verify": lambda info, ch, bell: ["--set", "F,G", "--trials", "2"],
+    "magic witness": lambda info, ch, bell: ["--n", "2"],
+    "masfi": lambda info, ch, bell: ["--channel", bell],
+}
+
+
+@pytest.mark.parametrize("command", sorted(LEAF_COMMANDS))
+def test_report_header_names_the_command(command, capsys, info2_file, two_bell_file,
+                                         bell_file):
+    argv = command.split() + LEAF_COMMANDS[command](info2_file, two_bell_file, bell_file)
+    code, report = run_json(capsys, argv)
+    assert code == 0
+    assert report["schema"] == "qtel/1" and report["command"] == command
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith(f"command: {command}\n")
 
 
 def test_masfi_tolerance_reaches_concurrence(capsys, tmp_path):

@@ -115,5 +115,6 @@ def test_haar_random_unitary_is_unitary():
 
 
 def test_tolerance_must_be_positive():
-    with pytest.raises(ValidationError):
-        Tolerance(0.0)
+    for eps in (0.0, float("inf")):
+        with pytest.raises(ValidationError):
+            Tolerance(eps)

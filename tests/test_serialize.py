@@ -11,6 +11,7 @@ from qtel.serialize import (
     load_state,
     matrix_from_dict,
     matrix_to_dict,
+    pairs_to_array,
     save_state,
     state_from_dict,
     state_to_dict,
@@ -62,6 +63,46 @@ class TestMatrixRoundTrip:
         data["entries"].pop()
         with pytest.raises(ValidationError, match="expected 4 entries"):
             matrix_from_dict(data)
+
+
+def _signed_zeros(shape, seed) -> np.ndarray:
+    """A random complex array with +0.0 and -0.0 in both parts."""
+    rng = np.random.default_rng(seed)
+    a = np.empty(shape, dtype=np.complex128)
+    a.real, a.imag = rng.standard_normal(shape), rng.standard_normal(shape)
+    for part in (a.real, a.imag):
+        flat = part.reshape(-1)
+        flat[0::3], flat[1::5] = -0.0, 0.0
+    return a
+
+
+def _per_entry(a: np.ndarray) -> list:
+    return [[float(z.real), float(z.imag)] for z in a.reshape(-1)]
+
+
+class TestCodec:
+    """The array encoder writes what a per-entry loop writes, signed zeros included."""
+
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 3), (32, 32)])
+    def test_matrix_entries_match_per_entry_reference(self, shape):
+        m = _signed_zeros(shape, sum(shape))
+        data = matrix_to_dict(m)
+        assert (data["rows"], data["cols"]) == shape
+        # json.dumps tells -0.0 from 0.0, which == does not
+        assert json.dumps(data["entries"]) == json.dumps(_per_entry(m))
+
+    @pytest.mark.parametrize("n_qubits", [1, 10])
+    def test_state_amplitudes_match_per_entry_reference(self, n_qubits):
+        amps = _signed_zeros(2**n_qubits, n_qubits)
+        data = state_to_dict(StateVector(n_qubits, amps))
+        assert json.dumps(data["amplitudes"]) == json.dumps(_per_entry(amps))
+
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 3), (32, 32)])
+    def test_decoder_inverts_encoding(self, shape):
+        m = _signed_zeros(shape, sum(shape))
+        decoded = pairs_to_array(matrix_to_dict(m)["entries"], "entries")
+        # == ignores the sign of zero, which pairs_to_array does not keep
+        assert np.array_equal(decoded.view(np.float64), m.reshape(-1).view(np.float64))
 
 
 class TestBasisFiles:
