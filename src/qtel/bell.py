@@ -60,9 +60,15 @@ class BellBasis:
         """B^(0) when every member is P_α B^(0), None for a family stored densely."""
         return self.members.seed if isinstance(self.members, PauliMembers) else None
 
+    def member(self, alpha: int) -> np.ndarray:
+        """B^(α), for an outcome label 0 <= α < 4^n; any other α is a DomainError."""
+        if not 0 <= alpha < self.size:
+            raise DomainError(f"alpha={alpha} out of range for basis of size {self.size}")
+        return self.members[alpha]
+
     def member_state(self, alpha: int) -> StateVector:
         """The measurement state |B^(α)> as a 2n-qubit vector."""
-        return StateVector(2 * self.n, self.members[alpha].reshape(-1))
+        return StateVector(2 * self.n, self.member(alpha).reshape(-1))
 
 
 def standard_seed(n: int) -> StateVector:
@@ -138,6 +144,4 @@ def verify_completeness(basis: BellBasis, tol: Tolerance = DEFAULT_TOL) -> tuple
 
 def is_maximal_member(basis: BellBasis, alpha: int, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Per-member condition B^(α)†B^(α) = 2^-n·1."""
-    if not 0 <= alpha < basis.size:
-        raise DomainError(f"alpha={alpha} out of range for basis of size {basis.size}")
-    return is_maximally_entangled(basis.members[alpha], tol)[0]
+    return is_maximally_entangled(basis.member(alpha), tol)[0]

@@ -130,25 +130,28 @@ def cmd_teleport_run(args) -> int:
     result = teleport.run_protocol(
         info, ch, basis, mode=args.mode, seed=args.seed, shots=args.shots, tol=tol
     )
+    outcomes = result.records
+    probs = outcomes.probs.tolist()
+    fidelities = outcomes.fidelities.tolist()
+    fidelity_of = dict(zip(outcomes.useful.tolist(), fidelities))
     rows = []
-    for i, rec in enumerate(result.records):
+    for alpha, (probability, zero) in enumerate(zip(probs, outcomes.zero.tolist())):
         row = {
-            "alpha": rec.alpha,
-            "probability": rec.probability,
-            "fidelity": rec.fidelity,
-            "zero_probability": rec.zero_probability,
+            "alpha": alpha,
+            "probability": probability,
+            "fidelity": fidelity_of.get(alpha),
+            "zero_probability": zero,
         }
         if result.counts is not None:
-            row["count"] = result.counts[i]
+            row["count"] = result.counts[alpha]
         rows.append(row)
-    fidelities = [r.fidelity for r in result.records if r.fidelity is not None]
     all_perfect = bool(fidelities) and min(fidelities) >= 1.0 - tol.abs_eps
     report = {
         "n": info.n_qubits,
         "mode": result.mode,
         "outcomes": rows,
         "summary": {
-            "total_probability": float(sum(r.probability for r in result.records)),
+            "total_probability": float(sum(probs)),
             "min_fidelity": min(fidelities) if fidelities else None,
             "all_fidelities_perfect": all_perfect,
         },

@@ -25,10 +25,19 @@ with its own information state and channel matrix: arrays (T, 2^n),
 `min_fidelities` runs many, e.g. the trials of
 `magic.verify_partial_basis`.  Every stacked product is a ``matmul``,
 which computes each run's product exactly as it would alone.
+
+A run's result keeps its arrays as the columns of `OutcomeRecords`: the
+probabilities, the zero mask and Bob's states of all 4^n outcomes, and the
+corrected states and fidelities of the nonzero ones.  An `OutcomeRecord`,
+with its `StateVector`s, is built only when an outcome is indexed; one
+finiteness check per column of states stands in for the one that each
+`StateVector` makes of its amplitudes.
 """
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,13 +78,64 @@ class OutcomeRecord:
     zero_probability: bool = False
 
 
+class OutcomeRecords(Sequence):
+    """The 4^n outcomes of one run as columns; each `OutcomeRecord` is built when indexed.
+
+    `probs` (4^n,) holds the probabilities and `zero` (4^n,) flags those
+    below ZERO_PROBABILITY_EPS; `bob` (4^n, 2^n) holds Bob's states, a zero
+    outcome's row unnormalized.  `useful` (U,) lists the other outcomes in α
+    order, and `corrected` (U, 2^n) and `fidelities` (U,) hold their
+    corrected states and fidelities, or are None before correction.  The
+    columns are read-only.
+    """
+
+    def __init__(self, probs: np.ndarray, zero: np.ndarray, bob: np.ndarray,
+                 corrected: np.ndarray | None = None, fidelities: np.ndarray | None = None):
+        self.n = int(bob.shape[-1]).bit_length() - 1
+        self.probs, self.zero, self.bob = probs, zero, bob
+        self.useful = np.flatnonzero(~zero)
+        self.corrected, self.fidelities = corrected, fidelities
+        for column in (probs, zero, bob, self.useful, corrected, fidelities):
+            if column is not None:
+                column.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.probs)
+
+    def __getitem__(self, alpha: int) -> OutcomeRecord:
+        alpha = operator.index(alpha)
+        if not -len(self) <= alpha < len(self):
+            raise IndexError(f"outcome index {alpha} out of range for {len(self)} outcomes")
+        alpha %= len(self)
+        probability = float(self.probs[alpha])
+        if self.zero[alpha]:
+            return OutcomeRecord(alpha, probability, zero_probability=True)
+        bob = StateVector(self.n, self.bob[alpha])
+        if self.corrected is None:
+            return OutcomeRecord(alpha, probability, bob)
+        row = int(np.searchsorted(self.useful, alpha))
+        return OutcomeRecord(alpha, probability, bob, StateVector(self.n, self.corrected[row]),
+                             float(self.fidelities[row]))
+
+    def __repr__(self) -> str:
+        return (f"OutcomeRecords(n={self.n}, outcomes={len(self)}, useful={len(self.useful)}, "
+                f"corrected={self.corrected is not None})")
+
+
 @dataclass(frozen=True)
 class ProtocolResult:
-    records: tuple[OutcomeRecord, ...]
+    records: Sequence[OutcomeRecord]  # `OutcomeRecords` as `run_protocol` returns it
     mode: str = "exhaustive"
     shots: int | None = None
     seed: int | None = None
     counts: tuple[int, ...] | None = None  # per-alpha shot counts in sampled mode
+
+
+def _finite(states: np.ndarray) -> np.ndarray:
+    """`states` (..., 2^n), once `StateVector`'s finiteness check holds for every row."""
+    if not np.isfinite(states).all():
+        raise ValidationError("amplitudes must be finite")
+    return states
 
 
 def _check_dims(info: StateVector, ch: Channel, basis: BellBasis, tol: Tolerance):
@@ -102,7 +162,7 @@ def transformation_operator(
     ch: Channel, basis: BellBasis, alpha: int, tol: Tolerance = DEFAULT_TOL
 ) -> TransformationOperator:
     """Works for arbitrary channels; flags whether O†O is a scaled identity."""
-    o = ch.e_matrix.T @ dagger(basis.members[alpha])
+    o = ch.e_matrix.T @ dagger(basis.member(alpha))
     return TransformationOperator(o, bool(_unitary_scale(o, tol) > 0.0))
 
 
@@ -191,15 +251,26 @@ def _fidelities(corrected: np.ndarray, info: np.ndarray) -> np.ndarray:
 
 def composite_expand(
     info: StateVector, ch: Channel, basis: BellBasis, tol: Tolerance = DEFAULT_TOL
-) -> tuple[OutcomeRecord, ...]:
-    """Per-outcome Bob states and probabilities, no corrections applied."""
+) -> OutcomeRecords:
+    """Per-outcome probabilities and Bob states as columns, no corrections applied."""
     _check_dims(info, ch, basis, tol)
     probs, zero, bob = _bob_states(info.amplitudes[None], ch.e_matrix[None], basis)
-    return tuple(
-        OutcomeRecord(alpha, float(p), zero_probability=True) if is_zero
-        else OutcomeRecord(alpha, float(p), StateVector(info.n_qubits, row))
-        for alpha, (p, is_zero, row) in enumerate(zip(probs[0], zero[0], bob[0]))
-    )
+    return OutcomeRecords(probs[0], zero[0], _finite(bob[0]))
+
+
+def _check_sampling(mode: str, shots: int | None, seed: int | None):
+    if mode == "exhaustive":
+        return
+    if mode != "sampled":
+        raise ValidationError(f"unknown mode: {mode!r}")
+    if shots is None or shots < 1:
+        raise ValidationError("sampled mode requires shots >= 1")
+    if shots > np.iinfo(np.int64).max:
+        raise ValidationError(f"sampled mode requires shots <= {np.iinfo(np.int64).max}")
+    if seed is None:
+        raise ValidationError("sampled mode requires a seed")
+    if seed < 0:
+        raise ValidationError(f"sampled mode requires seed >= 0, got {seed}")
 
 
 def run_protocol(
@@ -215,40 +286,27 @@ def run_protocol(
 
     Exhaustive mode evaluates every outcome; sampled mode additionally draws
     `shots` outcomes from the BSM distribution with a deterministic generator
-    seeded by `seed` and reports per-outcome counts.
+    seeded by `seed` and reports per-outcome counts.  The result keeps the
+    outcomes as the columns of `OutcomeRecords` (those of `composite_expand`
+    plus the corrected states and fidelities of the nonzero outcomes), and
+    builds an `OutcomeRecord` only when `records` is indexed.
     """
-    records = list(composite_expand(info, ch, basis, tol))
-    useful = [r for r in records if not r.zero_probability]
-    bob = np.array([r.bob_state.amplitudes for r in useful]).reshape(1, len(useful), info.dim)
-    alphas = np.array([r.alpha for r in useful], dtype=int)
-    corrected = _corrected_states(bob, alphas, ch.e_matrix[None], basis, tol)
-    fidelities = _fidelities(corrected, info.amplitudes[None])[0]
-    for raw, state, fidelity in zip(useful, corrected[0], fidelities):
-        records[raw.alpha] = OutcomeRecord(
-            raw.alpha,
-            raw.probability,
-            raw.bob_state,
-            StateVector(info.n_qubits, state),
-            float(fidelity),
-        )
+    _check_dims(info, ch, basis, tol)
+    _check_sampling(mode, shots, seed)  # before the 4^n outcomes are expanded
+    expanded = composite_expand(info, ch, basis, tol)
+    useful = expanded.useful
+    corrected = _corrected_states(expanded.bob[useful][None], useful, ch.e_matrix[None], basis,
+                                  tol)
+    records = OutcomeRecords(expanded.probs, expanded.zero, expanded.bob, _finite(corrected[0]),
+                             _fidelities(corrected, info.amplitudes[None])[0])
     if mode == "exhaustive":
-        return ProtocolResult(tuple(records))
-    if mode != "sampled":
-        raise ValidationError(f"unknown mode: {mode!r}")
-    if shots is None or shots < 1:
-        raise ValidationError("sampled mode requires shots >= 1")
-    if shots > np.iinfo(np.int64).max:
-        raise ValidationError(f"sampled mode requires shots <= {np.iinfo(np.int64).max}")
-    if seed is None:
-        raise ValidationError("sampled mode requires a seed")
-    if seed < 0:
-        raise ValidationError(f"sampled mode requires seed >= 0, got {seed}")
+        return ProtocolResult(records)
     rng = np.random.default_rng(seed)
-    weights = np.round(np.array([r.probability for r in records]) * SAMPLING_GRID)
+    weights = np.round(records.probs * SAMPLING_GRID)
     if not weights.any():
         raise ValidationError("no outcome has a nonzero probability to sample")
     counts = rng.multinomial(shots, weights / weights.sum())
-    return ProtocolResult(tuple(records), "sampled", shots, seed, tuple(int(c) for c in counts))
+    return ProtocolResult(records, "sampled", shots, seed, tuple(int(c) for c in counts))
 
 
 def min_fidelities(info: np.ndarray, e: np.ndarray, basis: BellBasis,

@@ -93,8 +93,11 @@ class TestMaximality:
         assert all(is_maximal_member(basis, alpha) for alpha in range(16))
 
     def test_alpha_out_of_range(self):
-        with pytest.raises(DomainError):
-            is_maximal_member(standard_basis(1), 4)
+        for alpha in (-1, 4):
+            with pytest.raises(DomainError):
+                is_maximal_member(standard_basis(1), alpha)
+            with pytest.raises(DomainError):
+                standard_basis(1).member_state(alpha)
 
 
 class TestInvariants:

@@ -8,6 +8,7 @@ The others are the per-trial loop of `verify_partial_basis`, one
 `run_protocol` call per trial, and the scalar grid loop of `masfi_1q`.
 """
 
+import dataclasses
 import functools
 import tracemalloc
 from unittest import mock
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 from qtel import teleport
 from qtel.bell import BellBasis, generate_from_seed, standard_basis
-from qtel.channel import channel_from_state, state_from_matrix
+from qtel.channel import Channel, channel_from_state, state_from_matrix
 from qtel.errors import ValidationError
 from qtel.linalg import (
     DEFAULT_TOL,
@@ -42,6 +43,7 @@ from qtel.pauli import action_tables, matrix_of, pauli_from_digits, pauli_from_q
 from qtel.teleport import (
     SAMPLING_GRID,
     ZERO_PROBABILITY_EPS,
+    OutcomeRecord,
     composite_expand,
     masfi_1q,
     run_protocol,
@@ -54,8 +56,11 @@ def dense_members(b0, n):
 
 
 def dense_reference(info, e, b0, n, tol=DEFAULT_TOL):
-    """Per-α probabilities, fidelities (nan for zero outcomes) and zero flags."""
-    probs, fids, zero = [], [], []
+    """Per-α probabilities, fidelities, Bob and corrected states, and zero flags.
+
+    A zero outcome's fidelity and states are nan.
+    """
+    probs, fids, bobs, corrected, zero = [], [], [], [], []
     for member in dense_members(b0, n):
         o = e.T @ member.conj().T
         b = o @ info
@@ -64,13 +69,18 @@ def dense_reference(info, e, b0, n, tol=DEFAULT_TOL):
         zero.append(p < ZERO_PROBABILITY_EPS)
         if zero[-1]:
             fids.append(np.nan)
+            bobs.append(np.full(2**n, np.nan))
+            corrected.append(np.full(2**n, np.nan))
             continue
         gram = o.conj().T @ o
         s = np.real(np.trace(gram)) / 2**n
         scaled = np.max(np.abs(gram - s * np.eye(2**n))) <= tol.abs_eps and s > tol.abs_eps
         c = (o.conj().T / np.sqrt(s) if scaled else np.eye(2**n)) @ (b / np.sqrt(p))
         fids.append(abs(np.vdot(info, c)) ** 2 / np.vdot(c, c).real)
-    return np.array(probs), np.array(fids), np.array(zero)
+        bobs.append(b / np.sqrt(p))
+        corrected.append(c / np.linalg.norm(c))
+    return (np.array(probs), np.array(fids), np.array(bobs), np.array(corrected),
+            np.array(zero))
 
 
 def make_case(n, channel_kind, seed_kind, info_kind, rng):
@@ -112,12 +122,17 @@ def test_protocol_matches_dense_reference(case, storage):
     shot_seed = int(rng.integers(2**31))
     result = run_protocol(info, ch, basis, mode="sampled", seed=shot_seed, shots=500)
 
-    probs, fids, zero = dense_reference(info.amplitudes, ch.e_matrix, b0, n)
+    probs, fids, bobs, corrected, zero = dense_reference(info.amplitudes, ch.e_matrix, b0, n)
     assert np.max(np.abs([r.probability for r in result.records] - probs)) <= 1e-12
     assert [r.zero_probability for r in result.records] == zero.tolist()
     got = np.array([np.nan if r.fidelity is None else r.fidelity for r in result.records])
     assert np.array_equal(np.isnan(got), zero)
     assert np.max(np.abs(got[~zero] - fids[~zero])) <= 1e-12
+    for r, bob, state in zip(result.records, bobs, corrected):
+        assert (r.bob_state is None) == (r.corrected_state is None) == r.zero_probability
+        if not r.zero_probability:
+            assert np.max(np.abs(r.bob_state.amplitudes - bob)) <= 1e-12
+            assert np.max(np.abs(r.corrected_state.amplitudes - state)) <= 1e-12
     weights = np.round(probs * SAMPLING_GRID)
     expected = np.random.default_rng(shot_seed).multinomial(500, weights / weights.sum())
     assert result.counts == tuple(int(c) for c in expected)
@@ -135,6 +150,95 @@ def test_bob_states_match_dense_reference(case):
             continue
         b = ch.e_matrix.T @ member.conj().T @ info.amplitudes
         assert np.max(np.abs(record.bob_state.amplitudes - b / np.linalg.norm(b))) <= 1e-12
+
+
+def record_bits(record):
+    """Every field of a record, with its states as bytes."""
+    states = [None if s is None else (s.n_qubits, s.amplitudes.tobytes())
+              for s in (record.bob_state, record.corrected_state)]
+    return (record.alpha, record.probability, record.fidelity, record.zero_probability, *states)
+
+
+def eager_records(outcomes):
+    """The records of `outcomes`, all built at once from its columns."""
+    records, row = [], 0
+    for alpha, (p, zero) in enumerate(zip(outcomes.probs, outcomes.zero)):
+        if zero:
+            records.append(OutcomeRecord(alpha, float(p), zero_probability=True))
+            continue
+        bob = StateVector(outcomes.n, outcomes.bob[alpha])
+        if outcomes.corrected is None:
+            records.append(OutcomeRecord(alpha, float(p), bob))
+        else:
+            records.append(OutcomeRecord(
+                alpha, float(p), bob, StateVector(outcomes.n, outcomes.corrected[row]),
+                float(outcomes.fidelities[row])))
+        row += 1
+    return records
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=cases)
+def test_records_are_built_from_the_columns_as_an_eager_construction(case):
+    n, channel_kind, seed_kind, info_kind, rng_seed = case
+    info, ch, b0 = make_case(n, channel_kind, seed_kind, info_kind,
+                             np.random.default_rng(rng_seed))
+    basis = generate_from_seed(state_from_matrix(b0, n))
+    for outcomes in (composite_expand(info, ch, basis), run_protocol(info, ch, basis).records):
+        eager = eager_records(outcomes)
+        assert len(outcomes) == len(eager) == 4**n
+        assert [record_bits(r) for r in outcomes] == [record_bits(r) for r in eager]
+        for alpha in range(-4**n, 4**n, max(1, 4**n // 7)):
+            assert record_bits(outcomes[alpha]) == record_bits(eager[alpha])
+        for alpha in (4**n, -4**n - 1):
+            with pytest.raises(IndexError):
+                outcomes[alpha]
+
+
+def test_no_state_vector_is_built_until_a_record_is_indexed():
+    n, d = 6, 2**6
+    rng = np.random.default_rng(60)
+    basis = standard_basis(n)
+    ch = channel_from_state(state_from_matrix(haar_random_unitary(d, rng) / np.sqrt(d), n), n)
+    info = random_state(n, rng)
+    built = []
+    post_init = StateVector.__post_init__
+
+    def counting_post_init(self):
+        built.append(self.n_qubits)
+        post_init(self)
+
+    with mock.patch.object(StateVector, "__post_init__", counting_post_init):
+        result = run_protocol(info, ch, basis, mode="sampled", seed=1, shots=100)
+        assert built == []
+        record = result.records[-1]
+        assert built == [n, n]
+    assert record.alpha == 4**n - 1 and record.fidelity == pytest.approx(1.0, abs=1e-9)
+
+
+def test_result_keeps_the_replace_and_repr_contracts():
+    info = basis_state(2, 1)
+    ghz = np.zeros((4, 4), dtype=complex)
+    ghz[0, 0] = ghz[-1, -1] = 2**-0.5
+    ch = channel_from_state(state_from_matrix(ghz, 2), 2)
+    result = run_protocol(info, ch, standard_basis(2), mode="sampled", seed=3, shots=50)
+    replaced = dataclasses.replace(result, records=tuple(result.records))
+    assert [record_bits(r) for r in replaced.records] == [record_bits(r) for r in result.records]
+    assert (replaced.mode, replaced.counts) == (result.mode, result.counts)
+    assert repr(result) == repr(run_protocol(info, ch, standard_basis(2), mode="sampled",
+                                             seed=3, shots=50))
+    assert "0x" not in repr(result)
+    assert "OutcomeRecords(n=2, outcomes=16, useful=8, corrected=True)" in repr(result)
+    with pytest.raises(ValueError):
+        result.records.probs[0] = 1.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_no_state_that_is_not_finite_leaves_the_protocol(bad):
+    ch = Channel(1, np.array([[bad, 0.0], [0.0, 0.5]], dtype=complex))
+    for stage in (composite_expand, run_protocol):
+        with np.errstate(invalid="ignore"), pytest.raises(ValidationError, match="must be finite"):
+            stage(basis_state(1, 0), ch, standard_basis(1))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -200,9 +304,9 @@ def test_seven_qubits_without_dense_basis():
     n, d = 7, 2**7
     rng = np.random.default_rng(70)
     ch = channel_from_state(state_from_matrix(haar_random_unitary(d, rng) / np.sqrt(d), n), n)
-    result = run_protocol(random_state(n, rng), ch, standard_basis(n))
-    probs = np.array([r.probability for r in result.records])
-    fids = np.array([r.fidelity for r in result.records])
+    outcomes = run_protocol(random_state(n, rng), ch, standard_basis(n)).records
+    probs, fids = outcomes.probs, outcomes.fidelities
+    assert len(fids) == 4**n
     assert np.max(np.abs(probs - 4.0**-n)) < 1e-12
     assert np.max(np.abs(fids - 1.0)) < 1e-9
 

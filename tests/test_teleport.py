@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from qtel import teleport
-from qtel.bell import generate_from_seed, standard_basis
+from qtel.bell import BellBasis, generate_from_seed, standard_basis
 from qtel.channel import channel_from_state, state_from_matrix
-from qtel.errors import ShapeError, ValidationError
+from qtel.errors import DomainError, ShapeError, ValidationError
 from qtel.linalg import StateVector, Tolerance, basis_state, haar_random_unitary, random_state
 from qtel.teleport import (
     composite_expand,
@@ -114,6 +114,17 @@ class TestTransformationOperator:
         assert not op.unitary_scaled
         assert abs(np.linalg.det(op.matrix)) > 1e-6
 
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_alpha_out_of_range(self, n, dense):
+        basis = standard_basis(n)
+        if dense:
+            basis = BellBasis(n, tuple(basis.members))
+        ch = bell_channel() if n == 1 else two_bell_channel()
+        for alpha in (-1, 4**n):
+            with pytest.raises(DomainError, match=f"alpha={alpha} out of range"):
+                transformation_operator(ch, basis, alpha)
+
 
 class TestRunProtocol:
     @pytest.mark.parametrize("n", [1, 2])
@@ -195,6 +206,21 @@ class TestRunProtocol:
         with pytest.raises(ValidationError):
             run_protocol(basis_state(1, 0), bell_channel(), standard_basis(1),
                          mode="sampled")
+
+    @pytest.mark.parametrize("options, message", [
+        ({"mode": "bogus"}, "unknown mode: 'bogus'"),
+        ({"mode": "sampled", "seed": 1, "shots": 0}, "requires shots >= 1"),
+        ({"mode": "sampled", "seed": 1, "shots": 2**63}, "requires shots <= "),
+        ({"mode": "sampled", "shots": 10}, "requires a seed"),
+        ({"mode": "sampled", "seed": -1, "shots": 10}, "requires seed >= 0, got -1"),
+    ])
+    def test_bad_sampling_options_fail_before_any_outcome(self, monkeypatch, options, message):
+        def unexpected(*args):
+            raise AssertionError("outcomes expanded before the options were checked")
+
+        monkeypatch.setattr(teleport, "_bob_states", unexpected)
+        with pytest.raises(ValidationError, match=message):
+            run_protocol(basis_state(1, 0), bell_channel(), standard_basis(1), **options)
 
 
 class TestKernelOperator:
