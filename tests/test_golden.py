@@ -1,16 +1,20 @@
-"""Replay of the committed `teleport run --format json` corpus.
+"""Replay of the committed CLI output corpus.
 
-`golden/teleport_run.json` lists ``qtel`` invocations over the input files
-in `golden/inputs/`, each with the exit code it gave and the sha256 of the
-stdout it printed when the corpus was written.  The replay runs each one in
-process.  It compares exit codes on every platform, but stdout digests only
-under the numpy version and BLAS build recorded in the corpus: another numpy
-or BLAS (CI on an older Python resolves an older numpy) may round the last
-bit of a probability differently.  Stdout is hashed exactly as printed,
-never rounded.
+`golden/<group>.json` lists, for one command group, ``qtel`` invocations
+over the input files in `golden/inputs/`, each with the exit code it gave
+and the sha256 of the stdout it printed when the corpus was written.  The
+groups are `teleport run`, `channel check`, `bell gen`, the `magic`
+subcommands, `masfi`, and the malformed inputs of `test_cli.MALFORMED`.
+The replay runs each invocation in process.  It compares exit codes on
+every platform, but stdout digests only under the numpy version and BLAS
+build recorded in the corpus: another numpy or BLAS (CI on an older Python
+resolves an older numpy) may round the last bit of a probability
+differently.  Stdout is hashed exactly as printed, never rounded.  Stderr
+must be empty when a report was printed, and one ``error: `` line when
+none was; a numpy ``RuntimeWarning`` raised on the way fails the case.
 
-To rewrite the inputs and the corpus, which is right only when a change of
-stdout is intended, run from the root of a checkout:
+To rewrite the inputs and every corpus file, which is right only when a
+change of stdout is intended, run from the root of a checkout:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -22,6 +26,8 @@ import hashlib
 import io
 import json
 import os
+import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -31,9 +37,14 @@ from qtel.channel import state_from_matrix
 from qtel.cli import main
 from qtel.linalg import StateVector, basis_state, haar_random_unitary, random_state
 from qtel.serialize import basis_to_list, save_state
+from test_cli import MALFORMED
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
-CORPUS = os.path.join(GOLDEN, "teleport_run.json")
+GROUPS = ("teleport_run", "channel_check", "bell_gen", "magic", "masfi", "malformed")
+
+
+def corpus_path(group: str) -> str:
+    return os.path.join(GOLDEN, f"{group}.json")
 
 
 def versions() -> dict:
@@ -46,40 +57,66 @@ def versions() -> dict:
     return {"numpy": np.__version__, "blas": build}
 
 
-def invoke(argv: list[str]) -> tuple[int, str]:
-    """Exit code and sha256 of stdout of ``qtel <argv>``, run in the corpus directory."""
-    out = io.StringIO()
+def invoke(argv: list[str]) -> tuple[int, str, str, str]:
+    """Exit code, stdout, its sha256 and stderr of ``qtel <argv>``, run in the corpus directory.
+
+    A ``RuntimeWarning`` is raised as an exception, so it cannot pass unseen.
+    """
+    out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
     os.chdir(GOLDEN)
     try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             code = main(argv)
     finally:
         os.chdir(cwd)
-    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+    stdout = out.getvalue()
+    return code, stdout, hashlib.sha256(stdout.encode()).hexdigest(), err.getvalue()
 
 
-def _recorded() -> dict:
-    if not os.path.exists(CORPUS):  # only while the corpus is first written
+def _recorded(group: str) -> dict:
+    if not os.path.exists(corpus_path(group)):  # only while the corpus is first written
         return {"versions": None, "invocations": []}
-    with open(CORPUS) as fh:
+    with open(corpus_path(group)) as fh:
         return json.load(fh)
 
 
-RECORDED = _recorded()
+RECORDED = {group: _recorded(group) for group in GROUPS}
 
 
-@pytest.mark.parametrize("case", RECORDED["invocations"],
-                         ids=[c["id"] for c in RECORDED["invocations"]])
-def test_teleport_run_replays_the_corpus(case):
-    code, digest = invoke(case["argv"])
+def _replay(case: dict, recorded: dict):
+    code, stdout, digest, stderr = invoke(case["argv"])
     assert code == case["exit_code"]
-    if versions() == RECORDED["versions"]:
+    if stdout:  # a report: exit 0, or 1 for a failed numerical assertion
+        assert code in (0, 1) and stderr == ""
+    else:
+        assert code != 0
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1, stderr
+    if versions() == recorded["versions"]:
         assert digest == case["stdout_sha256"]
 
 
+@pytest.mark.parametrize("case", RECORDED["teleport_run"]["invocations"],
+                         ids=[c["id"] for c in RECORDED["teleport_run"]["invocations"]])
+def test_teleport_run_replays_the_corpus(case):
+    _replay(case, RECORDED["teleport_run"])
+
+
+_OTHER_CASES = [(group, case) for group in GROUPS[1:] for case in RECORDED[group]["invocations"]]
+
+
+@pytest.mark.parametrize(("group", "case"), _OTHER_CASES,
+                         ids=[f"{group}:{case['id']}" for group, case in _OTHER_CASES])
+def test_replays_the_corpus(group, case):
+    _replay(case, RECORDED[group])
+
+
 def test_corpus_is_present():
-    assert len(RECORDED["invocations"]) >= 20
+    assert len(RECORDED["teleport_run"]["invocations"]) >= 20
+    for group in GROUPS:
+        assert RECORDED[group]["invocations"], group
 
 
 # --- writing the corpus ------------------------------------------------------
@@ -105,9 +142,18 @@ def _write_inputs(rng) -> None:
         with open(os.path.join(GOLDEN, "inputs", name), "w") as fh:
             json.dump(basis_to_list(basis.members), fh)
             fh.write("\n")
+    # two-qubit channels of Schmidt coefficients (cos π/8, sin π/8) and (1, 0)
+    save("schmidt_n1.json", StateVector(2, [np.cos(np.pi / 8), 0, 0, np.sin(np.pi / 8)]))
+    save("product_n1.json", basis_state(2, 0))
+    # a Bell pair written with signed zeros in both parts
+    s = 2**-0.5
+    signed = {"n_qubits": 2, "amplitudes": [[s, -0.0], [-0.0, 0.0], [0.0, -0.0], [-s, -0.0]]}
+    with open(os.path.join(GOLDEN, "inputs", "signed_zero_seed_n1.json"), "w") as fh:
+        json.dump(signed, fh)
+        fh.write("\n")
 
 
-def _invocations() -> list[tuple[str, list[str]]]:
+def _teleport_run() -> list[tuple[str, list[str]]]:
     def run(info, channel, *extra):
         return ["--format", "json", "teleport", "run", "--info", f"inputs/{info}.json",
                 "--channel", f"inputs/{channel}.json", *extra]
@@ -139,16 +185,111 @@ def _invocations() -> list[tuple[str, list[str]]]:
     return cases
 
 
+def _channel_check() -> list[tuple[str, list[str]]]:
+    def check(name, *options):
+        return [*options, "--format", "json", "channel", "check", "--file", f"inputs/{name}.json"]
+
+    cases = []
+    for n in (1, 2, 3):
+        for kind in ("perfect", "imperfect", "ghz"):
+            cases.append((f"{kind}.n{n}", check(f"{kind}_n{n}")))
+    cases += [
+        ("odd_qubits.n1", check("info_n1")),
+        ("odd_qubits.n3", check("info_n3")),
+        ("tol.ghz.n2", check("ghz_n2", "--tol", "0.5")),
+        ("text.perfect.n2", check("perfect_n2")[2:]),
+        ("text.ghz.n2", check("ghz_n2")[2:]),
+    ]
+    return cases
+
+
+def _bell_gen() -> list[tuple[str, list[str]]]:
+    def gen(*options):
+        return ["--format", "json", "bell", "gen", *options]
+
+    cases = [(f"standard.n{n}", gen("--n", str(n))) for n in (1, 2, 3, 4)]
+    for name in ("perfect_n1", "perfect_n2", "ghz_n1", "ghz_n2", "signed_zero_seed_n1",
+                 "imperfect_n1", "product_n1", "info_n1"):
+        cases.append((f"seed_file.{name}", gen("--seed-file", f"inputs/{name}.json")))
+    cases += [
+        ("tol.seed_file.imperfect_n1",
+         ["--tol", "0.5", *gen("--seed-file", "inputs/imperfect_n1.json")]),
+        ("text.standard.n1", ["bell", "gen", "--n", "1"]),
+    ]
+    return cases
+
+
+def _magic() -> list[tuple[str, list[str]]]:
+    def magic(*argv):
+        return ["--format", "json", "magic", *argv]
+
+    cases = [(f"cliques.n{n}", magic("cliques", "--n", str(n))) for n in (1, 2, 3)]
+    cases += [(f"witness.n{n}", magic("witness", "--n", str(n))) for n in (2, 3)]
+    cases += [
+        ("catalog", magic("catalog")),
+        ("text.witness.n2", ["magic", "witness", "--n", "2"]),
+        ("text.cliques.n1", ["magic", "cliques", "--n", "1"]),
+        ("verify.FGH", magic("verify", "--set", "F,G,H")),
+        ("verify.FGH.seed7", magic("verify", "--set", "F,G,H", "--trials", "40", "--seed", "7")),
+        ("verify.clique5", magic("verify", "--set", "2,3,5,9,13", "--n", "2", "--trials", "30")),
+        ("verify.index.n1", magic("verify", "--set", "1,2,3", "--n", "1", "--trials", "20")),
+        ("verify.index.n3", magic("verify", "--set", "1,2,3", "--n", "3", "--trials", "10")),
+        ("verify.strings", magic("verify", "--set", "Z,X,Y", "--trials", "10")),
+        ("verify.index_without_n", magic("verify", "--set", "1,2,3")),
+        ("verify.commuting", magic("verify", "--set", "ZZ,XX")),
+        ("verify.identity", magic("verify", "--set", "II,ZX")),
+        ("verify.phased", magic("verify", "--set", "i·ZX,XZ")),
+        ("verify.tol_1e-17", ["--tol", "1e-17", *magic("verify", "--set", "F,G,H",
+                                                        "--trials", "20")]),
+    ]
+    return cases
+
+
+def _masfi() -> list[tuple[str, list[str]]]:
+    def masfi(name, *options):
+        return [*options, "--format", "json", "masfi", "--channel", f"inputs/{name}.json"]
+
+    cases = [(name, masfi(name)) for name in ("ghz_n1", "schmidt_n1", "product_n1",
+                                               "perfect_n1", "imperfect_n1")]
+    cases += [
+        ("wrong_size.n2", masfi("ghz_n2")),
+        ("odd_qubits.n1", masfi("info_n1")),
+        ("tol.schmidt_n1", masfi("schmidt_n1", "--tol", "1e-6")),
+        ("text.schmidt_n1", masfi("schmidt_n1")[2:]),
+    ]
+    return cases
+
+
+def _malformed() -> list[tuple[str, list[str]]]:
+    """`test_cli.MALFORMED`, its files written to `inputs/malformed/` (run in GOLDEN)."""
+    directory = pathlib.Path("inputs", "malformed")
+    directory.mkdir(exist_ok=True)
+    return [(case, ["--format", "json",
+                    *MALFORMED[case](directory, "inputs/info_n2.json", "inputs/perfect_n2.json")])
+            for case in sorted(MALFORMED)]
+
+
+_INVOCATIONS = {"teleport_run": _teleport_run, "channel_check": _channel_check,
+                "bell_gen": _bell_gen, "magic": _magic, "masfi": _masfi, "malformed": _malformed}
+
+
 def write_corpus() -> None:
     _write_inputs(np.random.default_rng(20111006))
-    invocations = []
-    for case_id, argv in _invocations():
-        code, digest = invoke(argv)
-        invocations.append({"id": case_id, "argv": argv, "exit_code": code,
-                            "stdout_sha256": digest})
-    with open(CORPUS, "w") as fh:
-        json.dump({"versions": versions(), "invocations": invocations}, fh, indent=1)
-        fh.write("\n")
+    cwd = os.getcwd()
+    for group in GROUPS:
+        os.chdir(GOLDEN)
+        try:
+            cases = _INVOCATIONS[group]()
+        finally:
+            os.chdir(cwd)
+        invocations = []
+        for case_id, argv in cases:
+            code, _, digest, _ = invoke(argv)
+            invocations.append({"id": case_id, "argv": argv, "exit_code": code,
+                                "stdout_sha256": digest})
+        with open(corpus_path(group), "w") as fh:
+            json.dump({"versions": versions(), "invocations": invocations}, fh, indent=1)
+            fh.write("\n")
 
 
 if __name__ == "__main__":
