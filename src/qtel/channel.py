@@ -27,10 +27,6 @@ class Channel:
     n: int
     e_matrix: np.ndarray = field(repr=False)
 
-    @property
-    def dim(self) -> int:
-        return 2**self.n
-
 
 def channel_from_state(state: StateVector, n: int, tol: Tolerance = DEFAULT_TOL) -> Channel:
     """Build a channel from a normalized 2n-qubit state.
@@ -68,6 +64,17 @@ def character_matrix(ch: Channel) -> np.ndarray:
     return (2.0 ** (ch.n / 2)) * ch.e_matrix
 
 
+def hill_wootters_basis() -> tuple[StateVector, ...]:
+    """The four single-pair magic states |e_0>..|e_3>, with their i factors."""
+    s = 1 / np.sqrt(2)
+    return (
+        StateVector(2, np.array([s, 0, 0, s])),
+        StateVector(2, np.array([1j * s, 0, 0, -1j * s])),
+        StateVector(2, np.array([0, 1j * s, 1j * s, 0])),
+        StateVector(2, np.array([0, s, -s, 0])),
+    )
+
+
 def concurrence_2q(state: StateVector, tol: Tolerance = DEFAULT_TOL) -> float:
     """Concurrence |sum_i c_i^2| of a normalized 2-qubit pure state.
 
@@ -79,7 +86,5 @@ def concurrence_2q(state: StateVector, tol: Tolerance = DEFAULT_TOL) -> float:
         raise ShapeError(f"concurrence_2q needs a 2-qubit state, got {state.n_qubits} qubits")
     if not state.is_normalized(tol):
         raise ValidationError("state must be normalized")
-    from .magic import hill_wootters_basis  # local import to avoid a cycle
-
     coeffs = [e.overlap(state) for e in hill_wootters_basis()]
     return float(abs(sum(c * c for c in coeffs)))

@@ -78,6 +78,13 @@ def is_maximally_entangled(m, tol: Tolerance = DEFAULT_TOL):
     return is_scaled_identity(dagger(m) @ m, 1.0 / m.shape[-2], tol)
 
 
+def _finite(amplitudes: np.ndarray) -> np.ndarray:
+    """Return `amplitudes` (any shape) if every entry is finite; the package's one such check."""
+    if not np.isfinite(amplitudes).all():
+        raise ValidationError("amplitudes must be finite")
+    return amplitudes
+
+
 @dataclass(frozen=True)
 class StateVector:
     """Pure state of ``n_qubits`` qubits, amplitudes indexed big-endian."""
@@ -94,13 +101,7 @@ class StateVector:
                 f"expected {2**self.n_qubits} amplitudes for {self.n_qubits} "
                 f"qubits, got {amps.size}"
             )
-        if not np.all(np.isfinite(amps.view(np.float64))):
-            raise ValidationError("amplitudes must be finite")
-        object.__setattr__(self, "amplitudes", amps)
-
-    @property
-    def dim(self) -> int:
-        return 2**self.n_qubits
+        object.__setattr__(self, "amplitudes", _finite(amps))
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))

@@ -17,6 +17,7 @@ import numpy as np
 
 from .bell import standard_basis
 from .channel import channel_from_state, is_perfect, state_from_matrix
+from .channel import hill_wootters_basis  # noqa: F401 (also importable from here)
 from .errors import ResourceLimitError, ValidationError
 from .linalg import DEFAULT_TOL, StateVector, Tolerance, is_maximally_entangled, random_state
 from .pauli import PauliString, commutes, matrix_of, pauli_from_digits, pauli_from_quaternary
@@ -25,17 +26,6 @@ from .teleport import min_fidelities
 GRAPH_EXHAUSTIVE_MAX_QUBITS = 3
 # verify_partial_basis evaluates its trials this many at a time
 VERIFY_BLOCK_TRIALS = 128
-
-
-def hill_wootters_basis() -> tuple[StateVector, ...]:
-    """The four single-pair magic states |e_0>..|e_3>, with their i factors."""
-    s = 1 / np.sqrt(2)
-    return (
-        StateVector(2, np.array([s, 0, 0, s])),
-        StateVector(2, np.array([1j * s, 0, 0, -1j * s])),
-        StateVector(2, np.array([0, 1j * s, 1j * s, 0])),
-        StateVector(2, np.array([0, s, -s, 0])),
-    )
 
 
 @dataclass(frozen=True)
@@ -52,9 +42,10 @@ class AnticommGraph:
 
 
 def build_anticomm_graph(n: int) -> AnticommGraph:
-    if n > GRAPH_EXHAUSTIVE_MAX_QUBITS:
+    """The graph for 1 <= n <= GRAPH_EXHAUSTIVE_MAX_QUBITS, the clique searches' one limit."""
+    if not 1 <= n <= GRAPH_EXHAUSTIVE_MAX_QUBITS:
         raise ResourceLimitError(
-            f"anticommutation graph supports n <= {GRAPH_EXHAUSTIVE_MAX_QUBITS}, got {n}"
+            f"anticommutation graph supports 1 <= n <= {GRAPH_EXHAUSTIVE_MAX_QUBITS}, got {n}"
         )
     vertices = tuple(pauli_from_quaternary(alpha, n) for alpha in range(1, 4**n))
     size = len(vertices)
@@ -110,8 +101,8 @@ class MagicPartialBasis:
 def partial_basis_from_set(paulis) -> MagicPartialBasis:
     """Build the states 2^{-n/2}·1 and 2^{-n/2}·i·M_l from the given strings.
 
-    The input strings must be hermitian, non-identity, pairwise
-    anticommuting, and phase-free; canonical member order is the identity
+    The input strings must be non-identity, pairwise anticommuting, and
+    phase-free (hence hermitian); canonical member order is the identity
     first, then the strings by quaternary index.
     """
     paulis = tuple(paulis)
@@ -123,7 +114,7 @@ def partial_basis_from_set(paulis) -> MagicPartialBasis:
             raise ValidationError("all strings must act on the same qubit count")
         if p.is_identity:
             raise ValidationError(f"identity string not allowed in the set: {p}")
-        if not p.is_hermitian or p.phase_power != 0:
+        if p.phase_power != 0:
             raise ValidationError(f"string must be a phase-free hermitian Pauli: {p}")
     for p, q in itertools.combinations(paulis, 2):
         if commutes(p, q):
@@ -228,8 +219,6 @@ def no_full_magic_basis_witness(n: int) -> WitnessReport:
     -i/√2 on the ZZ member.  The two phases differ, so it is not a magic
     combination, which needs one shared phase.
     """
-    if not 1 <= n <= GRAPH_EXHAUSTIVE_MAX_QUBITS:
-        raise ResourceLimitError(f"witness supports 1 <= n <= {GRAPH_EXHAUSTIVE_MAX_QUBITS}")
     graph = build_anticomm_graph(n)
     report = maximal_anticommuting_sets(graph)
     required = 4**n - 1
@@ -362,11 +351,12 @@ def _names_of_clique(clique: tuple[int, ...]) -> tuple[str, ...]:
 def _max_disjoint_triangle_packing(triangles: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """Lexicographically-first maximum family of vertex-disjoint triangles."""
     best: list[tuple[int, ...]] = []
+    vertices = len(set().union(*triangles))
 
     def search(start: int, used: set[int], chosen: list[tuple[int, ...]]):
         nonlocal best
-        remaining = len(triangles) - start
-        if len(chosen) + remaining <= len(best):
+        room = min(len(triangles) - start, (vertices - len(used)) // 3)  # most still addable
+        if len(chosen) + room <= len(best):
             return  # cannot beat the incumbent
         if len(chosen) > len(best):
             best = list(chosen)

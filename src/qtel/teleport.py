@@ -29,9 +29,9 @@ which computes each run's product exactly as it would alone.
 A run's result keeps its arrays as the columns of `OutcomeRecords`: the
 probabilities, the zero mask and Bob's states of all 4^n outcomes, and the
 corrected states and fidelities of the nonzero ones.  An `OutcomeRecord`,
-with its `StateVector`s, is built only when an outcome is indexed; one
-finiteness check per column of states stands in for the one that each
-`StateVector` makes of its amplitudes.
+with its `StateVector`s, is built only when an outcome is indexed; the
+finiteness check of `StateVector` (`linalg._finite`) runs once per column
+of states instead.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ import numpy as np
 from .bell import BellBasis, is_maximal_member, standard_basis
 from .channel import Channel, is_perfect
 from .errors import InternalConsistencyError, ShapeError, ValidationError
-from .linalg import DEFAULT_TOL, StateVector, Tolerance, dagger, is_scaled_identity
+from .linalg import DEFAULT_TOL, StateVector, Tolerance, _finite, dagger, is_scaled_identity
 from .pauli import action_tables, matrix_of, pauli_from_quaternary
 
 ZERO_PROBABILITY_EPS = 1e-14
@@ -129,13 +129,6 @@ class ProtocolResult:
     shots: int | None = None
     seed: int | None = None
     counts: tuple[int, ...] | None = None  # per-alpha shot counts in sampled mode
-
-
-def _finite(states: np.ndarray) -> np.ndarray:
-    """`states` (..., 2^n), once `StateVector`'s finiteness check holds for every row."""
-    if not np.isfinite(states).all():
-        raise ValidationError("amplitudes must be finite")
-    return states
 
 
 def _check_dims(info: StateVector, ch: Channel, basis: BellBasis, tol: Tolerance):
@@ -289,9 +282,9 @@ def run_protocol(
     seeded by `seed` and reports per-outcome counts.  The result keeps the
     outcomes as the columns of `OutcomeRecords` (those of `composite_expand`
     plus the corrected states and fidelities of the nonzero outcomes), and
-    builds an `OutcomeRecord` only when `records` is indexed.
+    builds an `OutcomeRecord` only when `records` is indexed.  The sampling
+    options are checked first; `composite_expand` then checks the inputs.
     """
-    _check_dims(info, ch, basis, tol)
     _check_sampling(mode, shots, seed)  # before the 4^n outcomes are expanded
     expanded = composite_expand(info, ch, basis, tol)
     useful = expanded.useful

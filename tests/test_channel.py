@@ -1,10 +1,17 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import qtel
+import qtel.magic
 from qtel.channel import (
     channel_from_state,
     character_matrix,
     concurrence_2q,
+    hill_wootters_basis,
     is_perfect,
     state_from_matrix,
 )
@@ -132,3 +139,17 @@ class TestConcurrence:
     def test_requires_two_qubits(self):
         with pytest.raises(ShapeError):
             concurrence_2q(random_state(3, np.random.default_rng(5)))
+
+
+def test_hill_wootters_basis_is_importable_from_magic():
+    assert qtel.magic.hill_wootters_basis is hill_wootters_basis
+
+
+def test_concurrence_leaves_magic_unloaded():
+    # channel needs nothing from magic, so it does not close an import cycle through it
+    src = os.path.dirname(os.path.dirname(qtel.__file__))
+    code = ("import sys; from qtel.channel import concurrence_2q; from qtel.linalg import "
+            "StateVector; assert concurrence_2q(StateVector(2, [0.6, 0, 0, 0.8])) > 0.9; "
+            "sys.exit('qtel.magic' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0

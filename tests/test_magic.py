@@ -7,6 +7,7 @@ from qtel.channel import concurrence_2q
 from qtel.errors import ResourceLimitError, ValidationError
 from qtel.magic import (
     MagicPartialBasis,
+    _max_disjoint_triangle_packing,
     N2_PRINTED_MAXIMAL_SETS,
     N2_PRINTED_QUARTER_BASES,
     PRINTED_QUARTER_BASIS_COUNT,
@@ -60,6 +61,11 @@ class TestAnticommGraph:
         with pytest.raises(ResourceLimitError):
             build_anticomm_graph(4)
 
+    @pytest.mark.parametrize("n", [-1, 0])
+    def test_rejects_fewer_than_one_qubit(self, n):
+        with pytest.raises(ResourceLimitError, match="1 <= n <= 3"):
+            build_anticomm_graph(n)
+
 
 class TestMaximalSets:
     def test_n1_single_full_clique(self):
@@ -111,8 +117,9 @@ class TestPartialBasisConstruction:
             partial_basis_from_set([X, pauli_from_digits([0])])
 
     def test_rejects_phased_string(self):
-        with pytest.raises(ValidationError, match="hermitian"):
-            partial_basis_from_set([pauli_from_digits([2], phase_power=1)])
+        for phase_power in (1, 2, 3):  # -X is hermitian, but not phase-free
+            with pytest.raises(ValidationError, match="hermitian"):
+                partial_basis_from_set([pauli_from_digits([2], phase_power=phase_power)])
 
     def test_rejects_mixed_sizes(self):
         with pytest.raises(ValidationError):
@@ -187,6 +194,26 @@ class TestWitness:
             no_full_magic_basis_witness(4)
         with pytest.raises(ResourceLimitError):
             no_full_magic_basis_witness(0)
+
+
+def _first_max_packing(triangles):
+    """Brute force: the lexicographically first maximum disjoint family, by index."""
+    for size in range(len(triangles), 0, -1):
+        for chosen in itertools.combinations(range(len(triangles)), size):
+            used = [v for i in chosen for v in triangles[i]]
+            if len(set(used)) == len(used):
+                return [triangles[i] for i in chosen]
+    return []
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_triangle_packing_matches_brute_force(seed):
+    rng = np.random.default_rng(seed)
+    vertices = int(rng.integers(3, 10))
+    every = list(itertools.combinations(range(vertices), 3))
+    count = int(rng.integers(0, min(len(every), 12) + 1))
+    triangles = sorted(every[i] for i in rng.choice(len(every), count, replace=False))
+    assert _max_disjoint_triangle_packing(triangles) == _first_max_packing(triangles)
 
 
 def test_ghz_state_shape():

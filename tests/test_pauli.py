@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qtel.pauli
 from qtel.errors import DomainError, ResourceLimitError, ShapeError
 from qtel.pauli import (
     PauliString,
@@ -155,3 +156,14 @@ class TestFamilyPropertyReport:
     def test_resource_bound(self):
         with pytest.raises(ResourceLimitError):
             family_property_report(4)
+
+    @pytest.mark.parametrize("shift", [1, 2, 3])
+    def test_closure_checks_the_phase_of_product(self, monkeypatch, shift):
+        # a product with the right string but a wrong power of i fails closure only
+        def wrong_phase(p, q):
+            r = product(p, q)
+            return PauliString(r.n_qubits, r.x_bits, r.z_bits, r.phase_power + shift)
+
+        monkeypatch.setattr(qtel.pauli, "product", wrong_phase)
+        failed = [c.name for c in family_property_report(2).checks if not c.passed]
+        assert failed == ["products close up to ±1, ±i"]
