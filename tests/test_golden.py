@@ -142,6 +142,7 @@ def _write_inputs(rng) -> None:
         with open(os.path.join(GOLDEN, "inputs", name), "w") as fh:
             json.dump(basis_to_list(basis.members), fh)
             fh.write("\n")
+    save("haar_seed_n3.json", state_from_matrix(haar_random_unitary(8, rng) / np.sqrt(8), 3))
     # two-qubit channels of Schmidt coefficients (cos π/8, sin π/8) and (1, 0)
     save("schmidt_n1.json", StateVector(2, [np.cos(np.pi / 8), 0, 0, np.sin(np.pi / 8)]))
     save("product_n1.json", basis_state(2, 0))
@@ -207,9 +208,9 @@ def _bell_gen() -> list[tuple[str, list[str]]]:
     def gen(*options):
         return ["--format", "json", "bell", "gen", *options]
 
-    cases = [(f"standard.n{n}", gen("--n", str(n))) for n in (1, 2, 3, 4)]
+    cases = [(f"standard.n{n}", gen("--n", str(n))) for n in (1, 2, 3, 4, 5)]
     for name in ("perfect_n1", "perfect_n2", "ghz_n1", "ghz_n2", "signed_zero_seed_n1",
-                 "imperfect_n1", "product_n1", "info_n1"):
+                 "imperfect_n1", "product_n1", "info_n1", "haar_seed_n3"):
         cases.append((f"seed_file.{name}", gen("--seed-file", f"inputs/{name}.json")))
     cases += [
         ("tol.seed_file.imperfect_n1",
