@@ -134,9 +134,31 @@ def bell_basis_from_members(members, tol: Tolerance = DEFAULT_TOL) -> BellBasis:
     return basis
 
 
+def _member_matrix(basis: BellBasis) -> np.ndarray:
+    """The (4^n, 4^n) matrix whose row α is B^(α) flattened.
+
+    For a generated basis it is built from the seed in one pass, in place
+    and with the arithmetic of `PauliMembers.__getitem__`, so it is bit for
+    bit the stack of the members; a dense family is stacked as it is.
+    """
+    if basis.seed is None:
+        return np.array([m.reshape(-1) for m in basis.members])
+    perm, phase = action_tables(basis.n)
+    vecs = basis.seed[perm]
+    vecs *= phase[:, :, None]
+    vecs += 0.0
+    return vecs.reshape(basis.size, -1)
+
+
 def verify_completeness(basis: BellBasis, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float]:
-    """Check sum_α B^(α)_ij B^(α)*_kl = δ_ik δ_jl over all index quadruples."""
-    vecs = np.array([m.reshape(-1) for m in basis.members])
+    """Check sum_α B^(α)_ij B^(α)*_kl = δ_ik δ_jl over all index quadruples.
+
+    The sum is one product of the member matrix (`_member_matrix`: for a
+    generated basis, the seed's rows permuted and multiplied by the phases
+    of `pauli.action_tables` in place, without building each member) with
+    its conjugate.
+    """
+    vecs = _member_matrix(basis)
     resolution = vecs.T @ vecs.conj()  # (ij),(kl) entry of the completeness sum
     _, deviation = is_scaled_identity(resolution, 1.0, tol)
     return deviation <= tol.abs_eps, deviation

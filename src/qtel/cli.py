@@ -11,7 +11,6 @@ carry no stability promise.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -42,12 +41,18 @@ def _tolerance(args) -> Tolerance:
 
 
 def _emit(report: dict, args):
-    """Write the report under the schema and the name of the subcommand that made it."""
+    """Write the report under the schema and the name of the subcommand that made it.
+
+    A `serialize.JSONText` field is already encoded: its text goes into the
+    JSON report as it stands, at the field's sorted-key position.
+    """
     command = " ".join(filter(None, (args.command, getattr(args, "subcommand", None))))
     report = {"schema": SCHEMA, "command": command, **report}
     if args.format == "json":
-        sys.stdout.write(json.dumps(report, sort_keys=True, separators=(",", ":")))
-        sys.stdout.write("\n")
+        fields = (f"{serialize.dumps(key)}:"
+                  f"{value if isinstance(value, serialize.JSONText) else serialize.dumps(value)}"
+                  for key, value in sorted(report.items()))
+        sys.stdout.write("{" + ",".join(fields) + "}\n")
     else:
         _emit_text(report, sys.stdout)
 
@@ -108,7 +113,9 @@ def cmd_bell_gen(args) -> int:
         "size": basis.size,
         "complete": complete,
         "completeness_deviation": deviation,
-        "members": serialize.basis_to_list(basis.members),
+        # the text rendering lists each member's fields in the order of matrix_to_dict
+        "members": (serialize.basis_to_list(basis.members) if args.format == "json"
+                    else [serialize.matrix_to_dict(m) for m in basis.members]),
     }
     _emit(report, args)
     return EXIT_OK if complete else EXIT_ASSERTION

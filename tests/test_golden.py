@@ -140,7 +140,8 @@ def _write_inputs(rng) -> None:
     for name, basis in (("members_n1.json", generate_from_seed(haar_seed)),
                         ("members_n2.json", standard_basis(2))):
         with open(os.path.join(GOLDEN, "inputs", name), "w") as fh:
-            json.dump(basis_to_list(basis.members), fh)
+            members = json.loads(basis_to_list(basis.members))
+            json.dump([{key: m[key] for key in ("rows", "cols", "entries")} for m in members], fh)
             fh.write("\n")
     save("haar_seed_n3.json", state_from_matrix(haar_random_unitary(8, rng) / np.sqrt(8), 3))
     # two-qubit channels of Schmidt coefficients (cos π/8, sin π/8) and (1, 0)

@@ -2,9 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from qtel.bell import PauliMembers, standard_basis
 from qtel.errors import ValidationError
-from qtel.linalg import StateVector, random_state
+from qtel.linalg import StateVector, haar_random_unitary, random_state
 from qtel.serialize import (
     basis_to_list,
     load_basis_members,
@@ -109,7 +112,7 @@ class TestBasisFiles:
     def test_round_trip(self, tmp_path):
         members = [np.eye(2, dtype=complex) / np.sqrt(2) for _ in range(4)]
         path = tmp_path / "basis.json"
-        path.write_text(json.dumps(basis_to_list(members)))
+        path.write_text(basis_to_list(members))
         restored = load_basis_members(str(path))
         assert len(restored) == 4
         assert all(np.array_equal(r, m) for r, m in zip(restored, members))
@@ -119,6 +122,53 @@ class TestBasisFiles:
         path.write_text("{}")
         with pytest.raises(ValidationError, match="array"):
             load_basis_members(str(path))
+
+
+def dense_encoding(members) -> str:
+    return json.dumps([matrix_to_dict(m) for m in members], sort_keys=True, separators=(",", ":"))
+
+
+def mismatch(text: str, reference: str):
+    """None for equal texts, else the first differing index and both texts around it.
+
+    Megabyte texts are compared this way because pytest's diff of two long
+    strings that differ takes minutes.
+    """
+    if text == reference:
+        return None
+    at = next((i for i, (a, b) in enumerate(zip(text, reference)) if a != b),
+              min(len(text), len(reference)))
+    window = slice(max(at - 40, 0), at + 40)
+    return at, text[window], reference[window]
+
+
+class TestBasisEncoding:
+    """`basis_to_list` against the member-by-member encoding it replaces."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_standard_basis(self, n):
+        members = standard_basis(n).members
+        assert mismatch(basis_to_list(members), dense_encoding(members)) is None
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 4), rng_seed=st.integers(0, 2**32 - 1),
+           zero_fraction=st.sampled_from([0.0, 0.25, 0.5]))
+    @example(n=1, rng_seed=0, zero_fraction=0.5)
+    def test_haar_seed_with_signed_zeros(self, n, rng_seed, zero_fraction):
+        rng = np.random.default_rng(rng_seed)
+        d = 2**n
+        seed = haar_random_unitary(d, rng) / np.sqrt(d)
+        parts = seed.view(np.float64)  # real and imaginary parts, interleaved
+        hit = rng.random(parts.shape) < zero_fraction
+        parts[hit] = np.where(rng.random(parts.shape) < 0.5, 0.0, -0.0)[hit]
+        members = PauliMembers(seed)
+        assert mismatch(basis_to_list(members), dense_encoding(members)) is None
+
+    def test_dense_member_list(self):
+        rng = np.random.default_rng(7)
+        members = [rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)) for _ in range(16)]
+        members[3][1, 2] = complex(-0.0, 0.0)
+        assert mismatch(basis_to_list(members), dense_encoding(members)) is None
 
 
 class TestDiagnostics:

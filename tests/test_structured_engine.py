@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtel import teleport
-from qtel.bell import BellBasis, generate_from_seed, standard_basis
+from qtel.bell import BellBasis, _member_matrix, generate_from_seed, standard_basis
 from qtel.channel import Channel, channel_from_state, state_from_matrix
 from qtel.errors import ValidationError
 from qtel.linalg import (
@@ -272,6 +272,17 @@ def test_members_equal_pauli_times_seed(n, seed_kind):
     assert np.array_equal(basis.members[-1], basis.members[4**n - 1])
     with pytest.raises(IndexError):
         basis.members[4**n]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("seed_kind", ["standard", "haar"])
+def test_completeness_matrix_is_the_member_stack_bit_for_bit(n, seed_kind):
+    rng = np.random.default_rng(60 + n)
+    b0 = (np.eye(2**n, dtype=complex) if seed_kind == "standard"
+          else haar_random_unitary(2**n, rng)) / np.sqrt(2**n)
+    basis = generate_from_seed(state_from_matrix(b0, n))
+    stack = np.array([m.reshape(-1) for m in basis.members])
+    assert np.array_equal(_member_matrix(basis).view(np.uint64), stack.view(np.uint64))
 
 
 def test_seed_is_copied_from_the_seed_state():
