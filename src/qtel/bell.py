@@ -6,11 +6,13 @@ The canonical construction applies each quaternary Pauli string to the
 first n qubits of a seed state whose matrix already satisfies the
 maximal-entanglement condition B†B = 2^-n·1, so B^(α) = P_α B^(0).
 
-Such a basis is stored as its seed B^(0) plus the label α: `PauliMembers`
-builds the dense member P_α B^(0) only when it is indexed, one member per
-index, from the signed-permutation tables of `pauli.action_tables`.  A
-family given member by member (e.g. a ``--basis`` file) is stored densely
-as a tuple and has no seed.
+Such a basis is stored as its seed B^(0) plus the label α.  Every row of
+every member is one of the 4·2^n signed seed rows i^k · B^(0)[s], so
+`PauliMembers` computes those rows once, as `table`, and reads a member,
+the whole member stack (``np.asarray``) and the JSON text of
+`serialize.basis_to_list` from it through `PauliMembers.rows`.  A family
+given member by member (e.g. a ``--basis`` file) is stored densely as one
+read-only (4^n, 2^n, 2^n) array and has no seed.
 """
 
 from __future__ import annotations
@@ -27,11 +29,28 @@ from .pauli import action_tables
 
 
 class PauliMembers(Sequence):
-    """The members P_α B^(0), α = 0 .. 4^n - 1, each built when it is indexed."""
+    """The members P_α B^(0), α = 0 .. 4^n - 1, read from one table of signed seed rows.
+
+    Row r of P_α B^(0) is phase[α, r] · B^(0)[perm[α, r]] (`pauli.action_tables`)
+    with phase[α, r] = i^k, which is row k·2^n + perm[α, r] of `table`.
+    """
 
     def __init__(self, seed: np.ndarray):
         self.seed = seed
         self.n = int(seed.shape[0]).bit_length() - 1
+        # row k·2^n + s is i^k · B^(0)[s]; + 0.0 turns the -0.0 that a sign flip
+        # makes of a zero entry into 0.0
+        table = np.array([1, 1j, -1, -1j])[:, None, None] * seed + 0.0
+        self.table = table.reshape(-1, seed.shape[1])
+        self.table.flags.writeable = False
+
+    def rows(self, alphas) -> np.ndarray:
+        """Positions in `table` of the rows of the members `alphas` (an index or a slice)."""
+        perm, phase = action_tables(self.n)
+        perm, phase = perm[alphas], phase[alphas]
+        # phase is exactly 1, i, -1 or -i, that is i^k with k = 0, 1, 2 or 3
+        k = np.where(phase.imag == 0, 1 - phase.real, 2 - phase.imag).astype(np.intp)
+        return k * 2**self.n + perm
 
     def __len__(self) -> int:
         return 4**self.n
@@ -39,9 +58,11 @@ class PauliMembers(Sequence):
     def __getitem__(self, alpha: int) -> np.ndarray:
         if not -len(self) <= alpha < len(self):
             raise IndexError(f"member index {alpha} out of range for {len(self)} members")
-        perm, phase = action_tables(self.n)
-        # + 0.0 turns the -0.0 that a sign flip makes of a zero entry into 0.0
-        return phase[alpha][:, None] * self.seed[perm[alpha]] + 0.0
+        return self.table[self.rows(alpha)]
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        """The (4^n, 2^n, 2^n) stack of every member."""
+        return np.asarray(self.table[self.rows(slice(None))], dtype=dtype)
 
 
 @dataclass(frozen=True)
@@ -110,7 +131,8 @@ def bell_basis_from_members(members, tol: Tolerance = DEFAULT_TOL) -> BellBasis:
     """Accept an arbitrary orthonormal maximally-entangled family.
 
     Runs the orthonormality, completeness, and per-member maximality checks
-    before constructing the basis.
+    before constructing the basis, whose members are one read-only
+    (4^n, 2^n, 2^n) array.
     """
     members = tuple(np.asarray(m, dtype=np.complex128) for m in members)
     if not members:
@@ -127,38 +149,22 @@ def bell_basis_from_members(members, tol: Tolerance = DEFAULT_TOL) -> BellBasis:
             raise ValidationError(
                 f"member {alpha} is not maximally entangled (deviation {deviation:.3e})"
             )
-    basis = BellBasis(n, members)
+    stack = np.stack(members)
+    stack.flags.writeable = False
+    basis = BellBasis(n, stack)
     ok, deviation = verify_completeness(basis, tol)
     if not ok:
         raise ValidationError(f"family is not complete (deviation {deviation:.3e})")
     return basis
 
 
-def _member_matrix(basis: BellBasis) -> np.ndarray:
-    """The (4^n, 4^n) matrix whose row α is B^(α) flattened.
-
-    For a generated basis it is built from the seed in one pass, in place
-    and with the arithmetic of `PauliMembers.__getitem__`, so it is bit for
-    bit the stack of the members; a dense family is stacked as it is.
-    """
-    if basis.seed is None:
-        return np.array([m.reshape(-1) for m in basis.members])
-    perm, phase = action_tables(basis.n)
-    vecs = basis.seed[perm]
-    vecs *= phase[:, :, None]
-    vecs += 0.0
-    return vecs.reshape(basis.size, -1)
-
-
 def verify_completeness(basis: BellBasis, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float]:
     """Check sum_α B^(α)_ij B^(α)*_kl = δ_ik δ_jl over all index quadruples.
 
-    The sum is one product of the member matrix (`_member_matrix`: for a
-    generated basis, the seed's rows permuted and multiplied by the phases
-    of `pauli.action_tables` in place, without building each member) with
-    its conjugate.
+    The sum is one product of the member matrix, whose row α is B^(α)
+    flattened, with its conjugate.
     """
-    vecs = _member_matrix(basis)
+    vecs = np.asarray(basis.members).reshape(basis.size, -1)
     resolution = vecs.T @ vecs.conj()  # (ij),(kl) entry of the completeness sum
     _, deviation = is_scaled_identity(resolution, 1.0, tol)
     return deviation <= tol.abs_eps, deviation

@@ -67,11 +67,6 @@ class PauliString:
     def is_identity(self) -> bool:
         return self.x_bits == 0 and self.z_bits == 0
 
-    @property
-    def is_hermitian(self) -> bool:
-        # factors are hermitian; only the global i^phase can break it
-        return self.phase_power % 2 == 0
-
     def digit(self, qubit: int) -> int:
         """Quaternary digit of the factor on 0-based qubit index."""
         shift = self.n_qubits - 1 - qubit

@@ -4,11 +4,11 @@ States: {"n_qubits": int, "amplitudes": [[re, im], ...]} with 2^n_qubits
 entries, index big-endian.  Matrices: {"rows", "cols", "entries": [[re,
 im], ...]} row-major.  Complex numbers are always two-element arrays.
 
-The members of a generated Bell basis are written from its seed: every
-entry of P_α B^(0) is one of the 4·4^n products of a seed entry with a
-power of i, so `basis_to_list` encodes those products once and lays out
-each member by indexing them, instead of converting 16^n entries to Python
-floats.  It returns JSON text, which `cli._emit` writes as it stands.
+The members of a generated Bell basis are written from its row table:
+every row of P_α B^(0) is one of the 4·2^n rows of `bell.PauliMembers.table`,
+so `basis_to_list` encodes those rows once and lays out each member from
+`PauliMembers.rows`, instead of converting 16^n entries to Python floats.
+It returns JSON text, which `cli._emit` writes as it stands.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import numpy as np
 from .bell import PauliMembers
 from .errors import ValidationError
 from .linalg import StateVector
-from .pauli import action_tables
 
 
 class JSONText(str):
@@ -124,28 +123,20 @@ def save_state(path: str, state: StateVector):
 def basis_to_list(members) -> JSONText:
     """The members' JSON array text, ``dumps([matrix_to_dict(m) for m in members])``.
 
-    For a `bell.PauliMembers` the text is built from the seed.  Row r of
-    P_α B^(0) is phase[α, r] · B^(0)[perm[α, r]] + 0.0 with phase a power of
-    i (`pauli.action_tables`), so the 4·2^n possible rows are computed with
-    the arithmetic of `PauliMembers.__getitem__` and encoded once, and each
-    member is joined from its rows.  The products with 0 and ±1 are exact
-    and ``+ 0.0`` clears signed zeros, so every float is the one the dense
-    member gives.  The name is kept from when this returned a list of
-    dicts: the benchmark's traced run reports it as
-    ``serialize.basis_to_list.ms``.
+    For a `bell.PauliMembers` the text is built from its row table: each
+    row of `table` is encoded once, and each member is joined from the rows
+    that `rows` names, so every float is the one the dense member gives.
+    The name is kept from when this returned a list of dicts: the
+    benchmark's traced run reports it as ``serialize.basis_to_list.ms``.
     """
     if not isinstance(members, PauliMembers):
         return JSONText(dumps([matrix_to_dict(m) for m in members]))
     d = members.seed.shape[0]
-    perm, phase = action_tables(members.n)
-    powers = np.array([1, 1j, -1, -1j])
-    pairs = _to_pairs(powers[:, None, None] * members.seed + 0.0)
+    pairs = _to_pairs(members.table)
     rows = [dumps(pairs[i:i + d])[1:-1] for i in range(0, len(pairs), d)]
-    # row r of member α is rows[k * d + perm[α, r]], with phase[α, r] = i^k
-    which = (phase[:, :, None] == powers).argmax(-1) * d + perm
     head, tail = f'{{"cols":{d},"entries":[', f'],"rows":{d}}}'
     return JSONText("[" + ",".join(head + ",".join([rows[i] for i in member]) + tail
-                                   for member in which.tolist()) + "]")
+                                   for member in members.rows(slice(None)).tolist()) + "]")
 
 
 def load_basis_members(path: str) -> list[np.ndarray]:

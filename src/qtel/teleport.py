@@ -192,7 +192,7 @@ def _outcome_amplitudes(info: np.ndarray, e: np.ndarray, basis: BellBasis) -> np
     if basis.seed is not None:
         perm, phase = action_tables(basis.n)
         return (phase * info[:, perm]) @ _seed_operator(e, basis).swapaxes(-1, -2)
-    members = np.array(basis.members, dtype=np.complex128)
+    members = np.asarray(basis.members, dtype=np.complex128)
     return np.einsum("akj,tk->taj", members.conj(), info) @ e
 
 
@@ -230,7 +230,7 @@ def _corrected_states(bob: np.ndarray, alphas: np.ndarray, e: np.ndarray, basis:
         corrected /= np.linalg.norm(corrected, axis=-1, keepdims=True)
         np.copyto(corrected, bob, where=~scaled[:, None, None])
         return corrected
-    members = np.array(basis.members, dtype=np.complex128)[alphas]
+    members = np.asarray(basis.members, dtype=np.complex128)[alphas]
     ops = np.einsum("tij,akj->taik", e.swapaxes(-1, -2), members.conj())
     scaled = _unitary_scale(ops, tol) > 0.0
     corrected = np.where(scaled[..., None], np.einsum("taji,taj->tai", ops.conj(), bob), bob)

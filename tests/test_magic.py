@@ -5,9 +5,11 @@ import pytest
 
 from qtel.channel import concurrence_2q
 from qtel.errors import ResourceLimitError, ValidationError
+from qtel.linalg import Tolerance
 from qtel.magic import (
     MagicPartialBasis,
     _max_disjoint_triangle_packing,
+    N2_NAMES,
     N2_PRINTED_MAXIMAL_SETS,
     N2_PRINTED_QUARTER_BASES,
     PRINTED_QUARTER_BASIS_COUNT,
@@ -162,6 +164,14 @@ class TestVerification:
         assert not result.passed
         assert result.failures > 0
         assert result.max_condition_deviation > 1e-3
+
+    def test_unnormalized_combination_is_a_failed_trial(self):
+        # at a tolerance below one rounding of |M| - 1, normalization fails
+        # for most combinations: each is counted, none is raised
+        basis = partial_basis_from_set(pauli_from_digits(N2_NAMES[name]) for name in "FGH")
+        result = verify_partial_basis(basis, trials=20, seed=0, tol=Tolerance(1e-17))
+        assert not result.passed
+        assert 0 < result.failures <= 20
 
     def test_trials_must_be_positive(self):
         with pytest.raises(ValidationError):

@@ -19,7 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtel import teleport
-from qtel.bell import BellBasis, _member_matrix, generate_from_seed, standard_basis
+from qtel.bell import (BellBasis, bell_basis_from_members, generate_from_seed,
+                       standard_basis)
 from qtel.channel import Channel, channel_from_state, state_from_matrix
 from qtel.errors import ValidationError
 from qtel.linalg import (
@@ -282,7 +283,44 @@ def test_completeness_matrix_is_the_member_stack_bit_for_bit(n, seed_kind):
           else haar_random_unitary(2**n, rng)) / np.sqrt(2**n)
     basis = generate_from_seed(state_from_matrix(b0, n))
     stack = np.array([m.reshape(-1) for m in basis.members])
-    assert np.array_equal(_member_matrix(basis).view(np.uint64), stack.view(np.uint64))
+    matrix = np.asarray(basis.members).reshape(basis.size, -1)
+    assert np.array_equal(matrix.view(np.uint64), stack.view(np.uint64))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("seed_kind", ["standard", "haar"])
+def test_indexed_member_is_the_stacked_member_bit_for_bit(n, seed_kind):
+    rng = np.random.default_rng(80 + n)
+    b0 = (np.eye(2**n, dtype=complex) if seed_kind == "standard"
+          else haar_random_unitary(2**n, rng)) / np.sqrt(2**n)
+    members = generate_from_seed(state_from_matrix(b0, n)).members
+    stack = np.asarray(members)
+    assert stack.shape == (4**n, 2**n, 2**n)
+    for alpha in (0, -1, 4**n // 2 + 1):
+        assert np.array_equal(members[alpha].view(np.uint64), stack[alpha].view(np.uint64))
+
+
+@pytest.mark.parametrize("perfect", [True, False])
+def test_validated_dense_family_is_a_read_only_stack(perfect):
+    n = 2
+    rng = np.random.default_rng(90)
+    seed = state_from_matrix(haar_random_unitary(2**n, rng) / 2, n)
+    members = list(generate_from_seed(seed).members)
+    basis = bell_basis_from_members(members)
+    assert isinstance(basis.members, np.ndarray) and not basis.members.flags.writeable
+    assert basis.members.shape == (4**n, 2**n, 2**n)
+    with pytest.raises(ValueError):
+        basis.members[0, 0, 0] = 0.0
+    e = (haar_random_unitary(2**n, rng) if perfect
+         else rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n)))
+    e /= np.linalg.norm(e)
+    ch = channel_from_state(state_from_matrix(e, n), n)
+    info = random_state(n, rng)
+    got = run_protocol(info, ch, basis).records
+    want = run_protocol(info, ch, BellBasis(n, tuple(members))).records
+    for name in ("probs", "zero", "bob", "useful", "corrected", "fidelities"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
 
 
 def test_seed_is_copied_from_the_seed_state():
