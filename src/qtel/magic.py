@@ -48,10 +48,12 @@ def build_anticomm_graph(n: int) -> AnticommGraph:
             f"anticommutation graph supports 1 <= n <= {GRAPH_EXHAUSTIVE_MAX_QUBITS}, got {n}"
         )
     vertices = tuple(pauli_from_quaternary(alpha, n) for alpha in range(1, 4**n))
-    size = len(vertices)
-    adjacency = np.zeros((size, size), dtype=bool)
-    for i, j in itertools.combinations(range(size), 2):
-        adjacency[i, j] = adjacency[j, i] = not commutes(vertices[i], vertices[j])
+    x = np.array([v.x_bits for v in vertices])
+    z = np.array([v.z_bits for v in vertices])
+    # P_i and P_j anticommute iff their symplectic form <x_i,z_j> + <z_i,x_j>
+    # is odd, the parity of the set bits of (x_i & z_j) ^ (z_i & x_j)
+    form = (x[:, None] & z) ^ (z[:, None] & x)
+    adjacency = (form[..., None] >> np.arange(n) & 1).sum(-1) % 2 == 1
     return AnticommGraph(n, vertices, adjacency)
 
 

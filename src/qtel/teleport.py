@@ -343,15 +343,102 @@ class MasfiResult:
     argmin: tuple[float, float] = (0.0, 0.0)  # Bloch angles (theta, phi)
 
 
-def minimize(fun, x0, **options):
-    """`scipy.optimize.minimize`, imported on first call.
+class _OutOfEvaluations(Exception):
+    """An objective evaluation past the budget; it ends the current iteration."""
 
-    Importing scipy.optimize is most of the start-up time of ``qtel``, and
-    only `masfi_1q` uses it.
+
+@dataclass(frozen=True)
+class Minimum:
+    x: np.ndarray
+    fun: float
+    nfev: int
+    success: bool
+
+
+def minimize(fun, x0, *, xatol: float, fatol: float) -> Minimum:
+    """Nelder-Mead minimization of ``fun`` from ``x0``, without scipy.
+
+    This is scipy's Nelder-Mead (``_minimize_neldermead`` in scipy 1.17.1),
+    reproduced step for step, in the configuration of
+    ``scipy.optimize.minimize(fun, x0, method="Nelder-Mead",
+    options={"xatol": xatol, "fatol": fatol})``: coefficients ρ = 1, χ = 2,
+    ψ = σ = 1/2, no bounds, the default initial simplex, and at most 200·N
+    evaluations and iterations.  Every expression, the argsorts and the copy
+    of x passed to ``fun`` are scipy's, so the evaluated points, ``x``,
+    ``fun``, ``nfev`` and ``success`` agree with scipy's bit for bit
+    (`tests/test_structured_engine.py` compares them).  An evaluation past
+    the budget ends its iteration where it stands, even halfway through a
+    shrink, as scipy's ``_MaxFuncCallError`` does.  No import happens.
     """
-    from scipy.optimize import minimize as scipy_minimize
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    x0 = np.asarray(x0, dtype=float)
+    n = len(x0)
+    sim = np.empty((n + 1, n))
+    sim[0] = x0
+    for k in range(n):
+        y = np.array(x0, copy=True)
+        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
+        sim[k + 1] = y
+    maxfev = maxiter = 200 * n
+    nfev = 0
 
-    return scipy_minimize(fun, x0, **options)
+    def evaluate(x):
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _OutOfEvaluations
+        nfev += 1
+        return fun(np.copy(x))
+
+    def by_value(sim, fsim):
+        ind = np.argsort(fsim)
+        return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+    fsim = np.full((n + 1,), np.inf)
+    for k in range(n + 1):  # n + 1 <= maxfev evaluations
+        fsim[k] = evaluate(sim[k])
+    sim, fsim = by_value(*by_value(sim, fsim))  # scipy sorts twice here
+    iterations = 1
+    while nfev < maxfev and iterations < maxiter:
+        try:
+            if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
+                    and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = (1 + rho) * xbar - rho * sim[-1]
+            fxr = evaluate(xr)
+            doshrink = False
+            if fxr < fsim[0]:
+                xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+                fxe = evaluate(xe)
+                if fxe < fxr:
+                    sim[-1], fsim[-1] = xe, fxe
+                else:
+                    sim[-1], fsim[-1] = xr, fxr
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            elif fxr < fsim[-1]:  # outside contraction
+                xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                fxc = evaluate(xc)
+                if fxc <= fxr:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    doshrink = True
+            else:  # inside contraction
+                xcc = (1 - psi) * xbar + psi * sim[-1]
+                fxcc = evaluate(xcc)
+                if fxcc < fsim[-1]:
+                    sim[-1], fsim[-1] = xcc, fxcc
+                else:
+                    doshrink = True
+            if doshrink:
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                    fsim[j] = evaluate(sim[j])
+            iterations += 1
+        except _OutOfEvaluations:
+            pass
+        sim, fsim = by_value(sim, fsim)
+    return Minimum(sim[0], np.min(fsim), nfev, nfev < maxfev and iterations < maxiter)
 
 
 def masfi_1q(ch: Channel, tol: Tolerance = DEFAULT_TOL) -> MasfiResult:
@@ -367,7 +454,9 @@ def masfi_1q(ch: Channel, tol: Tolerance = DEFAULT_TOL) -> MasfiResult:
     array minimum are then re-scored with the scalar function, in grid
     order (θ outer, φ inner), and the first strict minimum starts the
     Nelder-Mead refinement: the point a scalar loop over the whole grid
-    would choose, even where values tie to the last bit.
+    would choose, even where values tie to the last bit.  The refinement,
+    `minimize`, is scipy's Nelder-Mead reproduced step for step, so no
+    scipy import happens and the result is the one scipy would give.
     """
     if ch.n != 1:
         raise ShapeError(f"masfi_1q requires a single-qubit channel, got n={ch.n}")
@@ -411,10 +500,7 @@ def masfi_1q(ch: Channel, tol: Tolerance = DEFAULT_TOL) -> MasfiResult:
         value = worst_fidelity(angles)
         if value < best[0]:
             best = (value, tuple(float(x) for x in angles))
-    refined = minimize(
-        worst_fidelity, best[1], method="Nelder-Mead",
-        options={"xatol": 1e-6, "fatol": 1e-10},
-    )
+    refined = minimize(worst_fidelity, best[1], xatol=1e-6, fatol=1e-10)
     if refined.fun <= best[0]:
         return MasfiResult(float(refined.fun), converged=bool(refined.success),
                            argmin=tuple(float(x) for x in refined.x))

@@ -325,8 +325,43 @@ def test_masfi_tolerance_reaches_concurrence(capsys, tmp_path):
 
 
 def test_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize is most of the CLI's start-up time and only masfi uses it
+    # importing scipy.optimize would take most of the CLI's start-up time
     src = os.path.dirname(os.path.dirname(qtel.__file__))
     code = "import sys, qtel.cli; sys.exit('scipy.optimize' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=src)
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
+
+
+SCHMIDT_CHANNEL = os.path.join(os.path.dirname(__file__), "golden", "inputs", "schmidt_n1.json")
+
+
+def run_python(code):
+    src = os.path.dirname(os.path.dirname(qtel.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          timeout=120)
+
+
+def test_masfi_runs_with_scipy_blocked():
+    # sys.modules["scipy"] = None makes every scipy import raise ImportError
+    argv = ["--format", "json", "masfi", "--channel", SCHMIDT_CHANNEL]
+    code = "import sys\n{}from qtel.cli import main\nsys.exit(main({!r}))"
+    blocked = run_python(code.format("sys.modules['scipy'] = None\n", argv))
+    free = run_python(code.format("", argv))
+    assert (blocked.returncode, blocked.stderr) == (0, b"")
+    assert blocked.stdout == free.stdout
+    assert json.loads(blocked.stdout)["command"] == "masfi"
+
+
+def test_masfi_loads_no_scipy_module():
+    code = (
+        "import sys\n"
+        "from qtel.serialize import load_state\n"
+        "from qtel.channel import channel_from_state\n"
+        "from qtel.teleport import masfi_1q\n"
+        f"masfi_1q(channel_from_state(load_state({SCHMIDT_CHANNEL!r}), 1))\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    run = run_python(code)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == b"[]\n"

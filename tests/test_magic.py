@@ -23,7 +23,7 @@ from qtel.magic import (
     verify_partial_basis,
 )
 from qtel.channel import state_from_matrix
-from qtel.pauli import matrix_of, pauli_from_digits, pauli_from_quaternary
+from qtel.pauli import commutes, matrix_of, pauli_from_digits, pauli_from_quaternary
 
 X = pauli_from_digits([2])
 Y = pauli_from_digits([3])
@@ -58,6 +58,13 @@ class TestAnticommGraph:
         g = build_anticomm_graph(2)
         assert len(g.vertices) == 15
         assert set(g.adjacency.sum(axis=0).tolist()) == {8}
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_adjacency_is_the_pairwise_commutation_test(self, n):
+        g = build_anticomm_graph(n)
+        pairwise = [[not commutes(p, q) for q in g.vertices] for p in g.vertices]
+        assert g.adjacency.dtype == bool
+        assert np.array_equal(g.adjacency, np.array(pairwise))
 
     def test_resource_bound(self):
         with pytest.raises(ResourceLimitError):

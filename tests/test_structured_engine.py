@@ -5,11 +5,13 @@ matrix and evaluates each outcome on its own: O^(α) = E^T B^(α)†,
 b = O^(α) I, p = |b|², the correction O^(α)†/√s when O^(α)†O^(α) = s·1
 with s > 0 (the identity otherwise), and the fidelity |<I|C b>|² / |C b|².
 The others are the per-trial loop of `verify_partial_basis`, one
-`run_protocol` call per trial, and the scalar grid loop of `masfi_1q`.
+`run_protocol` call per trial, the scalar grid loop of `masfi_1q`, and
+scipy's Nelder-Mead, which `teleport.minimize` reproduces step for step.
 """
 
 import dataclasses
 import functools
+import itertools
 import tracemalloc
 from unittest import mock
 
@@ -17,6 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize as scipy_minimize
 
 from qtel import teleport
 from qtel.bell import (BellBasis, bell_basis_from_members, generate_from_seed,
@@ -458,15 +461,21 @@ def reference_grid_start(ch, tol=DEFAULT_TOL):
     return best[1], best[0]
 
 
-@settings(max_examples=8, deadline=None)
-@given(kind=st.sampled_from(["schmidt", "haar"]), rng_seed=st.integers(0, 2**32 - 1))
-def test_masfi_starts_where_the_scalar_grid_loop_does(kind, rng_seed):
+def one_qubit_channel(kind, rng_seed):
+    """A Schmidt-form or Haar-random two-qubit state, as a one-qubit channel."""
     rng = np.random.default_rng(rng_seed)
     if kind == "schmidt":
         lam = rng.uniform(0.01, np.pi / 2 - 0.01)
         state = StateVector(2, np.array([np.cos(lam), 0, 0, np.sin(lam)]))
     else:
         state = random_state(2, rng)
+    return channel_from_state(state, 1)
+
+
+@settings(max_examples=8, deadline=None)
+@given(kind=st.sampled_from(["schmidt", "haar"]), rng_seed=st.integers(0, 2**32 - 1))
+def test_masfi_starts_where_the_scalar_grid_loop_does(kind, rng_seed):
+    ch = one_qubit_channel(kind, rng_seed)
     starts = []
 
     def spy(fun, x0, **options):
@@ -475,5 +484,103 @@ def test_masfi_starts_where_the_scalar_grid_loop_does(kind, rng_seed):
 
     real_minimize = teleport.minimize
     with mock.patch.object(teleport, "minimize", spy):
-        masfi_1q(channel_from_state(state, 1))
-    assert starts == [reference_grid_start(channel_from_state(state, 1))]
+        masfi_1q(ch)
+    assert starts == [reference_grid_start(ch)]
+
+
+def masfi_objective(ch):
+    """The objective `masfi_1q` refines for ``ch``, and the start it refines from."""
+    calls = []
+
+    def spy(fun, x0, **options):
+        calls.append((fun, x0))
+        return real_minimize(fun, x0, **options)
+
+    real_minimize = teleport.minimize
+    with mock.patch.object(teleport, "minimize", spy):
+        masfi_1q(ch)
+    return calls[0]
+
+
+def scripted(values, then_nan=False):
+    """An objective that returns ``values`` in call order, then ever larger ones.
+
+    Once the script is used up every new value is the worst so far (or NaN,
+    which compares as worse), so each iteration is a reflection, an inside
+    contraction and a shrink, until the 400 evaluations of two variables run
+    out.
+    """
+    calls = itertools.count()
+
+    def fun(x):
+        k = next(calls)
+        if k < len(values):
+            return values[k]
+        return np.nan if then_nan else 100.0 + k
+
+    return fun
+
+
+def recorded(fun, log):
+    """``fun``, appending each point it is called at to ``log``."""
+    def wrapper(x):
+        log.append(x)
+        return fun(x)
+
+    return wrapper
+
+
+def assert_nelder_mead_is_scipys(make_objective, x0):
+    """`teleport.minimize` and scipy evaluate the same points and agree on the
+    bits of x and fun, on nfev and on success."""
+    points = ([], [])
+    ours = teleport.minimize(recorded(make_objective(), points[0]), x0,
+                             xatol=1e-6, fatol=1e-10)
+    theirs = scipy_minimize(recorded(make_objective(), points[1]), x0, method="Nelder-Mead",
+                            options={"xatol": 1e-6, "fatol": 1e-10})
+    assert np.array_equal(*(np.array(p).view(np.uint64) for p in points))
+    bits = [np.append(r.x, r.fun).view(np.uint64).tolist() for r in (ours, theirs)]
+    assert bits[0] == bits[1]
+    assert (ours.nfev, ours.success) == (theirs.nfev, theirs.success)
+
+
+OBJECTIVES = {
+    "quadratic": lambda x: (x[0] - 1.25) ** 2 + 3 * (x[1] + 0.5) ** 2,
+    "rosenbrock": lambda x: 100 * (x[1] - x[0] ** 2) ** 2 + (1 - x[0]) ** 2,
+    "unbounded": lambda x: -x[0] - x[1],  # runs out of evaluations
+}
+coordinates = st.one_of(st.just(0.0), st.floats(-4, 4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["schmidt", "haar", *OBJECTIVES]),
+       rng_seed=st.integers(0, 2**32 - 1), x0=st.tuples(coordinates, coordinates))
+def test_nelder_mead_is_scipys_bit_for_bit(kind, rng_seed, x0):
+    if kind in OBJECTIVES:
+        assert_nelder_mead_is_scipys(lambda: OBJECTIVES[kind], x0)
+        return
+    fun, start = masfi_objective(one_qubit_channel(kind, rng_seed))
+    assert_nelder_mead_is_scipys(lambda: fun, start)
+    assert_nelder_mead_is_scipys(lambda: fun, x0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(values=st.lists(st.one_of(st.sampled_from([0.0, 1.0, np.nan]), st.floats(-10, 10)),
+                       min_size=3, max_size=40),
+       then_nan=st.booleans(), x0=st.tuples(coordinates, coordinates))
+def test_nelder_mead_takes_scipys_branches(values, then_nan, x0):
+    # ties, NaNs and every branch, in whatever order the script asks for them
+    assert_nelder_mead_is_scipys(lambda: scripted(values, then_nan), x0)
+
+
+def test_nelder_mead_runs_out_halfway_through_a_shrink():
+    # Two accepted reflections, then four evaluations per iteration: the
+    # 401st would be the second point of the 101st iteration's shrink.
+    values = [0.0, 1.0, 2.0, 0.5, 0.25]
+    evaluated = []
+    theirs = scipy_minimize(recorded(scripted(values), evaluated), (0.0, 0.0), method="Nelder-Mead",
+                            options={"xatol": 1e-6, "fatol": 1e-10})
+    moved = [v for v in theirs.final_simplex[0]
+             if not any(np.array_equal(v, p) for p in evaluated)]
+    assert (theirs.nfev, theirs.nit, len(moved)) == (400, 101, 1)
+    assert_nelder_mead_is_scipys(lambda: scripted(values), (0.0, 0.0))
