@@ -34,6 +34,8 @@ def channel_from_state(state: StateVector, n: int, tol: Tolerance = DEFAULT_TOL)
     The index split is i = j * 2^n + k with j the A-side row and k the
     B-side column, so the reshape round-trips bit-for-bit.
     """
+    if state.n_qubits % 2:
+        raise ShapeError(f"channel state needs an even qubit count, got {state.n_qubits} qubits")
     if state.n_qubits != 2 * n:
         raise ShapeError(
             f"channel for n={n} needs a {2 * n}-qubit state, got {state.n_qubits} qubits"

@@ -85,8 +85,6 @@ def _fmt(value):
 def cmd_channel_check(args) -> int:
     tol = _tolerance(args)
     state = serialize.load_state(args.file)
-    if state.n_qubits % 2 != 0:
-        raise ValidationError(f"{args.file}: channel state needs an even qubit count")
     n = state.n_qubits // 2
     ch = channel.channel_from_state(state, n, tol)
     perfect, deviation = channel.is_perfect(ch, tol)

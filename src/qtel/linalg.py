@@ -142,11 +142,18 @@ def basis_state(n_qubits: int, index: int) -> StateVector:
     return StateVector(n_qubits, amps)
 
 
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of each row of a 2-D array: its arithmetic, not its overhead."""
+    if np.iscomplexobj(a):
+        return np.sqrt([r.real.dot(r.real) + r.imag.dot(r.imag) for r in a])
+    return np.sqrt([r.dot(r) for r in a])
+
+
 def random_state(n_qubits: int, rng: np.random.Generator) -> StateVector:
     """Haar-random pure state (normalized complex Gaussian vector)."""
     dim = 2**n_qubits
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return StateVector(n_qubits, v / np.linalg.norm(v))
+    return StateVector(n_qubits, v / _row_norms(v[None])[0])
 
 
 def haar_random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

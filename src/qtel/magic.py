@@ -6,6 +6,8 @@ Maximal such families are maximal cliques of the anticommutation graph on
 the 4^n - 1 non-identity strings; enumerating them exactly both produces
 every partial basis and witnesses that no full magic basis can exist for
 n > 1 (the clique number falls far short of 4^n - 1).
+The graph is read from `pauli.product_table`, and the clique search holds
+its vertex sets as Python-int bitmasks.
 """
 
 from __future__ import annotations
@@ -19,13 +21,17 @@ from .bell import standard_basis
 from .channel import channel_from_state, is_perfect, state_from_matrix
 from .channel import hill_wootters_basis  # noqa: F401 (also importable from here)
 from .errors import ResourceLimitError, ValidationError
-from .linalg import DEFAULT_TOL, StateVector, Tolerance, is_maximally_entangled, random_state
-from .pauli import PauliString, commutes, matrix_of, pauli_from_digits, pauli_from_quaternary
+from .linalg import DEFAULT_TOL, StateVector, Tolerance, _row_norms, is_maximally_entangled
+from .pauli import (PauliString, commutes, matrix_of, pauli_from_digits, pauli_from_quaternary,
+                    product_table)
 from .teleport import min_fidelities
 
 GRAPH_EXHAUSTIVE_MAX_QUBITS = 3
-# verify_partial_basis evaluates its trials this many at a time
+# verify_partial_basis evaluates at most this many trials at a time, and only as many as
+# fit in this many bytes four (4^n, 2^n) complex arrays each, one trial's peak in
+# `teleport.min_fidelities`: 128 trials up to n = 5, fewer above, none from n = 8
 VERIFY_BLOCK_TRIALS = 128
+VERIFY_BLOCK_BYTES = 2**28
 
 
 @dataclass(frozen=True)
@@ -48,12 +54,7 @@ def build_anticomm_graph(n: int) -> AnticommGraph:
             f"anticommutation graph supports 1 <= n <= {GRAPH_EXHAUSTIVE_MAX_QUBITS}, got {n}"
         )
     vertices = tuple(pauli_from_quaternary(alpha, n) for alpha in range(1, 4**n))
-    x = np.array([v.x_bits for v in vertices])
-    z = np.array([v.z_bits for v in vertices])
-    # P_i and P_j anticommute iff their symplectic form <x_i,z_j> + <z_i,x_j>
-    # is odd, the parity of the set bits of (x_i & z_j) ^ (z_i & x_j)
-    form = (x[:, None] & z) ^ (z[:, None] & x)
-    adjacency = (form[..., None] >> np.arange(n) & 1).sum(-1) % 2 == 1
+    adjacency = product_table(n)[2][1:, 1:]  # vertex v is the string α = v + 1
     return AnticommGraph(n, vertices, adjacency)
 
 
@@ -67,24 +68,41 @@ class CliqueReport:
 
 
 def maximal_anticommuting_sets(g: AnticommGraph) -> CliqueReport:
-    """Exact maximal-clique enumeration (Bron-Kerbosch with pivoting)."""
-    adj = [set(np.flatnonzero(g.adjacency[v])) for v in range(len(g.vertices))]
+    """Exact maximal-clique enumeration: Bron-Kerbosch with Tomita pivoting.
+
+    The sets P and X are Python-int bitmasks (bit v is vertex v); the pivot
+    maximizes |P ∩ N(u)|, one ``bit_count``, over u in P ∪ X (Tomita et al.,
+    Theor. Comput. Sci. 363 (2006) 28).  The clique R is a tuple of alphas.
+    """
+    adj = [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
+           for row in g.adjacency]
+    alphas = g.alphas
     cliques: list[tuple[int, ...]] = []
 
-    def expand(r: set[int], p: set[int], x: set[int]):
-        if not p and not x:
-            cliques.append(tuple(sorted(r)))
+    def expand(r: tuple[int, ...], p: int, x: int):
+        if not p:
+            if not x:
+                cliques.append(tuple(sorted(r)))
             return
-        pivot = max(p | x, key=lambda u: len(p & adj[u]))
-        for v in sorted(p - adj[pivot]):
-            expand(r | {v}, p & adj[v], x & adj[v])
-            p = p - {v}
-            x = x | {v}
+        score, rest = -1, p | x
+        while rest:  # each set bit of rest, lowest first
+            low = rest & -rest
+            u = low.bit_length() - 1
+            if (degree := (p & adj[u]).bit_count()) > score:
+                score, pivot = degree, u
+            rest ^= low
+        rest = p & ~adj[pivot]
+        while rest:
+            low = rest & -rest
+            v = low.bit_length() - 1
+            expand(r + (alphas[v],), p & adj[v], x & adj[v])
+            p ^= low
+            x |= low
+            rest ^= low
 
-    expand(set(), set(range(len(g.vertices))), set())
-    alphas = g.alphas
-    named = sorted(tuple(alphas[v] for v in c) for c in cliques)
-    return CliqueReport(g.n, tuple(named), max(len(c) for c in named))
+    expand((), (1 << len(g.vertices)) - 1, 0)
+    cliques.sort()
+    return CliqueReport(g.n, tuple(cliques), max(len(c) for c in cliques))
 
 
 @dataclass(frozen=True)
@@ -151,32 +169,44 @@ def verify_partial_basis(
     information state.  Failures are counted, never raised.
 
     The draws are made trial by trial (magnitudes, phase, information
-    state).  The trials are then evaluated VERIFY_BLOCK_TRIALS at a time,
-    as arrays with a leading trial axis, the protocol by the code of
+    state) into arrays, then evaluated in blocks (VERIFY_BLOCK_TRIALS,
+    VERIFY_BLOCK_BYTES) with a leading trial axis by the code of
     `run_protocol` (`teleport.min_fidelities`): every figure equals that of
     one `run_protocol` call per trial, and memory does not grow with
-    `trials`.
+    `trials`.  A basis too large for one trial is a ResourceLimitError.
     """
     if trials < 1:
         raise ValidationError("trials must be >= 1")
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
-    rng = np.random.default_rng(seed)
     n = basis.n
-    matrices = [m.amplitudes.reshape(2**n, 2**n) for m in basis.members]
+    dim = 2**n
+    trial_bytes = 4 * 16 * 4**n * dim  # four (4^n, 2^n) complex arrays
+    block = min(VERIFY_BLOCK_TRIALS, VERIFY_BLOCK_BYTES // trial_bytes)
+    if block < 1:
+        raise ResourceLimitError(f"verifying a partial basis at n={n} needs {trial_bytes >> 20}"
+                                 f" MiB per trial, over the {VERIFY_BLOCK_BYTES >> 20} MiB"
+                                 " block budget")
+    rng = np.random.default_rng(seed)
+    matrices = [m.amplitudes.reshape(dim, dim) for m in basis.members]
     measurement = standard_basis(n)
     worst_dev = 0.0
     min_fid = 1.0
     failures = 0
-    for start in range(0, trials, VERIFY_BLOCK_TRIALS):
-        size = min(VERIFY_BLOCK_TRIALS, trials - start)
-        coeffs = np.empty((size, len(matrices)), dtype=np.complex128)
-        infos = np.empty((size, 2**n), dtype=np.complex128)
+    for start in range(0, trials, block):
+        size = min(block, trials - start)
+        mags = np.empty((size, len(matrices)))
+        turns = np.empty(size)
+        re, im = np.empty((2, size, dim))
         for t in range(size):
-            mags = np.abs(rng.standard_normal(len(matrices)))
-            mags /= np.linalg.norm(mags)
-            coeffs[t] = np.exp(1j * rng.uniform(0, 2 * np.pi)) * mags
-            infos[t] = random_state(n, rng).amplitudes
+            rng.standard_normal(out=mags[t])
+            turns[t] = rng.uniform(0, 2 * np.pi)
+            rng.standard_normal(out=re[t])
+            rng.standard_normal(out=im[t])
+        mags = np.abs(mags)
+        coeffs = np.exp(1j * turns)[:, None] * (mags / _row_norms(mags)[:, None])
+        infos = re + 1j * im  # as linalg.random_state normalizes its draw
+        infos /= _row_norms(infos)[:, None]
         combined = sum(c[:, None, None] * m for c, m in zip(coeffs.T, matrices))
         ok, dev = is_maximally_entangled(combined, tol)
         ok &= np.abs(np.linalg.norm(combined, axis=(1, 2)) - 1) <= tol.abs_eps

@@ -3,6 +3,8 @@
 A string is stored as X/Z bitmasks plus an integer power of i, so products
 and commutation tests are pure bit arithmetic and the tracked phase makes
 ``matrix_of(product(p, q))`` agree with the dense matrix product exactly.
+The symplectic product is written once (`_multiply`), for ints or int
+arrays: `product_table` applies it to every pair of family elements at once.
 
 Bitmask convention: bit 0 (the most significant qubit, qubit index 0) is
 the highest bit of the mask, i.e. qubit r occupies bit ``n_qubits-1-r``.
@@ -109,8 +111,10 @@ def pauli_from_quaternary(alpha: int, n_qubits: int) -> PauliString:
     return PauliString(n_qubits, *map(int, _split(alpha, n_qubits)))
 
 
-def _bit_count(a: np.ndarray, n_bits: int) -> np.ndarray:
-    """Set bits of each entry (a per-bit loop: numpy < 2.0 has no bitwise_count)."""
+def _bit_count(a, n_bits: int):
+    """Set bits of an int, or of each int-array entry (numpy < 2.0 has no bitwise_count)."""
+    if isinstance(a, int):
+        return a.bit_count()
     count = np.zeros_like(a)
     for k in range(n_bits):
         count += (a >> k) & 1
@@ -138,29 +142,45 @@ def action_tables(n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
     return perm, phase
 
 
+def _multiply(px, pz, qx, qz, n_bits: int):
+    """The symplectic product of phase-free strings P, Q given by masks (ints or int arrays).
+
+    Returns ``(x, z, k, anti)``: P·Q = i^k·R with R of masks (x, z), and anti = 1
+    iff P and Q anticommute, the parity of the symplectic form <px,qz> + <pz,qx>.
+    """
+    x, z = px ^ qx, pz ^ qz
+    zx = _bit_count(pz & qx, n_bits)
+    # work in the X^x Z^z canonical form, where each Y contributes a factor i:
+    # Z^b X^c = (-1)^{bc} X^c Z^b, and the product's own Y factors convert back
+    k = _bit_count(px & pz, n_bits) + _bit_count(qx & qz, n_bits) + 2 * zx
+    k = (k - _bit_count(x & z, n_bits)) % 4
+    return x, z, k, (_bit_count(px & qz, n_bits) + zx) % 2
+
+
 def product(p: PauliString, q: PauliString) -> PauliString:
     """Matrix product p·q with exact phase tracking."""
     if p.n_qubits != q.n_qubits:
         raise ShapeError(f"qubit count mismatch: {p.n_qubits} vs {q.n_qubits}")
-    # work in the X^x Z^z canonical form, where each Y contributes a factor i
-    phase = (
-        p.phase_power
-        + (p.x_bits & p.z_bits).bit_count()
-        + q.phase_power
-        + (q.x_bits & q.z_bits).bit_count()
-        + 2 * (p.z_bits & q.x_bits).bit_count()  # Z^b X^c = (-1)^{bc} X^c Z^b
-    )
-    x = p.x_bits ^ q.x_bits
-    z = p.z_bits ^ q.z_bits
-    phase -= (x & z).bit_count()  # convert back to the hermitian-Y form
-    return PauliString(p.n_qubits, x, z, phase % 4)
+    x, z, k, _ = _multiply(p.x_bits, p.z_bits, q.x_bits, q.z_bits, p.n_qubits)
+    return PauliString(p.n_qubits, x, z, p.phase_power + q.phase_power + k)
 
 
 def commutes(p: PauliString, q: PauliString) -> bool:
     """Symplectic-form parity: commute iff <p.x,q.z> + <p.z,q.x> is even."""
     if p.n_qubits != q.n_qubits:
         raise ShapeError(f"qubit count mismatch: {p.n_qubits} vs {q.n_qubits}")
-    return ((p.x_bits & q.z_bits).bit_count() + (p.z_bits & q.x_bits).bit_count()) % 2 == 0
+    return _multiply(p.x_bits, p.z_bits, q.x_bits, q.z_bits, p.n_qubits)[3] == 0
+
+
+def product_table(n_qubits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`product` and `commutes` on every pair: ``(index, power, anticommutes)``, (4^n, 4^n).
+
+    P_a·P_b = i^power[a, b]·P_index[a, b], with index[a, b] = a ^ b (digits d = 2·x + z).
+    """
+    alphas = np.arange(4**n_qubits)
+    x, z = _split(alphas, n_qubits)
+    _, _, power, anti = _multiply(x[:, None], z[:, None], x, z, n_qubits)
+    return alphas[:, None] ^ alphas, power, anti == 1
 
 
 def matrix_of(p: PauliString) -> np.ndarray:
@@ -217,10 +237,10 @@ def family_property_report(n: int) -> FamilyPropertyReport:
     """Brute-force check of the operator-family properties over all 4^n strings.
 
     Verified per element/pair: unit square, hermiticity, closure (each dense
-    product equals the i^k·P that `product` returns), commute-or-anticommute
-    dichotomy (against dense matrices), existence of an anticommuting partner,
-    zero trace off the identity, linear independence, and spanning of all
-    2^n x 2^n matrices.
+    product equals the i^k·P of `product_table`), commute-or-anticommute
+    dichotomy (dense matrices against `product_table`), existence of an
+    anticommuting partner, zero trace off the identity, linear independence,
+    and spanning of all 2^n x 2^n matrices.
     Also records whether every non-identity pair anticommutes (it cannot,
     for n > 1).
     """
@@ -230,66 +250,55 @@ def family_property_report(n: int) -> FamilyPropertyReport:
         )
     family = [pauli_from_quaternary(a, n) for a in range(4**n)]
     mats = np.array([matrix_of(p) for p in family])
-    index_of = {(p.x_bits, p.z_bits): a for a, p in enumerate(family)}
+    index, power, anticommutes = product_table(n)
     dim = 2**n
     eye = np.eye(dim)
     checks: list[PropertyCheck] = []
 
     def check(name, failures):
-        checks.append(
-            PropertyCheck(name, not failures, "; ".join(failures[:3]))
-        )
+        checks.append(PropertyCheck(name, not failures, "; ".join(failures[:3])))
 
     def worst(a):  # largest entry modulus of each matrix in a stack
         return np.max(np.abs(a), axis=(-2, -1))
 
-    fails = [str(p) for p, dev in zip(family, worst(mats @ mats - eye)) if dev > 1e-12]
-    check("square is identity", fails)
+    def failing(deviations):  # the strings whose deviation exceeds 1e-12
+        return [str(family[a]) for a in np.flatnonzero(deviations > 1e-12)]
 
-    adjoints = mats.conj().swapaxes(-1, -2)
-    fails = [str(p) for p, dev in zip(family, worst(mats - adjoints)) if dev > 1e-12]
-    check("hermitian", fails)
+    check("square is identity", failing(worst(mats @ mats - eye)))
+    check("hermitian", failing(worst(mats - mats.conj().swapaxes(-1, -2))))
 
-    closure_index = np.empty((4**n, 4**n), dtype=int)
-    closure_phase = np.empty((4**n, 4**n), dtype=np.complex128)
-    for a, p in enumerate(family):
-        for b, q in enumerate(family):
-            r = product(p, q)
-            closure_index[a, b] = index_of[r.x_bits, r.z_bits]
-            closure_phase[a, b] = 1j**r.phase_power
+    closure_phase = np.array([1, 1j, -1, -1j])[power]
     # entry [a, b] compares mats[a] @ mats[b] with the product's i^k·P and
     # with mats[b] @ mats[a]; one row of products at a time keeps memory small
     closure, comm, anti = (np.empty((4**n, 4**n)) for _ in range(3))
     for a in range(4**n):
         prods, flipped = mats[a] @ mats, mats @ mats[a]
-        closure[a] = worst(prods - closure_phase[a, :, None, None] * mats[closure_index[a]])
+        closure[a] = worst(prods - closure_phase[a, :, None, None] * mats[index[a]])
         comm[a] = worst(prods - flipped)
         anti[a] = worst(prods + flipped)
     fails = [f"{family[a]}·{family[b]}" for a, b in zip(*np.nonzero(closure > 1e-12))]
     check("products close up to ±1, ±i", fails)
 
+    # ordered pairs of distinct non-identity strings
+    pairs = ~np.eye(4**n, dtype=bool)
+    pairs[0] = pairs[:, 0] = False
+    dense_anticommutes = anti <= 1e-12
+    neither = pairs & (comm > 1e-12) & ~dense_anticommutes
+    mismatch = pairs & (dense_anticommutes != anticommutes)
     fails = []
-    counts: dict[int, int] = {}
-    for a in range(1, 4**n):
-        counts[a] = 0
-        for b in range(1, 4**n):
-            if a == b:
-                continue
-            if comm[a, b] > 1e-12 and anti[a, b] > 1e-12:
-                fails.append(f"{family[a]},{family[b]}")
-            dense_anticommutes = anti[a, b] <= 1e-12
-            if dense_anticommutes != (not commutes(family[a], family[b])):
-                fails.append(f"symplectic mismatch {family[a]},{family[b]}")
-            if dense_anticommutes:
-                counts[a] += 1
+    for a, b in zip(*np.nonzero(neither | mismatch)):
+        if neither[a, b]:
+            fails.append(f"{family[a]},{family[b]}")
+        if mismatch[a, b]:
+            fails.append(f"symplectic mismatch {family[a]},{family[b]}")
     check("commute-or-anticommute dichotomy", fails)
 
-    fails = [str(family[a]) for a in range(1, 4**n) if counts[a] == 0]
-    check("anticommuting partner exists", fails)
+    counts = {a: int(c) for a, c in enumerate((pairs & dense_anticommutes).sum(1)) if a}
+    check("anticommuting partner exists", [str(family[a]) for a in counts if counts[a] == 0])
 
     traces = np.abs(np.trace(mats, axis1=-2, axis2=-1))
-    fails = [str(p) for a, p in enumerate(family) if a != 0 and traces[a] > 1e-12]
-    check("zero trace off identity", fails)
+    traces[0] = 0.0  # the identity's trace is 2^n
+    check("zero trace off identity", failing(traces))
 
     stacked = mats.reshape(4**n, -1)
     gram = stacked.conj() @ stacked.T

@@ -67,6 +67,12 @@ class TestChannelFromState:
         with pytest.raises(ShapeError):
             channel_from_state(bell_pair(), 2)
 
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_odd_qubit_count_reported_first(self, n):
+        # for any n, an odd count is named as such, not as a mismatch with 2n
+        with pytest.raises(ShapeError, match="even qubit count, got 3 qubits"):
+            channel_from_state(StateVector(3, np.eye(8)[0]), n)
+
     def test_unnormalized_rejected(self):
         with pytest.raises(ValidationError):
             channel_from_state(StateVector(2, np.array([1, 0, 0, 1.0])), 1)

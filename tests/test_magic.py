@@ -3,7 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
+import qtel.magic
 from qtel.channel import concurrence_2q
+from qtel.cli import main
 from qtel.errors import ResourceLimitError, ValidationError
 from qtel.linalg import Tolerance
 from qtel.magic import (
@@ -89,17 +91,27 @@ class TestMaximalSets:
         assert sizes.count(3) == 20 and sizes.count(5) == 6
         assert report.max_size == 5
 
+    def test_n3_clique_census(self):
+        # |Sp(6,2)| / (|Sp(6-2k,2)| · (2k+1)!) maximal sets of size 2k + 1
+        report = maximal_anticommuting_sets(build_anticomm_graph(3))
+        sizes = [len(c) for c in report.maximal_cliques]
+        assert {s: sizes.count(s) for s in set(sizes)} == {3: 336, 5: 2016, 7: 288}
+        assert report.max_size == 7
+
     def test_cliques_truly_anticommuting_and_maximal(self):
-        g = build_anticomm_graph(2)
-        report = maximal_anticommuting_sets(g)
-        index = {a: i for i, a in enumerate(g.alphas)}
-        for clique in report.maximal_cliques:
-            for a, b in itertools.combinations(clique, 2):
-                assert g.adjacency[index[a], index[b]]
-            members = set(clique)
-            for a in g.alphas:
-                if a not in members:
-                    assert not all(g.adjacency[index[a], index[b]] for b in members)
+        for n in (2, 3):
+            g = build_anticomm_graph(n)
+            report = maximal_anticommuting_sets(g)
+            index = {a: i for i, a in enumerate(g.alphas)}
+            assert len(set(report.maximal_cliques)) == len(report.maximal_cliques)
+            for clique in report.maximal_cliques:
+                rows = [index[a] for a in clique]
+                block = g.adjacency[np.ix_(rows, rows)]
+                assert block.sum() == len(rows) * (len(rows) - 1)  # all but the diagonal
+                outside = np.ones(len(g.alphas), dtype=bool)
+                outside[rows] = False
+                # no vertex outside anticommutes with every member
+                assert not g.adjacency[np.ix_(outside, rows)].all(axis=1).any()
 
 
 class TestPartialBasisConstruction:
@@ -183,6 +195,35 @@ class TestVerification:
     def test_trials_must_be_positive(self):
         with pytest.raises(ValidationError):
             verify_partial_basis(partial_basis_from_set([X]), trials=0, seed=0)
+
+
+class TestVerificationBlockBudget:
+    # one n = 2 trial holds four (16, 4) complex arrays: 4096 bytes
+    N2_TRIAL_BYTES = 4 * 16 * 16 * 4
+
+    def test_smaller_blocks_give_the_same_figures(self, monkeypatch):
+        basis = partial_basis_from_set(pauli_from_digits(N2_NAMES[name]) for name in "FGH")
+        whole = verify_partial_basis(basis, trials=50, seed=3)
+        monkeypatch.setattr(qtel.magic, "VERIFY_BLOCK_BYTES", 3 * self.N2_TRIAL_BYTES)
+        assert verify_partial_basis(basis, trials=50, seed=3) == whole
+
+    def test_trial_over_budget_is_resource_limit(self, monkeypatch):
+        monkeypatch.setattr(qtel.magic, "VERIFY_BLOCK_BYTES", self.N2_TRIAL_BYTES - 1)
+        basis = partial_basis_from_set(pauli_from_digits(N2_NAMES[name]) for name in "FGH")
+        with pytest.raises(ResourceLimitError, match="n=2 needs"):
+            verify_partial_basis(basis, trials=1, seed=0)
+
+    def test_cli_exits_2_over_budget(self, monkeypatch, capsys):
+        monkeypatch.setattr(qtel.magic, "VERIFY_BLOCK_BYTES", self.N2_TRIAL_BYTES - 1)
+        assert main(["magic", "verify", "--set", "F,G,H"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: verifying a partial basis at n=2")
+
+    def test_cli_refuses_n9_before_allocating(self, capsys):
+        # the default budget refuses n = 9 (8 GiB per trial) before any protocol array
+        assert main(["magic", "verify", "--set", "1", "--n", "9"]) == 2
+        assert "block budget" in capsys.readouterr().err
 
 
 class TestWitness:

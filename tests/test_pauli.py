@@ -17,6 +17,7 @@ from qtel.pauli import (
     pauli_from_digits,
     pauli_from_quaternary,
     product,
+    product_table,
     render,
 )
 
@@ -159,11 +160,11 @@ class TestFamilyPropertyReport:
 
     @pytest.mark.parametrize("shift", [1, 2, 3])
     def test_closure_checks_the_phase_of_product(self, monkeypatch, shift):
-        # a product with the right string but a wrong power of i fails closure only
-        def wrong_phase(p, q):
-            r = product(p, q)
-            return PauliString(r.n_qubits, r.x_bits, r.z_bits, r.phase_power + shift)
+        # products with the right strings but a wrong power of i fail closure only
+        def wrong_phase(n):
+            index, power, anticommutes = product_table(n)
+            return index, (power + shift) % 4, anticommutes
 
-        monkeypatch.setattr(qtel.pauli, "product", wrong_phase)
+        monkeypatch.setattr(qtel.pauli, "product_table", wrong_phase)
         failed = [c.name for c in family_property_report(2).checks if not c.passed]
         assert failed == ["products close up to ±1, ±i"]
