@@ -153,6 +153,11 @@ def _write_inputs(rng) -> None:
     with open(os.path.join(GOLDEN, "inputs", "signed_zero_seed_n1.json"), "w") as fh:
         json.dump(signed, fh)
         fh.write("\n")
+    # drawn last, so that every input above keeps its draws: seeds whose completeness
+    # deviation is not 0.0 at sizes where the sum is evaluated in several blocks
+    for n in (4, 5):
+        d = 2**n
+        save(f"haar_seed_n{n}.json", state_from_matrix(haar_random_unitary(d, rng) / np.sqrt(d), n))
 
 
 def _teleport_run() -> list[tuple[str, list[str]]]:
@@ -211,7 +216,8 @@ def _bell_gen() -> list[tuple[str, list[str]]]:
 
     cases = [(f"standard.n{n}", gen("--n", str(n))) for n in (1, 2, 3, 4, 5)]
     for name in ("perfect_n1", "perfect_n2", "ghz_n1", "ghz_n2", "signed_zero_seed_n1",
-                 "imperfect_n1", "product_n1", "info_n1", "haar_seed_n3"):
+                 "imperfect_n1", "product_n1", "info_n1", "haar_seed_n3", "haar_seed_n4",
+                 "haar_seed_n5"):
         cases.append((f"seed_file.{name}", gen("--seed-file", f"inputs/{name}.json")))
     cases += [
         ("tol.seed_file.imperfect_n1",
