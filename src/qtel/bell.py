@@ -13,6 +13,13 @@ the whole member stack (``np.asarray``) and the JSON text of
 `serialize.basis_to_list` from it through `PauliMembers.rows`.  A family
 given member by member (e.g. a ``--basis`` file) is stored densely as one
 read-only (4^n, 2^n, 2^n) array and has no seed.
+
+Completeness is the resolution R = V^T·conj(V) = 1 of the (4^n, 4^n) member
+matrix V, whose row α is B^(α) flattened.  R is Hermitian, and BLAS computes
+its entry (q, p) from the same products, summed in the same order over α, as
+the conjugate of its entry (p, q), so the two have the same modulus bit for
+bit.  `verify_completeness` therefore evaluates R only on and above its block
+diagonal, one block row at a time, and never holds R itself.
 """
 
 from __future__ import annotations
@@ -22,10 +29,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, ShapeError, ValidationError
+from .errors import DomainError, ResourceLimitError, ShapeError, ValidationError
 from .linalg import (DEFAULT_TOL, StateVector, Tolerance, is_maximally_entangled,
                      is_scaled_identity)
 from .pauli import action_tables
+
+# verify_completeness evaluates the completeness sum this many columns at a time: a multiple
+# of 4, which gives each entry the bits it has in the one (4^n, 4^n) product (1, 2 and 7 do not)
+COMPLETENESS_BLOCK_COLUMNS = 64
+# the largest member matrix, 16·16^n bytes, that verify_completeness builds: n <= 6 runs,
+# n >= 7 is a ResourceLimitError
+COMPLETENESS_MAX_BYTES = 2**28
 
 
 class PauliMembers(Sequence):
@@ -161,12 +175,29 @@ def bell_basis_from_members(members, tol: Tolerance = DEFAULT_TOL) -> BellBasis:
 def verify_completeness(basis: BellBasis, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float]:
     """Check sum_α B^(α)_ij B^(α)*_kl = δ_ik δ_jl over all index quadruples.
 
-    The sum is one product of the member matrix, whose row α is B^(α)
-    flattened, with its conjugate.
+    The sum is R = V^T·conj(V), with row α of V the flattened B^(α).  For
+    each block I of COMPLETENESS_BLOCK_COLUMNS columns, conj(V[:, I])^T·V on
+    the columns from I onwards is the conjugate of R's block row I on and
+    above the diagonal: its leading square block is tested as a scaled
+    identity, the rest entry by entry against 0, and the block is dropped.
+    |R[q, p]| = |R[p, q]| bit for bit, so the deviation is max |R - 1| over
+    all of R, which is never held.  A member matrix over
+    COMPLETENESS_MAX_BYTES is a ResourceLimitError, raised before it is built.
     """
-    vecs = np.asarray(basis.members).reshape(basis.size, -1)
-    resolution = vecs.T @ vecs.conj()  # (ij),(kl) entry of the completeness sum
-    _, deviation = is_scaled_identity(resolution, 1.0, tol)
+    size = basis.size
+    matrix_bytes = 16 * size * size
+    if matrix_bytes > COMPLETENESS_MAX_BYTES:
+        raise ResourceLimitError(f"checking completeness at n={basis.n} needs a "
+                                 f"{matrix_bytes >> 20} MiB member matrix, over the "
+                                 f"{COMPLETENESS_MAX_BYTES >> 20} MiB limit")
+    vecs = np.asarray(basis.members).reshape(size, -1)
+    deviation = 0.0
+    for start in range(0, size, COMPLETENESS_BLOCK_COLUMNS):
+        block = vecs[:, start:start + COMPLETENESS_BLOCK_COLUMNS].conj().T
+        part = block @ vecs[:, start:]
+        width = block.shape[0]
+        _, diagonal_dev = is_scaled_identity(part[:, :width], 1.0, tol)
+        deviation = max(deviation, diagonal_dev, float(np.abs(part[:, width:]).max(initial=0.0)))
     return deviation <= tol.abs_eps, deviation
 
 

@@ -1,19 +1,31 @@
-"""The bitmask, array and trial-loop paths of `qtel.magic` and `qtel.pauli`
-against test-local copies of the per-object code they replaced.
+"""The bitmask, array, trial-loop and block paths of `qtel.magic`, `qtel.pauli`
+and `qtel.bell` against test-local copies of the code they replaced.
 
 Clique lists and product tables must be equal; the figures of
 `verify_partial_basis` must be equal bit for bit (``uint64`` views),
-including every array its trial loop hands to `teleport.min_fidelities`.
+including every array its trial loop hands to `teleport.min_fidelities`;
+the verdict and deviation of `verify_completeness` must equal those of the
+one dense (4^n, 4^n) resolution.
 """
 
 import itertools
+import tracemalloc
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import qtel.bell
 import qtel.magic
-from qtel.bell import standard_basis
-from qtel.linalg import DEFAULT_TOL, StateVector, is_maximally_entangled
+from qtel.bell import (BellBasis, bell_basis_from_members, generate_from_seed, standard_basis,
+                       verify_completeness)
+from qtel.channel import state_from_matrix
+from qtel.cli import main
+from qtel.errors import ResourceLimitError
+from qtel.linalg import (DEFAULT_TOL, StateVector, Tolerance, haar_random_unitary,
+                         is_maximally_entangled, is_scaled_identity)
 from qtel.magic import (
     CliqueReport,
     build_anticomm_graph,
@@ -133,3 +145,116 @@ def test_verify_equals_per_object_loop_bit_for_bit(monkeypatch, trials):
         for (info, e), (old_info, old_e) in zip(new_calls, old_calls):
             assert np.array_equal(info.view(np.uint64), old_info.view(np.uint64))
             assert np.array_equal(e.view(np.uint64), old_e.view(np.uint64))
+
+
+def dense_completeness(basis, tol=DEFAULT_TOL):
+    """`verify_completeness` as it was: the whole resolution V^T·conj(V) tested at once."""
+    vecs = np.asarray(basis.members).reshape(basis.size, -1)
+    _, deviation = is_scaled_identity(vecs.T @ vecs.conj(), 1.0, tol)
+    return deviation <= tol.abs_eps, deviation
+
+
+def _generated(n, kind, rng):
+    """The standard basis, or the basis of a Haar seed U / 2^(n/2)."""
+    if kind == "standard":
+        return standard_basis(n)
+    return generate_from_seed(state_from_matrix(haar_random_unitary(2**n, rng) / 2 ** (n / 2), n))
+
+
+def _family(n, kind, rng):
+    if kind in ("standard", "haar"):
+        return _generated(n, kind, rng)
+    if kind == "dense":  # a Haar basis, members shuffled and rephased, read member by member
+        stack = np.asarray(_generated(n, "haar", rng).members)
+        phases = np.exp(2j * np.pi * rng.random(4**n))[:, None, None]
+        return bell_basis_from_members(phases * stack[rng.permutation(4**n)])
+    # an incomplete family: Gaussian members, or a Haar basis with one member repeated
+    if kind == "gaussian":
+        shape = (4**n, 2**n, 2**n)
+        stack = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / 2**n
+    else:
+        stack = np.asarray(_generated(n, "haar", rng).members)
+        copy, lost = rng.choice(4**n, 2, replace=False)
+        stack[lost] = stack[copy]
+    return BellBasis(n, stack)
+
+
+def _block_completeness(basis, width, tol=DEFAULT_TOL):
+    """`verify_completeness` with `width` columns per block (None: the default)."""
+    with pytest.MonkeyPatch.context() as mp:
+        if width is not None:
+            mp.setattr(qtel.bell, "COMPLETENESS_BLOCK_COLUMNS", width)
+        return verify_completeness(basis, tol)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 4), kind=st.sampled_from(["standard", "haar", "dense", "gaussian",
+                                                  "repeated"]),
+       width=st.sampled_from([None, 4, 16]), seed=st.integers(0, 2**32 - 1),
+       tol=st.sampled_from([DEFAULT_TOL, Tolerance(1e-15), Tolerance(0.5)]))
+def test_block_completeness_equals_dense_resolution(n, kind, width, seed, tol):
+    if kind == "dense" and n > 3:
+        n = 3  # bell_basis_from_members checks each of the 256 members at n = 4 one by one
+    basis = _family(n, kind, np.random.default_rng(seed))
+    assert _block_completeness(basis, width, tol) == dense_completeness(basis, tol)
+
+
+@pytest.mark.parametrize("kind", ["standard", "haar", "gaussian"])
+def test_block_completeness_equals_dense_resolution_n5(kind):
+    basis = _family(5, kind, np.random.default_rng(5))
+    expected = dense_completeness(basis)
+    assert expected[0] == (kind != "gaussian")
+    for width in (None, 4, 16):
+        assert _block_completeness(basis, width) == expected, width
+
+
+def test_completeness_peak_below_one_and_a_half_member_matrices():
+    basis = standard_basis(5)
+    verify_completeness(basis)  # fills the action-table cache
+    tracemalloc.start()
+    try:
+        verify_completeness(basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 16 * 16**5  # the (4^5, 4^5) complex member matrix is 16 MiB
+
+
+class _Unbuildable(Sequence):
+    """4^n members that fail the test if their stack is ever built."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def __len__(self):
+        return 4**self.n
+
+    def __getitem__(self, alpha):
+        raise AssertionError("a member was built")
+
+    def __array__(self, dtype=None, copy=None):
+        raise AssertionError("the member matrix was built")
+
+
+def test_completeness_limit_refuses_n7_before_building_members():
+    with pytest.raises(ResourceLimitError, match="n=7 needs a 4096 MiB member matrix"):
+        verify_completeness(BellBasis(7, _Unbuildable(7)))
+    with pytest.raises(AssertionError, match="member matrix was built"):  # n = 6 is allowed
+        verify_completeness(BellBasis(6, _Unbuildable(6)))
+
+
+def test_completeness_limit_is_the_module_constant(monkeypatch):
+    basis = standard_basis(2)
+    monkeypatch.setattr(qtel.bell, "COMPLETENESS_MAX_BYTES", 16 * 16**2)
+    assert verify_completeness(basis) == (True, 0.0)
+    monkeypatch.setattr(qtel.bell, "COMPLETENESS_MAX_BYTES", 16 * 16**2 - 1)
+    with pytest.raises(ResourceLimitError, match="n=2"):
+        verify_completeness(basis)
+
+
+def test_bell_gen_over_the_limit_exits_2_with_one_error_line(monkeypatch, capsys):
+    monkeypatch.setattr(qtel.bell, "COMPLETENESS_MAX_BYTES", 16 * 16**2 - 1)
+    assert main(["--format", "json", "bell", "gen", "--n", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: checking completeness at n=2") and err.count("\n") == 1
