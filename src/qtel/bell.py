@@ -10,9 +10,9 @@ Such a basis is stored as its seed B^(0) plus the label α.  Every row of
 every member is one of the 4·2^n signed seed rows i^k · B^(0)[s], so
 `PauliMembers` computes those rows once, as `table`, and reads a member,
 the whole member stack (``np.asarray``) and the JSON text of
-`serialize.basis_to_list` from it through `PauliMembers.rows`.  A family
-given member by member (e.g. a ``--basis`` file) is stored densely as one
-read-only (4^n, 2^n, 2^n) array and has no seed.
+`serialize.basis_to_list` from it at the positions `pauli.action_index`
+names.  A family given member by member (e.g. a ``--basis`` file) is stored
+densely as one read-only (4^n, 2^n, 2^n) array and has no seed.
 
 Completeness is the resolution R = V^T·conj(V) = 1 of the (4^n, 4^n) member
 matrix V, whose row α is B^(α) flattened.  R is Hermitian, and BLAS computes
@@ -32,7 +32,7 @@ import numpy as np
 from .errors import DomainError, ResourceLimitError, ShapeError, ValidationError
 from .linalg import (DEFAULT_TOL, StateVector, Tolerance, is_maximally_entangled,
                      is_scaled_identity)
-from .pauli import action_tables
+from .pauli import action_index, signed_copies
 
 # verify_completeness evaluates the completeness sum this many columns at a time: a multiple
 # of 4, which gives each entry the bits it has in the one (4^n, 4^n) product (1, 2 and 7 do not)
@@ -45,26 +45,16 @@ COMPLETENESS_MAX_BYTES = 2**28
 class PauliMembers(Sequence):
     """The members P_α B^(0), α = 0 .. 4^n - 1, read from one table of signed seed rows.
 
-    Row r of P_α B^(0) is phase[α, r] · B^(0)[perm[α, r]] (`pauli.action_tables`)
-    with phase[α, r] = i^k, which is row k·2^n + perm[α, r] of `table`.
+    Row k·2^n + s of `table` is i^k·B^(0)[s] (`pauli.signed_copies`), so row r
+    of P_α B^(0) is row ``action_index(n)[α, r]`` of `table` (`pauli.action_index`).
     """
 
     def __init__(self, seed: np.ndarray):
         self.seed = seed
         self.n = int(seed.shape[0]).bit_length() - 1
-        # row k·2^n + s is i^k · B^(0)[s]; + 0.0 turns the -0.0 that a sign flip
-        # makes of a zero entry into 0.0
-        table = np.array([1, 1j, -1, -1j])[:, None, None] * seed + 0.0
-        self.table = table.reshape(-1, seed.shape[1])
+        # + 0.0 turns the -0.0 that a sign flip makes of a zero entry into 0.0
+        self.table = signed_copies(seed, axis=0) + 0.0
         self.table.flags.writeable = False
-
-    def rows(self, alphas) -> np.ndarray:
-        """Positions in `table` of the rows of the members `alphas` (an index or a slice)."""
-        perm, phase = action_tables(self.n)
-        perm, phase = perm[alphas], phase[alphas]
-        # phase is exactly 1, i, -1 or -i, that is i^k with k = 0, 1, 2 or 3
-        k = np.where(phase.imag == 0, 1 - phase.real, 2 - phase.imag).astype(np.intp)
-        return k * 2**self.n + perm
 
     def __len__(self) -> int:
         return 4**self.n
@@ -72,11 +62,11 @@ class PauliMembers(Sequence):
     def __getitem__(self, alpha: int) -> np.ndarray:
         if not -len(self) <= alpha < len(self):
             raise IndexError(f"member index {alpha} out of range for {len(self)} members")
-        return self.table[self.rows(alpha)]
+        return self.table[action_index(self.n)[alpha]]
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         """The (4^n, 2^n, 2^n) stack of every member."""
-        return np.asarray(self.table[self.rows(slice(None))], dtype=dtype)
+        return np.asarray(self.table[action_index(self.n)], dtype=dtype)
 
 
 @dataclass(frozen=True)
@@ -172,6 +162,18 @@ def bell_basis_from_members(members, tol: Tolerance = DEFAULT_TOL) -> BellBasis:
     return basis
 
 
+def check_completeness_size(n: int):
+    """Refuse an n whose completeness check needs a member matrix over COMPLETENESS_MAX_BYTES.
+
+    Raises ResourceLimitError; ``bell gen`` calls it before it builds the seed.
+    """
+    matrix_bytes = 16 * 16**n
+    if matrix_bytes > COMPLETENESS_MAX_BYTES:
+        raise ResourceLimitError(f"checking completeness at n={n} needs a "
+                                 f"{matrix_bytes >> 20} MiB member matrix, over the "
+                                 f"{COMPLETENESS_MAX_BYTES >> 20} MiB limit")
+
+
 def verify_completeness(basis: BellBasis, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float]:
     """Check sum_α B^(α)_ij B^(α)*_kl = δ_ik δ_jl over all index quadruples.
 
@@ -184,12 +186,8 @@ def verify_completeness(basis: BellBasis, tol: Tolerance = DEFAULT_TOL) -> tuple
     all of R, which is never held.  A member matrix over
     COMPLETENESS_MAX_BYTES is a ResourceLimitError, raised before it is built.
     """
+    check_completeness_size(basis.n)
     size = basis.size
-    matrix_bytes = 16 * size * size
-    if matrix_bytes > COMPLETENESS_MAX_BYTES:
-        raise ResourceLimitError(f"checking completeness at n={basis.n} needs a "
-                                 f"{matrix_bytes >> 20} MiB member matrix, over the "
-                                 f"{COMPLETENESS_MAX_BYTES >> 20} MiB limit")
     vecs = np.asarray(basis.members).reshape(size, -1)
     deviation = 0.0
     for start in range(0, size, COMPLETENESS_BLOCK_COLUMNS):

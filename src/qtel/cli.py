@@ -28,6 +28,7 @@ EXIT_USAGE = 2
 
 
 def _tolerance(args) -> Tolerance:
+    """The tolerance of ``--tol``, else of QTEL_TOL, else the default."""
     if args.tol is not None:
         return Tolerance(args.tol)
     env = os.environ.get("QTEL_TOL")
@@ -83,29 +84,29 @@ def _fmt(value):
 
 
 def cmd_channel_check(args) -> int:
-    tol = _tolerance(args)
     state = serialize.load_state(args.file)
     n = state.n_qubits // 2
-    ch = channel.channel_from_state(state, n, tol)
-    perfect, deviation = channel.is_perfect(ch, tol)
+    ch = channel.channel_from_state(state, n, args.tol)
+    perfect, deviation = channel.is_perfect(ch, args.tol)
     report = {
         "n": n,
         "perfect": perfect,
         "deviation": deviation,
-        "tolerance": tol.abs_eps,
+        "tolerance": args.tol.abs_eps,
     }
     _emit(report, args)
     return EXIT_OK if perfect else EXIT_ASSERTION
 
 
 def cmd_bell_gen(args) -> int:
-    tol = _tolerance(args)
     if args.seed_file:
         seed = serialize.load_state(args.seed_file)
+        bell.check_completeness_size(seed.n_qubits // 2)
     else:
+        bell.check_completeness_size(args.n)
         seed = bell.standard_seed(args.n)
-    basis = bell.generate_from_seed(seed, tol)
-    complete, deviation = bell.verify_completeness(basis, tol)
+    basis = bell.generate_from_seed(seed, args.tol)
+    complete, deviation = bell.verify_completeness(basis, args.tol)
     report = {
         "n": basis.n,
         "size": basis.size,
@@ -120,15 +121,14 @@ def cmd_bell_gen(args) -> int:
 
 
 def cmd_teleport_run(args) -> int:
-    tol = _tolerance(args)
     info = serialize.load_state(args.info)
-    ch = channel.channel_from_state(serialize.load_state(args.channel), info.n_qubits, tol)
+    ch = channel.channel_from_state(serialize.load_state(args.channel), info.n_qubits, args.tol)
     if args.basis:
-        basis = bell.bell_basis_from_members(serialize.load_basis_members(args.basis), tol)
+        basis = bell.bell_basis_from_members(serialize.load_basis_members(args.basis), args.tol)
     else:
         basis = bell.standard_basis(info.n_qubits)
     result = teleport.run_protocol(
-        info, ch, basis, mode=args.mode, seed=args.seed, shots=args.shots, tol=tol
+        info, ch, basis, mode=args.mode, seed=args.seed, shots=args.shots, tol=args.tol
     )
     outcomes = result.records
     probs = outcomes.probs.tolist()
@@ -145,7 +145,7 @@ def cmd_teleport_run(args) -> int:
         if result.counts is not None:
             row["count"] = result.counts[alpha]
         rows.append(row)
-    all_perfect = bool(fidelities) and min(fidelities) >= 1.0 - tol.abs_eps
+    all_perfect = bool(fidelities) and min(fidelities) >= 1.0 - args.tol.abs_eps
     report = {
         "n": info.n_qubits,
         "mode": result.mode,
@@ -224,10 +224,10 @@ def _resolve_set(tokens: list[str], n: int | None):
 
 
 def cmd_magic_verify(args) -> int:
-    tol = _tolerance(args)
     paulis = _resolve_set(args.set.split(","), args.n)
+    magic.verify_block_trials(paulis[0].n_qubits)
     basis = magic.partial_basis_from_set(paulis)
-    verification = magic.verify_partial_basis(basis, args.trials, args.seed, tol)
+    verification = magic.verify_partial_basis(basis, args.trials, args.seed, args.tol)
     report = {
         "set": [pauli.render(p) for p in basis.source_set],
         "dimension": basis.dimension,
@@ -267,11 +267,10 @@ def cmd_magic_witness(args) -> int:
 
 
 def cmd_masfi(args) -> int:
-    tol = _tolerance(args)
     state = serialize.load_state(args.channel)
-    ch = channel.channel_from_state(state, 1, tol)
-    result = teleport.masfi_1q(ch, tol=tol)
-    concurrence = channel.concurrence_2q(state, tol)
+    ch = channel.channel_from_state(state, 1, args.tol)
+    result = teleport.masfi_1q(ch, tol=args.tol)
+    concurrence = channel.concurrence_2q(state, args.tol)
     report = {
         "masfi": result.value,
         "degenerate": result.degenerate,
@@ -378,6 +377,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        args.tol = _tolerance(args)  # validated here, also for commands that do not read it
         return args.func(args)
     except (QtelError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -146,6 +146,22 @@ def partial_basis_from_set(paulis) -> MagicPartialBasis:
     return MagicPartialBasis(n, tuple(members), ordered)
 
 
+def verify_block_trials(n: int) -> int:
+    """The trials `verify_partial_basis` evaluates at a time at n.
+
+    At most VERIFY_BLOCK_TRIALS, and only as many as fit VERIFY_BLOCK_BYTES; a
+    ResourceLimitError when not one does.  ``magic verify`` calls it before it
+    builds the basis.
+    """
+    trial_bytes = 4 * 16 * 4**n * 2**n  # four (4^n, 2^n) complex arrays
+    block = min(VERIFY_BLOCK_TRIALS, VERIFY_BLOCK_BYTES // trial_bytes)
+    if block < 1:
+        raise ResourceLimitError(f"verifying a partial basis at n={n} needs {trial_bytes >> 20}"
+                                 f" MiB per trial, over the {VERIFY_BLOCK_BYTES >> 20} MiB"
+                                 " block budget")
+    return block
+
+
 @dataclass(frozen=True)
 class PartialBasisVerification:
     trials: int
@@ -181,12 +197,7 @@ def verify_partial_basis(
         raise ValidationError(f"seed must be >= 0, got {seed}")
     n = basis.n
     dim = 2**n
-    trial_bytes = 4 * 16 * 4**n * dim  # four (4^n, 2^n) complex arrays
-    block = min(VERIFY_BLOCK_TRIALS, VERIFY_BLOCK_BYTES // trial_bytes)
-    if block < 1:
-        raise ResourceLimitError(f"verifying a partial basis at n={n} needs {trial_bytes >> 20}"
-                                 f" MiB per trial, over the {VERIFY_BLOCK_BYTES >> 20} MiB"
-                                 " block budget")
+    block = verify_block_trials(n)
     rng = np.random.default_rng(seed)
     matrices = [m.amplitudes.reshape(dim, dim) for m in basis.members]
     measurement = standard_basis(n)

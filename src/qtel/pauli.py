@@ -5,6 +5,8 @@ and commutation tests are pure bit arithmetic and the tracked phase makes
 ``matrix_of(product(p, q))`` agree with the dense matrix product exactly.
 The symplectic product is written once (`_multiply`), for ints or int
 arrays: `product_table` applies it to every pair of family elements at once.
+A string acts on a vector in one form: `action_index` points into the four
+signed copies i^k·v that `signed_copies` builds.
 
 Bitmask convention: bit 0 (the most significant qubit, qubit index 0) is
 the highest bit of the mask, i.e. qubit r occupies bit ``n_qubits-1-r``.
@@ -32,6 +34,8 @@ _Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 _LETTERS = "IZXY"
 _FACTORS = (_I2, _Z, _X, _Y)
 _PHASE_PREFIX = {0: "", 1: "i·", 2: "-", 3: "-i·"}
+POWERS_OF_I = np.array([1, 1j, -1, -1j])  # i^k at index k
+POWERS_OF_I.flags.writeable = False
 
 FAMILY_EXHAUSTIVE_MAX_QUBITS = 3
 
@@ -122,13 +126,13 @@ def _bit_count(a, n_bits: int):
 
 
 @functools.lru_cache(maxsize=None)
-def action_tables(n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
-    """Signed-permutation form of every family element P_α, α = 0 .. 4^n - 1.
+def action_index(n_qubits: int) -> np.ndarray:
+    """Every family element P_α, α = 0 .. 4^n - 1, as positions in `signed_copies`.
 
-    Returns read-only ``(perm, phase)`` of shape (4^n, 2^n) with
-    ``(P_α v)[r] = phase[α, r] · v[perm[α, r]]``: each string permutes basis
-    indices by XOR with its X mask and multiplies them by a power of i, so
-    ``matrix_of(pauli_from_quaternary(α, n))`` is never needed to apply it.
+    Returns a read-only (4^n, 2^n) integer array with entries k·2^n + (r ^ x_α):
+    ``(P_α v)[r] = signed_copies(v)[index[α, r]] = i^k · v[r ^ x_α]``.  Each string
+    permutes basis indices by XOR with its X mask and multiplies them by a power
+    of i, so ``matrix_of(pauli_from_quaternary(α, n))`` is never needed to apply it.
     """
     if n_qubits < 1:
         raise ValidationError(f"n_qubits must be >= 1, got {n_qubits}")
@@ -136,10 +140,14 @@ def action_tables(n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
     perm = x[:, None] ^ np.arange(2**n_qubits)[None, :]
     # P_α = i^{|x & z|} X^x Z^z, and X^x Z^z |s> = (-1)^{z·s} |s ^ x> with s = r ^ x
     powers = 2 * _bit_count(z[:, None] & perm, n_qubits) + _bit_count(x & z, n_qubits)[:, None]
-    phase = np.array([1, 1j, -1, -1j])[powers % 4]
-    perm.flags.writeable = False
-    phase.flags.writeable = False
-    return perm, phase
+    index = (powers % 4) * 2**n_qubits + perm
+    index.flags.writeable = False
+    return index
+
+
+def signed_copies(v: np.ndarray, axis: int = -1) -> np.ndarray:
+    """i^k·v for k = 0 .. 3 joined along `axis`, where entry k·d + s is i^k·v[s] (d = len)."""
+    return np.concatenate([power * v for power in POWERS_OF_I], axis=axis)
 
 
 def _multiply(px, pz, qx, qz, n_bits: int):
@@ -267,7 +275,7 @@ def family_property_report(n: int) -> FamilyPropertyReport:
     check("square is identity", failing(worst(mats @ mats - eye)))
     check("hermitian", failing(worst(mats - mats.conj().swapaxes(-1, -2))))
 
-    closure_phase = np.array([1, 1j, -1, -1j])[power]
+    closure_phase = POWERS_OF_I[power]
     # entry [a, b] compares mats[a] @ mats[b] with the product's i^k·P and
     # with mats[b] @ mats[a]; one row of products at a time keeps memory small
     closure, comm, anti = (np.empty((4**n, 4**n)) for _ in range(3))

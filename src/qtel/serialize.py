@@ -7,7 +7,7 @@ im], ...]} row-major.  Complex numbers are always two-element arrays.
 The members of a generated Bell basis are written from its row table:
 every row of P_α B^(0) is one of the 4·2^n rows of `bell.PauliMembers.table`,
 so `basis_to_list` encodes those rows once and lays out each member from
-`PauliMembers.rows`, instead of converting 16^n entries to Python floats.
+`pauli.action_index`, instead of converting 16^n entries to Python floats.
 It returns JSON text, which `cli._emit` writes as it stands.
 """
 
@@ -20,6 +20,7 @@ import numpy as np
 from .bell import PauliMembers
 from .errors import ValidationError
 from .linalg import StateVector
+from .pauli import action_index
 
 
 class JSONText(str):
@@ -125,7 +126,7 @@ def basis_to_list(members) -> JSONText:
 
     For a `bell.PauliMembers` the text is built from its row table: each
     row of `table` is encoded once, and each member is joined from the rows
-    that `rows` names, so every float is the one the dense member gives.
+    `pauli.action_index` names, so every float is the one the dense member gives.
     The name is kept from when this returned a list of dicts: the
     benchmark's traced run reports it as ``serialize.basis_to_list.ms``.
     """
@@ -136,7 +137,7 @@ def basis_to_list(members) -> JSONText:
     rows = [dumps(pairs[i:i + d])[1:-1] for i in range(0, len(pairs), d)]
     head, tail = f'{{"cols":{d},"entries":[', f'],"rows":{d}}}'
     return JSONText("[" + ",".join(head + ",".join([rows[i] for i in member]) + tail
-                                   for member in members.rows(slice(None)).tolist()) + "]")
+                                   for member in action_index(members.n).tolist()) + "]")
 
 
 def load_basis_members(path: str) -> list[np.ndarray]:

@@ -12,8 +12,8 @@ fidelity reports the damage.
 All 4^n outcomes are evaluated together, one row of a (4^n, 2^n) array
 each.  For a seed-generated basis B^(α) = P_α B^(0), so O^(α) = K P_α with
 K = E^T B^(0)† and O^(α)†O^(α) = P_α G P_α with G = K†K: one product K, one
-Gram matrix G and one scaled-identity test serve every outcome, and P_α is
-applied as a signed permutation (`pauli.action_tables`).  The test on G is
+Gram matrix G and one scaled-identity test serve every outcome, and P_α v is
+read from the signed copies i^k·v (`pauli.action_index`).  The test on G is
 exact for each α, since P_α only permutes the entries of G - s·1 and
 multiplies them by unit phases.  A basis given member by member (``--basis``)
 takes the dense path: every O^(α) from one stacked ``einsum`` and a
@@ -46,7 +46,7 @@ from .bell import BellBasis, is_maximal_member, standard_basis
 from .channel import Channel, is_perfect
 from .errors import InternalConsistencyError, ShapeError, ValidationError
 from .linalg import DEFAULT_TOL, StateVector, Tolerance, _finite, dagger, is_scaled_identity
-from .pauli import action_tables, matrix_of, pauli_from_quaternary
+from .pauli import POWERS_OF_I, action_index, matrix_of, pauli_from_quaternary, signed_copies
 
 ZERO_PROBABILITY_EPS = 1e-14
 # Sampled mode draws from the probabilities rounded to multiples of
@@ -190,8 +190,8 @@ def _seed_operator(e: np.ndarray, basis: BellBasis) -> np.ndarray:
 def _outcome_amplitudes(info: np.ndarray, e: np.ndarray, basis: BellBasis) -> np.ndarray:
     """Bob's unnormalized amplitudes b_α = O^(α)·I, one row per outcome α, per run."""
     if basis.seed is not None:
-        perm, phase = action_tables(basis.n)
-        return (phase * info[:, perm]) @ _seed_operator(e, basis).swapaxes(-1, -2)
+        rows = signed_copies(info)[:, action_index(basis.n)]  # rows P_α I
+        return rows @ _seed_operator(e, basis).swapaxes(-1, -2)
     members = np.asarray(basis.members, dtype=np.complex128)
     return np.einsum("akj,tk->taj", members.conj(), info) @ e
 
@@ -222,11 +222,11 @@ def _corrected_states(bob: np.ndarray, alphas: np.ndarray, e: np.ndarray, basis:
         scaled = _unitary_scale(k, tol) > 0.0
         if not scaled.any():
             return bob
-        perm, phase = action_tables(basis.n)
+        index = action_index(basis.n)[alphas]  # entries k·2^n + s: i^k times entry s
         kdag_b = bob @ k.conj()  # rows K† b_α
         # in place, to spare a (T, U, 2^n) array; phases are ±1, ±i, so products are exact
-        corrected = np.take_along_axis(kdag_b, perm[alphas][None], axis=-1)
-        corrected *= phase[alphas]
+        corrected = np.take_along_axis(kdag_b, index[None] & (2**basis.n - 1), axis=-1)
+        corrected *= POWERS_OF_I[index >> basis.n]
         corrected /= np.linalg.norm(corrected, axis=-1, keepdims=True)
         np.copyto(corrected, bob, where=~scaled[:, None, None])
         return corrected

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 import qtel
+import qtel.bell
+import qtel.magic
 from qtel.cli import main
 from qtel.linalg import StateVector
 from qtel.serialize import save_state
@@ -281,6 +283,13 @@ MALFORMED = {
         "teleport", "run", "--info", info, "--channel", ch, "--mode", "sampled",
         "--seed", "-1", "--shots", "5"],
     "negative_verify_seed": lambda t, info, ch: ["magic", "verify", "--set", "F,G", "--seed", "-1"],
+    # a bad --tol is refused also by the commands that never read it
+    "infinite_tol_cliques": lambda t, info, ch: ["--tol", "inf", "magic", "cliques", "--n", "1"],
+    "nan_tol_catalog": lambda t, info, ch: ["--tol", "nan", "magic", "catalog"],
+    "negative_tol_witness": lambda t, info, ch: ["--tol", "-1", "magic", "witness", "--n", "2"],
+    # refused by the size guards before any 2^n x 2^n array is built
+    "oversized_bell_gen": lambda t, info, ch: ["bell", "gen", "--n", "20"],
+    "oversized_verify": lambda t, info, ch: ["magic", "verify", "--set", "1", "--n", "30"],
 }
 
 
@@ -314,6 +323,41 @@ def test_report_header_names_the_command(command, capsys, info2_file, two_bell_f
     assert report["schema"] == "qtel/1" and report["command"] == command
     assert main(argv) == 0
     assert capsys.readouterr().out.startswith(f"command: {command}\n")
+
+
+@pytest.mark.parametrize("command", sorted(LEAF_COMMANDS))
+def test_bad_tol_env_is_usage_error_for_every_command(command, capsys, monkeypatch, info2_file,
+                                                      two_bell_file, bell_file):
+    monkeypatch.setenv("QTEL_TOL", "abc")
+    argv = command.split() + LEAF_COMMANDS[command](info2_file, two_bell_file, bell_file)
+    assert main(["--format", "json"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: QTEL_TOL is not a number: 'abc'\n"
+
+
+def _seed_file_n7(tmp_path) -> str:
+    path = str(tmp_path / "seed_n7.json")
+    save_state(path, StateVector(14, np.eye(128).reshape(-1) / np.sqrt(128)))
+    return path
+
+
+@pytest.mark.parametrize(("argv", "module", "step"), [
+    (lambda t: ["bell", "gen", "--n", "7"], qtel.bell, "standard_seed"),
+    (lambda t: ["bell", "gen", "--seed-file", _seed_file_n7(t)], qtel.bell, "generate_from_seed"),
+    (lambda t: ["magic", "verify", "--set", "1", "--n", "8"], qtel.magic, "partial_basis_from_set"),
+], ids=["bell_gen.n7", "bell_gen.seed_file.n7", "magic_verify.n8"])
+def test_size_guards_run_before_the_first_matrix_is_built(argv, module, step, capsys,
+                                                           monkeypatch, tmp_path):
+    def unbuildable(*args, **kwargs):
+        raise AssertionError(f"{step} was called")
+
+    monkeypatch.setattr(module, step, unbuildable)
+    assert main(["--format", "json"] + argv(tmp_path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith(("error: checking completeness at n=7",
+                                    "error: verifying a partial basis at n=8"))
 
 
 def test_masfi_tolerance_reaches_concurrence(capsys, tmp_path):

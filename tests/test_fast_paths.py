@@ -1,11 +1,15 @@
-"""The bitmask, array, trial-loop and block paths of `qtel.magic`, `qtel.pauli`
-and `qtel.bell` against test-local copies of the code they replaced.
+"""The bitmask, array, trial-loop, block and index paths of `qtel.magic`,
+`qtel.pauli`, `qtel.bell` and `qtel.teleport` against test-local copies of
+the code they replaced.
 
 Clique lists and product tables must be equal; the figures of
 `verify_partial_basis` must be equal bit for bit (``uint64`` views),
 including every array its trial loop hands to `teleport.min_fidelities`;
 the verdict and deviation of `verify_completeness` must equal those of the
-one dense (4^n, 4^n) resolution.
+one dense (4^n, 4^n) resolution.  The Pauli action read through
+`pauli.action_index` must give the columns of `run_protocol`, the values of
+`min_fidelities`, the member stack and the `basis_to_list` text bit for bit
+as the (perm, phase) tables it replaced gave them.
 """
 
 import itertools
@@ -19,13 +23,14 @@ from hypothesis import strategies as st
 
 import qtel.bell
 import qtel.magic
+from qtel import pauli, teleport
 from qtel.bell import (BellBasis, bell_basis_from_members, generate_from_seed, standard_basis,
                        verify_completeness)
-from qtel.channel import state_from_matrix
+from qtel.channel import channel_from_state, state_from_matrix
 from qtel.cli import main
 from qtel.errors import ResourceLimitError
 from qtel.linalg import (DEFAULT_TOL, StateVector, Tolerance, haar_random_unitary,
-                         is_maximally_entangled, is_scaled_identity)
+                         is_maximally_entangled, is_scaled_identity, random_state)
 from qtel.magic import (
     CliqueReport,
     build_anticomm_graph,
@@ -34,7 +39,8 @@ from qtel.magic import (
     verify_partial_basis,
 )
 from qtel.pauli import commutes, pauli_from_quaternary, product, product_table
-from qtel.teleport import min_fidelities
+from qtel.serialize import basis_to_list, dumps, matrix_to_dict
+from qtel.teleport import min_fidelities, run_protocol
 
 
 def set_based_cliques(g) -> CliqueReport:
@@ -210,7 +216,7 @@ def test_block_completeness_equals_dense_resolution_n5(kind):
 
 def test_completeness_peak_below_one_and_a_half_member_matrices():
     basis = standard_basis(5)
-    verify_completeness(basis)  # fills the action-table cache
+    verify_completeness(basis)  # fills the action-index cache
     tracemalloc.start()
     try:
         verify_completeness(basis)
@@ -258,3 +264,106 @@ def test_bell_gen_over_the_limit_exits_2_with_one_error_line(monkeypatch, capsys
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: checking completeness at n=2") and err.count("\n") == 1
+
+
+# --- the (perm, phase) form of the Pauli action, as it was ------------------------
+
+
+def phase_tables(n):
+    """`pauli.action_tables` as it was: (P_α v)[r] = phase[α, r] · v[perm[α, r]]."""
+    x, z = pauli._split(np.arange(4**n), n)
+    perm = x[:, None] ^ np.arange(2**n)[None, :]
+    powers = 2 * pauli._bit_count(z[:, None] & perm, n) + pauli._bit_count(x & z, n)[:, None]
+    return perm, np.array([1, 1j, -1, -1j])[powers % 4]
+
+
+def phase_outcome_amplitudes(info, e, basis):
+    """`teleport._outcome_amplitudes` of a generated basis, as it was."""
+    perm, phase = phase_tables(basis.n)
+    return (phase * info[:, perm]) @ teleport._seed_operator(e, basis).swapaxes(-1, -2)
+
+
+def phase_corrected_states(bob, alphas, e, basis, tol):
+    """`teleport._corrected_states` of a generated basis, as it was."""
+    k = teleport._seed_operator(e, basis)
+    scaled = teleport._unitary_scale(k, tol) > 0.0
+    if not scaled.any():
+        return bob
+    perm, phase = phase_tables(basis.n)
+    kdag_b = bob @ k.conj()
+    corrected = np.take_along_axis(kdag_b, perm[alphas][None], axis=-1)
+    corrected *= phase[alphas]
+    corrected /= np.linalg.norm(corrected, axis=-1, keepdims=True)
+    np.copyto(corrected, bob, where=~scaled[:, None, None])
+    return corrected
+
+
+def with_phase_tables(fn, *args):
+    """``fn(*args)`` with the engine's two Pauli-action stages as they were."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(teleport, "_outcome_amplitudes", phase_outcome_amplitudes)
+        mp.setattr(teleport, "_corrected_states", phase_corrected_states)
+        return fn(*args)
+
+
+def phase_members(seed, alphas):
+    """`PauliMembers(seed)` read at `alphas` as it was, its rows found by decoding each phase."""
+    d = seed.shape[0]
+    perm, phase = phase_tables(d.bit_length() - 1)
+    perm, phase = perm[alphas], phase[alphas]
+    table = (np.array([1, 1j, -1, -1j])[:, None, None] * seed + 0.0).reshape(-1, d)
+    k = np.where(phase.imag == 0, 1 - phase.real, 2 - phase.imag).astype(np.intp)
+    return table[k * d + perm]
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    if a.dtype == bool:
+        return b.dtype == bool and np.array_equal(a, b)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _channel_matrix(n, kind, rng):
+    d = 2**n
+    if kind == "perfect":
+        return haar_random_unitary(d, rng) / np.sqrt(d)
+    if kind == "imperfect":
+        return random_state(2 * n, rng).amplitudes.reshape(d, d)
+    # degenerate: a product state, whose rank-one matrix leaves most outcomes at zero
+    return np.outer(random_state(n, rng).amplitudes, random_state(n, rng).amplitudes)
+
+
+def assert_index_form_equals_phase_form(n, seed_kind, channel_kind, rng):
+    basis = _generated(n, seed_kind, rng)
+    e = _channel_matrix(n, channel_kind, rng)
+    ch = channel_from_state(state_from_matrix(e, n), n)
+    info = random_state(n, rng)
+    new = run_protocol(info, ch, basis).records
+    old = with_phase_tables(run_protocol, info, ch, basis).records
+    for column in ("probs", "zero", "bob", "useful", "corrected", "fidelities"):
+        assert _same_bits(getattr(new, column), getattr(old, column)), column
+    if n <= 6:  # a block of runs, as verify_partial_basis hands them over, of every kind
+        infos = np.stack([random_state(n, rng).amplitudes for _ in range(3)])
+        es = np.stack([e, *(_channel_matrix(n, kind, rng) for kind in ("perfect", "degenerate"))])
+        with np.errstate(invalid="ignore"):  # a degenerate run's zero rows are normalized to nan
+            assert _same_bits(min_fidelities(infos, es, basis),
+                              with_phase_tables(min_fidelities, infos, es, basis))
+    for alpha in rng.integers(4**n, size=3).tolist():
+        assert _same_bits(basis.members[alpha], phase_members(basis.seed, alpha))
+    if n <= 5:  # the (4^n, 2^n, 2^n) stack is 256 MiB at n = 6
+        old_members = phase_members(basis.seed, slice(None))
+        assert _same_bits(np.asarray(basis.members), old_members)
+    if n <= 3:
+        assert basis_to_list(basis.members) == dumps([matrix_to_dict(m) for m in old_members])
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 6), seed_kind=st.sampled_from(["standard", "haar"]),
+       channel_kind=st.sampled_from(["perfect", "imperfect", "degenerate"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_index_form_equals_phase_form(n, seed_kind, channel_kind, seed):
+    assert_index_form_equals_phase_form(n, seed_kind, channel_kind, np.random.default_rng(seed))
+
+
+def test_index_form_equals_phase_form_n7():
+    assert_index_form_equals_phase_form(7, "haar", "perfect", np.random.default_rng(7))

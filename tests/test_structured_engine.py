@@ -43,7 +43,8 @@ from qtel.magic import (
     partial_basis_from_set,
     verify_partial_basis,
 )
-from qtel.pauli import action_tables, matrix_of, pauli_from_digits, pauli_from_quaternary
+from qtel.pauli import (action_index, matrix_of, pauli_from_digits, pauli_from_quaternary,
+                        signed_copies)
 from qtel.teleport import (
     SAMPLING_GRID,
     ZERO_PROBABILITY_EPS,
@@ -246,20 +247,22 @@ def test_no_state_that_is_not_finite_leaves_the_protocol(bad):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_action_tables_match_dense_matrices(n):
-    perm, phase = action_tables(n)
-    rows = np.arange(2**n)
+def test_action_index_matches_dense_matrices(n):
+    index = action_index(n)
+    rng = np.random.default_rng(n)
+    v = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+    unit_rows = signed_copies(np.eye(2**n, dtype=complex), axis=0)  # row k·2^n + s is i^k e_s
     for alpha in range(4**n):
-        table = np.zeros((2**n, 2**n), dtype=complex)
-        table[rows, perm[alpha]] = phase[alpha]
-        assert np.array_equal(table, matrix_of(pauli_from_quaternary(alpha, n)))
+        p = matrix_of(pauli_from_quaternary(alpha, n))
+        assert np.array_equal(signed_copies(v)[index[alpha]], p @ v)
+        assert np.array_equal(unit_rows[index[alpha]], p)
 
 
-def test_action_tables_are_read_only():
-    perm, phase = action_tables(2)
+def test_action_index_is_read_only_and_cached():
+    index = action_index(2)
     with pytest.raises(ValueError):
-        phase[0, 0] = 2.0
-    assert action_tables(2)[0] is perm
+        index[0, 0] = 1
+    assert action_index(2) is index
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -423,7 +426,7 @@ def test_verification_equals_per_trial_protocol_runs(basis, seed, trials, tol):
 
 def test_verification_memory_does_not_grow_with_trials():
     basis = partial_basis_from_set(pauli_from_quaternary(a, 3) for a in cliques(3)[0])
-    verify_partial_basis(basis, 1, 0)  # fills the action-table cache
+    verify_partial_basis(basis, 1, 0)  # fills the action-index cache
 
     def peak(trials):
         tracemalloc.start()
