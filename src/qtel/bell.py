@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import errors
 from .errors import DomainError, ResourceLimitError, ShapeError, ValidationError
 from .linalg import (DEFAULT_TOL, StateVector, Tolerance, is_maximally_entangled,
                      is_scaled_identity)
@@ -37,9 +38,6 @@ from .pauli import action_index, signed_copies
 # verify_completeness evaluates the completeness sum this many columns at a time: a multiple
 # of 4, which gives each entry the bits it has in the one (4^n, 4^n) product (1, 2 and 7 do not)
 COMPLETENESS_BLOCK_COLUMNS = 64
-# the largest member matrix, 16·16^n bytes, that verify_completeness builds: n <= 6 runs,
-# n >= 7 is a ResourceLimitError
-COMPLETENESS_MAX_BYTES = 2**28
 
 
 class PauliMembers(Sequence):
@@ -163,15 +161,16 @@ def bell_basis_from_members(members, tol: Tolerance = DEFAULT_TOL) -> BellBasis:
 
 
 def check_completeness_size(n: int):
-    """Refuse an n whose completeness check needs a member matrix over COMPLETENESS_MAX_BYTES.
+    """Refuse an n whose completeness check needs a member matrix over `errors.BYTE_BUDGET`.
 
-    Raises ResourceLimitError; ``bell gen`` calls it before it builds the seed.
+    The matrix takes 16·16^n bytes, so n <= 6 runs and n >= 7 is a
+    ResourceLimitError; ``bell gen`` calls it before it builds the seed.
     """
     matrix_bytes = 16 * 16**n
-    if matrix_bytes > COMPLETENESS_MAX_BYTES:
+    if matrix_bytes > errors.BYTE_BUDGET:
         raise ResourceLimitError(f"checking completeness at n={n} needs a "
                                  f"{matrix_bytes >> 20} MiB member matrix, over the "
-                                 f"{COMPLETENESS_MAX_BYTES >> 20} MiB limit")
+                                 f"{errors.BYTE_BUDGET >> 20} MiB limit")
 
 
 def verify_completeness(basis: BellBasis, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float]:
@@ -184,7 +183,7 @@ def verify_completeness(basis: BellBasis, tol: Tolerance = DEFAULT_TOL) -> tuple
     identity, the rest entry by entry against 0, and the block is dropped.
     |R[q, p]| = |R[p, q]| bit for bit, so the deviation is max |R - 1| over
     all of R, which is never held.  A member matrix over
-    COMPLETENESS_MAX_BYTES is a ResourceLimitError, raised before it is built.
+    `errors.BYTE_BUDGET` is a ResourceLimitError, raised before it is built.
     """
     check_completeness_size(basis.n)
     size = basis.size

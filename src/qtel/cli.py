@@ -132,14 +132,13 @@ def cmd_teleport_run(args) -> int:
     )
     outcomes = result.records
     probs = outcomes.probs.tolist()
-    fidelities = outcomes.fidelities.tolist()
-    fidelity_of = dict(zip(outcomes.useful.tolist(), fidelities))
+    fidelities = outcomes.fidelities[~outcomes.zero].tolist()
     rows = []
     for alpha, (probability, zero) in enumerate(zip(probs, outcomes.zero.tolist())):
         row = {
             "alpha": alpha,
             "probability": probability,
-            "fidelity": fidelity_of.get(alpha),
+            "fidelity": None if zero else float(outcomes.fidelities[alpha]),
             "zero_probability": zero,
         }
         if result.counts is not None:

@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the byte budget of ResourceLimitError."""
+
+# the largest working set, in bytes, that one command may build: the member matrix of
+# `bell.verify_completeness`, a block of `magic.verify_partial_basis` trials.  Each guard
+# reads it when called and refuses a larger need before anything is allocated.
+BYTE_BUDGET = 2**28
 
 
 class QtelError(Exception):

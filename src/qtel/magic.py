@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import errors
 from .bell import standard_basis
 from .channel import channel_from_state, is_perfect, state_from_matrix
 from .channel import hill_wootters_basis  # noqa: F401 (also importable from here)
@@ -28,10 +29,9 @@ from .teleport import min_fidelities
 
 GRAPH_EXHAUSTIVE_MAX_QUBITS = 3
 # verify_partial_basis evaluates at most this many trials at a time, and only as many as
-# fit in this many bytes four (4^n, 2^n) complex arrays each, one trial's peak in
+# fit in `errors.BYTE_BUDGET` at four (4^n, 2^n) complex arrays each, one trial's peak in
 # `teleport.min_fidelities`: 128 trials up to n = 5, fewer above, none from n = 8
 VERIFY_BLOCK_TRIALS = 128
-VERIFY_BLOCK_BYTES = 2**28
 
 
 @dataclass(frozen=True)
@@ -149,15 +149,15 @@ def partial_basis_from_set(paulis) -> MagicPartialBasis:
 def verify_block_trials(n: int) -> int:
     """The trials `verify_partial_basis` evaluates at a time at n.
 
-    At most VERIFY_BLOCK_TRIALS, and only as many as fit VERIFY_BLOCK_BYTES; a
+    At most VERIFY_BLOCK_TRIALS, and only as many as fit `errors.BYTE_BUDGET`; a
     ResourceLimitError when not one does.  ``magic verify`` calls it before it
     builds the basis.
     """
     trial_bytes = 4 * 16 * 4**n * 2**n  # four (4^n, 2^n) complex arrays
-    block = min(VERIFY_BLOCK_TRIALS, VERIFY_BLOCK_BYTES // trial_bytes)
+    block = min(VERIFY_BLOCK_TRIALS, errors.BYTE_BUDGET // trial_bytes)
     if block < 1:
         raise ResourceLimitError(f"verifying a partial basis at n={n} needs {trial_bytes >> 20}"
-                                 f" MiB per trial, over the {VERIFY_BLOCK_BYTES >> 20} MiB"
+                                 f" MiB per trial, over the {errors.BYTE_BUDGET >> 20} MiB"
                                  " block budget")
     return block
 
@@ -186,7 +186,7 @@ def verify_partial_basis(
 
     The draws are made trial by trial (magnitudes, phase, information
     state) into arrays, then evaluated in blocks (VERIFY_BLOCK_TRIALS,
-    VERIFY_BLOCK_BYTES) with a leading trial axis by the code of
+    `errors.BYTE_BUDGET`) with a leading trial axis by the code of
     `run_protocol` (`teleport.min_fidelities`): every figure equals that of
     one `run_protocol` call per trial, and memory does not grow with
     `trials`.  A basis too large for one trial is a ResourceLimitError.

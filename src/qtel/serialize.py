@@ -64,10 +64,9 @@ def _fields(data, keys: tuple[str, ...], what: str) -> list:
 
 
 def _integer(value, what: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"{what} must be an integer, got {value!r}") from exc
+    if type(value) is not int:  # a JSON integer: not 1.9, "1" or true
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def state_from_dict(data: dict) -> StateVector:

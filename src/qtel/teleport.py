@@ -26,12 +26,13 @@ with its own information state and channel matrix: arrays (T, 2^n),
 `magic.verify_partial_basis`.  Every stacked product is a ``matmul``,
 which computes each run's product exactly as it would alone.
 
-A run's result keeps its arrays as the columns of `OutcomeRecords`: the
-probabilities, the zero mask and Bob's states of all 4^n outcomes, and the
-corrected states and fidelities of the nonzero ones.  An `OutcomeRecord`,
-with its `StateVector`s, is built only when an outcome is indexed; the
-finiteness check of `StateVector` (`linalg._finite`) runs once per column
-of states instead.
+Every outcome α is corrected, as in the protocol, whatever its
+probability; the zero mask only says which outcomes cannot occur.  A run's
+result keeps its arrays as the columns of `OutcomeRecords`, one row per α:
+the probabilities, the zero mask, Bob's states, the corrected states and
+the fidelities.  An `OutcomeRecord`, with its `StateVector`s, is built only
+when an outcome is indexed; the finiteness check of `StateVector`
+(`linalg._finite`) runs once per column of states instead.
 """
 
 from __future__ import annotations
@@ -81,21 +82,21 @@ class OutcomeRecord:
 class OutcomeRecords(Sequence):
     """The 4^n outcomes of one run as columns; each `OutcomeRecord` is built when indexed.
 
-    `probs` (4^n,) holds the probabilities and `zero` (4^n,) flags those
-    below ZERO_PROBABILITY_EPS; `bob` (4^n, 2^n) holds Bob's states, a zero
-    outcome's row unnormalized.  `useful` (U,) lists the other outcomes in α
-    order, and `corrected` (U, 2^n) and `fidelities` (U,) hold their
-    corrected states and fidelities, or are None before correction.  The
-    columns are read-only.
+    Row α of every column is outcome α.  `probs` (4^n,) holds the
+    probabilities and `zero` (4^n,) flags those below ZERO_PROBABILITY_EPS;
+    `bob` (4^n, 2^n) holds Bob's states, a zero outcome's row unnormalized.
+    `corrected` (4^n, 2^n) and `fidelities` (4^n,) hold the corrected states
+    and fidelities, or are None before correction; a zero outcome's rows are
+    finite but mean nothing, and its record carries neither.  The columns
+    are read-only.
     """
 
     def __init__(self, probs: np.ndarray, zero: np.ndarray, bob: np.ndarray,
                  corrected: np.ndarray | None = None, fidelities: np.ndarray | None = None):
         self.n = int(bob.shape[-1]).bit_length() - 1
         self.probs, self.zero, self.bob = probs, zero, bob
-        self.useful = np.flatnonzero(~zero)
         self.corrected, self.fidelities = corrected, fidelities
-        for column in (probs, zero, bob, self.useful, corrected, fidelities):
+        for column in (probs, zero, bob, corrected, fidelities):
             if column is not None:
                 column.flags.writeable = False
 
@@ -113,13 +114,12 @@ class OutcomeRecords(Sequence):
         bob = StateVector(self.n, self.bob[alpha])
         if self.corrected is None:
             return OutcomeRecord(alpha, probability, bob)
-        row = int(np.searchsorted(self.useful, alpha))
-        return OutcomeRecord(alpha, probability, bob, StateVector(self.n, self.corrected[row]),
-                             float(self.fidelities[row]))
+        return OutcomeRecord(alpha, probability, bob, StateVector(self.n, self.corrected[alpha]),
+                             float(self.fidelities[alpha]))
 
     def __repr__(self) -> str:
-        return (f"OutcomeRecords(n={self.n}, outcomes={len(self)}, useful={len(self.useful)}, "
-                f"corrected={self.corrected is not None})")
+        return (f"OutcomeRecords(n={self.n}, outcomes={len(self)}, "
+                f"useful={np.count_nonzero(~self.zero)}, corrected={self.corrected is not None})")
 
 
 @dataclass(frozen=True)
@@ -208,37 +208,43 @@ def _bob_states(info: np.ndarray, e: np.ndarray, basis: BellBasis):
     return probs, zero, b / np.sqrt(np.where(zero, 1.0, probs))[..., None]
 
 
-def _corrected_states(bob: np.ndarray, alphas: np.ndarray, e: np.ndarray, basis: BellBasis,
+def _corrected_states(bob: np.ndarray, e: np.ndarray, basis: BellBasis,
                       tol: Tolerance) -> np.ndarray:
     """Rows C^(α) b_α / |C^(α) b_α| for the best available correction C^(α).
 
     C^(α) is the unitary part O^(α)†/√s of O^(α)^-1 when O^(α)†O^(α) = s·1
-    with s > 0, and the identity otherwise.  `bob` (T, U, 2^n) holds, for
-    each of T runs with channel matrix e[t], the Bob states of the outcomes
-    `alphas` (U,), one row each.
+    with s > 0, and the identity otherwise.  `bob` (T, 4^n, 2^n) holds the
+    Bob states of T runs with channel matrices e[t], row α for outcome α.
+    An all-zero row stays zero.
     """
     if basis.seed is not None:  # one test on G = K†K covers every α of a run
         k = _seed_operator(e, basis)
         scaled = _unitary_scale(k, tol) > 0.0
         if not scaled.any():
             return bob
-        index = action_index(basis.n)[alphas]  # entries k·2^n + s: i^k times entry s
+        index = action_index(basis.n)  # entries k·2^n + s: i^k times entry s
         kdag_b = bob @ k.conj()  # rows K† b_α
-        # in place, to spare a (T, U, 2^n) array; phases are ±1, ±i, so products are exact
+        # in place, to spare a (T, 4^n, 2^n) array; phases are ±1, ±i, so products are exact
         corrected = np.take_along_axis(kdag_b, index[None] & (2**basis.n - 1), axis=-1)
         corrected *= POWERS_OF_I[index >> basis.n]
-        corrected /= np.linalg.norm(corrected, axis=-1, keepdims=True)
+        _normalize_rows(corrected)
         np.copyto(corrected, bob, where=~scaled[:, None, None])
         return corrected
-    members = np.asarray(basis.members, dtype=np.complex128)[alphas]
+    members = np.asarray(basis.members, dtype=np.complex128)
     ops = np.einsum("tij,akj->taik", e.swapaxes(-1, -2), members.conj())
     scaled = _unitary_scale(ops, tol) > 0.0
     corrected = np.where(scaled[..., None], np.einsum("taji,taj->tai", ops.conj(), bob), bob)
-    return corrected / np.linalg.norm(corrected, axis=-1, keepdims=True)
+    return _normalize_rows(corrected)
+
+
+def _normalize_rows(rows: np.ndarray) -> np.ndarray:
+    """Divide each row by its norm in place; an all-zero row stays zero."""
+    norm = np.linalg.norm(rows, axis=-1, keepdims=True)
+    return np.divide(rows, norm, out=rows, where=norm > 0.0)
 
 
 def _fidelities(corrected: np.ndarray, info: np.ndarray) -> np.ndarray:
-    """|<I|row>|² for the rows (T, U, 2^n) of T runs with information states (T, 2^n)."""
+    """|<I|row>|² for the rows (T, 4^n, 2^n) of T runs with information states (T, 2^n)."""
     return np.abs(corrected @ info.conj()[..., None])[..., 0] ** 2
 
 
@@ -281,15 +287,13 @@ def run_protocol(
     `shots` outcomes from the BSM distribution with a deterministic generator
     seeded by `seed` and reports per-outcome counts.  The result keeps the
     outcomes as the columns of `OutcomeRecords` (those of `composite_expand`
-    plus the corrected states and fidelities of the nonzero outcomes), and
+    plus the corrected states and fidelities of every outcome), and
     builds an `OutcomeRecord` only when `records` is indexed.  The sampling
     options are checked first; `composite_expand` then checks the inputs.
     """
     _check_sampling(mode, shots, seed)  # before the 4^n outcomes are expanded
     expanded = composite_expand(info, ch, basis, tol)
-    useful = expanded.useful
-    corrected = _corrected_states(expanded.bob[useful][None], useful, ch.e_matrix[None], basis,
-                                  tol)
+    corrected = _corrected_states(expanded.bob[None], ch.e_matrix[None], basis, tol)
     records = OutcomeRecords(expanded.probs, expanded.zero, expanded.bob, _finite(corrected[0]),
                              _fidelities(corrected, info.amplitudes[None])[0])
     if mode == "exhaustive":
@@ -307,14 +311,11 @@ def min_fidelities(info: np.ndarray, e: np.ndarray, basis: BellBasis,
     """Worst fidelity over the nonzero-probability outcomes of each of T runs.
 
     Run t sends info[t] (T, 2^n) over the channel matrix e[t] (T, 2^n, 2^n)
-    through the code of `run_protocol`, and the value equals the least
-    fidelity of its records; to the bit unless an outcome has probability
-    zero (`run_protocol` then corrects fewer rows, which BLAS may round
-    differently).  The inputs are not validated.
+    through the code of `run_protocol`, and the value equals, bit for bit,
+    the least fidelity of its records.  The inputs are not validated.
     """
     _, zero, bob = _bob_states(info, e, basis)
-    with np.errstate(invalid="ignore"):  # a zero-probability row may be all zero
-        corrected = _corrected_states(bob, np.arange(basis.size), e, basis, tol)
+    corrected = _corrected_states(bob, e, basis, tol)
     return np.min(np.where(zero, np.inf, _fidelities(corrected, info)), axis=-1)
 
 

@@ -11,7 +11,7 @@ import qtel.bell
 import qtel.magic
 from qtel.cli import main
 from qtel.linalg import StateVector
-from qtel.serialize import save_state
+from qtel.serialize import matrix_to_dict, save_state
 
 
 @pytest.fixture
@@ -249,6 +249,22 @@ def _write(tmp_path, name, content) -> str:
     return str(path)
 
 
+def _one_qubit_run(tmp_path, name, n_qubits=1, rows=None) -> list[str]:
+    """`teleport run` of a one-qubit state over a Bell pair, with its integer fields as given.
+
+    `n_qubits` goes into the state file; `rows`, if given, into each member of
+    a `--basis` file that holds the standard basis.
+    """
+    state = {"n_qubits": n_qubits, "amplitudes": [[0.6, 0], [0.8, 0]]}
+    bell = {"n_qubits": 2, "amplitudes": [[2**-0.5, 0], [0, 0], [0, 0], [2**-0.5, 0]]}
+    argv = ["teleport", "run", "--info", _write(tmp_path, f"{name}_info.json", state),
+            "--channel", _write(tmp_path, "bell_pair_n1.json", bell)]
+    if rows is None:
+        return argv
+    members = [dict(matrix_to_dict(m), rows=rows) for m in qtel.bell.standard_basis(1).members]
+    return argv + ["--basis", _write(tmp_path, f"{name}_basis.json", members)]
+
+
 # each builds the argv of one usage or file-format error from tmp_path and
 # the good info2 / two_bell files
 MALFORMED = {
@@ -272,6 +288,11 @@ MALFORMED = {
     "n_qubits_text": lambda t, info, ch: [
         "channel", "check", "--file",
         _write(t, "text_n.json", {"n_qubits": "abc", "amplitudes": [[1, 0]]})],
+    # integer fields take JSON integers only; each of these was read as 1 or 2, and ran
+    "n_qubits_fraction": lambda t, info, ch: _one_qubit_run(t, "frac", n_qubits=1.9),
+    "n_qubits_true": lambda t, info, ch: _one_qubit_run(t, "true", n_qubits=True),
+    "n_qubits_text_digit": lambda t, info, ch: _one_qubit_run(t, "digit", n_qubits="1"),
+    "matrix_rows_fraction": lambda t, info, ch: _one_qubit_run(t, "rows", rows=2.5),
     "not_utf8": lambda t, info, ch: [
         "channel", "check", "--file", _write(t, "latin1.json", b'{"n_qubits": "\xe9"}')],
     "negative_n": lambda t, info, ch: ["bell", "gen", "--n", "-1"],

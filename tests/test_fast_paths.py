@@ -9,7 +9,10 @@ the verdict and deviation of `verify_completeness` must equal those of the
 one dense (4^n, 4^n) resolution.  The Pauli action read through
 `pauli.action_index` must give the columns of `run_protocol`, the values of
 `min_fidelities`, the member stack and the `basis_to_list` text bit for bit
-as the (perm, phase) tables it replaced gave them.
+as the (perm, phase) tables it replaced gave them.  `run_protocol`, which
+corrects every outcome, must give the columns of the engine that corrected
+only the nonzero ones on those rows, and `min_fidelities` the least
+nonzero-outcome fidelity of `run_protocol`, bit for bit.
 """
 
 import itertools
@@ -22,6 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qtel.bell
+import qtel.errors
 import qtel.magic
 from qtel import pauli, teleport
 from qtel.bell import (BellBasis, bell_basis_from_members, generate_from_seed, standard_basis,
@@ -251,15 +255,15 @@ def test_completeness_limit_refuses_n7_before_building_members():
 
 def test_completeness_limit_is_the_module_constant(monkeypatch):
     basis = standard_basis(2)
-    monkeypatch.setattr(qtel.bell, "COMPLETENESS_MAX_BYTES", 16 * 16**2)
+    monkeypatch.setattr(qtel.errors, "BYTE_BUDGET", 16 * 16**2)
     assert verify_completeness(basis) == (True, 0.0)
-    monkeypatch.setattr(qtel.bell, "COMPLETENESS_MAX_BYTES", 16 * 16**2 - 1)
+    monkeypatch.setattr(qtel.errors, "BYTE_BUDGET", 16 * 16**2 - 1)
     with pytest.raises(ResourceLimitError, match="n=2"):
         verify_completeness(basis)
 
 
 def test_bell_gen_over_the_limit_exits_2_with_one_error_line(monkeypatch, capsys):
-    monkeypatch.setattr(qtel.bell, "COMPLETENESS_MAX_BYTES", 16 * 16**2 - 1)
+    monkeypatch.setattr(qtel.errors, "BYTE_BUDGET", 16 * 16**2 - 1)
     assert main(["--format", "json", "bell", "gen", "--n", "2"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
@@ -283,17 +287,17 @@ def phase_outcome_amplitudes(info, e, basis):
     return (phase * info[:, perm]) @ teleport._seed_operator(e, basis).swapaxes(-1, -2)
 
 
-def phase_corrected_states(bob, alphas, e, basis, tol):
-    """`teleport._corrected_states` of a generated basis, as it was."""
+def phase_corrected_states(bob, e, basis, tol):
+    """`teleport._corrected_states` of a generated basis, with the (perm, phase) tables."""
     k = teleport._seed_operator(e, basis)
     scaled = teleport._unitary_scale(k, tol) > 0.0
     if not scaled.any():
         return bob
     perm, phase = phase_tables(basis.n)
     kdag_b = bob @ k.conj()
-    corrected = np.take_along_axis(kdag_b, perm[alphas][None], axis=-1)
-    corrected *= phase[alphas]
-    corrected /= np.linalg.norm(corrected, axis=-1, keepdims=True)
+    corrected = np.take_along_axis(kdag_b, perm[None], axis=-1)
+    corrected *= phase
+    teleport._normalize_rows(corrected)
     np.copyto(corrected, bob, where=~scaled[:, None, None])
     return corrected
 
@@ -340,14 +344,13 @@ def assert_index_form_equals_phase_form(n, seed_kind, channel_kind, rng):
     info = random_state(n, rng)
     new = run_protocol(info, ch, basis).records
     old = with_phase_tables(run_protocol, info, ch, basis).records
-    for column in ("probs", "zero", "bob", "useful", "corrected", "fidelities"):
+    for column in ("probs", "zero", "bob", "corrected", "fidelities"):
         assert _same_bits(getattr(new, column), getattr(old, column)), column
     if n <= 6:  # a block of runs, as verify_partial_basis hands them over, of every kind
         infos = np.stack([random_state(n, rng).amplitudes for _ in range(3)])
         es = np.stack([e, *(_channel_matrix(n, kind, rng) for kind in ("perfect", "degenerate"))])
-        with np.errstate(invalid="ignore"):  # a degenerate run's zero rows are normalized to nan
-            assert _same_bits(min_fidelities(infos, es, basis),
-                              with_phase_tables(min_fidelities, infos, es, basis))
+        assert _same_bits(min_fidelities(infos, es, basis),
+                          with_phase_tables(min_fidelities, infos, es, basis))
     for alpha in rng.integers(4**n, size=3).tolist():
         assert _same_bits(basis.members[alpha], phase_members(basis.seed, alpha))
     if n <= 5:  # the (4^n, 2^n, 2^n) stack is 256 MiB at n = 6
@@ -367,3 +370,114 @@ def test_index_form_equals_phase_form(n, seed_kind, channel_kind, seed):
 
 def test_index_form_equals_phase_form_n7():
     assert_index_form_equals_phase_form(7, "haar", "perfect", np.random.default_rng(7))
+
+
+# --- run_protocol as it was: only the nonzero outcomes corrected -----------------
+
+
+def useful_corrected_states(bob, alphas, e, basis, tol):
+    """`teleport._corrected_states` as it was: `bob` holds the rows of the outcomes `alphas`."""
+    if basis.seed is not None:
+        k = teleport._seed_operator(e, basis)
+        scaled = teleport._unitary_scale(k, tol) > 0.0
+        if not scaled.any():
+            return bob
+        index = pauli.action_index(basis.n)[alphas]
+        corrected = np.take_along_axis(bob @ k.conj(), index[None] & (2**basis.n - 1), axis=-1)
+        corrected *= pauli.POWERS_OF_I[index >> basis.n]
+        corrected /= np.linalg.norm(corrected, axis=-1, keepdims=True)
+        np.copyto(corrected, bob, where=~scaled[:, None, None])
+        return corrected
+    members = np.asarray(basis.members, dtype=np.complex128)[alphas]
+    ops = np.einsum("tij,akj->taik", e.swapaxes(-1, -2), members.conj())
+    scaled = teleport._unitary_scale(ops, tol) > 0.0
+    corrected = np.where(scaled[..., None], np.einsum("taji,taj->tai", ops.conj(), bob), bob)
+    return corrected / np.linalg.norm(corrected, axis=-1, keepdims=True)
+
+
+def useful_run_protocol(info, ch, basis, tol=DEFAULT_TOL):
+    """The columns of `run_protocol` as it was, and the α of the nonzero outcomes.
+
+    Its `corrected` (U, 2^n) and `fidelities` (U,) hold only the U nonzero outcomes.
+    """
+    probs, zero, bob = teleport._bob_states(info.amplitudes[None], ch.e_matrix[None], basis)
+    useful = np.flatnonzero(~zero[0])
+    corrected = useful_corrected_states(bob[:, useful], useful, ch.e_matrix[None], basis, tol)
+    fidelities = teleport._fidelities(corrected, info.amplitudes[None])
+    return probs[0], zero[0], bob[0], useful, corrected[0], fidelities[0]
+
+
+def _zero_outcome_channel(n, kind, basis, rng):
+    """`_channel_matrix`, or a channel that leaves outcomes at zero probability.
+
+    "ghz" is the GHZ corner matrix (rank 2).  "aligned" is E = (|a><a| B^(0))^T
+    normalized, so that O^(α) is proportional to |a><a| P_α: on a basis state,
+    every outcome whose P_α moves it off |a> is flagged zero, whatever the seed.
+    """
+    if kind == "ghz":
+        e = np.zeros((2**n, 2**n), dtype=complex)
+        e[0, 0] = e[-1, -1] = 2**-0.5
+        return e
+    if kind == "aligned":
+        a = np.eye(2**n)[rng.integers(2**n)]
+        e = (np.outer(a, a) @ basis.members[0]).T
+        return e / np.linalg.norm(e)
+    return _channel_matrix(n, kind, rng)
+
+
+def _basis(n, kind, rng):
+    """A generated basis, "standard" or "haar", or with "-dense" stored member by member."""
+    seed_kind, _, storage = kind.partition("-")
+    basis = _generated(n, seed_kind, rng)
+    return BellBasis(n, np.asarray(basis.members)) if storage else basis
+
+
+def assert_all_rows_equal_useful_rows(n, basis_kind, channel_kind, info_kind, rng):
+    basis = _basis(n, basis_kind, rng)
+    e = _zero_outcome_channel(n, channel_kind, basis, rng)
+    ch = channel_from_state(state_from_matrix(e, n), n)
+    info = (random_state(n, rng) if info_kind == "haar"
+            else StateVector(n, np.eye(2**n)[rng.integers(2**n)]))
+    new = run_protocol(info, ch, basis).records
+    probs, zero, bob, useful, corrected, fidelities = useful_run_protocol(info, ch, basis)
+    assert _same_bits(new.probs, probs) and _same_bits(new.zero, zero)
+    assert _same_bits(new.bob, bob)
+    assert new.corrected.shape == new.bob.shape and new.fidelities.shape == new.probs.shape
+    assert _same_bits(new.corrected[useful], corrected)
+    assert _same_bits(new.fidelities[useful], fidelities)
+    assert np.isfinite(new.corrected).all() and np.isfinite(new.fidelities).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 6), basis_kind=st.sampled_from(["standard", "haar", "standard-dense",
+                                                                "haar-dense"]),
+       channel_kind=st.sampled_from(["perfect", "imperfect", "degenerate", "ghz", "aligned"]),
+       info_kind=st.sampled_from(["haar", "basis"]), seed=st.integers(0, 2**32 - 1))
+def test_every_row_corrected_equals_nonzero_rows_corrected(n, basis_kind, channel_kind,
+                                                            info_kind, seed):
+    if basis_kind.endswith("dense"):
+        n = min(n, 4)  # the dense path holds a (4^n, 2^n, 2^n) stack of operators
+    assert_all_rows_equal_useful_rows(n, basis_kind, channel_kind, info_kind,
+                                      np.random.default_rng(seed))
+
+
+def test_every_row_corrected_equals_nonzero_rows_corrected_n7():
+    assert_all_rows_equal_useful_rows(7, "haar", "ghz", "basis", np.random.default_rng(77))
+
+
+@pytest.mark.parametrize("basis_kind", ["standard", "haar", "standard-dense", "haar-dense"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_min_fidelities_is_least_nonzero_fidelity_of_run_protocol(n, basis_kind):
+    rng = np.random.default_rng(100 * n + len(basis_kind))
+    basis = _basis(n, basis_kind, rng)
+    # the first two runs have zero outcomes; the others share the block with them
+    kinds = ("aligned", "aligned", "perfect", "ghz", "imperfect", "degenerate")
+    es = np.stack([_zero_outcome_channel(n, kind, basis, rng) for kind in kinds])
+    infos = np.eye(2**n, dtype=complex)[rng.integers(2**n, size=len(kinds))]
+    got = min_fidelities(infos, es, basis)
+    for t, (info, e) in enumerate(zip(infos, es)):
+        outcomes = run_protocol(StateVector(n, info), channel_from_state(
+            state_from_matrix(e, n), n), basis).records
+        assert outcomes.zero.any() or t >= 2, t
+        want = np.min(outcomes.fidelities[~outcomes.zero], initial=np.inf)
+        assert _same_bits(got[t], want), t

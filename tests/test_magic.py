@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+import qtel.errors
 import qtel.magic
 from qtel.channel import concurrence_2q
 from qtel.cli import main
@@ -204,17 +205,17 @@ class TestVerificationBlockBudget:
     def test_smaller_blocks_give_the_same_figures(self, monkeypatch):
         basis = partial_basis_from_set(pauli_from_digits(N2_NAMES[name]) for name in "FGH")
         whole = verify_partial_basis(basis, trials=50, seed=3)
-        monkeypatch.setattr(qtel.magic, "VERIFY_BLOCK_BYTES", 3 * self.N2_TRIAL_BYTES)
+        monkeypatch.setattr(qtel.errors, "BYTE_BUDGET", 3 * self.N2_TRIAL_BYTES)
         assert verify_partial_basis(basis, trials=50, seed=3) == whole
 
     def test_trial_over_budget_is_resource_limit(self, monkeypatch):
-        monkeypatch.setattr(qtel.magic, "VERIFY_BLOCK_BYTES", self.N2_TRIAL_BYTES - 1)
+        monkeypatch.setattr(qtel.errors, "BYTE_BUDGET", self.N2_TRIAL_BYTES - 1)
         basis = partial_basis_from_set(pauli_from_digits(N2_NAMES[name]) for name in "FGH")
         with pytest.raises(ResourceLimitError, match="n=2 needs"):
             verify_partial_basis(basis, trials=1, seed=0)
 
     def test_cli_exits_2_over_budget(self, monkeypatch, capsys):
-        monkeypatch.setattr(qtel.magic, "VERIFY_BLOCK_BYTES", self.N2_TRIAL_BYTES - 1)
+        monkeypatch.setattr(qtel.errors, "BYTE_BUDGET", self.N2_TRIAL_BYTES - 1)
         assert main(["magic", "verify", "--set", "F,G,H"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -166,7 +166,7 @@ def record_bits(record):
 
 def eager_records(outcomes):
     """The records of `outcomes`, all built at once from its columns."""
-    records, row = [], 0
+    records = []
     for alpha, (p, zero) in enumerate(zip(outcomes.probs, outcomes.zero)):
         if zero:
             records.append(OutcomeRecord(alpha, float(p), zero_probability=True))
@@ -176,9 +176,8 @@ def eager_records(outcomes):
             records.append(OutcomeRecord(alpha, float(p), bob))
         else:
             records.append(OutcomeRecord(
-                alpha, float(p), bob, StateVector(outcomes.n, outcomes.corrected[row]),
-                float(outcomes.fidelities[row])))
-        row += 1
+                alpha, float(p), bob, StateVector(outcomes.n, outcomes.corrected[alpha]),
+                float(outcomes.fidelities[alpha])))
     return records
 
 
@@ -324,7 +323,7 @@ def test_validated_dense_family_is_a_read_only_stack(perfect):
     info = random_state(n, rng)
     got = run_protocol(info, ch, basis).records
     want = run_protocol(info, ch, BellBasis(n, tuple(members))).records
-    for name in ("probs", "zero", "bob", "useful", "corrected", "fidelities"):
+    for name in ("probs", "zero", "bob", "corrected", "fidelities"):
         a, b = getattr(got, name), getattr(want, name)
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
 
