@@ -109,20 +109,14 @@ def generate_from_seed(seed: StateVector, tol: Tolerance = DEFAULT_TOL) -> BellB
     on the measured-information side, i.e. B^(α) = P_α · B^(0) as matrices.
     Only the seed is stored; members are built when indexed.
     """
-    if seed.n_qubits % 2 != 0:
-        raise ShapeError(f"seed must have an even qubit count, got {seed.n_qubits}")
-    n = seed.n_qubits // 2
-    dim = 2**n
-    if not seed.is_normalized(tol):
-        raise ValidationError("seed state is not normalized")
-    b0 = seed.amplitudes.reshape(dim, dim).copy()
+    b0 = seed.matrix(tol)
     b0.flags.writeable = False
     ok, deviation = is_maximally_entangled(b0, tol)
     if not ok:
         raise ValidationError(
             f"seed is not maximally entangled: max |B†B - 2^-n·1| = {deviation:.3e}"
         )
-    return BellBasis(n, PauliMembers(b0))
+    return BellBasis(seed.n_qubits // 2, PauliMembers(b0))
 
 
 def standard_basis(n: int) -> BellBasis:
@@ -130,11 +124,11 @@ def standard_basis(n: int) -> BellBasis:
 
 
 def bell_basis_from_members(members, tol: Tolerance = DEFAULT_TOL) -> BellBasis:
-    """Accept an arbitrary orthonormal maximally-entangled family.
+    """Accept an arbitrary complete maximally-entangled family.
 
-    Runs the orthonormality, completeness, and per-member maximality checks
-    before constructing the basis, whose members are one read-only
-    (4^n, 2^n, 2^n) array.
+    Checks the members' shapes, their maximality as one stack, and completeness,
+    before building the basis, whose members are one read-only (4^n, 2^n, 2^n)
+    array.  Orthonormality follows from completeness: the member matrix is square.
     """
     members = tuple(np.asarray(m, dtype=np.complex128) for m in members)
     if not members:
@@ -146,13 +140,14 @@ def bell_basis_from_members(members, tol: Tolerance = DEFAULT_TOL) -> BellBasis:
     for alpha, m in enumerate(members):
         if m.shape != (dim, dim):
             raise ShapeError(f"member {alpha} has shape {m.shape}")
-        ok, deviation = is_maximally_entangled(m, tol)
-        if not ok:
-            raise ValidationError(
-                f"member {alpha} is not maximally entangled (deviation {deviation:.3e})"
-            )
     stack = np.stack(members)
     stack.flags.writeable = False
+    ok, deviation = is_maximally_entangled(stack, tol)
+    if not ok.all():
+        alpha = int(np.argmin(ok))
+        raise ValidationError(
+            f"member {alpha} is not maximally entangled (deviation {deviation[alpha]:.3e})"
+        )
     basis = BellBasis(n, stack)
     ok, deviation = verify_completeness(basis, tol)
     if not ok:

@@ -29,22 +29,13 @@ class Channel:
 
 
 def channel_from_state(state: StateVector, n: int, tol: Tolerance = DEFAULT_TOL) -> Channel:
-    """Build a channel from a normalized 2n-qubit state.
-
-    The index split is i = j * 2^n + k with j the A-side row and k the
-    B-side column, so the reshape round-trips bit-for-bit.
-    """
-    if state.n_qubits % 2:
-        raise ShapeError(f"channel state needs an even qubit count, got {state.n_qubits} qubits")
+    """Build a channel from a normalized 2n-qubit state; E is `StateVector.matrix`."""
+    e_matrix = state.matrix(tol)
     if state.n_qubits != 2 * n:
         raise ShapeError(
             f"channel for n={n} needs a {2 * n}-qubit state, got {state.n_qubits} qubits"
         )
-    if not state.is_normalized(tol):
-        raise ValidationError(f"channel state is not normalized: |norm - 1| = "
-                              f"{abs(state.norm() - 1.0):.3e}")
-    dim = 2**n
-    return Channel(n, state.amplitudes.reshape(dim, dim).copy())
+    return Channel(n, e_matrix)
 
 
 def state_from_matrix(matrix: np.ndarray, n: int) -> StateVector:

@@ -268,7 +268,7 @@ def cmd_magic_witness(args) -> int:
 def cmd_masfi(args) -> int:
     state = serialize.load_state(args.channel)
     ch = channel.channel_from_state(state, 1, args.tol)
-    result = teleport.masfi_1q(ch, tol=args.tol)
+    result = teleport.masfi_1q(ch)
     concurrence = channel.concurrence_2q(state, args.tol)
     report = {
         "masfi": result.value,

@@ -109,6 +109,19 @@ class StateVector:
     def is_normalized(self, tol: Tolerance = DEFAULT_TOL) -> bool:
         return abs(self.norm() - 1.0) <= tol.abs_eps
 
+    def matrix(self, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+        """A copy of the 2^n x 2^n matrix of a normalized 2n-qubit state: E, or a seed's B^(0).
+
+        Amplitude j·2^n + k is entry (j, k), so the reshape round-trips bit for bit.
+        """
+        if self.n_qubits % 2:
+            raise ShapeError(f"state needs an even qubit count, got {self.n_qubits} qubits")
+        if not self.is_normalized(tol):
+            raise ValidationError(f"state is not normalized: |norm - 1| = "
+                                  f"{abs(self.norm() - 1.0):.3e}")
+        dim = 2 ** (self.n_qubits // 2)
+        return self.amplitudes.reshape(dim, dim).copy()
+
     def normalized(self) -> "StateVector":
         n = self.norm()
         if n == 0.0:

@@ -248,7 +248,7 @@ def family_property_report(n: int) -> FamilyPropertyReport:
     product equals the i^k·P of `product_table`), commute-or-anticommute
     dichotomy (dense matrices against `product_table`), existence of an
     anticommuting partner, zero trace off the identity, linear independence,
-    and spanning of all 2^n x 2^n matrices.
+    and spanning of all 2^n x 2^n matrices (one rank decides both).
     Also records whether every non-identity pair anticommutes (it cannot,
     for n > 1).
     """
@@ -308,13 +308,10 @@ def family_property_report(n: int) -> FamilyPropertyReport:
     traces[0] = 0.0  # the identity's trace is 2^n
     check("zero trace off identity", failing(traces))
 
-    stacked = mats.reshape(4**n, -1)
-    gram = stacked.conj() @ stacked.T
-    independent = np.linalg.matrix_rank(gram) == 4**n
-    check("linearly independent", [] if independent else ["Gram matrix singular"])
-
-    spanning = np.linalg.matrix_rank(stacked) == dim * dim
-    check("spans all matrices", [] if spanning else [f"rank < {dim * dim}"])
+    # 4^n matrices in the 4^n-dimensional matrix space: independent exactly when they span it
+    rank = np.linalg.matrix_rank(mats.reshape(4**n, -1))
+    check("linearly independent", [] if rank == 4**n else ["Gram matrix singular"])
+    check("spans all matrices", [] if rank == dim * dim else [f"rank < {dim * dim}"])
 
     all_anti = all(counts[a] == 4**n - 2 for a in counts)
     return FamilyPropertyReport(n, tuple(checks), counts, all_anti)

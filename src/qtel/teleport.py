@@ -442,7 +442,7 @@ def minimize(fun, x0, *, xatol: float, fatol: float) -> Minimum:
     return Minimum(sim[0], np.min(fsim), nfev, nfev < maxfev and iterations < maxiter)
 
 
-def masfi_1q(ch: Channel, tol: Tolerance = DEFAULT_TOL) -> MasfiResult:
+def masfi_1q(ch: Channel) -> MasfiResult:
     """Minimum assured fidelity for a single-qubit channel.
 
     Minimizes, over information states on a Bloch-sphere grid with local
@@ -465,7 +465,7 @@ def masfi_1q(ch: Channel, tol: Tolerance = DEFAULT_TOL) -> MasfiResult:
         return MasfiResult(0.0, degenerate=True)
     basis = standard_basis(1)
     corrections = [matrix_of(pauli_from_quaternary(alpha, 1)) for alpha in range(4)]
-    operators = [transformation_operator(ch, basis, alpha, tol).matrix for alpha in range(4)]
+    operators = [transformation_operator(ch, basis, alpha).matrix for alpha in range(4)]
 
     def worst_fidelity(angles) -> float:
         theta, phi = angles
