@@ -161,10 +161,10 @@ def check_completeness_size(n: int):
     The matrix takes 16·16^n bytes, so n <= 6 runs and n >= 7 is a
     ResourceLimitError; ``bell gen`` calls it before it builds the seed.
     """
-    matrix_bytes = 16 * 16**n
-    if matrix_bytes > errors.BYTE_BUDGET:
+    log2_bytes = 4 + 4 * n  # an n from outside the program is never raised to a power
+    if errors.over_budget(log2_bytes):
         raise ResourceLimitError(f"checking completeness at n={n} needs a "
-                                 f"{matrix_bytes >> 20} MiB member matrix, over the "
+                                 f"{errors.mebibytes(log2_bytes)} MiB member matrix, over the "
                                  f"{errors.BYTE_BUDGET >> 20} MiB limit")
 
 

@@ -213,9 +213,10 @@ def _resolve_set(tokens: list[str], n: int | None):
     for token in tokens:
         if token in magic.N2_NAMES:
             paulis.append(pauli.pauli_from_digits(magic.N2_NAMES[token]))
-        elif token.isdigit():
+        elif token.isdecimal():  # int() reads these; not "²", which isdigit() accepts
             if n is None:
                 raise ValidationError("--n is required when selecting by index")
+            magic.verify_block_trials(n)  # refuses an oversized n before the label loops over it
             paulis.append(pauli.pauli_from_quaternary(int(token), n))
         else:
             paulis.append(pauli.parse(token))

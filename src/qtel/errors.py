@@ -6,6 +6,16 @@
 BYTE_BUDGET = 2**28
 
 
+def over_budget(log2_bytes: int) -> bool:
+    """Whether 2^log2_bytes bytes exceed BYTE_BUDGET, decided without forming 2^log2_bytes."""
+    return log2_bytes >= BYTE_BUDGET.bit_length()
+
+
+def mebibytes(log2_bytes: int) -> str:
+    """2^log2_bytes bytes in whole MiB: digits up to 2^80 bytes, a power of two above."""
+    return str(2**log2_bytes >> 20) if log2_bytes <= 80 else f"2^{log2_bytes - 20}"
+
+
 class QtelError(Exception):
     """Base class for all package-specific errors."""
 

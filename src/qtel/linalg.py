@@ -96,9 +96,10 @@ class StateVector:
         if self.n_qubits < 1:
             raise ValidationError(f"n_qubits must be >= 1, got {self.n_qubits}")
         amps = np.asarray(self.amplitudes, dtype=np.complex128).reshape(-1)
-        if amps.size != 2**self.n_qubits:
+        # bit lengths first: an n_qubits read from a file is never raised to a power
+        if amps.size.bit_length() != self.n_qubits + 1 or amps.size != 2**self.n_qubits:
             raise ShapeError(
-                f"expected {2**self.n_qubits} amplitudes for {self.n_qubits} "
+                f"expected 2^{self.n_qubits} amplitudes for {self.n_qubits} "
                 f"qubits, got {amps.size}"
             )
         object.__setattr__(self, "amplitudes", _finite(amps))

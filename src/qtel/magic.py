@@ -151,15 +151,16 @@ def verify_block_trials(n: int) -> int:
 
     At most VERIFY_BLOCK_TRIALS, and only as many as fit `errors.BYTE_BUDGET`; a
     ResourceLimitError when not one does.  ``magic verify`` calls it before it
-    builds the basis.
+    builds the basis, and before it reads an index token at n.
     """
-    trial_bytes = 4 * 16 * 4**n * 2**n  # four (4^n, 2^n) complex arrays
-    block = min(VERIFY_BLOCK_TRIALS, errors.BYTE_BUDGET // trial_bytes)
-    if block < 1:
-        raise ResourceLimitError(f"verifying a partial basis at n={n} needs {trial_bytes >> 20}"
-                                 f" MiB per trial, over the {errors.BYTE_BUDGET >> 20} MiB"
-                                 " block budget")
-    return block
+    if n < 1:
+        raise ValidationError(f"n must be >= 1, got {n}")
+    log2_bytes = 6 + 3 * n  # four (4^n, 2^n) complex arrays
+    if errors.over_budget(log2_bytes):
+        raise ResourceLimitError(f"verifying a partial basis at n={n} needs "
+                                 f"{errors.mebibytes(log2_bytes)} MiB per trial, over the "
+                                 f"{errors.BYTE_BUDGET >> 20} MiB block budget")
+    return min(VERIFY_BLOCK_TRIALS, errors.BYTE_BUDGET >> log2_bytes)
 
 
 @dataclass(frozen=True)

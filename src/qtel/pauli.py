@@ -64,8 +64,7 @@ class PauliString:
     def __post_init__(self):
         if self.n_qubits < 1:
             raise ValidationError(f"n_qubits must be >= 1, got {self.n_qubits}")
-        mask = (1 << self.n_qubits) - 1
-        if self.x_bits & ~mask or self.z_bits & ~mask:
+        if self.x_bits >> self.n_qubits or self.z_bits >> self.n_qubits:
             raise ValidationError("bitmask does not fit the qubit count")
         object.__setattr__(self, "phase_power", self.phase_power % 4)
 
@@ -110,7 +109,7 @@ def pauli_from_digits(digits, phase_power: int = 0) -> PauliString:
 
 def pauli_from_quaternary(alpha: int, n_qubits: int) -> PauliString:
     """The alpha-th family element, alpha read in base 4 (qubit 1 = leading digit)."""
-    if not 0 <= alpha < 4**n_qubits:
+    if alpha < 0 or int(alpha).bit_length() > 2 * n_qubits:  # alpha < 4^n, without 4^n
         raise DomainError(f"alpha={alpha} out of range for {n_qubits} qubits")
     return PauliString(n_qubits, *map(int, _split(alpha, n_qubits)))
 

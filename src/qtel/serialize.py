@@ -104,6 +104,8 @@ def _load_json(path: str):
             raise ValidationError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}")
         except UnicodeDecodeError as exc:
             raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+        except ValueError as exc:  # an integer over the interpreter's 4300-digit limit
+            raise ValidationError(f"{path}: {exc}") from exc
 
 
 def load_state(path: str) -> StateVector:

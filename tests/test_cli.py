@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -311,6 +312,17 @@ MALFORMED = {
     # refused by the size guards before any 2^n x 2^n array is built
     "oversized_bell_gen": lambda t, info, ch: ["bell", "gen", "--n", "20"],
     "oversized_verify": lambda t, info, ch: ["magic", "verify", "--set", "1", "--n", "30"],
+    # an n of thousands of qubits is never raised to a power, not even in the message
+    "oversized_bell_gen_n5000": lambda t, info, ch: ["bell", "gen", "--n", "5000"],
+    "oversized_verify_n5000": lambda t, info, ch: [
+        "magic", "verify", "--set", "1", "--n", "5000"],
+    "n_qubits_20000": lambda t, info, ch: [
+        "channel", "check", "--file",
+        _write(t, "n20000.json", {"n_qubits": 20000, "amplitudes": [[1, 0]]})],
+    "n_qubits_5000_digits": lambda t, info, ch: [
+        "channel", "check", "--file",
+        _write(t, "digits.json", '{"n_qubits": %s, "amplitudes": [[1, 0]]}' % ("1" * 5000))],
+    "set_superscript_digit": lambda t, info, ch: ["magic", "verify", "--set", "²", "--n", "2"],
 }
 
 
@@ -321,6 +333,28 @@ def test_malformed_input_is_usage_error(case, capsys, tmp_path, info2_file, two_
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "Traceback" not in captured.err and captured.err.startswith("error: ")
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+@pytest.mark.parametrize("argv", [
+    lambda t: ["channel", "check", "--file", _write(
+        t, "n2_70.json", {"n_qubits": 2**70, "amplitudes": [[1, 0]]})],
+    lambda t: ["bell", "gen", "--n", "100000000000"],
+    lambda t: ["magic", "verify", "--set", "1", "--n", str(2**70)],
+], ids=["channel_check.n_qubits_2_70", "bell_gen.n_1e11", "magic_verify.n_2_70"])
+def test_astronomical_n_is_usage_error_in_a_capped_process(argv, tmp_path):
+    # in a separate process under a 1 GiB address-space cap: code that forms 2^n or 16^n
+    # for such an n fails there with a MemoryError (or runs out the timeout), not here
+    src = os.path.dirname(os.path.dirname(qtel.__file__))
+    code = f"import sys; from qtel.cli import main; sys.exit(main({argv(tmp_path)!r}))"
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=60, preexec_fn=_cap_address_space)
+    assert result.returncode == 2 and result.stdout == ""
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
 
 
 LEAF_COMMANDS = {
