@@ -135,8 +135,9 @@ def bell_basis_from_members(members, tol: Tolerance = DEFAULT_TOL) -> BellBasis:
         raise ValidationError("basis family is empty")
     dim = members[0].shape[0]
     n = int(dim).bit_length() - 1
-    if 2**n != dim or len(members) != 4**n:
-        raise ShapeError(f"expected 4^n matrices of size 2^n, got {len(members)} of {dim}")
+    if n < 1 or 2**n != dim or len(members) != 4**n:
+        raise ShapeError(f"expected 4^n matrices of size 2^n, n >= 1, "
+                         f"got {len(members)} of {dim}")
     for alpha, m in enumerate(members):
         if m.shape != (dim, dim):
             raise ShapeError(f"member {alpha} has shape {m.shape}")

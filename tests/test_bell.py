@@ -11,7 +11,7 @@ from qtel.bell import (
     verify_completeness,
 )
 from qtel.channel import state_from_matrix
-from qtel.errors import DomainError, ValidationError
+from qtel.errors import DomainError, ShapeError, ValidationError
 from qtel.linalg import StateVector, haar_random_unitary
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -142,6 +142,11 @@ class TestRawConstructor:
         members[0] = bad
         with pytest.raises(ValidationError, match="maximally entangled"):
             bell_basis_from_members(members)
+
+    def test_rejects_one_by_one_member(self):
+        # a 1x1 matrix is not a 2n-qubit state for any n >= 1, as for StateVector
+        with pytest.raises(ShapeError, match="n >= 1"):
+            bell_basis_from_members([np.eye(1)])
 
     def test_accepts_non_pauli_generated_family(self):
         rng = np.random.default_rng(15)
