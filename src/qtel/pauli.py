@@ -32,7 +32,7 @@ _Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 
 # indexed by digit d = 2·x + z; the hermitian factor for x = z = 1 is Y = i·X·Z
 _LETTERS = "IZXY"
-_FACTORS = (_I2, _Z, _X, _Y)
+_FACTORS = np.array([_I2, _Z, _X, _Y])
 _PHASE_PREFIX = {0: "", 1: "i·", 2: "-", 3: "-i·"}
 POWERS_OF_I = np.array([1, 1j, -1, -1j])  # i^k at index k
 POWERS_OF_I.flags.writeable = False
@@ -190,12 +190,23 @@ def product_table(n_qubits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return alphas[:, None] ^ alphas, power, anti == 1
 
 
+def matrices_of(alphas: np.ndarray, n_qubits: int) -> np.ndarray:
+    """Dense factor products of the phase-free strings labelled `alphas`: (len, 2^n, 2^n).
+
+    One broadcast product per qubit, qubit 0 first, forms the elementwise products
+    of the ``np.kron`` chain from [[1 + 0j]], so every entry has the same bits.
+    """
+    m = np.ones((len(alphas), 1, 1), dtype=np.complex128)
+    for shift in range(2 * n_qubits - 2, -1, -2):
+        factors = _FACTORS[(alphas >> shift) & 3]
+        d = 2 * m.shape[-1]
+        m = (m[:, :, None, :, None] * factors[:, None, :, None, :]).reshape(-1, d, d)
+    return m
+
+
 def matrix_of(p: PauliString) -> np.ndarray:
     """Dense 2^n x 2^n realization, i^phase_power times the factor product."""
-    m = np.array([[1.0 + 0j]])
-    for d in p.digits():
-        m = np.kron(m, _FACTORS[d])
-    return (1j**p.phase_power) * m
+    return (1j**p.phase_power) * matrices_of(np.array([p.quaternary_index]), p.n_qubits)[0]
 
 
 def render(p: PauliString, separator: str = "") -> str:
@@ -256,7 +267,7 @@ def family_property_report(n: int) -> FamilyPropertyReport:
             f"exhaustive family check supports n <= {FAMILY_EXHAUSTIVE_MAX_QUBITS}, got {n}"
         )
     family = [pauli_from_quaternary(a, n) for a in range(4**n)]
-    mats = np.array([matrix_of(p) for p in family])
+    mats = matrices_of(np.arange(4**n), n)
     index, power, anticommutes = product_table(n)
     dim = 2**n
     eye = np.eye(dim)

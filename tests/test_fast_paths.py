@@ -42,7 +42,7 @@ from qtel.magic import (
     partial_basis_from_set,
     verify_partial_basis,
 )
-from qtel.pauli import commutes, pauli_from_quaternary, product, product_table
+from qtel.pauli import PauliString, commutes, pauli_from_quaternary, product, product_table
 from qtel.serialize import basis_to_list, dumps, matrix_to_dict
 from qtel.teleport import min_fidelities, run_protocol
 
@@ -83,6 +83,29 @@ def test_product_table_is_product_and_commutes(n):
         r = product(p, q)
         assert (index[a, b], power[a, b]) == (r.quaternary_index, r.phase_power)
         assert anticommutes[a, b] == (not commutes(p, q))
+
+
+_KRON_FACTORS = (np.eye(2, dtype=complex), np.diag([1, -1]).astype(complex),
+                 np.array([[0, 1], [1, 0]], dtype=complex), np.array([[0, -1j], [1j, 0]]))
+
+
+def kron_chain(p) -> np.ndarray:
+    """The factor product of `pauli.matrix_of` as it was: one ``np.kron`` per qubit."""
+    m = np.array([[1.0 + 0j]])
+    for d in p.digits():
+        m = np.kron(m, _KRON_FACTORS[d])
+    return m
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_stacked_pauli_matrices_equal_kron_chain_bit_for_bit(n):
+    family = [pauli_from_quaternary(a, n) for a in range(4**n)]
+    assert _same_bits(pauli.matrices_of(np.arange(4**n), n),
+                      np.array([kron_chain(p) for p in family]))
+    for phase in range(4):
+        for p in family:
+            p = PauliString(n, p.x_bits, p.z_bits, phase)
+            assert _same_bits(pauli.matrix_of(p), (1j**phase) * kron_chain(p))
 
 
 def _old_random_amplitudes(n: int, rng) -> np.ndarray:
