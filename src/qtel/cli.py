@@ -14,8 +14,6 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from . import bell, channel, magic, pauli, serialize, teleport
 from .errors import InternalConsistencyError, QtelError, ValidationError
 from .linalg import DEFAULT_ABS_EPS, Tolerance
