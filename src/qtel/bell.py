@@ -31,7 +31,7 @@ import numpy as np
 
 from . import errors
 from .errors import DomainError, ResourceLimitError, ShapeError, ValidationError
-from .linalg import (DEFAULT_TOL, StateVector, Tolerance, is_maximally_entangled,
+from .linalg import (DEFAULT_TOL, StateVector, Tolerance, _finite, is_maximally_entangled,
                      is_scaled_identity)
 from .pauli import action_index, signed_copies
 
@@ -141,7 +141,7 @@ def bell_basis_from_members(members, tol: Tolerance = DEFAULT_TOL) -> BellBasis:
     for alpha, m in enumerate(members):
         if m.shape != (dim, dim):
             raise ShapeError(f"member {alpha} has shape {m.shape}")
-    stack = np.stack(members)
+    stack = _finite(np.stack(members))
     stack.flags.writeable = False
     ok, deviation = is_maximally_entangled(stack, tol)
     if not ok.all():

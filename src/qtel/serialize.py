@@ -44,7 +44,8 @@ def pairs_to_array(pairs, what: str) -> np.ndarray:
         raise ValidationError(f"{what}: entries must be [re, im] pairs") from exc
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValidationError(f"{what}: entries must be [re, im] pairs")
-    return arr[:, 0] + 1j * arr[:, 1]
+    with np.errstate(invalid="ignore"):  # 1j·inf is nan + inf·j; StateVector refuses it
+        return arr[:, 0] + 1j * arr[:, 1]
 
 
 def state_to_dict(state: StateVector) -> dict:

@@ -323,6 +323,14 @@ MALFORMED = {
         "channel", "check", "--file",
         _write(t, "digits.json", '{"n_qubits": %s, "amplitudes": [[1, 0]]}' % ("1" * 5000))],
     "set_superscript_digit": lambda t, info, ch: ["magic", "verify", "--set", "²", "--n", "2"],
+    # an infinite entry is refused without a numpy RuntimeWarning on the way
+    "infinite_imaginary_part": lambda t, info, ch: [
+        "channel", "check", "--file", _write(t, "inf_imag.json", json.dumps(
+            {"n_qubits": 2, "amplitudes": [[0, float("inf")]] + [[0, 0]] * 3}))],
+    "infinite_basis_entry": lambda t, info, ch: [
+        "teleport", "run", "--info", info, "--channel", ch, "--basis", _write(
+            t, "inf_basis.json", json.dumps(
+                [{"rows": 4, "cols": 4, "entries": [[float("inf"), 0]] + [[0.5, 0]] * 15}] * 16))],
 }
 
 
