@@ -75,7 +75,9 @@ def is_maximally_entangled(m, tol: Tolerance = DEFAULT_TOL):
     also for a stack of matrices.
     """
     m = as_complex_matrix(m)
-    return is_scaled_identity(dagger(m) @ m, 1.0 / m.shape[-2], tol)
+    with np.errstate(over="ignore", invalid="ignore"):  # huge entries: an inf or nan deviation
+        gram = dagger(m) @ m
+    return is_scaled_identity(gram, 1.0 / m.shape[-2], tol)
 
 
 def _finite(amplitudes: np.ndarray) -> np.ndarray:
@@ -105,7 +107,8 @@ class StateVector:
         object.__setattr__(self, "amplitudes", _finite(amps))
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        with np.errstate(over="ignore"):  # the norm of huge amplitudes is inf: not normalized
+            return float(np.linalg.norm(self.amplitudes))
 
     def is_normalized(self, tol: Tolerance = DEFAULT_TOL) -> bool:
         return abs(self.norm() - 1.0) <= tol.abs_eps

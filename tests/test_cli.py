@@ -323,10 +323,17 @@ MALFORMED = {
         "channel", "check", "--file",
         _write(t, "digits.json", '{"n_qubits": %s, "amplitudes": [[1, 0]]}' % ("1" * 5000))],
     "set_superscript_digit": lambda t, info, ch: ["magic", "verify", "--set", "²", "--n", "2"],
-    # an infinite entry is refused without a numpy RuntimeWarning on the way
+    # an infinite or huge entry is refused without a numpy RuntimeWarning on the way
     "infinite_imaginary_part": lambda t, info, ch: [
         "channel", "check", "--file", _write(t, "inf_imag.json", json.dumps(
             {"n_qubits": 2, "amplitudes": [[0, float("inf")]] + [[0, 0]] * 3}))],
+    "huge_amplitudes": lambda t, info, ch: [
+        "channel", "check", "--file", _write(t, "huge.json", json.dumps(
+            {"n_qubits": 2, "amplitudes": [[1e200, 0]] + [[0, 0]] * 2 + [[1e200, 0]]}))],
+    "huge_basis_entry": lambda t, info, ch: [
+        "teleport", "run", "--info", info, "--channel", ch, "--basis", _write(
+            t, "huge_basis.json", json.dumps(
+                [{"rows": 4, "cols": 4, "entries": [[1e200, 0]] + [[0.5, 0]] * 15}] * 16))],
     "infinite_basis_entry": lambda t, info, ch: [
         "teleport", "run", "--info", info, "--channel", ch, "--basis", _write(
             t, "inf_basis.json", json.dumps(

@@ -1,8 +1,8 @@
 """Hypothesis fuzz of the CLI contract, run in process through `qtel.cli.main`.
 
 Inputs are state and basis files mutated from valid ones (dropped keys,
-wrong types, NaN and Infinity, truncated text, ragged entries, wrong counts,
-odd or oversized integer fields), and argument lists over every leaf
+wrong types, NaN, Infinity and huge entries, truncated text, ragged entries,
+wrong counts, odd or oversized integer fields), and argument lists over every leaf
 command.  The contract: argparse refuses with ``SystemExit(2)``; otherwise
 the exit code is 0, 1 or 2, a printed report comes with empty stderr, and
 without a report stderr is exactly one ``error:`` line; no other exception
@@ -31,7 +31,7 @@ from qtel.serialize import matrix_to_dict
 # the integer fields of a file, and --n, take these besides their valid values
 ODD_SIZES = [-1, 0, 1, 1.5, "2", True, 5000, 20000, 2**70]
 WRONG_TYPES = [None, "x", [], {}, 1.5, True, [[1, 0]]]
-NONFINITE = [float("nan"), float("inf"), float("-inf")]
+EXTREME = [float("nan"), float("inf"), float("-inf"), 1e200, -1e308]
 
 
 def check_contract(argv: list[str]):
@@ -76,7 +76,7 @@ def mutated(draw, doc) -> str:
     doc = copy.deepcopy(doc)
     for _ in range(draw(st.integers(1, 2))):
         objects = [doc] if isinstance(doc, dict) else [m for m in doc if isinstance(m, dict)]
-        kind = draw(st.sampled_from(["drop", "type", "size", "nonfinite", "ragged", "count",
+        kind = draw(st.sampled_from(["drop", "type", "size", "extreme", "ragged", "count",
                                      "top"]))
         if kind == "top" or not objects:  # the file holds another JSON value
             doc = draw(st.sampled_from([42, "x", None, [], {}, [doc]]))
@@ -95,8 +95,8 @@ def mutated(draw, doc) -> str:
             target[draw(st.sampled_from(sizes))] = draw(st.sampled_from(ODD_SIZES))
         elif not isinstance(entries, list) or not entries:
             continue
-        elif kind == "nonfinite":
-            value = draw(st.sampled_from(NONFINITE))
+        elif kind == "extreme":
+            value = draw(st.sampled_from(EXTREME))
             entries[draw(st.integers(0, len(entries) - 1))] = draw(
                 st.sampled_from([[value, 0.0], [0.0, value]]))
         elif kind == "ragged":
