@@ -143,7 +143,8 @@ def bell_basis_from_members(members, tol: Tolerance = DEFAULT_TOL) -> BellBasis:
             raise ShapeError(f"member {alpha} has shape {m.shape}")
     stack = _finite(np.stack(members))
     stack.flags.writeable = False
-    ok, deviation = is_maximally_entangled(stack, tol)
+    with np.errstate(over="ignore", invalid="ignore"):  # huge entries: an inf or nan deviation
+        ok, deviation = is_maximally_entangled(stack, tol)
     if not ok.all():
         alpha = int(np.argmin(ok))
         raise ValidationError(

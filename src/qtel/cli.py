@@ -15,7 +15,7 @@ import os
 import sys
 
 from . import bell, channel, magic, pauli, serialize, teleport
-from .errors import InternalConsistencyError, QtelError, ValidationError
+from .errors import DomainError, InternalConsistencyError, QtelError, ValidationError
 from .linalg import DEFAULT_ABS_EPS, Tolerance
 
 SCHEMA = "qtel/1"
@@ -215,7 +215,11 @@ def _resolve_set(tokens: list[str], n: int | None):
             if n is None:
                 raise ValidationError("--n is required when selecting by index")
             magic.verify_block_trials(n)  # refuses an oversized n before the label loops over it
-            paulis.append(pauli.pauli_from_quaternary(int(token), n))
+            try:
+                alpha = int(token)
+            except ValueError:  # over the interpreter's digit limit, so far past 4^n
+                raise DomainError(f"a {len(token)}-digit index is out of range for {n} qubits")
+            paulis.append(pauli.pauli_from_quaternary(alpha, n))
         else:
             paulis.append(pauli.parse(token))
     return paulis

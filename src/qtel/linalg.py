@@ -75,9 +75,7 @@ def is_maximally_entangled(m, tol: Tolerance = DEFAULT_TOL):
     also for a stack of matrices.
     """
     m = as_complex_matrix(m)
-    with np.errstate(over="ignore", invalid="ignore"):  # huge entries: an inf or nan deviation
-        gram = dagger(m) @ m
-    return is_scaled_identity(gram, 1.0 / m.shape[-2], tol)
+    return is_scaled_identity(dagger(m) @ m, 1.0 / m.shape[-2], tol)
 
 
 def _finite(amplitudes: np.ndarray) -> np.ndarray:

@@ -323,6 +323,8 @@ MALFORMED = {
         "channel", "check", "--file",
         _write(t, "digits.json", '{"n_qubits": %s, "amplitudes": [[1, 0]]}' % ("1" * 5000))],
     "set_superscript_digit": lambda t, info, ch: ["magic", "verify", "--set", "²", "--n", "2"],
+    "set_index_5000_digits": lambda t, info, ch: [
+        "magic", "verify", "--set", "1" * 5000, "--n", "2"],
     # an infinite or huge entry is refused without a numpy RuntimeWarning on the way
     "infinite_imaginary_part": lambda t, info, ch: [
         "channel", "check", "--file", _write(t, "inf_imag.json", json.dumps(

@@ -184,7 +184,7 @@ def _options(directory: str) -> dict[str, dict[str, list[str]]]:
         "magic cliques": {"--n": N_VALUES},
         "magic catalog": {"--n": N_VALUES},  # takes no --n: argparse refuses it
         "magic verify": {"--set": ["F,G", "F,G,H", "1,2", "0", "99", "XX,ZZ", "IZ", "X,ZZ",
-                                   "²", "", ",", "Q", "-i·XY"],
+                                   "²", "1" * 5000, "", ",", "Q", "-i·XY"],
                          "--n": N_VALUES, "--trials": ["-1", "0", "1", "20", "abc"],
                          "--seed": SEEDS},
         "magic witness": {"--n": N_VALUES},
