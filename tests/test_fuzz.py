@@ -51,11 +51,11 @@ def check_contract(argv: list[str]):
 
 
 def state_doc(n_qubits: int, kind: str, seed: int) -> dict:
-    """A valid state file: Bell pairs across the two halves, a product state or a random state."""
+    """A valid state: Bell pairs across the halves (even n_qubits), a product or a random state."""
     dim = 2**n_qubits
     if kind == "pairs":
         half = 2 ** (n_qubits // 2)
-        amps = np.eye(half).reshape(-1) / np.sqrt(half) if n_qubits % 2 == 0 else np.eye(dim)[0]
+        amps = np.eye(half).reshape(-1) / np.sqrt(half)
     elif kind == "product":
         amps = np.eye(dim)[0]
     else:
