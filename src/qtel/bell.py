@@ -19,7 +19,10 @@ matrix V, whose row α is B^(α) flattened.  R is Hermitian, and BLAS computes
 its entry (q, p) from the same products, summed in the same order over α, as
 the conjugate of its entry (p, q), so the two have the same modulus bit for
 bit.  `verify_completeness` therefore evaluates R only on and above its block
-diagonal, one block row at a time, and never holds R itself.
+diagonal, one block row at a time, and never holds R itself.  The block rows
+run on up to one thread per available CPU, each with the operands and shapes
+it has alone, so the deviation has the same bits for any thread count; no
+option selects this.
 """
 
 from __future__ import annotations
@@ -181,18 +184,101 @@ def verify_completeness(basis: BellBasis, tol: Tolerance = DEFAULT_TOL) -> tuple
     |R[q, p]| = |R[p, q]| bit for bit, so the deviation is max |R - 1| over
     all of R, which is never held.  A member matrix over
     `errors.BYTE_BUDGET` is a ResourceLimitError, raised before it is built.
+
+    The block rows run on up to one thread per available CPU (`_block_workers`),
+    each block with the operands and shapes it has alone, and the block
+    deviations are folded in block order, so the verdict and the deviation
+    do not depend on the thread count.  A check of one block starts no thread.
     """
     check_completeness_size(basis.n)
     size = basis.size
-    vecs = np.asarray(basis.members).reshape(size, -1)
+    vecs = np.asarray(basis.members, dtype=np.complex128).reshape(size, -1)
+    starts = range(0, size, COMPLETENESS_BLOCK_COLUMNS)
+    width = min(size, COMPLETENESS_BLOCK_COLUMNS)
+    deviations = [None] * len(starts)
+
+    def fill(start: int, conj: np.ndarray, product: np.ndarray):
+        """Block row `start` in the flat buffers `conj` and `product`, of size·width entries.
+
+        Each view has the shape and C order of the array the block would
+        allocate, and the |entries| off the diagonal block go into `conj`
+        once the product no longer reads it, so a worker allocates nothing large.
+        """
+        cols = min(COMPLETENESS_BLOCK_COLUMNS, size - start)
+        rest = size - start - cols
+        block = np.conjugate(vecs[:, start:start + cols],
+                             out=conj[:size * cols].reshape(size, cols)).T
+        part = np.matmul(block, vecs[:, start:],
+                         out=product[:cols * (size - start)].reshape(cols, size - start))
+        _, diagonal_dev = is_scaled_identity(part[:, :cols], 1.0, tol)
+        off = np.abs(part[:, cols:], out=conj.view(np.float64)[:cols * rest].reshape(cols, rest))
+        deviations[start // COMPLETENESS_BLOCK_COLUMNS] = (diagonal_dev,
+                                                           float(off.max(initial=0.0)))
+
+    _run_blocks(fill, starts, _block_workers(len(starts), size, width), size * width)
     deviation = 0.0
-    for start in range(0, size, COMPLETENESS_BLOCK_COLUMNS):
-        block = vecs[:, start:start + COMPLETENESS_BLOCK_COLUMNS].conj().T
-        part = block @ vecs[:, start:]
-        width = block.shape[0]
-        _, diagonal_dev = is_scaled_identity(part[:, :width], 1.0, tol)
-        deviation = max(deviation, diagonal_dev, float(np.abs(part[:, width:]).max(initial=0.0)))
+    for diagonal_dev, off_dev in deviations:
+        deviation = max(deviation, diagonal_dev, off_dev)
     return deviation <= tol.abs_eps, deviation
+
+
+def _block_workers(blocks: int, size: int, width: int) -> int:
+    """Threads for the block rows: one per available CPU, at most one per block.
+
+    Each worker's two buffers take 32·size·width bytes, so at most size / (8·width)
+    workers keep them within a quarter of the 16·size² byte member matrix that
+    the check already holds: 2 at n = 5, 8 at n = 6, and 1 below n = 5.
+    """
+    import os  # a local import, as in `_run_blocks`: loading the module imports nothing more
+
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    return max(1, min(cpus, blocks, size // (8 * width)))
+
+
+def _run_blocks(fill, starts: range, workers: int, entries: int):
+    """Call ``fill(start, conj, product)`` for each start, on `workers` threads.
+
+    The calling thread allocates each worker's two complex buffers of
+    `entries` and is itself one worker; numpy's ``matmul`` releases the GIL, so
+    the workers' products run at once.  A thread that cannot be started leaves
+    its blocks to the others.  Every thread is joined before this returns, and
+    the first exception raised by any block is raised here.
+    """
+    import threading  # numpy has loaded it already
+
+    pending = iter(starts)
+    lock = threading.Lock()
+    failures = []
+
+    def work(conj: np.ndarray, product: np.ndarray):
+        try:
+            while not failures:
+                with lock:
+                    start = next(pending, None)
+                if start is None:
+                    return
+                fill(start, conj, product)
+        except BaseException as exc:  # re-raised by the caller: a lost block never reads as done
+            failures.append(exc)
+
+    buffers = [(np.empty(entries, np.complex128), np.empty(entries, np.complex128))
+               for _ in range(workers)]
+    started = []
+    try:
+        for conj, product in buffers[1:]:
+            thread = threading.Thread(target=work, args=(conj, product))
+            try:
+                thread.start()
+            except RuntimeError:  # e.g. the process is at its thread limit
+                break
+            started.append(thread)
+        work(*buffers[0])
+    finally:
+        for thread in started:
+            thread.join()
+    if failures:
+        raise failures[0]
 
 
 def is_maximal_member(basis: BellBasis, alpha: int, tol: Tolerance = DEFAULT_TOL) -> bool:

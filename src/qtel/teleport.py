@@ -45,7 +45,8 @@ import numpy as np
 
 from .bell import BellBasis, is_maximal_member, standard_basis
 from .channel import Channel, is_perfect
-from .errors import InternalConsistencyError, ShapeError, ValidationError
+from . import errors
+from .errors import InternalConsistencyError, ResourceLimitError, ShapeError, ValidationError
 from .linalg import DEFAULT_TOL, StateVector, Tolerance, _finite, dagger, is_scaled_identity
 from .pauli import POWERS_OF_I, action_index, matrix_of, pauli_from_quaternary, signed_copies
 
@@ -205,7 +206,8 @@ def _bob_states(info: np.ndarray, e: np.ndarray, basis: BellBasis):
     b = _outcome_amplitudes(info, e, basis)
     probs = np.real(np.einsum("...ai,...ai->...a", b.conj(), b))
     zero = probs < ZERO_PROBABILITY_EPS
-    return probs, zero, b / np.sqrt(np.where(zero, 1.0, probs))[..., None]
+    b /= np.sqrt(np.where(zero, 1.0, probs))[..., None]
+    return probs, zero, b
 
 
 def _corrected_states(bob: np.ndarray, e: np.ndarray, basis: BellBasis,
@@ -223,9 +225,9 @@ def _corrected_states(bob: np.ndarray, e: np.ndarray, basis: BellBasis,
         if not scaled.any():
             return bob
         index = action_index(basis.n)  # entries k·2^n + s: i^k times entry s
-        kdag_b = bob @ k.conj()  # rows K† b_α
-        # in place, to spare a (T, 4^n, 2^n) array; phases are ±1, ±i, so products are exact
-        corrected = np.take_along_axis(kdag_b, index[None] & (2**basis.n - 1), axis=-1)
+        # the rows K† b_α, gathered, then times their phases in place to spare a (T, 4^n, 2^n)
+        # array; the phases are ±1, ±i, so the products are exact
+        corrected = np.take_along_axis(bob @ k.conj(), index[None] & (2**basis.n - 1), axis=-1)
         corrected *= POWERS_OF_I[index >> basis.n]
         _normalize_rows(corrected)
         np.copyto(corrected, bob, where=~scaled[:, None, None])
@@ -251,8 +253,17 @@ def _fidelities(corrected: np.ndarray, info: np.ndarray) -> np.ndarray:
 def composite_expand(
     info: StateVector, ch: Channel, basis: BellBasis, tol: Tolerance = DEFAULT_TOL
 ) -> OutcomeRecords:
-    """Per-outcome probabilities and Bob states as columns, no corrections applied."""
+    """Per-outcome probabilities and Bob states as columns, no corrections applied.
+
+    An n whose (4^n, 2^n) complex outcome array would exceed `errors.BYTE_BUDGET`
+    (n >= 9) is a ResourceLimitError, raised before any outcome is expanded.
+    """
     _check_dims(info, ch, basis, tol)
+    log2_bytes = 4 + 3 * basis.n
+    if errors.over_budget(log2_bytes):
+        raise ResourceLimitError(f"running the protocol at n={basis.n} needs "
+                                 f"{errors.mebibytes(log2_bytes)} MiB per outcome array, over "
+                                 f"the {errors.BYTE_BUDGET >> 20} MiB limit")
     probs, zero, bob = _bob_states(info.amplitudes[None], ch.e_matrix[None], basis)
     return OutcomeRecords(probs[0], zero[0], _finite(bob[0]))
 

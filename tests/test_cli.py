@@ -356,15 +356,28 @@ def _cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
 
 
+def _standard_n9_files(t) -> list[str]:
+    """``--info`` and ``--channel`` files at n = 9: |0...0> and the standard 18-qubit channel."""
+    dim = 2**9
+    info = {"n_qubits": 9, "amplitudes": [[1, 0]] + [[0, 0]] * (dim - 1)}
+    channel = [[0, 0]] * dim**2
+    channel[::dim + 1] = [[dim**-0.5, 0]] * dim  # E = 1 / 2^(9/2)
+    return ["--info", _write(t, "info_n9.json", info),
+            "--channel", _write(t, "channel_n9.json", {"n_qubits": 18, "amplitudes": channel})]
+
+
 @pytest.mark.parametrize("argv", [
     lambda t: ["channel", "check", "--file", _write(
         t, "n2_70.json", {"n_qubits": 2**70, "amplitudes": [[1, 0]]})],
     lambda t: ["bell", "gen", "--n", "100000000000"],
     lambda t: ["magic", "verify", "--set", "1", "--n", str(2**70)],
-], ids=["channel_check.n_qubits_2_70", "bell_gen.n_1e11", "magic_verify.n_2_70"])
+    lambda t: ["teleport", "run"] + _standard_n9_files(t),
+], ids=["channel_check.n_qubits_2_70", "bell_gen.n_1e11", "magic_verify.n_2_70",
+        "teleport_run.n_9"])
 def test_astronomical_n_is_usage_error_in_a_capped_process(argv, tmp_path):
     # in a separate process under a 1 GiB address-space cap: code that forms 2^n or 16^n
-    # for such an n fails there with a MemoryError (or runs out the timeout), not here
+    # for such an n fails there with a MemoryError (or runs out the timeout), not here;
+    # at n = 9, action_index alone would take the whole 1 GiB
     src = os.path.dirname(os.path.dirname(qtel.__file__))
     code = f"import sys; from qtel.cli import main; sys.exit(main({argv(tmp_path)!r}))"
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")

@@ -16,6 +16,8 @@ nonzero-outcome fidelity of `run_protocol`, bit for bit.
 """
 
 import itertools
+import os
+import threading
 import tracemalloc
 from collections.abc import Sequence
 
@@ -212,11 +214,17 @@ def _family(n, kind, rng):
     return BellBasis(n, stack)
 
 
-def _block_completeness(basis, width, tol=DEFAULT_TOL):
-    """`verify_completeness` with `width` columns per block (None: the default)."""
+def _set_cpus(mp, cpus):
+    """Let the process see `cpus` CPUs, as `verify_completeness` reads them."""
+    mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+def _block_completeness(basis, width, tol=DEFAULT_TOL, cpus=1):
+    """`verify_completeness` with `width` columns per block (None: the default) and `cpus` CPUs."""
     with pytest.MonkeyPatch.context() as mp:
         if width is not None:
             mp.setattr(qtel.bell, "COMPLETENESS_BLOCK_COLUMNS", width)
+        _set_cpus(mp, cpus)
         return verify_completeness(basis, tol)
 
 
@@ -224,12 +232,13 @@ def _block_completeness(basis, width, tol=DEFAULT_TOL):
 @given(n=st.integers(1, 4), kind=st.sampled_from(["standard", "haar", "dense", "gaussian",
                                                   "repeated"]),
        width=st.sampled_from([None, 4, 16]), seed=st.integers(0, 2**32 - 1),
-       tol=st.sampled_from([DEFAULT_TOL, Tolerance(1e-15), Tolerance(0.5)]))
-def test_block_completeness_equals_dense_resolution(n, kind, width, seed, tol):
+       tol=st.sampled_from([DEFAULT_TOL, Tolerance(1e-15), Tolerance(0.5)]),
+       cpus=st.sampled_from([1, 2, 4]))
+def test_block_completeness_equals_dense_resolution(n, kind, width, seed, tol, cpus):
     if kind == "dense" and n > 3:
         n = 3  # bell_basis_from_members checks each of the 256 members at n = 4 one by one
     basis = _family(n, kind, np.random.default_rng(seed))
-    assert _block_completeness(basis, width, tol) == dense_completeness(basis, tol)
+    assert _block_completeness(basis, width, tol, cpus) == dense_completeness(basis, tol)
 
 
 @pytest.mark.parametrize("kind", ["standard", "haar", "gaussian"])
@@ -237,11 +246,13 @@ def test_block_completeness_equals_dense_resolution_n5(kind):
     basis = _family(5, kind, np.random.default_rng(5))
     expected = dense_completeness(basis)
     assert expected[0] == (kind != "gaussian")
-    for width in (None, 4, 16):
-        assert _block_completeness(basis, width) == expected, width
+    for width, cpus in itertools.product((None, 4, 16), (1, 2, 4)):
+        assert _block_completeness(basis, width, cpus=cpus) == expected, (width, cpus)
 
 
-def test_completeness_peak_below_one_and_a_half_member_matrices():
+@pytest.mark.parametrize("cpus", [1, 2, 4, 64])
+def test_completeness_peak_below_one_and_a_half_member_matrices(monkeypatch, cpus):
+    _set_cpus(monkeypatch, cpus)
     basis = standard_basis(5)
     verify_completeness(basis)  # fills the action-index cache
     tracemalloc.start()
@@ -251,6 +262,53 @@ def test_completeness_peak_below_one_and_a_half_member_matrices():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * 16 * 16**5  # the (4^5, 4^5) complex member matrix is 16 MiB
+
+
+def test_block_failure_in_a_worker_thread_reaches_the_caller(monkeypatch, capsys):
+    _set_cpus(monkeypatch, 2)
+    failed = threading.Event()
+    threads = threading.active_count()
+
+    def failing(a, scale, tol):
+        if threading.current_thread() is threading.main_thread():
+            assert failed.wait(10), "no block ran on a worker thread"
+            return is_scaled_identity(a, scale, tol)
+        failed.set()
+        raise RuntimeError("block failed")
+
+    monkeypatch.setattr(qtel.bell, "is_scaled_identity", failing)
+    with pytest.raises(RuntimeError, match="block failed"):
+        verify_completeness(standard_basis(5))
+    assert threading.active_count() == threads
+    assert capsys.readouterr() == ("", "")
+
+
+def test_completeness_of_one_block_starts_no_thread(monkeypatch):
+    _set_cpus(monkeypatch, 64)
+    started = []
+
+    class Recorded(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Recorded)
+    for n in (1, 2, 3):
+        assert verify_completeness(standard_basis(n))[0]
+    assert started == []
+    assert verify_completeness(standard_basis(5))[0]
+    assert len(started) == 1  # two workers at n = 5: the caller and one thread
+
+
+def test_completeness_runs_on_the_caller_when_no_thread_starts(monkeypatch):
+    _set_cpus(monkeypatch, 4)
+    basis = _family(5, "haar", np.random.default_rng(5))
+
+    def refuse(self):
+        raise RuntimeError("can't start new thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    assert verify_completeness(basis) == dense_completeness(basis)
 
 
 class _Unbuildable(Sequence):
@@ -486,6 +544,21 @@ def test_every_row_corrected_equals_nonzero_rows_corrected(n, basis_kind, channe
 
 def test_every_row_corrected_equals_nonzero_rows_corrected_n7():
     assert_all_rows_equal_useful_rows(7, "haar", "ghz", "basis", np.random.default_rng(77))
+
+
+def test_run_protocol_peak_below_four_outcome_arrays():
+    n = 6
+    basis = standard_basis(n)
+    ch = channel_from_state(state_from_matrix(np.eye(2**n) / 2 ** (n / 2), n), n)
+    info = random_state(n, np.random.default_rng(6))
+    run_protocol(info, ch, basis)  # fills the action-index cache
+    tracemalloc.start()
+    try:
+        run_protocol(info, ch, basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 16 * 8**n  # a (4^6, 2^6) complex outcome array is 4 MiB
 
 
 @pytest.mark.parametrize("basis_kind", ["standard", "haar", "standard-dense", "haar-dense"])

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from qtel import teleport
+from qtel import errors, teleport
 from qtel.bell import BellBasis, generate_from_seed, standard_basis
 from qtel.channel import channel_from_state, state_from_matrix
-from qtel.errors import DomainError, ShapeError, ValidationError
+from qtel.errors import DomainError, ResourceLimitError, ShapeError, ValidationError
 from qtel.linalg import StateVector, Tolerance, basis_state, haar_random_unitary, random_state
 from qtel.teleport import (
     composite_expand,
@@ -201,6 +201,14 @@ class TestRunProtocol:
         assert len(result.records) == 4
         with pytest.raises(ValidationError, match="normalized"):
             run_protocol(info, bell_channel(), standard_basis(1))
+
+    def test_outcome_array_limit_is_the_module_constant(self, monkeypatch):
+        info, ch, basis = basis_state(2, 0), two_bell_channel(), standard_basis(2)
+        monkeypatch.setattr(errors, "BYTE_BUDGET", 16 * 8**2)  # one (4^2, 2^2) complex array
+        assert len(run_protocol(info, ch, basis).records) == 16
+        monkeypatch.setattr(errors, "BYTE_BUDGET", 16 * 8**2 - 1)
+        with pytest.raises(ResourceLimitError, match="protocol at n=2 needs"):
+            run_protocol(info, ch, basis)
 
     def test_sampled_requires_seed_and_shots(self):
         with pytest.raises(ValidationError):
