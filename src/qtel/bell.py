@@ -215,25 +215,26 @@ def verify_completeness(basis: BellBasis, tol: Tolerance = DEFAULT_TOL) -> tuple
         deviations[start // COMPLETENESS_BLOCK_COLUMNS] = (diagonal_dev,
                                                            float(off.max(initial=0.0)))
 
-    _run_blocks(fill, starts, _block_workers(len(starts), size, width), size * width)
+    _run_blocks(fill, starts, _block_workers(size, width), size * width)
     deviation = 0.0
     for diagonal_dev, off_dev in deviations:
         deviation = max(deviation, diagonal_dev, off_dev)
     return deviation <= tol.abs_eps, deviation
 
 
-def _block_workers(blocks: int, size: int, width: int) -> int:
-    """Threads for the block rows: one per available CPU, at most one per block.
+def _block_workers(size: int, width: int) -> int:
+    """Threads for the block rows of `width` columns: one per available CPU, or fewer.
 
     Each worker's two buffers take 32·size·width bytes, so at most size / (8·width)
-    workers keep them within a quarter of the 16·size² byte member matrix that
-    the check already holds: 2 at n = 5, 8 at n = 6, and 1 below n = 5.
+    workers, an eighth of the blocks, keep them within a quarter of the
+    16·size² byte member matrix that the check already holds: 2 at n = 5, 8 at
+    n = 6, and 1 below n = 5.
     """
     import os  # a local import, as in `_run_blocks`: loading the module imports nothing more
 
     affinity = getattr(os, "sched_getaffinity", None)
     cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
-    return max(1, min(cpus, blocks, size // (8 * width)))
+    return max(1, min(cpus, size // (8 * width)))
 
 
 def _run_blocks(fill, starts: range, workers: int, entries: int):
