@@ -9,7 +9,10 @@ import pytest
 
 import qtel
 import qtel.bell
+import qtel.channel
+import qtel.errors
 import qtel.magic
+import qtel.teleport
 from qtel.cli import main
 from qtel.linalg import StateVector
 from qtel.serialize import matrix_to_dict, save_state
@@ -443,6 +446,32 @@ def test_size_guards_run_before_the_first_matrix_is_built(argv, module, step, ca
     assert captured.out == "" and captured.err.count("\n") == 1
     assert captured.err.startswith(("error: checking completeness at n=7",
                                     "error: verifying a partial basis at n=8"))
+
+
+@pytest.mark.parametrize(("argv", "line"), [
+    ("bell gen --n 7",
+     "checking completeness at n=7 needs a 4096 MiB member matrix, over the 256 MiB limit"),
+    ("bell gen --n 100",
+     "checking completeness at n=100 needs a 2^384 MiB member matrix, over the 256 MiB limit"),
+    ("magic verify --set 1 --n 8",
+     "verifying a partial basis at n=8 needs 1024 MiB per trial, over the 256 MiB block budget"),
+    ("magic verify --set 1 --n 40",
+     "verifying a partial basis at n=40 needs 2^106 MiB per trial, over the 256 MiB block budget"),
+], ids=["bell_gen.n7", "bell_gen.n100", "magic_verify.n8", "magic_verify.n40"])
+def test_budget_refusal_prints_its_whole_error_line(argv, line, capsys):
+    assert main(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {line}\n")
+
+
+def test_protocol_budget_refusal_message(monkeypatch):
+    info = StateVector(2, np.full(4, 0.5, dtype=complex))
+    ch = qtel.channel.channel_from_state(StateVector(4, np.eye(4).reshape(-1) / 2), 2)
+    monkeypatch.setattr(qtel.errors, "BYTE_BUDGET", 16 * 8**2 - 1)  # under one (4^2, 2^2) array
+    with pytest.raises(qtel.errors.ResourceLimitError) as refusal:
+        qtel.teleport.composite_expand(info, ch, qtel.bell.standard_basis(2))
+    assert str(refusal.value) == ("running the protocol at n=2 needs 0 MiB per outcome array, "
+                                  "over the 0 MiB limit")
 
 
 def test_masfi_tolerance_reaches_concurrence(capsys, tmp_path):
