@@ -33,13 +33,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import errors
-from .errors import DomainError, ResourceLimitError, ShapeError, ValidationError
+from .errors import DomainError, ShapeError, ValidationError
 from .linalg import (DEFAULT_TOL, StateVector, Tolerance, _finite, is_maximally_entangled,
                      is_scaled_identity)
 from .pauli import action_index, signed_copies
 
-# verify_completeness evaluates the completeness sum this many columns at a time: a multiple
-# of 4, which gives each entry the bits it has in the one (4^n, 4^n) product (1, 2 and 7 do not)
+# verify_completeness evaluates the completeness sum this many columns at a time: a power of 4
+# from 4 up, so every block of the 4^n columns is exactly min(4^n, this) wide, and each entry
+# has the bits it has in the one (4^n, 4^n) product (widths 1, 2 and 7 do not give them)
 COMPLETENESS_BLOCK_COLUMNS = 64
 
 
@@ -166,100 +167,86 @@ def check_completeness_size(n: int):
     The matrix takes 16·16^n bytes, so n <= 6 runs and n >= 7 is a
     ResourceLimitError; ``bell gen`` calls it before it builds the seed.
     """
-    log2_bytes = 4 + 4 * n  # an n from outside the program is never raised to a power
-    if errors.over_budget(log2_bytes):
-        raise ResourceLimitError(f"checking completeness at n={n} needs a "
-                                 f"{errors.mebibytes(log2_bytes)} MiB member matrix, over the "
-                                 f"{errors.BYTE_BUDGET >> 20} MiB limit")
+    errors.check_budget(4 + 4 * n, "checking completeness at n={n} needs a {size} MiB member "
+                        "matrix, over the {budget} MiB limit", n=n)
 
 
 def verify_completeness(basis: BellBasis, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float]:
     """Check sum_α B^(α)_ij B^(α)*_kl = δ_ik δ_jl over all index quadruples.
 
     The sum is R = V^T·conj(V), with row α of V the flattened B^(α).  For
-    each block I of COMPLETENESS_BLOCK_COLUMNS columns, conj(V[:, I])^T·V on
-    the columns from I onwards is the conjugate of R's block row I on and
-    above the diagonal: its leading square block is tested as a scaled
-    identity, the rest entry by entry against 0, and the block is dropped.
-    |R[q, p]| = |R[p, q]| bit for bit, so the deviation is max |R - 1| over
-    all of R, which is never held.  A member matrix over
+    each block I of `width` = min(4^n, COMPLETENESS_BLOCK_COLUMNS) columns,
+    conj(V[:, I])^T·V on the columns from I onwards is the conjugate of R's
+    block row I on and above the diagonal: its leading square block is tested
+    as a scaled identity, the rest entry by entry against 0, and the block is
+    dropped.  |R[q, p]| = |R[p, q]| bit for bit, so the deviation is max |R - 1|
+    over all of R, which is never held.  A member matrix over
     `errors.BYTE_BUDGET` is a ResourceLimitError, raised before it is built.
 
-    The block rows run on up to one thread per available CPU (`_block_workers`),
-    each block with the operands and shapes it has alone, and the block
-    deviations are folded in block order, so the verdict and the deviation
-    do not depend on the thread count.  A check of one block starts no thread.
+    `_run_blocks` runs the block rows, on up to one thread per available CPU,
+    each block with the operands and shapes it has alone, and the deviation
+    is the max of the blocks' deviations, so the verdict and the deviation do
+    not depend on the thread count.  Block 0 reads every column of V, so a nan
+    entry of V makes its deviation, and so the deviation, nan: it never reads
+    as complete.  A check of fewer than 16 blocks (n <= 4) starts no thread.
     """
     check_completeness_size(basis.n)
     size = basis.size
     vecs = np.asarray(basis.members, dtype=np.complex128).reshape(size, -1)
-    starts = range(0, size, COMPLETENESS_BLOCK_COLUMNS)
     width = min(size, COMPLETENESS_BLOCK_COLUMNS)
-    deviations = [None] * len(starts)
 
-    def fill(start: int, conj: np.ndarray, product: np.ndarray):
-        """Block row `start` in the flat buffers `conj` and `product`, of size·width entries.
+    def fill(block: int, conj: np.ndarray, product: np.ndarray) -> float:
+        """The deviation of block row `block`, computed in the flat buffers `conj` and `product`.
 
         Each view has the shape and C order of the array the block would
         allocate, and the |entries| off the diagonal block go into `conj`
         once the product no longer reads it, so a worker allocates nothing large.
         """
-        cols = min(COMPLETENESS_BLOCK_COLUMNS, size - start)
-        rest = size - start - cols
-        block = np.conjugate(vecs[:, start:start + cols],
-                             out=conj[:size * cols].reshape(size, cols)).T
-        part = np.matmul(block, vecs[:, start:],
-                         out=product[:cols * (size - start)].reshape(cols, size - start))
-        _, diagonal_dev = is_scaled_identity(part[:, :cols], 1.0, tol)
-        off = np.abs(part[:, cols:], out=conj.view(np.float64)[:cols * rest].reshape(cols, rest))
-        deviations[start // COMPLETENESS_BLOCK_COLUMNS] = (diagonal_dev,
-                                                           float(off.max(initial=0.0)))
+        start = block * width
+        lhs = np.conjugate(vecs[:, start:start + width], out=conj.reshape(size, width)).T
+        part = np.matmul(lhs, vecs[:, start:],
+                         out=product[:width * (size - start)].reshape(width, -1))
+        _, diagonal_dev = is_scaled_identity(part[:, :width], 1.0, tol)
+        off = np.abs(part[:, width:],
+                     out=conj.view(np.float64)[:width * (size - start - width)].reshape(width, -1))
+        return float(off.max(initial=diagonal_dev))  # a nan in either part stays nan
 
-    _run_blocks(fill, starts, _block_workers(size, width), size * width)
-    deviation = 0.0
-    for diagonal_dev, off_dev in deviations:
-        deviation = max(deviation, diagonal_dev, off_dev)
+    deviation = max(_run_blocks(fill, size // width, size * width))  # max keeps a leading nan
     return deviation <= tol.abs_eps, deviation
 
 
-def _block_workers(size: int, width: int) -> int:
-    """Threads for the block rows of `width` columns: one per available CPU, or fewer.
+def _run_blocks(fill, blocks: int, entries: int) -> list[float]:
+    """What ``fill(block, conj, product)`` returns for each block number, filled on threads.
 
-    Each worker's two buffers take 32·size·width bytes, so at most size / (8·width)
-    workers, an eighth of the blocks, keep them within a quarter of the
-    16·size² byte member matrix that the check already holds: 2 at n = 5, 8 at
-    n = 6, and 1 below n = 5.
+    Each worker has two complex buffers of `entries`, 32·entries bytes, so at
+    most blocks / 8 workers keep them within a quarter of the 16·size² byte
+    member matrix that the check already holds: 1 below n = 5, 2 at n = 5 and
+    up to 8 at n = 6, and never more than one per available CPU.  The calling
+    thread allocates every buffer and is itself one worker; numpy's ``matmul``
+    releases the GIL, so the workers' products run at once.  A thread that
+    cannot be started leaves its blocks to the others.  Every thread is joined
+    before this returns, and the first exception raised by any block is raised here.
     """
-    import os  # a local import, as in `_run_blocks`: loading the module imports nothing more
+    import os
+    import threading  # loaded already by numpy, as os is by Python itself
 
-    affinity = getattr(os, "sched_getaffinity", None)
-    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
-    return max(1, min(cpus, size // (8 * width)))
-
-
-def _run_blocks(fill, starts: range, workers: int, entries: int):
-    """Call ``fill(start, conj, product)`` for each start, on `workers` threads.
-
-    The calling thread allocates each worker's two complex buffers of
-    `entries` and is itself one worker; numpy's ``matmul`` releases the GIL, so
-    the workers' products run at once.  A thread that cannot be started leaves
-    its blocks to the others.  Every thread is joined before this returns, and
-    the first exception raised by any block is raised here.
-    """
-    import threading  # numpy has loaded it already
-
-    pending = iter(starts)
+    workers = max(1, blocks // 8)
+    if workers > 1:  # only then can the CPU count bind
+        affinity = getattr(os, "sched_getaffinity", None)
+        workers = min(workers, len(affinity(0)) if affinity else os.cpu_count() or 1)
+    pending = iter(range(blocks))
     lock = threading.Lock()
+    results = [None] * blocks
     failures = []
 
     def work(conj: np.ndarray, product: np.ndarray):
         try:
             while not failures:
                 with lock:
-                    start = next(pending, None)
-                if start is None:
+                    block = next(pending, None)
+                if block is None:
                     return
-                fill(start, conj, product)
+                results[block] = fill(block, conj, product)
         except BaseException as exc:  # re-raised by the caller: a lost block never reads as done
             failures.append(exc)
 
@@ -280,6 +267,7 @@ def _run_blocks(fill, starts: range, workers: int, entries: int):
             thread.join()
     if failures:
         raise failures[0]
+    return results
 
 
 def is_maximal_member(basis: BellBasis, alpha: int, tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -2,19 +2,9 @@
 
 # the largest working set, in bytes, that one command may build: the member matrix of
 # `bell.verify_completeness`, a block of `magic.verify_partial_basis` trials, one outcome
-# array of `teleport.composite_expand`.  Each guard reads it when called and refuses a
-# larger need before anything is allocated.
+# array of `teleport.composite_expand`.  Each of those guards calls `check_budget` with its
+# need before anything is allocated, and `check_budget` reads the budget when called.
 BYTE_BUDGET = 2**28
-
-
-def over_budget(log2_bytes: int) -> bool:
-    """Whether 2^log2_bytes bytes exceed BYTE_BUDGET, decided without forming 2^log2_bytes."""
-    return log2_bytes >= BYTE_BUDGET.bit_length()
-
-
-def mebibytes(log2_bytes: int) -> str:
-    """2^log2_bytes bytes in whole MiB: digits up to 2^80 bytes, a power of two above."""
-    return str(2**log2_bytes >> 20) if log2_bytes <= 80 else f"2^{log2_bytes - 20}"
 
 
 class QtelError(Exception):
@@ -39,3 +29,15 @@ class ResourceLimitError(QtelError, ValueError):
 
 class InternalConsistencyError(QtelError, RuntimeError):
     """A quantity the theory guarantees failed its numerical check."""
+
+
+def check_budget(log2_bytes: int, message: str, **fields):
+    """Raise a ResourceLimitError if 2^log2_bytes bytes exceed BYTE_BUDGET.
+
+    Decided by bit length, so no 2^log2_bytes is formed for an n from outside the
+    program.  The error's text is `message` formatted with `fields`, `size` (whole
+    MiB: digits up to 2^80 bytes, a power of two above) and `budget` (in MiB).
+    """
+    if log2_bytes >= BYTE_BUDGET.bit_length():
+        size = str(2**log2_bytes >> 20) if log2_bytes <= 80 else f"2^{log2_bytes - 20}"
+        raise ResourceLimitError(message.format(size=size, budget=BYTE_BUDGET >> 20, **fields))

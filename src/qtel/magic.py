@@ -28,6 +28,7 @@ from .pauli import (PauliString, commutes, matrix_of, pauli_from_digits, pauli_f
 from .teleport import min_fidelities
 
 GRAPH_EXHAUSTIVE_MAX_QUBITS = 3
+PRINTED_AMPLITUDE_EPS = 1e-12  # the printed amplitudes are ±1/2 and ±i/2, exact in binary
 # verify_partial_basis evaluates at most this many trials at a time, and only as many as
 # fit in `errors.BYTE_BUDGET` at four (4^n, 2^n) complex arrays each, one trial's peak in
 # `teleport.min_fidelities`: 128 trials up to n = 5, fewer above, none from n = 8
@@ -156,10 +157,8 @@ def verify_block_trials(n: int) -> int:
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
     log2_bytes = 6 + 3 * n  # four (4^n, 2^n) complex arrays
-    if errors.over_budget(log2_bytes):
-        raise ResourceLimitError(f"verifying a partial basis at n={n} needs "
-                                 f"{errors.mebibytes(log2_bytes)} MiB per trial, over the "
-                                 f"{errors.BYTE_BUDGET >> 20} MiB block budget")
+    errors.check_budget(log2_bytes, "verifying a partial basis at n={n} needs {size} MiB per "
+                        "trial, over the {budget} MiB block budget", n=n)
     return min(VERIFY_BLOCK_TRIALS, errors.BYTE_BUDGET >> log2_bytes)
 
 
@@ -429,7 +428,7 @@ def n2_catalog() -> N2Catalog:
         printed = np.zeros(16, dtype=np.complex128)
         for index, amp in entries:
             printed[index] += amp
-        diff = np.flatnonzero(np.abs(printed - states[name].amplitudes) > 1e-12)
+        diff = np.flatnonzero(np.abs(printed - states[name].amplitudes) > PRINTED_AMPLITUDE_EPS)
         if diff.size:
             typos[name] = (
                 f"printed amplitudes disagree at indices {diff.tolist()}"

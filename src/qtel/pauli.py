@@ -38,6 +38,7 @@ POWERS_OF_I = np.array([1, 1j, -1, -1j])  # i^k at index k
 POWERS_OF_I.flags.writeable = False
 
 FAMILY_EXHAUSTIVE_MAX_QUBITS = 3
+FAMILY_CHECK_EPS = 1e-12  # Pauli products are exact (entries 0, ±1, ±i): a failure is off by 1
 
 
 def _split(alpha, n: int):
@@ -146,7 +147,9 @@ def action_index(n_qubits: int) -> np.ndarray:
 
 def signed_copies(v: np.ndarray, axis: int = -1) -> np.ndarray:
     """i^k·v for k = 0 .. 3 joined along `axis`, where entry k·d + s is i^k·v[s] (d = len)."""
-    return np.concatenate([power * v for power in POWERS_OF_I], axis=axis)
+    axis %= v.ndim
+    copies = POWERS_OF_I.reshape((4,) + (1,) * (v.ndim - axis)) * np.expand_dims(v, axis)
+    return copies.reshape(v.shape[:axis] + (4 * v.shape[axis],) + v.shape[axis + 1:])
 
 
 def _multiply(px, pz, qx, qz, n_bits: int):
@@ -279,8 +282,8 @@ def family_property_report(n: int) -> FamilyPropertyReport:
     def worst(a):  # largest entry modulus of each matrix in a stack
         return np.max(np.abs(a), axis=(-2, -1))
 
-    def failing(deviations):  # the strings whose deviation exceeds 1e-12
-        return [str(family[a]) for a in np.flatnonzero(deviations > 1e-12)]
+    def failing(deviations):  # the strings whose deviation exceeds FAMILY_CHECK_EPS
+        return [str(family[a]) for a in np.flatnonzero(deviations > FAMILY_CHECK_EPS)]
 
     check("square is identity", failing(worst(mats @ mats - eye)))
     check("hermitian", failing(worst(mats - mats.conj().swapaxes(-1, -2))))
@@ -294,14 +297,14 @@ def family_property_report(n: int) -> FamilyPropertyReport:
         closure[a] = worst(prods - closure_phase[a, :, None, None] * mats[index[a]])
         comm[a] = worst(prods - flipped)
         anti[a] = worst(prods + flipped)
-    fails = [f"{family[a]}·{family[b]}" for a, b in zip(*np.nonzero(closure > 1e-12))]
+    fails = [f"{family[a]}·{family[b]}" for a, b in zip(*np.nonzero(closure > FAMILY_CHECK_EPS))]
     check("products close up to ±1, ±i", fails)
 
     # ordered pairs of distinct non-identity strings
     pairs = ~np.eye(4**n, dtype=bool)
     pairs[0] = pairs[:, 0] = False
-    dense_anticommutes = anti <= 1e-12
-    neither = pairs & (comm > 1e-12) & ~dense_anticommutes
+    dense_anticommutes = anti <= FAMILY_CHECK_EPS
+    neither = pairs & (comm > FAMILY_CHECK_EPS) & ~dense_anticommutes
     mismatch = pairs & (dense_anticommutes != anticommutes)
     fails = []
     for a, b in zip(*np.nonzero(neither | mismatch)):

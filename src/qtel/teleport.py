@@ -31,8 +31,9 @@ probability; the zero mask only says which outcomes cannot occur.  A run's
 result keeps its arrays as the columns of `OutcomeRecords`, one row per α:
 the probabilities, the zero mask, Bob's states, the corrected states and
 the fidelities.  An `OutcomeRecord`, with its `StateVector`s, is built only
-when an outcome is indexed; the finiteness check of `StateVector`
-(`linalg._finite`) runs once per column of states instead.
+when an outcome is indexed.  The finiteness check (`linalg._finite`) runs
+once on the column of Bob's states and once on the corrected column, and
+again on each row that an indexed record wraps in a `StateVector`.
 """
 
 from __future__ import annotations
@@ -46,11 +47,11 @@ import numpy as np
 from .bell import BellBasis, is_maximal_member, standard_basis
 from .channel import Channel, is_perfect
 from . import errors
-from .errors import InternalConsistencyError, ResourceLimitError, ShapeError, ValidationError
+from .errors import InternalConsistencyError, ShapeError, ValidationError
 from .linalg import DEFAULT_TOL, StateVector, Tolerance, _finite, dagger, is_scaled_identity
 from .pauli import POWERS_OF_I, action_index, matrix_of, pauli_from_quaternary, signed_copies
 
-ZERO_PROBABILITY_EPS = 1e-14
+ZERO_PROBABILITY_EPS = 1e-14  # an outcome less likely is masked, whatever --tol is
 # Sampled mode draws from the probabilities rounded to multiples of
 # 1/SAMPLING_GRID.  numpy's binomial draws branch on p <= 1/2, and tied
 # probabilities (every perfect channel) put the multinomial exactly on that
@@ -60,6 +61,10 @@ SAMPLING_GRID = 2.0**40
 # The Bloch-sphere grid of `masfi_1q`: θ in [0, π], φ in [0, 2π)
 MASFI_GRID_THETA = 64
 MASFI_GRID_PHI = 128
+MASFI_DEGENERATE_SV = 1e-12  # a least Schmidt coefficient below it leaves no fidelity assured
+MASFI_TIE_BAND = 1e-12  # grid values this near the minimum may tie in the scalar function
+MASFI_XATOL = 1e-6  # Nelder-Mead stops once the simplex spans less than this in θ and φ
+MASFI_FATOL = 1e-10  # and its worst fidelities differ by less than this
 
 
 @dataclass(frozen=True)
@@ -259,11 +264,8 @@ def composite_expand(
     (n >= 9) is a ResourceLimitError, raised before any outcome is expanded.
     """
     _check_dims(info, ch, basis, tol)
-    log2_bytes = 4 + 3 * basis.n
-    if errors.over_budget(log2_bytes):
-        raise ResourceLimitError(f"running the protocol at n={basis.n} needs "
-                                 f"{errors.mebibytes(log2_bytes)} MiB per outcome array, over "
-                                 f"the {errors.BYTE_BUDGET >> 20} MiB limit")
+    errors.check_budget(4 + 3 * basis.n, "running the protocol at n={n} needs {size} MiB per "
+                        "outcome array, over the {budget} MiB limit", n=basis.n)
     probs, zero, bob = _bob_states(info.amplitudes[None], ch.e_matrix[None], basis)
     return OutcomeRecords(probs[0], zero[0], _finite(bob[0]))
 
@@ -462,7 +464,7 @@ def masfi_1q(ch: Channel) -> MasfiResult:
     Schmidt coefficient cannot assure any fidelity and returns 0 flagged
     as degenerate.
 
-    The grid is evaluated as one array.  Its points within 1e-12 of the
+    The grid is evaluated as one array.  Its points within MASFI_TIE_BAND of the
     array minimum are then re-scored with the scalar function, in grid
     order (θ outer, φ inner), and the first strict minimum starts the
     Nelder-Mead refinement: the point a scalar loop over the whole grid
@@ -472,7 +474,7 @@ def masfi_1q(ch: Channel) -> MasfiResult:
     """
     if ch.n != 1:
         raise ShapeError(f"masfi_1q requires a single-qubit channel, got n={ch.n}")
-    if np.min(np.linalg.svd(ch.e_matrix, compute_uv=False)) < 1e-12:
+    if np.min(np.linalg.svd(ch.e_matrix, compute_uv=False)) < MASFI_DEGENERATE_SV:
         return MasfiResult(0.0, degenerate=True)
     basis = standard_basis(1)
     corrections = [matrix_of(pauli_from_quaternary(alpha, 1)) for alpha in range(4)]
@@ -507,12 +509,12 @@ def masfi_1q(ch: Channel) -> MasfiResult:
         f = np.abs(form(u @ o)) ** 2 / np.where(skip, 1.0, p)  # |<I|U O I>|² / p
         grid = np.minimum(grid, np.where(skip, 1.0, f))
     best = (1.0, (0.0, 0.0))
-    for i in np.flatnonzero(grid <= grid.min() + 1e-12):  # row-major: the loop order
+    for i in np.flatnonzero(grid <= grid.min() + MASFI_TIE_BAND):  # row-major: the loop order
         angles = (thetas[i // MASFI_GRID_PHI], phis[i % MASFI_GRID_PHI])
         value = worst_fidelity(angles)
         if value < best[0]:
             best = (value, tuple(float(x) for x in angles))
-    refined = minimize(worst_fidelity, best[1], xatol=1e-6, fatol=1e-10)
+    refined = minimize(worst_fidelity, best[1], xatol=MASFI_XATOL, fatol=MASFI_FATOL)
     if refined.fun <= best[0]:
         return MasfiResult(float(refined.fun), converged=bool(refined.success),
                            argmin=tuple(float(x) for x in refined.x))

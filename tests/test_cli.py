@@ -523,3 +523,25 @@ def test_masfi_loads_no_scipy_module():
     run = run_python(code)
     assert run.returncode == 0, run.stderr
     assert run.stdout == b"[]\n"
+
+
+@pytest.mark.parametrize(("tol", "perfect"), [("1e-9", False), ("1e-3", True)])
+def test_tol_moves_the_channel_verdict_but_not_the_zero_mask(tol, perfect, capsys, tmp_path):
+    # a Bell pair off by 1e-6 in angle: max |E†E - 1/2| is about 1e-6
+    angle = np.pi / 4 + 1e-6
+    near_bell = StateVector(2, np.array([np.cos(angle), 0, 0, np.sin(angle)]))
+    near_bell_file = str(tmp_path / "near_bell.json")
+    save_state(near_bell_file, near_bell)
+    code, report = run_json(capsys, ["--tol", tol, "channel", "check", "--file", near_bell_file])
+    assert (code, report["perfect"]) == ((0, True) if perfect else (1, False))
+    # √(1 - 1e-11)|00> + √(1e-11)|11>: outcomes 2 and 3 have probability 5e-12, above the
+    # fixed ZERO_PROBABILITY_EPS, so they stay unmasked at every --tol
+    skewed = StateVector(2, np.array([np.sqrt(1 - 1e-11), 0, 0, np.sqrt(1e-11)]))
+    info, channel = str(tmp_path / "zero.json"), str(tmp_path / "skewed.json")
+    save_state(info, StateVector(1, np.array([1.0, 0.0])))
+    save_state(channel, skewed)
+    code, report = run_json(capsys, ["--tol", tol, "teleport", "run", "--info", info,
+                                     "--channel", channel, "--expect-perfect"])
+    assert code == 1
+    assert [row["zero_probability"] for row in report["outcomes"]] == [False] * 4
+    assert [row["probability"] for row in report["outcomes"][2:]] == pytest.approx([5e-12] * 2)

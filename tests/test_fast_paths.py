@@ -300,6 +300,25 @@ def test_completeness_of_one_block_starts_no_thread(monkeypatch):
     assert len(started) == 1  # two workers at n = 5: the caller and one thread
 
 
+@pytest.mark.parametrize(("n", "width"), [(1, None), (3, None), (3, 4), (4, 16)])
+@pytest.mark.parametrize("entry", [(0, 0, 0), (-1, -1, -1)], ids=["first_column", "last_column"])
+def test_completeness_with_a_nan_entry_is_false(n, width, entry):
+    members = np.asarray(standard_basis(n).members).copy()
+    members[entry] = np.nan
+    complete, deviation = _block_completeness(BellBasis(n, members), width, cpus=2)
+    assert not complete and np.isnan(deviation)
+
+
+def test_completeness_of_fewer_than_sixteen_blocks_reads_no_cpu_set(monkeypatch):
+    def unread(pid):
+        raise AssertionError("the CPU set was read")
+
+    monkeypatch.setattr(os, "sched_getaffinity", unread, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: unread(0))
+    for n in (1, 2, 3, 4):  # 1, 1, 1 and 4 blocks of 64 columns
+        assert verify_completeness(standard_basis(n))[0]
+
+
 def test_completeness_runs_on_the_caller_when_no_thread_starts(monkeypatch):
     _set_cpus(monkeypatch, 4)
     basis = _family(5, "haar", np.random.default_rng(5))
@@ -406,6 +425,25 @@ def _same_bits(a, b) -> bool:
     if a.dtype == bool:
         return b.dtype == bool and np.array_equal(a, b)
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def concatenated_copies(v, axis):
+    """`pauli.signed_copies` as it was: four scalar products joined along `axis`."""
+    return np.concatenate([power * v for power in np.array([1, 1j, -1, -1j])], axis=axis)
+
+
+@pytest.mark.parametrize(("shape", "axis"), [
+    ((1, 2), -1), ((5, 8), -1), ((3, 64), -1), ((2, 2), 0), ((8, 8), 0), ((64, 64), 0)])
+def test_signed_copies_equal_concatenated_products_bit_for_bit(shape, axis):
+    rng = np.random.default_rng(shape[1])
+    entries = np.array([0.0, -0.0, 1.0, -1.0, 0.5, -2.5])  # signed zeros in either part
+    v = np.empty(shape, dtype=complex)
+    v.real, v.imag = rng.choice(entries, shape), rng.choice(entries, shape)
+    assert _same_bits(pauli.signed_copies(v, axis), concatenated_copies(v, axis))
+    if axis == 0:  # the tables of two seeds of that size, as PauliMembers builds them
+        for seed in (np.eye(shape[0]) / np.sqrt(shape[0]),
+                     haar_random_unitary(shape[0], rng) / np.sqrt(shape[0])):
+            assert _same_bits(pauli.signed_copies(seed, axis), concatenated_copies(seed, axis))
 
 
 def _channel_matrix(n, kind, rng):
