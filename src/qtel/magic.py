@@ -184,11 +184,11 @@ def verify_partial_basis(
     perfect-channel condition and unit teleportation fidelity for a random
     information state.  Failures are counted, never raised.
 
-    The draws are made trial by trial (magnitudes, phase, information
-    state) into arrays, then evaluated in blocks (VERIFY_BLOCK_TRIALS,
-    `errors.BYTE_BUDGET`) with a leading trial axis by the code of
-    `run_protocol` (`teleport.min_fidelities`): every figure equals that of
-    one `run_protocol` call per trial, and memory does not grow with
+    The draws are made trial by trial (magnitudes, phase, and the information
+    state's real and imaginary parts in one draw) into arrays, then evaluated in
+    blocks (VERIFY_BLOCK_TRIALS, `errors.BYTE_BUDGET`) with a leading trial axis
+    by the code of `run_protocol` (`teleport.min_fidelities`): every figure equals
+    that of one `run_protocol` call per trial, and memory does not grow with
     `trials`.  A basis too large for one trial is a ResourceLimitError.
     """
     if trials < 1:
@@ -208,15 +208,14 @@ def verify_partial_basis(
         size = min(block, trials - start)
         mags = np.empty((size, len(matrices)))
         turns = np.empty(size)
-        re, im = np.empty((2, size, dim))
+        parts = np.empty((size, 2, dim))  # each trial's real, then imaginary parts
         for t in range(size):
             rng.standard_normal(out=mags[t])
             turns[t] = rng.uniform(0, 2 * np.pi)
-            rng.standard_normal(out=re[t])
-            rng.standard_normal(out=im[t])
+            rng.standard_normal(out=parts[t])
         mags = np.abs(mags)
         coeffs = np.exp(1j * turns)[:, None] * (mags / _row_norms(mags)[:, None])
-        infos = re + 1j * im  # as linalg.random_state normalizes its draw
+        infos = parts[:, 0] + 1j * parts[:, 1]  # as linalg.random_state normalizes its draw
         infos /= _row_norms(infos)[:, None]
         combined = sum(c[:, None, None] * m for c, m in zip(coeffs.T, matrices))
         ok, dev = is_maximally_entangled(combined, tol)

@@ -62,7 +62,7 @@ SAMPLING_GRID = 2.0**40
 MASFI_GRID_THETA = 64
 MASFI_GRID_PHI = 128
 MASFI_DEGENERATE_SV = 1e-12  # a least Schmidt coefficient below it leaves no fidelity assured
-MASFI_TIE_BAND = 1e-12  # grid values this near the minimum may tie in the scalar function
+MASFI_TIE_BAND = 1e-12  # grid values this near the minimum may tie in the refined objective
 MASFI_XATOL = 1e-6  # Nelder-Mead stops once the simplex spans less than this in θ and φ
 MASFI_FATOL = 1e-10  # and its worst fidelities differ by less than this
 
@@ -455,6 +455,25 @@ def minimize(fun, x0, *, xatol: float, fatol: float) -> Minimum:
     return Minimum(sim[0], np.min(fsim), nfev, nfev < maxfev and iterations < maxiter)
 
 
+def _worst_fidelities(operators: np.ndarray, corrections: np.ndarray, angles) -> np.ndarray:
+    """The worst fidelity over the outcomes for the information states at Bloch angles (..., 2).
+
+    `operators` and `corrections` (4, 2, 2) hold O^(α) and the Pauli U^(α).  Each value has the
+    bits of a scalar loop over α from 1.0 that skips zero-probability outcomes: every stacked
+    item is that loop's ``matmul`` or BLAS dot (zdotu of conj(x) is zdotc of x), ``hypot`` its
+    complex ``abs`` and ``float_power`` its ``** 2``.
+    """
+    theta, phi = np.moveaxis(angles, -1, 0)
+    info = np.stack([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)], axis=-1)
+    info = info[..., None, :, None]  # (..., 1, 2, 1): one column, broadcast over the outcomes
+    b = operators @ info
+    p = np.real(b.conj().swapaxes(-1, -2) @ b)[..., 0, 0]
+    z = (info.conj().swapaxes(-1, -2) @ (corrections @ b))[..., 0, 0]
+    skip = p < ZERO_PROBABILITY_EPS
+    f = np.float_power(np.hypot(z.real, z.imag), 2.0) / np.where(skip, 1.0, p)
+    return np.min(np.where(skip | ~(f < 1.0), 1.0, f), axis=-1)  # f is never -0.0
+
+
 def masfi_1q(ch: Channel) -> MasfiResult:
     """Minimum assured fidelity for a single-qubit channel.
 
@@ -465,33 +484,23 @@ def masfi_1q(ch: Channel) -> MasfiResult:
     as degenerate.
 
     The grid is evaluated as one array.  Its points within MASFI_TIE_BAND of the
-    array minimum are then re-scored with the scalar function, in grid
-    order (θ outer, φ inner), and the first strict minimum starts the
-    Nelder-Mead refinement: the point a scalar loop over the whole grid
-    would choose, even where values tie to the last bit.  The refinement,
-    `minimize`, is scipy's Nelder-Mead reproduced step for step, so no
-    scipy import happens and the result is the one scipy would give.
+    array minimum are then re-scored as one stack by `_worst_fidelities`, the
+    objective the refinement evaluates, and the first strict minimum in grid order
+    (θ outer, φ inner) starts the Nelder-Mead refinement: the point a scalar loop
+    over the whole grid would choose, even where values tie to the last bit.  The
+    refinement, `minimize`, is scipy's Nelder-Mead reproduced step for step, so
+    no scipy import happens and the result is the one scipy would give.
     """
     if ch.n != 1:
         raise ShapeError(f"masfi_1q requires a single-qubit channel, got n={ch.n}")
     if np.min(np.linalg.svd(ch.e_matrix, compute_uv=False)) < MASFI_DEGENERATE_SV:
         return MasfiResult(0.0, degenerate=True)
     basis = standard_basis(1)
-    corrections = [matrix_of(pauli_from_quaternary(alpha, 1)) for alpha in range(4)]
-    operators = [transformation_operator(ch, basis, alpha).matrix for alpha in range(4)]
+    corrections = np.array([matrix_of(pauli_from_quaternary(alpha, 1)) for alpha in range(4)])
+    operators = np.array([transformation_operator(ch, basis, alpha).matrix for alpha in range(4)])
 
     def worst_fidelity(angles) -> float:
-        theta, phi = angles
-        info = np.array([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)])
-        worst = 1.0
-        for o, u in zip(operators, corrections):
-            b = o @ info
-            p = np.real(np.vdot(b, b))
-            if p < ZERO_PROBABILITY_EPS:
-                continue
-            t = u @ b
-            worst = min(worst, float(abs(np.vdot(info, t)) ** 2 / p))
-        return worst
+        return float(_worst_fidelities(operators, corrections, angles))
 
     thetas = np.linspace(0.0, np.pi, MASFI_GRID_THETA)
     phis = np.linspace(0.0, 2 * np.pi, MASFI_GRID_PHI, endpoint=False)
@@ -508,12 +517,12 @@ def masfi_1q(ch: Channel) -> MasfiResult:
         skip = p < ZERO_PROBABILITY_EPS
         f = np.abs(form(u @ o)) ** 2 / np.where(skip, 1.0, p)  # |<I|U O I>|² / p
         grid = np.minimum(grid, np.where(skip, 1.0, f))
-    best = (1.0, (0.0, 0.0))
-    for i in np.flatnonzero(grid <= grid.min() + MASFI_TIE_BAND):  # row-major: the loop order
-        angles = (thetas[i // MASFI_GRID_PHI], phis[i % MASFI_GRID_PHI])
-        value = worst_fidelity(angles)
-        if value < best[0]:
-            best = (value, tuple(float(x) for x in angles))
+    ties = np.flatnonzero(grid <= grid.min() + MASFI_TIE_BAND)  # row-major: the loop order
+    angles = np.stack([thetas[ties // MASFI_GRID_PHI], phis[ties % MASFI_GRID_PHI]], axis=-1)
+    values = _worst_fidelities(operators, corrections, angles)
+    first = int(np.argmin(values))  # the first strict minimum
+    best = ((float(values[first]), tuple(float(x) for x in angles[first]))
+            if values[first] < 1.0 else (1.0, (0.0, 0.0)))
     refined = minimize(worst_fidelity, best[1], xatol=MASFI_XATOL, fatol=MASFI_FATOL)
     if refined.fun <= best[0]:
         return MasfiResult(float(refined.fun), converged=bool(refined.success),

@@ -12,7 +12,8 @@ one dense (4^n, 4^n) resolution.  The Pauli action read through
 as the (perm, phase) tables it replaced gave them.  `run_protocol`, which
 corrects every outcome, must give the columns of the engine that corrected
 only the nonzero ones on those rows, and `min_fidelities` the least
-nonzero-outcome fidelity of `run_protocol`, bit for bit.
+nonzero-outcome fidelity of `run_protocol`, bit for bit.  `linalg._row_norms`
+must give each row's `np.linalg.norm` bit for bit.
 """
 
 import itertools
@@ -28,6 +29,7 @@ from hypothesis import strategies as st
 
 import qtel.bell
 import qtel.errors
+import qtel.linalg
 import qtel.magic
 from qtel import pauli, teleport
 from qtel.bell import (BellBasis, bell_basis_from_members, generate_from_seed, standard_basis,
@@ -615,3 +617,24 @@ def test_min_fidelities_is_least_nonzero_fidelity_of_run_protocol(n, basis_kind)
         assert outcomes.zero.any() or t >= 2, t
         want = np.min(outcomes.fidelities[~outcomes.zero], initial=np.inf)
         assert _same_bits(got[t], want), t
+
+
+@pytest.mark.parametrize("width", range(1, 65))
+def test_row_norms_are_per_row_linalg_norms_bit_for_bit(width):
+    rng = np.random.default_rng(width)
+    real = rng.standard_normal((9, width))
+    z = real + 1j * rng.standard_normal((9, width))
+    for rows in (real, np.abs(real), z):  # C-contiguous rows
+        assert _same_bits(qtel.linalg._row_norms(rows), [np.linalg.norm(r) for r in rows])
+    # The strided parts that a complex row's norm sums.  np.linalg.norm would copy a
+    # strided real row into a contiguous one, whose BLAS sum can differ in the last bit,
+    # so these compare with the ``ndarray.dot`` it applies to a complex row's parts.
+    for part in (z.real, z.imag):
+        assert _same_bits(qtel.linalg._row_norms(part), [np.sqrt(r.dot(r)) for r in part])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6])
+def test_random_state_keeps_its_bits(n):
+    for seed in range(5):
+        assert _same_bits(random_state(n, np.random.default_rng(seed)).amplitudes,
+                          _old_random_amplitudes(n, np.random.default_rng(seed)))

@@ -5,8 +5,9 @@ matrix and evaluates each outcome on its own: O^(α) = E^T B^(α)†,
 b = O^(α) I, p = |b|², the correction O^(α)†/√s when O^(α)†O^(α) = s·1
 with s > 0 (the identity otherwise), and the fidelity |<I|C b>|² / |C b|².
 The others are the per-trial loop of `verify_partial_basis`, one
-`run_protocol` call per trial, the scalar grid loop of `masfi_1q`, and
-scipy's Nelder-Mead, which `teleport.minimize` reproduces step for step.
+`run_protocol` call per trial, the scalar grid loop of `masfi_1q`, its
+scalar objective and tie loop, and scipy's Nelder-Mead, which
+`teleport.minimize` reproduces step for step.
 """
 
 import dataclasses
@@ -586,3 +587,140 @@ def test_nelder_mead_runs_out_halfway_through_a_shrink():
              if not any(np.array_equal(v, p) for p in evaluated)]
     assert (theirs.nfev, theirs.nit, len(moved)) == (400, 101, 1)
     assert_nelder_mead_is_scipys(lambda: scripted(values), (0.0, 0.0))
+
+
+def scalar_worst_fidelity(ch):
+    """`masfi_1q`'s objective as it was: a scalar loop over the four outcomes."""
+    basis = standard_basis(1)
+    corrections = [matrix_of(pauli_from_quaternary(alpha, 1)) for alpha in range(4)]
+    operators = [transformation_operator(ch, basis, alpha).matrix for alpha in range(4)]
+
+    def worst_fidelity(angles) -> float:
+        theta, phi = angles
+        info = np.array([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)])
+        worst = 1.0
+        for o, u in zip(operators, corrections):
+            b = o @ info
+            p = np.real(np.vdot(b, b))
+            if p < ZERO_PROBABILITY_EPS:
+                continue
+            t = u @ b
+            worst = min(worst, float(abs(np.vdot(info, t)) ** 2 / p))
+        return worst
+
+    return worst_fidelity
+
+
+def array_worst_fidelities(ch, angles):
+    """`teleport._worst_fidelities` at Bloch angles (..., 2), on the stacks `masfi_1q` builds."""
+    basis = standard_basis(1)
+    corrections = np.array([matrix_of(pauli_from_quaternary(alpha, 1)) for alpha in range(4)])
+    operators = np.array([transformation_operator(ch, basis, alpha).matrix for alpha in range(4)])
+    return teleport._worst_fidelities(operators, corrections, angles)
+
+
+def masfi_channel(kind, rng_seed):
+    if kind == "perfect":
+        return channel_from_state(StateVector(2, np.array([1, 0, 0, 1]) / np.sqrt(2)), 1)
+    return one_qubit_channel(kind, rng_seed)
+
+
+MASFI_THETAS = np.linspace(0.0, np.pi, teleport.MASFI_GRID_THETA)
+MASFI_PHIS = np.linspace(0.0, 2 * np.pi, teleport.MASFI_GRID_PHI, endpoint=False)
+
+
+def tie_rows(ch):
+    """The grid's θ rows that hold a point within MASFI_TIE_BAND of its least value."""
+    grid = np.stack(np.meshgrid(MASFI_THETAS, MASFI_PHIS, indexing="ij"), axis=-1)
+    values = array_worst_fidelities(ch, grid)
+    rows = np.flatnonzero((values <= values.min() + teleport.MASFI_TIE_BAND).any(axis=1))
+    return grid[rows].reshape(-1, 2), values[rows].reshape(-1)
+
+
+def assert_objective_is_the_scalar_loop(ch, points):
+    scalar = np.array([scalar_worst_fidelity(ch)(tuple(x)) for x in points])
+    assert np.array_equal(array_worst_fidelities(ch, points).view(np.uint64),
+                          scalar.view(np.uint64))
+
+
+@settings(max_examples=12, deadline=None)
+@given(kind=st.sampled_from(["schmidt", "haar", "perfect"]), rng_seed=st.integers(0, 2**32 - 1))
+def test_array_objective_is_the_scalar_loop_bit_for_bit(kind, rng_seed):
+    ch = masfi_channel(kind, rng_seed)
+    rng = np.random.default_rng(rng_seed)
+    random_points = np.stack([rng.uniform(0, np.pi, 200), rng.uniform(0, 2 * np.pi, 200)], axis=-1)
+    poles = np.array([(theta, phi) for theta in (0.0, np.pi)
+                      for phi in [*MASFI_PHIS[::8], *rng.uniform(0, 2 * np.pi, 8)]])
+    assert_objective_is_the_scalar_loop(ch, np.concatenate([random_points, poles]))
+    # the objective the refinement evaluates, one point at a time
+    fun, _ = masfi_objective(ch)
+    scalar = scalar_worst_fidelity(ch)
+    for x in random_points[:20]:
+        assert np.float64(fun(x)).view(np.uint64) == np.float64(scalar(tuple(x))).view(np.uint64)
+
+
+@pytest.mark.parametrize("rng_seed", [0, 1, 2, 3])
+def test_array_objective_on_a_schmidt_channels_tie_rows(rng_seed):
+    ch = one_qubit_channel("schmidt", rng_seed)
+    points, values = tie_rows(ch)
+    # the worst fidelity does not depend on φ, so whole rows fall within the band
+    assert len(points) >= teleport.MASFI_GRID_PHI
+    assert np.all(values <= values.min() + teleport.MASFI_TIE_BAND)
+    assert_objective_is_the_scalar_loop(ch, points)
+
+
+def reference_masfi(ch):
+    """`masfi_1q` as it was, and its refinement's evaluation count: the array grid, its tie
+    band re-scored point by point with the scalar objective, then that objective refined."""
+    worst_fidelity = scalar_worst_fidelity(ch)
+    basis = standard_basis(1)
+    corrections = [matrix_of(pauli_from_quaternary(alpha, 1)) for alpha in range(4)]
+    operators = [transformation_operator(ch, basis, alpha).matrix for alpha in range(4)]
+    c, s = np.cos(MASFI_THETAS / 2)[:, None], np.sin(MASFI_THETAS / 2)[:, None]
+    w = np.exp(1j * MASFI_PHIS)
+
+    def form(a):
+        return c * c * a[0, 0] + s * s * a[1, 1] + c * s * (w * a[0, 1] + w.conj() * a[1, 0])
+
+    grid = np.ones((len(MASFI_THETAS), len(MASFI_PHIS)))
+    for o, u in zip(operators, corrections):
+        p = np.real(form(o.conj().T @ o))
+        skip = p < ZERO_PROBABILITY_EPS
+        f = np.abs(form(u @ o)) ** 2 / np.where(skip, 1.0, p)
+        grid = np.minimum(grid, np.where(skip, 1.0, f))
+    best = (1.0, (0.0, 0.0))
+    for i in np.flatnonzero(grid <= grid.min() + teleport.MASFI_TIE_BAND):
+        angles = (MASFI_THETAS[i // len(MASFI_PHIS)], MASFI_PHIS[i % len(MASFI_PHIS)])
+        value = worst_fidelity(angles)
+        if value < best[0]:
+            best = (value, tuple(float(x) for x in angles))
+    refined = teleport.minimize(worst_fidelity, best[1], xatol=teleport.MASFI_XATOL,
+                                fatol=teleport.MASFI_FATOL)
+    if refined.fun <= best[0]:
+        return teleport.MasfiResult(float(refined.fun), converged=bool(refined.success),
+                                    argmin=tuple(float(x) for x in refined.x)), refined.nfev
+    return teleport.MasfiResult(best[0], argmin=best[1]), refined.nfev
+
+
+def masfi_bits(result):
+    return (np.array([result.value, *result.argmin]).view(np.uint64).tolist(),
+            result.converged, result.degenerate)
+
+
+@settings(max_examples=10, deadline=None)
+@given(kind=st.sampled_from(["schmidt", "haar", "perfect"]), rng_seed=st.integers(0, 2**32 - 1))
+def test_masfi_is_the_tie_loop_result_bit_for_bit(kind, rng_seed):
+    ch = masfi_channel(kind, rng_seed)
+    evaluations = []
+
+    def spy(fun, x0, **options):
+        result = real_minimize(fun, x0, **options)
+        evaluations.append(result.nfev)
+        return result
+
+    real_minimize = teleport.minimize
+    with mock.patch.object(teleport, "minimize", spy):
+        result = masfi_1q(ch)
+    expected, nfev = reference_masfi(ch)
+    assert masfi_bits(result) == masfi_bits(expected)
+    assert evaluations == [nfev]
