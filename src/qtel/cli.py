@@ -6,6 +6,10 @@ that is any other `QtelError` or an `OSError`.  JSON reports carry
 top-level ``"schema": "qtel/1"`` and ``"command"`` keys and are
 byte-identical for identical invocations and seeds; the text renderings
 carry no stability promise.
+
+The parser and the tolerance check load only `serialize` and `errors`, and
+each ``cmd_*`` imports the layers it runs, so a refusal that needs no array
+is made before numpy is imported.
 """
 
 from __future__ import annotations
@@ -14,9 +18,9 @@ import argparse
 import os
 import sys
 
-from . import bell, channel, magic, pauli, serialize, teleport
-from .errors import DomainError, InternalConsistencyError, QtelError, ValidationError
-from .linalg import DEFAULT_ABS_EPS, Tolerance
+from . import serialize
+from .errors import (DEFAULT_ABS_EPS, GRAPH_EXHAUSTIVE_MAX_QUBITS, DomainError,
+                     InternalConsistencyError, QtelError, Tolerance, ValidationError)
 
 SCHEMA = "qtel/1"
 
@@ -83,6 +87,7 @@ def _fmt(value):
 
 def cmd_channel_check(args) -> int:
     state = serialize.load_state(args.file)
+    from . import channel
     n = state.n_qubits // 2
     ch = channel.channel_from_state(state, n, args.tol)
     perfect, deviation = channel.is_perfect(ch, args.tol)
@@ -97,6 +102,7 @@ def cmd_channel_check(args) -> int:
 
 
 def cmd_bell_gen(args) -> int:
+    from . import bell
     if args.seed_file:
         seed = serialize.load_state(args.seed_file)
         bell.check_completeness_size(seed.n_qubits // 2)
@@ -119,6 +125,7 @@ def cmd_bell_gen(args) -> int:
 
 
 def cmd_teleport_run(args) -> int:
+    from . import bell, channel, teleport
     info = serialize.load_state(args.info)
     ch = channel.channel_from_state(serialize.load_state(args.channel), info.n_qubits, args.tol)
     if args.basis:
@@ -163,6 +170,7 @@ def cmd_teleport_run(args) -> int:
 
 
 def cmd_magic_cliques(args) -> int:
+    from . import magic, pauli
     graph = magic.build_anticomm_graph(args.n)
     report = magic.maximal_anticommuting_sets(graph)
     strings = {
@@ -182,6 +190,7 @@ def cmd_magic_cliques(args) -> int:
 
 
 def cmd_magic_catalog(args) -> int:
+    from . import magic
     catalog = magic.n2_catalog()
     out = {
         "states": {
@@ -207,6 +216,7 @@ def cmd_magic_catalog(args) -> int:
 
 
 def _resolve_set(tokens: list[str], n: int | None):
+    from . import magic, pauli
     paulis = []
     for token in tokens:
         if token in magic.N2_NAMES:
@@ -226,6 +236,7 @@ def _resolve_set(tokens: list[str], n: int | None):
 
 
 def cmd_magic_verify(args) -> int:
+    from . import magic, pauli
     paulis = _resolve_set(args.set.split(","), args.n)
     magic.verify_block_trials(paulis[0].n_qubits)
     basis = magic.partial_basis_from_set(paulis)
@@ -244,6 +255,7 @@ def cmd_magic_verify(args) -> int:
 
 
 def cmd_magic_witness(args) -> int:
+    from . import magic
     report = magic.no_full_magic_basis_witness(args.n)
     out = {
         "n": report.n,
@@ -270,6 +282,7 @@ def cmd_magic_witness(args) -> int:
 
 def cmd_masfi(args) -> int:
     state = serialize.load_state(args.channel)
+    from . import channel, teleport
     ch = channel.channel_from_state(state, 1, args.tol)
     result = teleport.masfi_1q(ch)
     concurrence = channel.concurrence_2q(state, args.tol)
@@ -337,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
         "cliques", help="enumerate all maximal mutually-anticommuting sets"
     )
     p_cliques.add_argument("--n", type=int, required=True,
-                           choices=range(1, magic.GRAPH_EXHAUSTIVE_MAX_QUBITS + 1))
+                           choices=range(1, GRAPH_EXHAUSTIVE_MAX_QUBITS + 1))
     p_cliques.set_defaults(func=cmd_magic_cliques)
     p_catalog = magic_sub.add_parser(
         "catalog",
@@ -362,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="clique-bound witness that no full magic basis exists for N > 1",
     )
     p_witness.add_argument("--n", type=int, required=True,
-                           choices=range(2, magic.GRAPH_EXHAUSTIVE_MAX_QUBITS + 1))
+                           choices=range(2, GRAPH_EXHAUSTIVE_MAX_QUBITS + 1))
     p_witness.set_defaults(func=cmd_magic_witness)
 
     p_masfi = sub.add_parser(

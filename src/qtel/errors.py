@@ -1,10 +1,15 @@
-"""Exception types shared across the package, and the byte budget of ResourceLimitError."""
+"""Exception types, the tolerance and the resource limits the package shares; imports no numpy."""
+
+from dataclasses import dataclass
 
 # the largest working set, in bytes, that one command may build: the member matrix of
 # `bell.verify_completeness`, a block of `magic.verify_partial_basis` trials, one outcome
 # array of `teleport.composite_expand`.  Each of those guards calls `check_budget` with its
 # need before anything is allocated, and `check_budget` reads the budget when called.
 BYTE_BUDGET = 2**28
+# the largest n of the exhaustive anticommutation graph, and of the CLI's clique `--n` choices
+GRAPH_EXHAUSTIVE_MAX_QUBITS = 3
+DEFAULT_ABS_EPS = 1e-9
 
 
 class QtelError(Exception):
@@ -29,6 +34,20 @@ class ResourceLimitError(QtelError, ValueError):
 
 class InternalConsistencyError(QtelError, RuntimeError):
     """A quantity the theory guarantees failed its numerical check."""
+
+
+@dataclass(frozen=True)
+class Tolerance:
+    """Absolute comparison tolerance. All quantities here are O(1)."""
+
+    abs_eps: float = DEFAULT_ABS_EPS
+
+    def __post_init__(self):
+        if not 0 < self.abs_eps < float("inf"):
+            raise ValidationError(f"tolerance must be positive and finite, got {self.abs_eps}")
+
+
+DEFAULT_TOL = Tolerance()
 
 
 def check_budget(log2_bytes: int, message: str, **fields):

@@ -14,23 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ShapeError, ValidationError
-
-DEFAULT_ABS_EPS = 1e-9
-
-
-@dataclass(frozen=True)
-class Tolerance:
-    """Absolute comparison tolerance. All quantities here are O(1)."""
-
-    abs_eps: float = DEFAULT_ABS_EPS
-
-    def __post_init__(self):
-        if not 0 < self.abs_eps < np.inf:
-            raise ValidationError(f"tolerance must be positive and finite, got {self.abs_eps}")
-
-
-DEFAULT_TOL = Tolerance()
+from .errors import DEFAULT_ABS_EPS  # noqa: F401 (also importable from here)
+from .errors import DEFAULT_TOL, ShapeError, Tolerance, ValidationError
 
 
 def as_complex_matrix(a) -> np.ndarray:

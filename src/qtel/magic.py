@@ -21,13 +21,12 @@ from . import errors
 from .bell import standard_basis
 from .channel import channel_from_state, is_perfect, state_from_matrix
 from .channel import hill_wootters_basis  # noqa: F401 (also importable from here)
-from .errors import ResourceLimitError, ValidationError
+from .errors import GRAPH_EXHAUSTIVE_MAX_QUBITS, ResourceLimitError, ValidationError
 from .linalg import DEFAULT_TOL, StateVector, Tolerance, _row_norms, is_maximally_entangled
 from .pauli import (PauliString, commutes, matrix_of, pauli_from_digits, pauli_from_quaternary,
                     product_table)
 from .teleport import min_fidelities
 
-GRAPH_EXHAUSTIVE_MAX_QUBITS = 3
 PRINTED_AMPLITUDE_EPS = 1e-12  # the printed amplitudes are ±1/2 and ±i/2, exact in binary
 # verify_partial_basis evaluates at most this many trials at a time, and only as many as
 # fit in `errors.BYTE_BUDGET` at four (4^n, 2^n) complex arrays each, one trial's peak in

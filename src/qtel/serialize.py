@@ -9,18 +9,21 @@ every row of P_α B^(0) is one of the 4·2^n rows of `bell.PauliMembers.table`,
 so `basis_to_list` encodes those rows once and lays out each member from
 `pauli.action_index`, instead of converting 16^n entries to Python floats.
 It returns JSON text, which `cli._emit` writes as it stands.
+
+numpy and the array layers are imported by the functions that build arrays,
+after the checks that need none (JSON syntax, fields, an integer `n_qubits`).
 """
 
 from __future__ import annotations
 
 import json
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .bell import PauliMembers
 from .errors import ValidationError
-from .linalg import StateVector
-from .pauli import action_index
+
+if TYPE_CHECKING:
+    import numpy as np
+    from .linalg import StateVector
 
 
 class JSONText(str):
@@ -34,10 +37,12 @@ def dumps(value) -> str:
 
 def _to_pairs(a: np.ndarray) -> list[list[float]]:
     """The row-major [[re, im], ...] list of a complex array of any shape."""
+    import numpy as np
     return np.stack([a.real, a.imag], -1).reshape(-1, 2).tolist()
 
 
 def pairs_to_array(pairs, what: str) -> np.ndarray:
+    import numpy as np
     try:
         arr = np.asarray(pairs, dtype=np.float64)
     except (TypeError, ValueError) as exc:
@@ -72,10 +77,13 @@ def _integer(value, what: str) -> int:
 
 def state_from_dict(data: dict) -> StateVector:
     n_qubits, amplitudes = _fields(data, ("n_qubits", "amplitudes"), "state file")
-    return StateVector(_integer(n_qubits, "n_qubits"), pairs_to_array(amplitudes, "amplitudes"))
+    n_qubits = _integer(n_qubits, "n_qubits")
+    from .linalg import StateVector
+    return StateVector(n_qubits, pairs_to_array(amplitudes, "amplitudes"))
 
 
 def matrix_to_dict(matrix: np.ndarray) -> dict:
+    import numpy as np
     matrix = np.asarray(matrix, dtype=np.complex128)
     return {
         "rows": matrix.shape[0],
@@ -132,6 +140,8 @@ def basis_to_list(members) -> JSONText:
     The name is kept from when this returned a list of dicts: the
     benchmark's traced run reports it as ``serialize.basis_to_list.ms``.
     """
+    from .bell import PauliMembers
+    from .pauli import action_index
     if not isinstance(members, PauliMembers):
         return JSONText(dumps([matrix_to_dict(m) for m in members]))
     d = members.seed.shape[0]

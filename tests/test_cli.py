@@ -525,6 +525,49 @@ def test_masfi_loads_no_scipy_module():
     assert run.stdout == b"[]\n"
 
 
+# refusals that need no array: each builds (argv, QTEL_TOL or None) from tmp_path
+REFUSED_WITHOUT_NUMPY = {
+    "argparse_type": lambda t: (["bell", "gen", "--n", "two"], None),
+    "argparse_choice": lambda t: (["magic", "cliques", "--n", "4"], None),
+    "missing_file": lambda t: (["channel", "check", "--file", str(t / "absent.json")], None),
+    "truncated_json": lambda t: (
+        ["channel", "check", "--file", _write(t, "cut.json", '{"n_qubits": 2, "ampl')], None),
+    "top_level_number": lambda t: (
+        ["channel", "check", "--file", _write(t, "number.json", "42")], None),
+    "missing_field": lambda t: (
+        ["masfi", "--channel", _write(t, "no_amps.json", {"n_qubits": 2})], None),
+    "n_qubits_text": lambda t: (
+        ["channel", "check", "--file",
+         _write(t, "text_n.json", {"n_qubits": "abc", "amplitudes": [[1, 0]]})], None),
+    "zero_tol": lambda t: (["--tol", "0", "magic", "catalog"], None),
+    "tol_env_text": lambda t: (["magic", "witness", "--n", "2"], "abc"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_WITHOUT_NUMPY))
+def test_refusal_runs_with_numpy_blocked(case, capsys, monkeypatch, tmp_path):
+    # sys.modules["numpy"] = None makes every numpy import raise ImportError
+    argv, tol_env = REFUSED_WITHOUT_NUMPY[case](tmp_path)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qtel.__file__)))
+    env.pop("QTEL_TOL", None)
+    monkeypatch.delenv("QTEL_TOL", raising=False)
+    if tol_env is not None:
+        env["QTEL_TOL"] = tol_env
+        monkeypatch.setenv("QTEL_TOL", tol_env)
+    code = ("import sys\nsys.modules['numpy'] = None\n"
+            f"from qtel.cli import main\nsys.exit(main({argv!r}))")
+    blocked = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=60)
+    try:
+        exit_code = main(argv)
+    except SystemExit as exc:  # argparse exits on a usage error
+        exit_code = exc.code
+    captured = capsys.readouterr()
+    assert (exit_code, captured.out) == (2, "")
+    assert (blocked.returncode, blocked.stdout, blocked.stderr) == (2, "", captured.err)
+    assert captured.err.count("\n") in (1, 2) and "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize(("tol", "perfect"), [("1e-9", False), ("1e-3", True)])
 def test_tol_moves_the_channel_verdict_but_not_the_zero_mask(tol, perfect, capsys, tmp_path):
     # a Bell pair off by 1e-6 in angle: max |E†E - 1/2| is about 1e-6
