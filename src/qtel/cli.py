@@ -8,8 +8,9 @@ byte-identical for identical invocations and seeds; the text renderings
 carry no stability promise.
 
 The parser and the tolerance check load only `serialize` and `errors`, and
-each ``cmd_*`` imports the layers it runs, so a refusal that needs no array
-is made before numpy is imported.
+each ``cmd_*`` imports the layers it runs; `channel check` and `masfi` read
+their file first.  So a usage error, a bad tolerance and a file of those two
+that fails a check needing no array are refused before numpy is imported.
 """
 
 from __future__ import annotations
