@@ -548,12 +548,10 @@ REFUSED_WITHOUT_NUMPY = {
 def test_refusal_runs_with_numpy_blocked(case, capsys, monkeypatch, tmp_path):
     # sys.modules["numpy"] = None makes every numpy import raise ImportError
     argv, tol_env = REFUSED_WITHOUT_NUMPY[case](tmp_path)
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qtel.__file__)))
-    env.pop("QTEL_TOL", None)
     monkeypatch.delenv("QTEL_TOL", raising=False)
     if tol_env is not None:
-        env["QTEL_TOL"] = tol_env
         monkeypatch.setenv("QTEL_TOL", tol_env)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qtel.__file__)))
     code = ("import sys\nsys.modules['numpy'] = None\n"
             f"from qtel.cli import main\nsys.exit(main({argv!r}))")
     blocked = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
