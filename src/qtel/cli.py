@@ -8,9 +8,10 @@ byte-identical for identical invocations and seeds; the text renderings
 carry no stability promise.
 
 The parser and the tolerance check load only `serialize` and `errors`, and
-each ``cmd_*`` imports the layers it runs; `channel check` and `masfi` read
-their file first.  So a usage error, a bad tolerance and a file of those two
-that fails a check needing no array are refused before numpy is imported.
+each ``cmd_*`` imports the layers it runs; `channel check`, `masfi`, `bell gen
+--seed-file` and `teleport run` read their state files first.  So a usage
+error, a bad tolerance and a first state file that fails a check needing no
+array are refused before numpy is imported.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ def _emit_text(report: dict, out, indent: int = 0):
 def _fmt(value):
     if isinstance(value, float):
         return f"{value:.9f}"
-    if isinstance(value, list):
+    if isinstance(value, (list, tuple)):
         return "[" + ", ".join(str(_fmt(v)) for v in value) + "]"
     return value
 
@@ -103,12 +104,10 @@ def cmd_channel_check(args) -> int:
 
 
 def cmd_bell_gen(args) -> int:
+    seed = serialize.load_state(args.seed_file) if args.seed_file else None
     from . import bell
-    if args.seed_file:
-        seed = serialize.load_state(args.seed_file)
-        bell.check_completeness_size(seed.n_qubits // 2)
-    else:
-        bell.check_completeness_size(args.n)
+    bell.check_completeness_size(args.n if seed is None else seed.n_qubits // 2)
+    if seed is None:
         seed = bell.standard_seed(args.n)
     basis = bell.generate_from_seed(seed, args.tol)
     complete, deviation = bell.verify_completeness(basis, args.tol)
@@ -126,9 +125,10 @@ def cmd_bell_gen(args) -> int:
 
 
 def cmd_teleport_run(args) -> int:
-    from . import bell, channel, teleport
     info = serialize.load_state(args.info)
-    ch = channel.channel_from_state(serialize.load_state(args.channel), info.n_qubits, args.tol)
+    state = serialize.load_state(args.channel)
+    from . import bell, channel, teleport
+    ch = channel.channel_from_state(state, info.n_qubits, args.tol)
     if args.basis:
         basis = bell.bell_basis_from_members(serialize.load_basis_members(args.basis), args.tol)
     else:
@@ -182,7 +182,7 @@ def cmd_magic_cliques(args) -> int:
         "vertices": len(graph.vertices),
         "max_size": report.max_size,
         "maximal_cliques": [
-            {"alphas": list(c), "strings": [strings[a] for a in c]}
+            {"alphas": c, "strings": [strings[a] for a in c]}
             for c in report.maximal_cliques
         ],
     }
@@ -199,17 +199,11 @@ def cmd_magic_catalog(args) -> int:
             for name, state in sorted(catalog.states.items())
         },
         "printed_state_typos": dict(sorted(catalog.printed_state_typos.items())),
-        "maximal_sets": [list(s) for s in catalog.maximal_sets],
+        "maximal_sets": catalog.maximal_sets,
         "max_partial_basis_dimension": catalog.max_partial_basis_dimension,
-        "quarter_basis_families": [list(f) for f in catalog.quarter_basis_families],
+        "quarter_basis_families": catalog.quarter_basis_families,
         "reconciliation": [
-            {
-                "printed": list(e.printed),
-                "matched": list(e.matched),
-                "exact": e.exact,
-                "flags": list(e.flags),
-            }
-            for e in catalog.reconciliation + catalog.quarter_reconciliation
+            dict(vars(e)) for e in catalog.reconciliation + catalog.quarter_reconciliation
         ],
     }
     _emit(out, args)
@@ -242,15 +236,8 @@ def cmd_magic_verify(args) -> int:
     magic.verify_block_trials(paulis[0].n_qubits)
     basis = magic.partial_basis_from_set(paulis)
     verification = magic.verify_partial_basis(basis, args.trials, args.seed, args.tol)
-    report = {
-        "set": [pauli.render(p) for p in basis.source_set],
-        "dimension": basis.dimension,
-        "trials": verification.trials,
-        "max_condition_deviation": verification.max_condition_deviation,
-        "min_fidelity": verification.min_fidelity,
-        "failures": verification.failures,
-        "passed": verification.passed,
-    }
+    report = {"set": [pauli.render(p) for p in basis.source_set], "dimension": basis.dimension,
+              **vars(verification)}
     _emit(report, args)
     return EXIT_OK if verification.passed else EXIT_ASSERTION
 
@@ -258,19 +245,10 @@ def cmd_magic_verify(args) -> int:
 def cmd_magic_witness(args) -> int:
     from . import magic
     report = magic.no_full_magic_basis_witness(args.n)
-    out = {
-        "n": report.n,
-        "max_clique_size": report.max_clique_size,
-        "required_size": report.required_size,
-        "vertices_examined": report.vertices_examined,
-        "cliques_examined": report.cliques_examined,
-        "holds": report.holds,
-    }
-    if report.ghz_deviation is not None:
-        out["ghz_counterexample"] = {
-            "deviation": report.ghz_deviation,
-            "min_projection_residual": report.ghz_min_residual,
-        }
+    out = dict(vars(report))
+    deviation, residual = out.pop("ghz_deviation"), out.pop("ghz_min_residual")
+    if deviation is not None:
+        out["ghz_counterexample"] = {"deviation": deviation, "min_projection_residual": residual}
     _emit(out, args)
     if args.format == "text":
         sys.stdout.write(

@@ -45,6 +45,8 @@ def pairs_to_array(pairs, what: str) -> np.ndarray:
     import numpy as np
     try:
         arr = np.asarray(pairs, dtype=np.float64)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise ValidationError(f"{what}: {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{what}: entries must be [re, im] pairs") from exc
     if arr.ndim != 2 or arr.shape[1] != 2:
@@ -113,7 +115,7 @@ def _load_json(path: str):
             raise ValidationError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}")
         except UnicodeDecodeError as exc:
             raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from exc
-        except ValueError as exc:  # an integer over the interpreter's 4300-digit limit
+        except (ValueError, RecursionError) as exc:  # an int over 4300 digits, or nesting ~1000 deep
             raise ValidationError(f"{path}: {exc}") from exc
 
 

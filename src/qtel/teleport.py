@@ -49,7 +49,7 @@ from .channel import Channel, is_perfect
 from . import errors
 from .errors import InternalConsistencyError, ShapeError, ValidationError
 from .linalg import DEFAULT_TOL, StateVector, Tolerance, _finite, dagger, is_scaled_identity
-from .pauli import POWERS_OF_I, action_index, matrix_of, pauli_from_quaternary, signed_copies
+from .pauli import POWERS_OF_I, action_index, matrices_of, signed_copies
 
 ZERO_PROBABILITY_EPS = 1e-14  # an outcome less likely is masked, whatever --tol is
 # Sampled mode draws from the probabilities rounded to multiples of
@@ -377,12 +377,12 @@ def minimize(fun, x0, *, xatol: float, fatol: float) -> Minimum:
     ``scipy.optimize.minimize(fun, x0, method="Nelder-Mead",
     options={"xatol": xatol, "fatol": fatol})``: coefficients ρ = 1, χ = 2,
     ψ = σ = 1/2, no bounds, the default initial simplex, and at most 200·N
-    evaluations and iterations.  Every expression, the argsorts and the copy
-    of x passed to ``fun`` are scipy's, so the evaluated points, ``x``,
-    ``fun``, ``nfev`` and ``success`` agree with scipy's bit for bit
-    (`tests/test_structured_engine.py` compares them).  An evaluation past
-    the budget ends its iteration where it stands, even halfway through a
-    shrink, as scipy's ``_MaxFuncCallError`` does.  No import happens.
+    evaluations, which always run out before scipy's 200·N iterations.  Every
+    expression, the argsorts and the copy of x passed to ``fun`` are scipy's,
+    so the evaluated points, ``x``, ``fun``, ``nfev`` and ``success`` agree with
+    scipy's bit for bit (`tests/test_structured_engine.py` compares them).  An
+    evaluation past the budget ends its iteration where it stands, even halfway
+    through a shrink, as scipy's ``_MaxFuncCallError`` does.  No import happens.
     """
     rho, chi, psi, sigma = 1, 2, 0.5, 0.5
     x0 = np.asarray(x0, dtype=float)
@@ -393,7 +393,7 @@ def minimize(fun, x0, *, xatol: float, fatol: float) -> Minimum:
         y = np.array(x0, copy=True)
         y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
         sim[k + 1] = y
-    maxfev = maxiter = 200 * n
+    maxfev = 200 * n
     nfev = 0
 
     def evaluate(x):
@@ -411,8 +411,7 @@ def minimize(fun, x0, *, xatol: float, fatol: float) -> Minimum:
     for k in range(n + 1):  # n + 1 <= maxfev evaluations
         fsim[k] = evaluate(sim[k])
     sim, fsim = by_value(*by_value(sim, fsim))  # scipy sorts twice here
-    iterations = 1
-    while nfev < maxfev and iterations < maxiter:
+    while nfev < maxfev:
         try:
             if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
                     and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
@@ -448,11 +447,10 @@ def minimize(fun, x0, *, xatol: float, fatol: float) -> Minimum:
                 for j in range(1, n + 1):
                     sim[j] = sim[0] + sigma * (sim[j] - sim[0])
                     fsim[j] = evaluate(sim[j])
-            iterations += 1
         except _OutOfEvaluations:
             pass
         sim, fsim = by_value(sim, fsim)
-    return Minimum(sim[0], np.min(fsim), nfev, nfev < maxfev and iterations < maxiter)
+    return Minimum(sim[0], np.min(fsim), nfev, nfev < maxfev)
 
 
 def _worst_fidelities(operators: np.ndarray, corrections: np.ndarray, angles) -> np.ndarray:
@@ -488,15 +486,17 @@ def masfi_1q(ch: Channel) -> MasfiResult:
     objective the refinement evaluates, and the first strict minimum in grid order
     (θ outer, φ inner) starts the Nelder-Mead refinement: the point a scalar loop
     over the whole grid would choose, even where values tie to the last bit.  The
-    refinement, `minimize`, is scipy's Nelder-Mead reproduced step for step, so
-    no scipy import happens and the result is the one scipy would give.
+    refinement, `minimize`, is scipy's Nelder-Mead, without a scipy import.  Its
+    result is returned, never worse than its grid start: the start is its simplex's
+    first vertex, scored bit for bit as in the tie band, and no step raises the
+    least vertex value.
     """
     if ch.n != 1:
         raise ShapeError(f"masfi_1q requires a single-qubit channel, got n={ch.n}")
     if np.min(np.linalg.svd(ch.e_matrix, compute_uv=False)) < MASFI_DEGENERATE_SV:
         return MasfiResult(0.0, degenerate=True)
     basis = standard_basis(1)
-    corrections = np.array([matrix_of(pauli_from_quaternary(alpha, 1)) for alpha in range(4)])
+    corrections = matrices_of(np.arange(4), 1)
     operators = np.array([transformation_operator(ch, basis, alpha).matrix for alpha in range(4)])
 
     def worst_fidelity(angles) -> float:
@@ -521,10 +521,7 @@ def masfi_1q(ch: Channel) -> MasfiResult:
     angles = np.stack([thetas[ties // MASFI_GRID_PHI], phis[ties % MASFI_GRID_PHI]], axis=-1)
     values = _worst_fidelities(operators, corrections, angles)
     first = int(np.argmin(values))  # the first strict minimum
-    best = ((float(values[first]), tuple(float(x) for x in angles[first]))
-            if values[first] < 1.0 else (1.0, (0.0, 0.0)))
-    refined = minimize(worst_fidelity, best[1], xatol=MASFI_XATOL, fatol=MASFI_FATOL)
-    if refined.fun <= best[0]:
-        return MasfiResult(float(refined.fun), converged=bool(refined.success),
-                           argmin=tuple(float(x) for x in refined.x))
-    return MasfiResult(best[0], argmin=best[1])
+    start = tuple(float(x) for x in angles[first]) if values[first] < 1.0 else (0.0, 0.0)
+    refined = minimize(worst_fidelity, start, xatol=MASFI_XATOL, fatol=MASFI_FATOL)
+    return MasfiResult(float(refined.fun), converged=bool(refined.success),
+                       argmin=tuple(float(x) for x in refined.x))

@@ -269,6 +269,8 @@ def _one_qubit_run(tmp_path, name, n_qubits=1, rows=None) -> list[str]:
     return argv + ["--basis", _write(tmp_path, f"{name}_basis.json", members)]
 
 
+_NESTED_STATE = '{"n_qubits": 2, "amplitudes": ' + "[" * 5000 + "]" * 5000 + "}"
+
 # each builds the argv of one usage or file-format error from tmp_path and
 # the good info2 / two_bell files
 MALFORMED = {
@@ -343,6 +345,20 @@ MALFORMED = {
         "teleport", "run", "--info", info, "--channel", ch, "--basis", _write(
             t, "inf_basis.json", json.dumps(
                 [{"rows": 4, "cols": 4, "entries": [[float("inf"), 0]] + [[0.5, 0]] * 15}] * 16))],
+    # json.load raises RecursionError past about 1,000 levels
+    "nested_amplitudes_5000_deep": lambda t, info, ch: [
+        "channel", "check", "--file", _write(t, "nested.json", _NESTED_STATE)],
+    "nested_basis_5000_deep": lambda t, info, ch: [
+        "teleport", "run", "--info", info, "--channel", ch, "--basis",
+        _write(t, "nested_basis.json", "[" * 5000 + "]" * 5000)],
+    # a JSON integer beyond the float range, which numpy refuses with OverflowError
+    "amplitude_400_digits": lambda t, info, ch: [
+        "channel", "check", "--file", _write(t, "digits400.json", json.dumps(
+            {"n_qubits": 2, "amplitudes": [[10**400, 0]] + [[0, 0]] * 3}))],
+    "basis_entry_400_digits": lambda t, info, ch: [
+        "teleport", "run", "--info", info, "--channel", ch, "--basis", _write(
+            t, "digits400_basis.json", json.dumps(
+                [{"rows": 4, "cols": 4, "entries": [[10**400, 0]] + [[0.5, 0]] * 15}] * 16))],
 }
 
 
@@ -530,6 +546,13 @@ REFUSED_WITHOUT_NUMPY = {
     "argparse_type": lambda t: (["bell", "gen", "--n", "two"], None),
     "argparse_choice": lambda t: (["magic", "cliques", "--n", "4"], None),
     "missing_file": lambda t: (["channel", "check", "--file", str(t / "absent.json")], None),
+    "missing_info": lambda t: (
+        ["teleport", "run", "--info", str(t / "absent.json"), "--channel", str(t / "absent.json")],
+        None),
+    "missing_seed_file": lambda t: (
+        ["bell", "gen", "--seed-file", str(t / "absent.json")], None),
+    "nested_5000_deep": lambda t: (
+        ["channel", "check", "--file", _write(t, "nested.json", _NESTED_STATE)], None),
     "truncated_json": lambda t: (
         ["channel", "check", "--file", _write(t, "cut.json", '{"n_qubits": 2, "ampl')], None),
     "top_level_number": lambda t: (

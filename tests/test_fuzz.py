@@ -1,14 +1,15 @@
 """Hypothesis fuzz of the CLI contract, run in process through `qtel.cli.main`.
 
 Inputs are state and basis files mutated from valid ones (dropped keys,
-wrong types, NaN, Infinity and huge entries, truncated text, ragged entries,
-wrong counts, odd or oversized integer fields), and argument lists over every leaf
-command.  The contract: argparse refuses with ``SystemExit(2)``; otherwise
-the exit code is 0, 1 or 2, a printed report comes with empty stderr, and
-without a report stderr is exactly one ``error:`` line; no other exception
-escapes (a numpy ``RuntimeWarning`` is an error under this suite's settings).
-Trials, shots and every N that looks valid are kept small, so that each
-example takes milliseconds.  Files are written to a temporary directory.
+wrong types, NaN, Infinity, huge and out-of-float-range entries, values nested
+5,000 deep, truncated text, ragged entries, wrong counts, odd or oversized
+integer fields), and argument lists over every leaf command.  The contract:
+argparse refuses with ``SystemExit(2)``; otherwise the exit code is 0, 1 or
+2, a printed report comes with empty stderr, and without a report stderr is
+exactly one ``error:`` line; no other exception escapes (a numpy
+``RuntimeWarning`` is an error under this suite's settings).  Trials, shots
+and every N that looks valid are kept small, so that each example takes
+milliseconds.  Files are written to a temporary directory.
 """
 
 from __future__ import annotations
@@ -31,7 +32,10 @@ from qtel.serialize import matrix_to_dict
 # the integer fields of a file, and --n, take these besides their valid values
 ODD_SIZES = [-1, 0, 1, 1.5, "2", True, 5000, 20000, 2**70]
 WRONG_TYPES = [None, "x", [], {}, 1.5, True, [[1, 0]]]
-EXTREME = [float("nan"), float("inf"), float("-inf"), 1e200, -1e308]
+EXTREME = [float("nan"), float("inf"), float("-inf"), 1e200, -1e308, 10**400]
+# a value nested this deep is written as raw text: json.dumps itself raises RecursionError
+NESTED = "[" * 5000 + "]" * 5000
+NESTED_MARK = "nested-5000-deep"
 
 
 def check_contract(argv: list[str]):
@@ -76,8 +80,8 @@ def mutated(draw, doc) -> str:
     doc = copy.deepcopy(doc)
     for _ in range(draw(st.integers(1, 2))):
         objects = [doc] if isinstance(doc, dict) else [m for m in doc if isinstance(m, dict)]
-        kind = draw(st.sampled_from(["drop", "type", "size", "extreme", "ragged", "count",
-                                     "top"]))
+        kind = draw(st.sampled_from(["drop", "type", "size", "nested", "extreme", "ragged",
+                                     "count", "top"]))
         if kind == "top" or not objects:  # the file holds another JSON value
             doc = draw(st.sampled_from([42, "x", None, [], {}, [doc]]))
             break
@@ -93,6 +97,8 @@ def mutated(draw, doc) -> str:
         elif kind == "size":
             sizes = [k for k in ("n_qubits", "rows", "cols") if k in target] or keys
             target[draw(st.sampled_from(sizes))] = draw(st.sampled_from(ODD_SIZES))
+        elif kind == "nested":
+            target[draw(st.sampled_from(keys))] = NESTED_MARK
         elif not isinstance(entries, list) or not entries:
             continue
         elif kind == "extreme":
@@ -108,7 +114,7 @@ def mutated(draw, doc) -> str:
             entries.append(entries[0])
     if isinstance(doc, list) and doc and draw(st.integers(0, 4)) == 0:  # one member more or fewer
         doc = doc[1:] if draw(st.booleans()) else doc + doc[:1]
-    text = json.dumps(doc)  # NaN and Infinity are written as such
+    text = json.dumps(doc).replace(json.dumps(NESTED_MARK), NESTED)  # and NaN, Infinity as such
     if draw(st.integers(0, 5)) == 0:
         text = text[:draw(st.integers(0, len(text)))]
     return text
