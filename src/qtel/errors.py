@@ -1,7 +1,5 @@
 """Exception types, the tolerance and the resource limits the package shares; imports no numpy."""
 
-from dataclasses import dataclass
-
 # the largest working set, in bytes, that one command may build: the member matrix of
 # `bell.verify_completeness`, a block of `magic.verify_partial_basis` trials, one outcome
 # array of `teleport.composite_expand`.  Each of those guards calls `check_budget` with its
@@ -36,15 +34,29 @@ class InternalConsistencyError(QtelError, RuntimeError):
     """A quantity the theory guarantees failed its numerical check."""
 
 
-@dataclass(frozen=True)
 class Tolerance:
-    """Absolute comparison tolerance. All quantities here are O(1)."""
+    """Absolute comparison tolerance. All quantities here are O(1).
 
-    abs_eps: float = DEFAULT_ABS_EPS
+    Read-only, and compared, hashed and printed by value.  Not a dataclass, so
+    that a cold CLI call, a refusal included, imports no `dataclasses` and `inspect`.
+    """
 
-    def __post_init__(self):
-        if not 0 < self.abs_eps < float("inf"):
-            raise ValidationError(f"tolerance must be positive and finite, got {self.abs_eps}")
+    __slots__ = ("_abs_eps",)
+    abs_eps = property(lambda self: self._abs_eps)
+
+    def __init__(self, abs_eps: float = DEFAULT_ABS_EPS):
+        if not 0 < abs_eps < float("inf"):
+            raise ValidationError(f"tolerance must be positive and finite, got {abs_eps}")
+        self._abs_eps = abs_eps
+
+    def __eq__(self, other):
+        return self.abs_eps == other.abs_eps if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash((self.abs_eps,))
+
+    def __repr__(self):
+        return f"Tolerance(abs_eps={self.abs_eps!r})"
 
 
 DEFAULT_TOL = Tolerance()

@@ -68,11 +68,12 @@ class CliqueReport:
 
 
 def maximal_anticommuting_sets(g: AnticommGraph) -> CliqueReport:
-    """Exact maximal-clique enumeration: Bron-Kerbosch with Tomita pivoting.
+    """Exact maximal-clique enumeration: Bron-Kerbosch with pivoting.
 
-    The sets P and X are Python-int bitmasks (bit v is vertex v); the pivot
-    maximizes |P ∩ N(u)|, one ``bit_count``, over u in P ∪ X (Tomita et al.,
-    Theor. Comput. Sci. 363 (2006) 28).  The clique R is a tuple of alphas.
+    The sets P and X are Python-int bitmasks (bit v is vertex v); the pivot is
+    the lowest vertex of P ∪ X, as any in P ∪ X keeps the search exact.  Tomita's
+    max |P ∩ N(u)| makes fewer calls at n = 3, but its scan costs more than they
+    do.  The clique R is a tuple of alphas.
     """
     adj = [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
            for row in g.adjacency]
@@ -84,13 +85,7 @@ def maximal_anticommuting_sets(g: AnticommGraph) -> CliqueReport:
             if not x:
                 cliques.append(tuple(sorted(r)))
             return
-        score, rest = -1, p | x
-        while rest:  # each set bit of rest, lowest first
-            low = rest & -rest
-            u = low.bit_length() - 1
-            if (degree := (p & adj[u]).bit_count()) > score:
-                score, pivot = degree, u
-            rest ^= low
+        pivot = ((p | x) & -(p | x)).bit_length() - 1  # the lowest vertex of P ∪ X
         rest = p & ~adj[pivot]
         while rest:
             low = rest & -rest
@@ -183,8 +178,10 @@ def verify_partial_basis(
     perfect-channel condition and unit teleportation fidelity for a random
     information state.  Failures are counted, never raised.
 
-    The draws are made trial by trial (magnitudes, phase, and the information
-    state's real and imaginary parts in one draw) into arrays, then evaluated in
+    The draws are made trial by trial into one row each: magnitudes, phase
+    (2π·``random()``, the bits of ``uniform(0, 2π)``), then the information
+    state's real and imaginary parts.  One ``standard_normal`` call fills a
+    trial's parts and the next trial's magnitudes.  The trials are evaluated in
     blocks (VERIFY_BLOCK_TRIALS, `errors.BYTE_BUDGET`) with a leading trial axis
     by the code of `run_protocol` (`teleport.min_fidelities`): every figure equals
     that of one `run_protocol` call per trial, and memory does not grow with
@@ -203,17 +200,20 @@ def verify_partial_basis(
     worst_dev = 0.0
     min_fid = 1.0
     failures = 0
+    k = len(matrices)
+    width = k + 1 + 2 * dim  # a trial's row: magnitudes, phase, real then imaginary parts
     for start in range(0, trials, block):
         size = min(block, trials - start)
-        mags = np.empty((size, len(matrices)))
-        turns = np.empty(size)
-        parts = np.empty((size, 2, dim))  # each trial's real, then imaginary parts
-        for t in range(size):
-            rng.standard_normal(out=mags[t])
-            turns[t] = rng.uniform(0, 2 * np.pi)
-            rng.standard_normal(out=parts[t])
-        mags = np.abs(mags)
+        draws = np.empty((size, width))
+        flat = draws.reshape(-1)
+        rng.standard_normal(out=flat[:k])
+        for edge in range(k, size * width, width):  # each trial's phase column
+            flat[edge] = rng.random()
+            rng.standard_normal(out=flat[edge + 1:edge + width])  # parts, next magnitudes
+        mags = np.abs(draws[:, :k])
+        turns = 2 * np.pi * draws[:, k]  # uniform(0, 2π) is 0 + 2π·random(), bit for bit
         coeffs = np.exp(1j * turns)[:, None] * (mags / _row_norms(mags)[:, None])
+        parts = draws[:, k + 1:].reshape(size, 2, dim)
         infos = parts[:, 0] + 1j * parts[:, 1]  # as linalg.random_state normalizes its draw
         infos /= _row_norms(infos)[:, None]
         combined = sum(c[:, None, None] * m for c, m in zip(coeffs.T, matrices))

@@ -73,7 +73,9 @@ def _fields(data, keys: tuple[str, ...], what: str) -> list:
 
 def _integer(value, what: str) -> int:
     if type(value) is not int:  # a JSON integer: not 1.9, "1" or true
-        raise ValidationError(f"{what} must be an integer, got {value!r}")
+        text = repr(value)  # cut, so that the one error line stays short whatever the file holds
+        raise ValidationError(f"{what} must be an integer, got "
+                              f"{text if len(text) <= 80 else text[:80] + '…'}")
     return value
 
 

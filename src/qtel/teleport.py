@@ -188,44 +188,44 @@ def correction_unitary(
     return _synthesized_correction(ch, basis, alpha, tol)
 
 
-def _seed_operator(e: np.ndarray, basis: BellBasis) -> np.ndarray:
-    """K = E^T B^(0)† of a seed-generated basis, so that O^(α) = K P_α, per run."""
-    return e.swapaxes(-1, -2) @ dagger(basis.seed)
+def _seed_operator(e: np.ndarray, basis: BellBasis) -> np.ndarray | None:
+    """K = E^T B^(0)† of a seed-generated basis, so that O^(α) = K P_α, per run, or None for
+    a basis given member by member.  A batch forms it once, for both of its stages."""
+    return None if basis.seed is None else e.swapaxes(-1, -2) @ dagger(basis.seed)
 
 
-def _outcome_amplitudes(info: np.ndarray, e: np.ndarray, basis: BellBasis) -> np.ndarray:
+def _outcome_amplitudes(info: np.ndarray, e: np.ndarray, basis: BellBasis, k: np.ndarray | None):
     """Bob's unnormalized amplitudes b_α = O^(α)·I, one row per outcome α, per run."""
-    if basis.seed is not None:
+    if k is not None:
         rows = signed_copies(info)[:, action_index(basis.n)]  # rows P_α I
-        return rows @ _seed_operator(e, basis).swapaxes(-1, -2)
+        return rows @ k.swapaxes(-1, -2)
     members = np.asarray(basis.members, dtype=np.complex128)
     return np.einsum("akj,tk->taj", members.conj(), info) @ e
 
 
-def _bob_states(info: np.ndarray, e: np.ndarray, basis: BellBasis):
+def _bob_states(info: np.ndarray, e: np.ndarray, basis: BellBasis, k: np.ndarray | None):
     """Probabilities and zero flags (T, 4^n) and Bob's states (T, 4^n, 2^n) of T runs.
 
     The state of an outcome whose probability is below ZERO_PROBABILITY_EPS
     is left unnormalized.
     """
-    b = _outcome_amplitudes(info, e, basis)
+    b = _outcome_amplitudes(info, e, basis, k)
     probs = np.real(np.einsum("...ai,...ai->...a", b.conj(), b))
     zero = probs < ZERO_PROBABILITY_EPS
     b /= np.sqrt(np.where(zero, 1.0, probs))[..., None]
     return probs, zero, b
 
 
-def _corrected_states(bob: np.ndarray, e: np.ndarray, basis: BellBasis,
+def _corrected_states(bob: np.ndarray, e: np.ndarray, basis: BellBasis, k: np.ndarray | None,
                       tol: Tolerance) -> np.ndarray:
     """Rows C^(α) b_α / |C^(α) b_α| for the best available correction C^(α).
 
     C^(α) is the unitary part O^(α)†/√s of O^(α)^-1 when O^(α)†O^(α) = s·1
     with s > 0, and the identity otherwise.  `bob` (T, 4^n, 2^n) holds the
-    Bob states of T runs with channel matrices e[t], row α for outcome α.
-    An all-zero row stays zero.
+    Bob states of T runs with channel matrices e[t] and operators K = k[t],
+    row α for outcome α.  An all-zero row stays zero.
     """
-    if basis.seed is not None:  # one test on G = K†K covers every α of a run
-        k = _seed_operator(e, basis)
+    if k is not None:  # one test on G = K†K covers every α of a run
         scaled = _unitary_scale(k, tol) > 0.0
         if not scaled.any():
             return bob
@@ -266,7 +266,8 @@ def composite_expand(
     _check_dims(info, ch, basis, tol)
     errors.check_budget(4 + 3 * basis.n, "running the protocol at n={n} needs {size} MiB per "
                         "outcome array, over the {budget} MiB limit", n=basis.n)
-    probs, zero, bob = _bob_states(info.amplitudes[None], ch.e_matrix[None], basis)
+    e = ch.e_matrix[None]
+    probs, zero, bob = _bob_states(info.amplitudes[None], e, basis, _seed_operator(e, basis))
     return OutcomeRecords(probs[0], zero[0], _finite(bob[0]))
 
 
@@ -306,7 +307,8 @@ def run_protocol(
     """
     _check_sampling(mode, shots, seed)  # before the 4^n outcomes are expanded
     expanded = composite_expand(info, ch, basis, tol)
-    corrected = _corrected_states(expanded.bob[None], ch.e_matrix[None], basis, tol)
+    e = ch.e_matrix[None]
+    corrected = _corrected_states(expanded.bob[None], e, basis, _seed_operator(e, basis), tol)
     records = OutcomeRecords(expanded.probs, expanded.zero, expanded.bob, _finite(corrected[0]),
                              _fidelities(corrected, info.amplitudes[None])[0])
     if mode == "exhaustive":
@@ -325,10 +327,11 @@ def min_fidelities(info: np.ndarray, e: np.ndarray, basis: BellBasis,
 
     Run t sends info[t] (T, 2^n) over the channel matrix e[t] (T, 2^n, 2^n)
     through the code of `run_protocol`, and the value equals, bit for bit,
-    the least fidelity of its records.  The inputs are not validated.
+    the least fidelity of its records; K is formed once.  The inputs are not validated.
     """
-    _, zero, bob = _bob_states(info, e, basis)
-    corrected = _corrected_states(bob, e, basis, tol)
+    k = _seed_operator(e, basis)
+    _, zero, bob = _bob_states(info, e, basis, k)
+    corrected = _corrected_states(bob, e, basis, k, tol)
     return np.min(np.where(zero, np.inf, _fidelities(corrected, info)), axis=-1)
 
 
@@ -459,11 +462,13 @@ def _worst_fidelities(operators: np.ndarray, corrections: np.ndarray, angles) ->
     `operators` and `corrections` (4, 2, 2) hold O^(α) and the Pauli U^(α).  Each value has the
     bits of a scalar loop over α from 1.0 that skips zero-probability outcomes: every stacked
     item is that loop's ``matmul`` or BLAS dot (zdotu of conj(x) is zdotc of x), ``hypot`` its
-    complex ``abs`` and ``float_power`` its ``** 2``.
+    complex ``abs`` and ``float_power`` its ``** 2``.  Each state I is written into its (1, 2, 1)
+    column in place: a refinement scores one point about 150 times, so each call's overhead counts.
     """
-    theta, phi = np.moveaxis(angles, -1, 0)
-    info = np.stack([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)], axis=-1)
-    info = info[..., None, :, None]  # (..., 1, 2, 1): one column, broadcast over the outcomes
+    angles = np.asarray(angles)
+    info = np.empty(angles.shape[:-1] + (1, 2, 1), dtype=np.complex128)
+    info[..., 0, 0, 0] = np.cos(angles[..., 0] / 2)
+    info[..., 0, 1, 0] = np.exp(1j * angles[..., 1]) * np.sin(angles[..., 0] / 2)
     b = operators @ info
     p = np.real(b.conj().swapaxes(-1, -2) @ b)[..., 0, 0]
     z = (info.conj().swapaxes(-1, -2) @ (corrections @ b))[..., 0, 0]

@@ -271,6 +271,12 @@ def _one_qubit_run(tmp_path, name, n_qubits=1, rows=None) -> list[str]:
 
 _NESTED_STATE = '{"n_qubits": 2, "amplitudes": ' + "[" * 5000 + "]" * 5000 + "}"
 
+
+def _pairs_as_n_qubits(count: int) -> dict:
+    """A state file whose n_qubits is `count` amplitude pairs, a repr of 8·count bytes."""
+    return {"n_qubits": [[0, 0]] * count, "amplitudes": [[1, 0]]}
+
+
 # each builds the argv of one usage or file-format error from tmp_path and
 # the good info2 / two_bell files
 MALFORMED = {
@@ -327,6 +333,9 @@ MALFORMED = {
     "n_qubits_5000_digits": lambda t, info, ch: [
         "channel", "check", "--file",
         _write(t, "digits.json", '{"n_qubits": %s, "amplitudes": [[1, 0]]}' % ("1" * 5000))],
+    # the golden corpus records this file, so it is kept to 8 kB
+    "n_qubits_1000_pairs": lambda t, info, ch: [
+        "channel", "check", "--file", _write(t, "n_pairs.json", _pairs_as_n_qubits(1000))],
     "set_superscript_digit": lambda t, info, ch: ["magic", "verify", "--set", "²", "--n", "2"],
     "set_index_5000_digits": lambda t, info, ch: [
         "magic", "verify", "--set", "1" * 5000, "--n", "2"],
@@ -369,6 +378,7 @@ def test_malformed_input_is_usage_error(case, capsys, tmp_path, info2_file, two_
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "Traceback" not in captured.err and captured.err.startswith("error: ")
+    assert len(captured.err.replace(str(tmp_path), "").encode()) < 200  # echoes no input at length
 
 
 def _cap_address_space():
@@ -562,6 +572,9 @@ REFUSED_WITHOUT_NUMPY = {
     "n_qubits_text": lambda t: (
         ["channel", "check", "--file",
          _write(t, "text_n.json", {"n_qubits": "abc", "amplitudes": [[1, 0]]})], None),
+    "n_qubits_100000_pairs": lambda t: (
+        ["channel", "check", "--file", _write(t, "n_pairs.json", _pairs_as_n_qubits(100_000))],
+        None),
     "zero_tol": lambda t: (["--tol", "0", "magic", "catalog"], None),
     "tol_env_text": lambda t: (["magic", "witness", "--n", "2"], "abc"),
 }
@@ -569,13 +582,14 @@ REFUSED_WITHOUT_NUMPY = {
 
 @pytest.mark.parametrize("case", sorted(REFUSED_WITHOUT_NUMPY))
 def test_refusal_runs_with_numpy_blocked(case, capsys, monkeypatch, tmp_path):
-    # sys.modules["numpy"] = None makes every numpy import raise ImportError
+    # sys.modules["numpy"] = None makes every numpy import raise ImportError; dataclasses is
+    # blocked too, as it would load inspect, dis, ast and tokenize into every refusal
     argv, tol_env = REFUSED_WITHOUT_NUMPY[case](tmp_path)
     monkeypatch.delenv("QTEL_TOL", raising=False)
     if tol_env is not None:
         monkeypatch.setenv("QTEL_TOL", tol_env)
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qtel.__file__)))
-    code = ("import sys\nsys.modules['numpy'] = None\n"
+    code = ("import sys\nsys.modules['numpy'] = sys.modules['dataclasses'] = None\n"
             f"from qtel.cli import main\nsys.exit(main({argv!r}))")
     blocked = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, timeout=60)
@@ -587,6 +601,7 @@ def test_refusal_runs_with_numpy_blocked(case, capsys, monkeypatch, tmp_path):
     assert (exit_code, captured.out) == (2, "")
     assert (blocked.returncode, blocked.stdout, blocked.stderr) == (2, "", captured.err)
     assert captured.err.count("\n") in (1, 2) and "Traceback" not in captured.err
+    assert len(captured.err.replace(str(tmp_path), "").encode()) < 200  # echoes no input at length
 
 
 @pytest.mark.parametrize(("tol", "perfect"), [("1e-9", False), ("1e-3", True)])

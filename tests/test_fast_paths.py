@@ -13,7 +13,11 @@ as the (perm, phase) tables it replaced gave them.  `run_protocol`, which
 corrects every outcome, must give the columns of the engine that corrected
 only the nonzero ones on those rows, and `min_fidelities` the least
 nonzero-outcome fidelity of `run_protocol`, bit for bit.  `linalg._row_norms`
-must give each row's `np.linalg.norm` bit for bit.
+must give each row's `np.linalg.norm` bit for bit.  The trial draws of
+`verify_partial_basis` (two generator calls per trial) must give what the
+three-call loop gave, the lowest-vertex clique pivot the cliques of Tomita's
+pivot and of the definition, and the engine that forms K = E^T B^(0)† once
+per batch the columns of the one whose two stages each formed it.
 """
 
 import itertools
@@ -119,9 +123,41 @@ def _old_random_amplitudes(n: int, rng) -> np.ndarray:
     return StateVector(n, v / np.linalg.norm(v)).amplitudes
 
 
-def per_object_verify(basis, trials, seed, fidelities, tol=DEFAULT_TOL):
-    """The trial loop of `verify_partial_basis` as it was, with `fidelities` for min_fidelities."""
+def per_object_draws(rng, size, k, n):
+    """A block's coefficients and information states as first drawn: objects per trial."""
+    coeffs = np.empty((size, k), dtype=np.complex128)
+    infos = np.empty((size, 2**n), dtype=np.complex128)
+    for t in range(size):
+        mags = np.abs(rng.standard_normal(k))
+        mags /= np.linalg.norm(mags)
+        coeffs[t] = np.exp(1j * rng.uniform(0, 2 * np.pi)) * mags
+        infos[t] = _old_random_amplitudes(n, rng)
+    return coeffs, infos
+
+
+def three_call_draws(rng, size, k, n):
+    """A block's draws as they were next: three generator calls per trial, into arrays."""
+    mags = np.empty((size, k))
+    turns = np.empty(size)
+    parts = np.empty((size, 2, 2**n))
+    for t in range(size):
+        rng.standard_normal(out=mags[t])
+        turns[t] = rng.uniform(0, 2 * np.pi)
+        rng.standard_normal(out=parts[t])
+    mags = np.abs(mags)
+    coeffs = np.exp(1j * turns)[:, None] * (mags / qtel.linalg._row_norms(mags)[:, None])
+    infos = parts[:, 0] + 1j * parts[:, 1]
+    infos /= qtel.linalg._row_norms(infos)[:, None]
+    return coeffs, infos
+
+
+def per_object_verify(basis, trials, seed, fidelities, tol=DEFAULT_TOL, draws=per_object_draws,
+                      generators=None):
+    """The trial loop of `verify_partial_basis` as it was, with `fidelities` for min_fidelities
+    and `draws` for each block's draws; its generator is appended to `generators`."""
     rng = np.random.default_rng(seed)
+    if generators is not None:
+        generators.append(rng)
     n = basis.n
     matrices = [m.amplitudes.reshape(2**n, 2**n) for m in basis.members]
     measurement = standard_basis(n)
@@ -130,13 +166,7 @@ def per_object_verify(basis, trials, seed, fidelities, tol=DEFAULT_TOL):
     failures = 0
     for start in range(0, trials, 128):
         size = min(128, trials - start)
-        coeffs = np.empty((size, len(matrices)), dtype=np.complex128)
-        infos = np.empty((size, 2**n), dtype=np.complex128)
-        for t in range(size):
-            mags = np.abs(rng.standard_normal(len(matrices)))
-            mags /= np.linalg.norm(mags)
-            coeffs[t] = np.exp(1j * rng.uniform(0, 2 * np.pi)) * mags
-            infos[t] = _old_random_amplitudes(n, rng)
+        coeffs, infos = draws(rng, size, len(matrices), n)
         combined = sum(c[:, None, None] * m for c, m in zip(coeffs.T, matrices))
         ok, dev = is_maximally_entangled(combined, tol)
         ok &= np.abs(np.linalg.norm(combined, axis=(1, 2)) - 1) <= tol.abs_eps
@@ -182,6 +212,110 @@ def test_verify_equals_per_object_loop_bit_for_bit(monkeypatch, trials):
         for (info, e), (old_info, old_e) in zip(new_calls, old_calls):
             assert np.array_equal(info.view(np.uint64), old_info.view(np.uint64))
             assert np.array_equal(e.view(np.uint64), old_e.view(np.uint64))
+
+
+@pytest.mark.parametrize("trials", [1, 127, 128, 129, 300])
+def test_verify_draws_equal_three_call_loop_bit_for_bit(monkeypatch, trials):
+    real_default_rng = np.random.default_rng
+    generators = []
+
+    def recording_default_rng(seed):
+        generators.append(real_default_rng(seed))
+        return generators[-1]
+
+    for seed, (n, clique) in enumerate(_SETS):
+        basis = partial_basis_from_set(pauli_from_quaternary(a, n) for a in clique)
+        new_calls, old_calls, old_generators = [], [], []
+        monkeypatch.setattr(qtel.magic, "min_fidelities", _recorder(new_calls))
+        with monkeypatch.context() as mp:
+            mp.setattr(np.random, "default_rng", recording_default_rng)
+            v = verify_partial_basis(basis, trials, seed)
+        old = per_object_verify(basis, trials, seed, _recorder(old_calls), draws=three_call_draws,
+                                generators=old_generators)
+        assert (v.trials, v.failures, v.passed) == (old[0], old[3], old[4])
+        assert _bits([v.max_condition_deviation, v.min_fidelity]).tolist() == \
+            _bits([old[1], old[2]]).tolist()
+        assert len(new_calls) == len(old_calls) == -(-trials // 128)
+        for (info, e), (old_info, old_e) in zip(new_calls, old_calls):
+            assert np.array_equal(info.view(np.uint64), old_info.view(np.uint64))
+            assert np.array_equal(e.view(np.uint64), old_e.view(np.uint64))
+        # both drew the same number of values: their generators end in one state
+        assert generators[-1].bit_generator.state == old_generators[0].bit_generator.state
+
+
+def test_the_draw_identities_verify_rests_on():
+    # a phase is uniform(0, 2π) = 0 + 2π·random(), and one standard_normal call over a
+    # trial's parts and the next trial's magnitudes draws what two calls would
+    one, other = np.random.default_rng(21), np.random.default_rng(21)
+    for split in range(1, 40):
+        phase = one.uniform(0, 2 * np.pi)
+        assert _bits(phase) == _bits(2 * np.pi * np.array([other.random()]))
+        apart, joined = np.empty(split + 7), np.empty(split + 7)
+        one.standard_normal(out=apart[:split])
+        one.standard_normal(out=apart[split:])
+        other.standard_normal(out=joined)
+        assert np.array_equal(apart.view(np.uint64), joined.view(np.uint64))
+
+
+def tomita_cliques(g) -> CliqueReport:
+    """`maximal_anticommuting_sets` as it was: the pivot maximizes |P ∩ N(u)| over P ∪ X."""
+    adj = [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
+           for row in g.adjacency]
+    cliques: list[tuple[int, ...]] = []
+
+    def expand(r: tuple[int, ...], p: int, x: int):
+        if not p:
+            if not x:
+                cliques.append(tuple(sorted(r)))
+            return
+        score, rest = -1, p | x
+        while rest:
+            low = rest & -rest
+            u = low.bit_length() - 1
+            if (degree := (p & adj[u]).bit_count()) > score:
+                score, pivot = degree, u
+            rest ^= low
+        rest = p & ~adj[pivot]
+        while rest:
+            low = rest & -rest
+            v = low.bit_length() - 1
+            expand(r + (g.alphas[v],), p & adj[v], x & adj[v])
+            p ^= low
+            x |= low
+            rest ^= low
+
+    expand((), (1 << len(g.vertices)) - 1, 0)
+    cliques.sort()
+    return CliqueReport(g.n, tuple(cliques), max(len(c) for c in cliques))
+
+
+def brute_force_cliques(g) -> CliqueReport:
+    """The maximal cliques by definition: every pairwise-anticommuting vertex set to which
+    no further vertex is adjacent throughout, found among all sets of each size."""
+    adj, vertices = g.adjacency, range(len(g.vertices))
+    cliques = []
+    for size in itertools.count(1):
+        found = [c for c in itertools.combinations(vertices, size)
+                 if all(adj[u, v] for u, v in itertools.combinations(c, 2))]
+        if not found:
+            break
+        cliques += [c for c in found
+                    if not any(all(adj[w, u] for u in c) for w in vertices if w not in c)]
+    named = sorted(tuple(g.alphas[v] for v in c) for c in cliques)
+    return CliqueReport(g.n, tuple(named), max(len(c) for c in named))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_cliques_equal_the_definition(n):
+    g = build_anticomm_graph(n)
+    assert maximal_anticommuting_sets(g) == brute_force_cliques(g)
+
+
+def test_lowest_vertex_pivot_cliques_equal_tomita_pivot_n3():
+    g = build_anticomm_graph(3)
+    report = maximal_anticommuting_sets(g)
+    assert report == tomita_cliques(g)
+    assert (len(report.maximal_cliques), report.max_size) == (2640, 7)
 
 
 def dense_completeness(basis, tol=DEFAULT_TOL):
@@ -383,15 +517,14 @@ def phase_tables(n):
     return perm, np.array([1, 1j, -1, -1j])[powers % 4]
 
 
-def phase_outcome_amplitudes(info, e, basis):
+def phase_outcome_amplitudes(info, e, basis, k):
     """`teleport._outcome_amplitudes` of a generated basis, as it was."""
     perm, phase = phase_tables(basis.n)
-    return (phase * info[:, perm]) @ teleport._seed_operator(e, basis).swapaxes(-1, -2)
+    return (phase * info[:, perm]) @ k.swapaxes(-1, -2)
 
 
-def phase_corrected_states(bob, e, basis, tol):
+def phase_corrected_states(bob, e, basis, k, tol):
     """`teleport._corrected_states` of a generated basis, with the (perm, phase) tables."""
-    k = teleport._seed_operator(e, basis)
     scaled = teleport._unitary_scale(k, tol) > 0.0
     if not scaled.any():
         return bob
@@ -521,7 +654,9 @@ def useful_run_protocol(info, ch, basis, tol=DEFAULT_TOL):
 
     Its `corrected` (U, 2^n) and `fidelities` (U,) hold only the U nonzero outcomes.
     """
-    probs, zero, bob = teleport._bob_states(info.amplitudes[None], ch.e_matrix[None], basis)
+    e = ch.e_matrix[None]
+    probs, zero, bob = teleport._bob_states(info.amplitudes[None], e, basis,
+                                            teleport._seed_operator(e, basis))
     useful = np.flatnonzero(~zero[0])
     corrected = useful_corrected_states(bob[:, useful], useful, ch.e_matrix[None], basis, tol)
     fidelities = teleport._fidelities(corrected, info.amplitudes[None])
@@ -617,6 +752,70 @@ def test_min_fidelities_is_least_nonzero_fidelity_of_run_protocol(n, basis_kind)
         assert outcomes.zero.any() or t >= 2, t
         want = np.min(outcomes.fidelities[~outcomes.zero], initial=np.inf)
         assert _same_bits(got[t], want), t
+
+
+# --- the engine as it was: each stage forms its own K ------------------------------
+
+
+def per_stage_outcome_amplitudes(info, e, basis):
+    """`teleport._outcome_amplitudes` as it was: it forms K = E^T B^(0)† itself."""
+    if basis.seed is not None:
+        rows = pauli.signed_copies(info)[:, pauli.action_index(basis.n)]
+        return rows @ (e.swapaxes(-1, -2) @ qtel.linalg.dagger(basis.seed)).swapaxes(-1, -2)
+    members = np.asarray(basis.members, dtype=np.complex128)
+    return np.einsum("akj,tk->taj", members.conj(), info) @ e
+
+
+def per_stage_corrected_states(bob, e, basis, tol):
+    """`teleport._corrected_states` as it was: it forms K again."""
+    if basis.seed is not None:
+        k = e.swapaxes(-1, -2) @ qtel.linalg.dagger(basis.seed)
+        scaled = teleport._unitary_scale(k, tol) > 0.0
+        if not scaled.any():
+            return bob
+        index = pauli.action_index(basis.n)
+        corrected = np.take_along_axis(bob @ k.conj(), index[None] & (2**basis.n - 1), axis=-1)
+        corrected *= pauli.POWERS_OF_I[index >> basis.n]
+        teleport._normalize_rows(corrected)
+        np.copyto(corrected, bob, where=~scaled[:, None, None])
+        return corrected
+    members = np.asarray(basis.members, dtype=np.complex128)
+    ops = np.einsum("tij,akj->taik", e.swapaxes(-1, -2), members.conj())
+    scaled = teleport._unitary_scale(ops, tol) > 0.0
+    corrected = np.where(scaled[..., None], np.einsum("taji,taj->tai", ops.conj(), bob), bob)
+    return teleport._normalize_rows(corrected)
+
+
+def per_stage_columns(info, e, basis, tol=DEFAULT_TOL):
+    """Probabilities, zero flags, Bob's, corrected states and fidelities of T runs, as the
+    engine gave them when each stage formed its own K."""
+    b = per_stage_outcome_amplitudes(info, e, basis)
+    probs = np.real(np.einsum("...ai,...ai->...a", b.conj(), b))
+    zero = probs < teleport.ZERO_PROBABILITY_EPS
+    b /= np.sqrt(np.where(zero, 1.0, probs))[..., None]
+    corrected = per_stage_corrected_states(b, e, basis, tol)
+    return probs, zero, b, corrected, teleport._fidelities(corrected, info)
+
+
+@pytest.mark.parametrize("basis_kind", ["standard", "haar", "standard-dense", "haar-dense"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_one_k_per_batch_equals_one_k_per_stage_bit_for_bit(n, basis_kind):
+    rng = np.random.default_rng(10 * n + len(basis_kind))
+    basis = _basis(n, basis_kind, rng)
+    kinds = ("perfect", "imperfect", "degenerate", "ghz", "aligned")
+    es = np.stack([_zero_outcome_channel(n, kind, basis, rng) for kind in kinds])
+    infos = np.stack([random_state(n, rng).amplitudes for _ in kinds])
+    infos[-1] = np.eye(2**n)[rng.integers(2**n)]  # a basis state, which "aligned" leaves zero
+    columns = per_stage_columns(infos, es, basis)
+    probs, zero, _, _, fidelities = columns
+    assert _same_bits(min_fidelities(infos, es, basis),
+                      np.min(np.where(zero, np.inf, fidelities), axis=-1))
+    for t, (info, e) in enumerate(zip(infos, es)):
+        records = run_protocol(StateVector(n, info), channel_from_state(state_from_matrix(e, n), n),
+                               basis).records
+        alone = per_stage_columns(info[None], e[None], basis)
+        for name, column in zip(("probs", "zero", "bob", "corrected", "fidelities"), alone):
+            assert _same_bits(getattr(records, name), column[0]), (t, name)
 
 
 @pytest.mark.parametrize("width", range(1, 65))
