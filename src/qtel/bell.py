@@ -101,7 +101,7 @@ class BellBasis:
 def standard_seed(n: int) -> StateVector:
     """Product of Bell pairs pairing qubit r with qubit n+r; matrix 2^{-n/2}·I."""
     if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
+        raise ValidationError(f"n must be >= 1, got {errors.excerpt(n)}")
     dim = 2**n
     return StateVector(2 * n, np.eye(dim, dtype=np.complex128).reshape(-1) / np.sqrt(dim))
 

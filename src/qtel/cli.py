@@ -2,10 +2,12 @@
 
 Exit codes: 0 on success; 1 when a numerical assertion fails or an
 `InternalConsistencyError` is raised; 2 on usage or file-format errors,
-that is any other `QtelError` or an `OSError`.  JSON reports carry
+that is any other `QtelError` or an `OSError`, written as one ``error:``
+line that quotes any input by its `errors.excerpt`.  JSON reports carry
 top-level ``"schema": "qtel/1"`` and ``"command"`` keys and are
-byte-identical for identical invocations and seeds; the text renderings
-carry no stability promise.
+byte-identical for identical invocations and seeds.  ``--format text``
+writes the same encoded fields one per line (see `_emit`); its layout
+carries no stability promise.
 
 The parser and the tolerance check load only `serialize` and `errors`, and
 each ``cmd_*`` imports the layers it runs; `channel check`, `masfi`, `bell gen
@@ -22,7 +24,7 @@ import sys
 
 from . import serialize
 from .errors import (DEFAULT_ABS_EPS, GRAPH_EXHAUSTIVE_MAX_QUBITS, DomainError,
-                     InternalConsistencyError, QtelError, Tolerance, ValidationError)
+                     InternalConsistencyError, QtelError, Tolerance, ValidationError, excerpt)
 
 SCHEMA = "qtel/1"
 
@@ -41,50 +43,36 @@ def _tolerance(args) -> Tolerance:
     try:
         value = float(env)
     except ValueError:
-        raise ValidationError(f"QTEL_TOL is not a number: {env!r}")
+        raise ValidationError(f"QTEL_TOL is not a number: {excerpt(env)}")
     return Tolerance(value)
 
 
 def _emit(report: dict, args):
-    """Write the report under the schema and the name of the subcommand that made it.
+    """Write the report under the name of the subcommand that made it.
 
-    A `serialize.JSONText` field is already encoded: its text goes into the
-    JSON report as it stands, at the field's sorted-key position.
+    Each field is encoded once, by `serialize.dumps`, unless it is a
+    `serialize.JSONText`, which is encoded already and goes in as it stands.
+    ``--format json`` writes one object of the encoded fields under sorted keys,
+    the schema's among them.  ``--format text`` writes one ``key: value`` line
+    per field in report order, ``command`` first and no schema: a string as it
+    is, any other value as its JSON text, and each object of a list of objects
+    on its own line, indented by two spaces, under a ``key:`` line.
     """
     command = " ".join(filter(None, (args.command, getattr(args, "subcommand", None))))
-    report = {"schema": SCHEMA, "command": command, **report}
     if args.format == "json":
+        report = {"schema": SCHEMA, "command": command, **report}
         fields = (f"{serialize.dumps(key)}:"
                   f"{value if isinstance(value, serialize.JSONText) else serialize.dumps(value)}"
                   for key, value in sorted(report.items()))
         sys.stdout.write("{" + ",".join(fields) + "}\n")
-    else:
-        _emit_text(report, sys.stdout)
-
-
-def _emit_text(report: dict, out, indent: int = 0):
-    pad = "  " * indent
+        return
+    lines = [f"command: {command}"]
     for key, value in report.items():
-        if key == "schema":
-            continue
-        if isinstance(value, dict):
-            out.write(f"{pad}{key}:\n")
-            _emit_text(value, out, indent + 1)
-        elif isinstance(value, list) and value and isinstance(value[0], dict):
-            out.write(f"{pad}{key}:\n")
-            for item in value:
-                _emit_text(item, out, indent + 1)
-                out.write("\n" if indent == 0 else "")
+        if isinstance(value, list) and value and isinstance(value[0], dict):
+            lines += [f"{key}:"] + [f"  {serialize.dumps(item)}" for item in value]
         else:
-            out.write(f"{pad}{key}: {_fmt(value)}\n")
-
-
-def _fmt(value):
-    if isinstance(value, float):
-        return f"{value:.9f}"
-    if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(str(_fmt(v)) for v in value) + "]"
-    return value
+            lines.append(f"{key}: {value if isinstance(value, str) else serialize.dumps(value)}")
+    sys.stdout.write("\n".join(lines) + "\n")
 
 
 def cmd_channel_check(args) -> int:
@@ -116,9 +104,7 @@ def cmd_bell_gen(args) -> int:
         "size": basis.size,
         "complete": complete,
         "completeness_deviation": deviation,
-        # the text rendering lists each member's fields in the order of matrix_to_dict
-        "members": (serialize.basis_to_list(basis.members) if args.format == "json"
-                    else [serialize.matrix_to_dict(m) for m in basis.members]),
+        "members": serialize.basis_to_list(basis.members),
     }
     _emit(report, args)
     return EXIT_OK if complete else EXIT_ASSERTION
@@ -194,11 +180,8 @@ def cmd_magic_catalog(args) -> int:
     from . import magic
     catalog = magic.n2_catalog()
     out = {
-        "states": {
-            name: serialize.state_to_dict(state)
-            for name, state in sorted(catalog.states.items())
-        },
-        "printed_state_typos": dict(sorted(catalog.printed_state_typos.items())),
+        "states": {name: serialize.state_to_dict(state) for name, state in catalog.states.items()},
+        "printed_state_typos": catalog.printed_state_typos,
         "maximal_sets": catalog.maximal_sets,
         "max_partial_basis_dimension": catalog.max_partial_basis_dimension,
         "quarter_basis_families": catalog.quarter_basis_families,
@@ -250,12 +233,6 @@ def cmd_magic_witness(args) -> int:
     if deviation is not None:
         out["ghz_counterexample"] = {"deviation": deviation, "min_projection_residual": residual}
     _emit(out, args)
-    if args.format == "text":
-        sys.stdout.write(
-            f"max clique {report.max_clique_size} < {report.required_size}\n"
-            if report.holds
-            else f"witness FAILED: max clique {report.max_clique_size}\n"
-        )
     return EXIT_OK if report.holds else EXIT_ASSERTION
 
 

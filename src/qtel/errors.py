@@ -1,4 +1,4 @@
-"""Exception types, the tolerance and the resource limits the package shares; imports no numpy."""
+"""Exception types, the tolerance, the resource limits and the excerpt rule; imports no numpy."""
 
 # the largest working set, in bytes, that one command may build: the member matrix of
 # `bell.verify_completeness`, a block of `magic.verify_partial_basis` trials, one outcome
@@ -8,6 +8,8 @@ BYTE_BUDGET = 2**28
 # the largest n of the exhaustive anticommutation graph, and of the CLI's clique `--n` choices
 GRAPH_EXHAUSTIVE_MAX_QUBITS = 3
 DEFAULT_ABS_EPS = 1e-9
+# the longest quotation of a value from outside the program in an error message
+EXCERPT_CHARS = 80
 
 
 class QtelError(Exception):
@@ -66,9 +68,28 @@ def check_budget(log2_bytes: int, message: str, **fields):
     """Raise a ResourceLimitError if 2^log2_bytes bytes exceed BYTE_BUDGET.
 
     Decided by bit length, so no 2^log2_bytes is formed for an n from outside the
-    program.  The error's text is `message` formatted with `fields`, `size` (whole
-    MiB: digits up to 2^80 bytes, a power of two above) and `budget` (in MiB).
+    program.  The error's text is `message` formatted with the `excerpt` of each
+    of `fields`, `size` (whole MiB: digits up to 2^80 bytes, a power of two above)
+    and `budget` (in MiB).
     """
     if log2_bytes >= BYTE_BUDGET.bit_length():
-        size = str(2**log2_bytes >> 20) if log2_bytes <= 80 else f"2^{log2_bytes - 20}"
-        raise ResourceLimitError(message.format(size=size, budget=BYTE_BUDGET >> 20, **fields))
+        size = str(2**log2_bytes >> 20) if log2_bytes <= 80 else f"2^{excerpt(log2_bytes - 20)}"
+        raise ResourceLimitError(message.format(
+            size=size, budget=BYTE_BUDGET >> 20, **{k: excerpt(v) for k, v in fields.items()}))
+
+
+def excerpt(value) -> str:
+    """The repr of a value an error quotes, in at most about EXCERPT_CHARS characters.
+
+    A longer repr is cut to EXCERPT_CHARS characters and '…'.  An integer of more
+    than 24 digits is written as its first 20 digits, '…' and its digit count, so
+    that no such integer is converted whole (CPython refuses past 4,300 digits) and
+    two of them still fit one short error line.
+    """
+    if type(value) is int and abs(value) >= 10**24:
+        size = abs(value)
+        digits = int(size.bit_length() * 0.30102999566398120)  # log10(2): digits or digits - 1
+        digits += size >= 10**digits
+        return f"{'-' * (value < 0)}{size // 10 ** (digits - 20)}…({digits} digits)"
+    text = repr(value)
+    return text if len(text) <= EXCERPT_CHARS else text[:EXCERPT_CHARS] + "…"

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DEFAULT_ABS_EPS  # noqa: F401 (also importable from here)
-from .errors import DEFAULT_TOL, ShapeError, Tolerance, ValidationError
+from .errors import DEFAULT_TOL, ShapeError, Tolerance, ValidationError, excerpt
 
 
 def as_complex_matrix(a) -> np.ndarray:
@@ -79,14 +79,12 @@ class StateVector:
 
     def __post_init__(self):
         if self.n_qubits < 1:
-            raise ValidationError(f"n_qubits must be >= 1, got {self.n_qubits}")
+            raise ValidationError(f"n_qubits must be >= 1, got {excerpt(self.n_qubits)}")
         amps = np.asarray(self.amplitudes, dtype=np.complex128).reshape(-1)
         # bit lengths first: an n_qubits read from a file is never raised to a power
         if amps.size.bit_length() != self.n_qubits + 1 or amps.size != 2**self.n_qubits:
-            raise ShapeError(
-                f"expected 2^{self.n_qubits} amplitudes for {self.n_qubits} "
-                f"qubits, got {amps.size}"
-            )
+            n = excerpt(self.n_qubits)
+            raise ShapeError(f"expected 2^{n} amplitudes for {n} qubits, got {amps.size}")
         object.__setattr__(self, "amplitudes", _finite(amps))
 
     def norm(self) -> float:

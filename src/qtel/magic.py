@@ -149,7 +149,7 @@ def verify_block_trials(n: int) -> int:
     builds the basis, and before it reads an index token at n.
     """
     if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
+        raise ValidationError(f"n must be >= 1, got {errors.excerpt(n)}")
     log2_bytes = 6 + 3 * n  # four (4^n, 2^n) complex arrays
     errors.check_budget(log2_bytes, "verifying a partial basis at n={n} needs {size} MiB per "
                         "trial, over the {budget} MiB block budget", n=n)
@@ -190,7 +190,7 @@ def verify_partial_basis(
     if trials < 1:
         raise ValidationError("trials must be >= 1")
     if seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed}")
+        raise ValidationError(f"seed must be >= 0, got {errors.excerpt(seed)}")
     n = basis.n
     dim = 2**n
     block = verify_block_trials(n)

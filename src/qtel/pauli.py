@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, ResourceLimitError, ShapeError, ValidationError
+from .errors import DomainError, ResourceLimitError, ShapeError, ValidationError, excerpt
 
 _I2 = np.eye(2, dtype=np.complex128)
 _Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
@@ -111,7 +111,7 @@ def pauli_from_digits(digits, phase_power: int = 0) -> PauliString:
 def pauli_from_quaternary(alpha: int, n_qubits: int) -> PauliString:
     """The alpha-th family element, alpha read in base 4 (qubit 1 = leading digit)."""
     if alpha < 0 or int(alpha).bit_length() > 2 * n_qubits:  # alpha < 4^n, without 4^n
-        raise DomainError(f"alpha={alpha} out of range for {n_qubits} qubits")
+        raise DomainError(f"alpha={excerpt(alpha)} out of range for {n_qubits} qubits")
     return PauliString(n_qubits, *map(int, _split(alpha, n_qubits)))
 
 
@@ -225,7 +225,7 @@ def parse(text: str) -> PauliString:
     """Parse the `render` grammar: optional phase prefix then I/Z/X/Y letters."""
     m = _PARSE_RE.match(text.strip())
     if m is None:
-        raise ValidationError(f"cannot parse Pauli string: {text!r}")
+        raise ValidationError(f"cannot parse Pauli string: {excerpt(text)}")
     phase_text = m.group("phase") or ""
     phase = {"": 0, "i": 1, "i·": 1, "-": 2, "-i": 3, "-i·": 3}[phase_text]
     letters = m.group("letters").replace("⊗", "")

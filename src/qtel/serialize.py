@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING
 
-from .errors import ValidationError
+from .errors import ValidationError, excerpt
 
 if TYPE_CHECKING:
     import numpy as np
@@ -73,9 +73,7 @@ def _fields(data, keys: tuple[str, ...], what: str) -> list:
 
 def _integer(value, what: str) -> int:
     if type(value) is not int:  # a JSON integer: not 1.9, "1" or true
-        text = repr(value)  # cut, so that the one error line stays short whatever the file holds
-        raise ValidationError(f"{what} must be an integer, got "
-                              f"{text if len(text) <= 80 else text[:80] + '…'}")
+        raise ValidationError(f"{what} must be an integer, got {excerpt(value)}")
     return value
 
 
@@ -100,11 +98,12 @@ def matrix_from_dict(data: dict) -> np.ndarray:
     rows, cols, entries = _fields(data, ("rows", "cols", "entries"), "matrix object")
     rows, cols = _integer(rows, "rows"), _integer(cols, "cols")
     if rows < 1 or cols < 1:
-        raise ValidationError(f"matrix object: {rows}x{cols} is not a matrix shape")
+        raise ValidationError(
+            f"matrix object: {excerpt(rows)}x{excerpt(cols)} is not a matrix shape")
     flat = pairs_to_array(entries, "entries")
     if flat.size != rows * cols:
         raise ValidationError(
-            f"matrix object: expected {rows * cols} entries, got {flat.size}"
+            f"matrix object: expected {excerpt(rows * cols)} entries, got {flat.size}"
         )
     return flat.reshape(rows, cols)
 

@@ -283,7 +283,7 @@ def _check_sampling(mode: str, shots: int | None, seed: int | None):
     if seed is None:
         raise ValidationError("sampled mode requires a seed")
     if seed < 0:
-        raise ValidationError(f"sampled mode requires seed >= 0, got {seed}")
+        raise ValidationError(f"sampled mode requires seed >= 0, got {errors.excerpt(seed)}")
 
 
 def run_protocol(

@@ -154,9 +154,9 @@ class TestMagicCommands:
 
     def test_witness_n2_text_line(self, capsys):
         code = main(["magic", "witness", "--n", "2"])
-        out = capsys.readouterr().out
+        lines = capsys.readouterr().out.splitlines()
         assert code == 0
-        assert "max clique 5 < 15" in out
+        assert "holds: true" in lines and "max_clique_size: 5" in lines
 
     def test_witness_n2_json(self, capsys):
         code, report = run_json(capsys, ["magic", "witness", "--n", "2"])
@@ -241,7 +241,7 @@ class TestDeterminismAndTolerance:
         code = main(["channel", "check", "--file", two_bell_file])
         out = capsys.readouterr().out
         assert code == 0
-        assert "perfect: True" in out
+        assert "perfect: true" in out.splitlines()
 
 
 def _write(tmp_path, name, content) -> str:
@@ -276,6 +276,9 @@ def _pairs_as_n_qubits(count: int) -> dict:
     """A state file whose n_qubits is `count` amplitude pairs, a repr of 8·count bytes."""
     return {"n_qubits": [[0, 0]] * count, "amplitudes": [[1, 0]]}
 
+
+# a --n past any budget, of the most digits the interpreter converts (4,300)
+_N_4300_NINES = "9" * 4300
 
 # each builds the argv of one usage or file-format error from tmp_path and
 # the good info2 / two_bell files
@@ -368,6 +371,24 @@ MALFORMED = {
         "teleport", "run", "--info", info, "--channel", ch, "--basis", _write(
             t, "digits400_basis.json", json.dumps(
                 [{"rows": 4, "cols": 4, "entries": [[10**400, 0]] + [[0.5, 0]] * 15}] * 16))],
+    # integers of thousands of digits are quoted by their first digits and digit count
+    "matrix_shape_4001_digits": lambda t, info, ch: [
+        "teleport", "run", "--info", info, "--channel", ch, "--basis", _write(
+            t, "shape4001.json", [{"rows": 10**4000, "cols": 10**4000, "entries": [[1, 0]]}])],
+    "negative_rows_2501_digits": lambda t, info, ch: [
+        "teleport", "run", "--info", info, "--channel", ch, "--basis", _write(
+            t, "rows2501.json", [{"rows": -10**2500, "cols": 1, "entries": [[1, 0]]}])],
+    "n_qubits_4001_digits": lambda t, info, ch: [
+        "channel", "check", "--file",
+        _write(t, "n4001.json", {"n_qubits": 10**4000, "amplitudes": [[1, 0]]})],
+    "oversized_bell_gen_4300_digits": lambda t, info, ch: ["bell", "gen", "--n", _N_4300_NINES],
+    "oversized_bell_gen_4000_digits": lambda t, info, ch: ["bell", "gen", "--n", "9" * 4000],
+    "oversized_verify_4300_digits": lambda t, info, ch: [
+        "magic", "verify", "--set", "1", "--n", _N_4300_NINES],
+    "set_index_4000_digits": lambda t, info, ch: ["magic", "verify", "--set", "7" * 4000,
+                                                  "--n", "2"],
+    "set_string_1000_letters": lambda t, info, ch: ["magic", "verify", "--set", "Q" * 1000,
+                                                    "--n", "2"],
 }
 
 
@@ -401,8 +422,13 @@ def _standard_n9_files(t) -> list[str]:
     lambda t: ["bell", "gen", "--n", "100000000000"],
     lambda t: ["magic", "verify", "--set", "1", "--n", str(2**70)],
     lambda t: ["teleport", "run"] + _standard_n9_files(t),
+    lambda t: ["channel", "check", "--file", _write(
+        t, "n_10_4000.json", {"n_qubits": 10**4000, "amplitudes": [[1, 0]]})],
+    lambda t: ["bell", "gen", "--n", _N_4300_NINES],
+    lambda t: ["magic", "verify", "--set", "1", "--n", _N_4300_NINES],
 ], ids=["channel_check.n_qubits_2_70", "bell_gen.n_1e11", "magic_verify.n_2_70",
-        "teleport_run.n_9"])
+        "teleport_run.n_9", "channel_check.n_qubits_10_4000", "bell_gen.n_4300_nines",
+        "magic_verify.n_4300_nines"])
 def test_astronomical_n_is_usage_error_in_a_capped_process(argv, tmp_path):
     # in a separate process under a 1 GiB address-space cap: code that forms 2^n or 16^n
     # for such an n fails there with a MemoryError (or runs out the timeout), not here;
@@ -414,6 +440,7 @@ def test_astronomical_n_is_usage_error_in_a_capped_process(argv, tmp_path):
                             text=True, timeout=60, preexec_fn=_cap_address_space)
     assert result.returncode == 2 and result.stdout == ""
     assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+    assert len(result.stderr.replace(str(tmp_path), "").encode()) < 200
 
 
 LEAF_COMMANDS = {
@@ -437,6 +464,28 @@ def test_report_header_names_the_command(command, capsys, info2_file, two_bell_f
     assert report["schema"] == "qtel/1" and report["command"] == command
     assert main(argv) == 0
     assert capsys.readouterr().out.startswith(f"command: {command}\n")
+
+
+@pytest.mark.parametrize("command", sorted(LEAF_COMMANDS))
+def test_text_lines_are_the_json_fields(command, capsys, info2_file, two_bell_file, bell_file):
+    # each line is `key: value`, or a `key:` line over one indented JSON object per list item
+    argv = command.split() + LEAF_COMMANDS[command](info2_file, two_bell_file, bell_file)
+    _, report = run_json(capsys, argv)
+    main(argv)
+    fields = {}
+    for line in capsys.readouterr().out.splitlines():
+        if line.startswith("  "):
+            fields[key].append(json.loads(line))
+            continue
+        key, _, value = line.partition(":")
+        if not value:
+            fields[key] = []
+        elif isinstance(report[key], str):
+            fields[key] = value.removeprefix(" ")
+        else:
+            fields[key] = json.loads(value)
+    del report["schema"]
+    assert next(iter(fields)) == "command" and fields == report
 
 
 @pytest.mark.parametrize("command", sorted(LEAF_COMMANDS))
@@ -577,6 +626,7 @@ REFUSED_WITHOUT_NUMPY = {
         None),
     "zero_tol": lambda t: (["--tol", "0", "magic", "catalog"], None),
     "tol_env_text": lambda t: (["magic", "witness", "--n", "2"], "abc"),
+    "tol_env_100000_letters": lambda t: (["magic", "catalog"], "a" * 100_000),
 }
 
 

@@ -6,8 +6,9 @@ wrong types, NaN, Infinity, huge and out-of-float-range entries, values nested
 integer fields), and argument lists over every leaf command.  The contract:
 argparse refuses with ``SystemExit(2)``; otherwise the exit code is 0, 1 or
 2, a printed report comes with empty stderr, and without a report stderr is
-exactly one ``error:`` line; no other exception escapes (a numpy
-``RuntimeWarning`` is an error under this suite's settings).  Trials, shots
+exactly one ``error:`` line of under 200 bytes besides the temporary paths it
+names; no other exception escapes (a numpy ``RuntimeWarning`` is an error
+under this suite's settings).  Trials, shots
 and every N that looks valid are kept small, so that each example takes
 milliseconds.  Files are written to a temporary directory.
 """
@@ -30,7 +31,7 @@ from qtel.cli import main
 from qtel.serialize import matrix_to_dict
 
 # the integer fields of a file, and --n, take these besides their valid values
-ODD_SIZES = [-1, 0, 1, 1.5, "2", True, 5000, 20000, 2**70]
+ODD_SIZES = [-1, 0, 1, 1.5, "2", True, 5000, 20000, 2**70, 10**4000, -10**4000]
 WRONG_TYPES = [None, "x", [], {}, 1.5, True, [[1, 0]]]
 EXTREME = [float("nan"), float("inf"), float("-inf"), 1e200, -1e308, 10**400]
 # a value nested this deep is written as raw text: json.dumps itself raises RecursionError
@@ -38,7 +39,8 @@ NESTED = "[" * 5000 + "]" * 5000
 NESTED_MARK = "nested-5000-deep"
 
 
-def check_contract(argv: list[str]):
+def check_contract(argv: list[str], directory: str = ""):
+    """The contract for ``qtel <argv>``; `directory` holds its temporary files."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -52,6 +54,7 @@ def check_contract(argv: list[str]):
     else:
         lines = err.getvalue().splitlines(keepends=True)
         assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
+        assert len(lines[0].replace(directory, "").encode()) < 200, (argv, lines)
 
 
 def state_doc(n_qubits: int, kind: str, seed: int) -> dict:
@@ -132,7 +135,7 @@ def run_with_files(argv: list[str], texts: dict[str, str]):
     with tempfile.TemporaryDirectory() as directory:
         for i, (flag, text) in enumerate(sorted(texts.items())):
             argv = argv + [flag, _write(directory, f"input{i}.json", text)]
-        check_contract(argv)
+        check_contract(argv, directory)
 
 
 FORMATS = st.sampled_from([["--format", "json"], ["--format", "text"]])
@@ -166,7 +169,7 @@ def test_mutated_basis_files_keep_the_contract(data, fmt, n):
     run_with_files(fmt + ["teleport", "run"] + data.draw(SAMPLING), texts)
 
 
-N_VALUES = ["-1", "0", "1", "2", "3", "1.5", "abc", "", "5000", "20000", str(2**70)]
+N_VALUES = ["-1", "0", "1", "2", "3", "1.5", "abc", "", "5000", "20000", str(2**70), "9" * 4300]
 SEEDS = ["-1", "0", "1", "abc", str(2**70)]
 
 
@@ -190,7 +193,7 @@ def _options(directory: str) -> dict[str, dict[str, list[str]]]:
         "magic cliques": {"--n": N_VALUES},
         "magic catalog": {"--n": N_VALUES},  # takes no --n: argparse refuses it
         "magic verify": {"--set": ["F,G", "F,G,H", "1,2", "0", "99", "XX,ZZ", "IZ", "X,ZZ",
-                                   "²", "1" * 5000, "", ",", "Q", "-i·XY"],
+                                   "²", "1" * 5000, "7" * 4000, "", ",", "Q", "-i·XY"],
                          "--n": N_VALUES, "--trials": ["-1", "0", "1", "20", "abc"],
                          "--seed": SEEDS},
         "magic witness": {"--n": N_VALUES},
@@ -213,4 +216,4 @@ def test_argument_lists_keep_the_contract(data):
             argv += [flag] + ([data.draw(st.sampled_from(values))] if values else [])
         if data.draw(st.integers(0, 9)) == 0:
             argv.insert(data.draw(st.integers(0, len(argv))), "--bogus")
-        check_contract(argv)
+        check_contract(argv, directory)
