@@ -3,7 +3,8 @@
 Exit codes: 0 on success; 1 when a numerical assertion fails or an
 `InternalConsistencyError` is raised; 2 on usage or file-format errors,
 that is any other `QtelError` or an `OSError`, written as one ``error:``
-line that quotes any input by its `errors.excerpt`.  JSON reports carry
+line that quotes any input by its `errors.excerpt`; argparse's usage errors
+quote theirs by the same cut (`_Parser`).  JSON reports carry
 top-level ``"schema": "qtel/1"`` and ``"command"`` keys and are
 byte-identical for identical invocations and seeds.  ``--format text``
 writes the same encoded fields one per line (see `_emit`); its layout
@@ -20,11 +21,13 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 
 from . import serialize
 from .errors import (DEFAULT_ABS_EPS, GRAPH_EXHAUSTIVE_MAX_QUBITS, DomainError,
-                     InternalConsistencyError, QtelError, Tolerance, ValidationError, excerpt)
+                     InternalConsistencyError, QtelError, Tolerance, ValidationError, _cut,
+                     excerpt)
 
 SCHEMA = "qtel/1"
 
@@ -253,8 +256,25 @@ def cmd_masfi(args) -> int:
     return EXIT_OK if result.converged else EXIT_ASSERTION
 
 
+# a repr as argparse quotes a value, or any other run of its message without a space;
+# `re` compiles it on the first error, not at import
+_QUOTED = r"""'(?:[^'\\]|\\.)*'|"(?:[^"\\]|\\.)*"|\S+"""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors quote each value by the excerpt rule.
+
+    argparse quotes a refused value by its repr and an unrecognized argument as it
+    is; `error` cuts each quote, and any other run without a space, as `errors.excerpt`
+    cuts a repr.  argparse builds subparsers of their parent's class.
+    """
+
+    def error(self, message):
+        super().error(re.sub(_QUOTED, lambda quote: _cut(quote.group()), message))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qtel",
         description="Numerical workbench for standard N-qubit quantum teleportation",
     )

@@ -91,5 +91,9 @@ def excerpt(value) -> str:
         digits = int(size.bit_length() * 0.30102999566398120)  # log10(2): digits or digits - 1
         digits += size >= 10**digits
         return f"{'-' * (value < 0)}{size // 10 ** (digits - 20)}…({digits} digits)"
-    text = repr(value)
+    return _cut(repr(value))
+
+
+def _cut(text: str) -> str:
+    """`text`, or its first EXCERPT_CHARS characters and '…' when it is longer."""
     return text if len(text) <= EXCERPT_CHARS else text[:EXCERPT_CHARS] + "…"

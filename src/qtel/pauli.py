@@ -265,9 +265,10 @@ def family_property_report(n: int) -> FamilyPropertyReport:
     Also records whether every non-identity pair anticommutes (it cannot,
     for n > 1).
     """
-    if n > FAMILY_EXHAUSTIVE_MAX_QUBITS:
+    if not 1 <= n <= FAMILY_EXHAUSTIVE_MAX_QUBITS:
         raise ResourceLimitError(
-            f"exhaustive family check supports n <= {FAMILY_EXHAUSTIVE_MAX_QUBITS}, got {n}"
+            f"exhaustive family check supports 1 <= n <= {FAMILY_EXHAUSTIVE_MAX_QUBITS}, "
+            f"got {excerpt(n)}"
         )
     family = [pauli_from_quaternary(a, n) for a in range(4**n)]
     mats = matrices_of(np.arange(4**n), n)

@@ -9,22 +9,22 @@ falls back to the (phase-normalized) inverse of O^(α) when that operator
 is a scaled unitary, and to the identity otherwise, and the per-outcome
 fidelity reports the damage.
 
-All 4^n outcomes are evaluated together, one row of a (4^n, 2^n) array
-each.  For a seed-generated basis B^(α) = P_α B^(0), so O^(α) = K P_α with
-K = E^T B^(0)† and O^(α)†O^(α) = P_α G P_α with G = K†K: one product K, one
-Gram matrix G and one scaled-identity test serve every outcome, and P_α v is
-read from the signed copies i^k·v (`pauli.action_index`).  The test on G is
-exact for each α, since P_α only permutes the entries of G - s·1 and
-multiplies them by unit phases.  A basis given member by member (``--basis``)
-takes the dense path: every O^(α) from one stacked ``einsum`` and a
-scaled-identity test per member.
+The protocol is one pass, `_outcomes`: expand the composite state over the
+4^n outcomes, one row of a (4^n, 2^n) array each, then correct every row.
+It tests the basis kind once.  For a seed-generated basis B^(α) = P_α B^(0),
+so O^(α) = K P_α with K = E^T B^(0)† and O^(α)†O^(α) = P_α G P_α with
+G = K†K: one product K, one Gram matrix G and one scaled-identity test serve
+every outcome, and P_α v is read from the signed copies i^k·v
+(`pauli.action_index`).  The test on G is exact for each α, since P_α only
+permutes the entries of G - s·1 and multiplies them by unit phases.  A basis
+given member by member (``--basis``) takes the dense path: every O^(α) from
+one stacked ``einsum`` and a scaled-identity test per member.
 
-The private stages carry a leading batch axis of T protocol runs, each
-with its own information state and channel matrix: arrays (T, 2^n),
-(T, 2^n, 2^n) and (T, 4^n, 2^n).  `run_protocol` is a batch of one;
-`min_fidelities` runs many, e.g. the trials of
-`magic.verify_partial_basis`.  Every stacked product is a ``matmul``,
-which computes each run's product exactly as it would alone.
+`_outcomes` carries a leading batch axis of T protocol runs, each with its
+own information state and channel matrix.  `composite_expand`, and through it
+`run_protocol`, is a batch of one; `min_fidelities` runs many, e.g. the trials
+of `magic.verify_partial_basis`.  Every stacked product is a ``matmul``, which
+computes each run's product exactly as it would alone.
 
 Every outcome α is corrected, as in the protocol, whatever its
 probability; the zero mask only says which outcomes cannot occur.  A run's
@@ -90,21 +90,19 @@ class OutcomeRecords(Sequence):
 
     Row α of every column is outcome α.  `probs` (4^n,) holds the
     probabilities and `zero` (4^n,) flags those below ZERO_PROBABILITY_EPS;
-    `bob` (4^n, 2^n) holds Bob's states, a zero outcome's row unnormalized.
-    `corrected` (4^n, 2^n) and `fidelities` (4^n,) hold the corrected states
-    and fidelities, or are None before correction; a zero outcome's rows are
-    finite but mean nothing, and its record carries neither.  The columns
-    are read-only.
+    `bob` (4^n, 2^n) holds Bob's states, a zero outcome's row unnormalized;
+    `corrected` (4^n, 2^n) and `fidelities` (4^n,) hold the corrected states and
+    their fidelities.  A zero outcome's rows are finite but mean nothing, and
+    its record carries none of them.  The columns are read-only.
     """
 
     def __init__(self, probs: np.ndarray, zero: np.ndarray, bob: np.ndarray,
-                 corrected: np.ndarray | None = None, fidelities: np.ndarray | None = None):
+                 corrected: np.ndarray, fidelities: np.ndarray):
         self.n = int(bob.shape[-1]).bit_length() - 1
         self.probs, self.zero, self.bob = probs, zero, bob
         self.corrected, self.fidelities = corrected, fidelities
         for column in (probs, zero, bob, corrected, fidelities):
-            if column is not None:
-                column.flags.writeable = False
+            column.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.probs)
@@ -117,15 +115,13 @@ class OutcomeRecords(Sequence):
         probability = float(self.probs[alpha])
         if self.zero[alpha]:
             return OutcomeRecord(alpha, probability, zero_probability=True)
-        bob = StateVector(self.n, self.bob[alpha])
-        if self.corrected is None:
-            return OutcomeRecord(alpha, probability, bob)
-        return OutcomeRecord(alpha, probability, bob, StateVector(self.n, self.corrected[alpha]),
+        return OutcomeRecord(alpha, probability, StateVector(self.n, self.bob[alpha]),
+                             StateVector(self.n, self.corrected[alpha]),
                              float(self.fidelities[alpha]))
 
     def __repr__(self) -> str:
         return (f"OutcomeRecords(n={self.n}, outcomes={len(self)}, "
-                f"useful={np.count_nonzero(~self.zero)}, corrected={self.corrected is not None})")
+                f"useful={np.count_nonzero(~self.zero)})")
 
 
 @dataclass(frozen=True)
@@ -188,60 +184,13 @@ def correction_unitary(
     return _synthesized_correction(ch, basis, alpha, tol)
 
 
-def _seed_operator(e: np.ndarray, basis: BellBasis) -> np.ndarray | None:
-    """K = E^T B^(0)† of a seed-generated basis, so that O^(α) = K P_α, per run, or None for
-    a basis given member by member.  A batch forms it once, for both of its stages."""
-    return None if basis.seed is None else e.swapaxes(-1, -2) @ dagger(basis.seed)
-
-
-def _outcome_amplitudes(info: np.ndarray, e: np.ndarray, basis: BellBasis, k: np.ndarray | None):
-    """Bob's unnormalized amplitudes b_α = O^(α)·I, one row per outcome α, per run."""
-    if k is not None:
-        rows = signed_copies(info)[:, action_index(basis.n)]  # rows P_α I
-        return rows @ k.swapaxes(-1, -2)
-    members = np.asarray(basis.members, dtype=np.complex128)
-    return np.einsum("akj,tk->taj", members.conj(), info) @ e
-
-
-def _bob_states(info: np.ndarray, e: np.ndarray, basis: BellBasis, k: np.ndarray | None):
-    """Probabilities and zero flags (T, 4^n) and Bob's states (T, 4^n, 2^n) of T runs.
-
-    The state of an outcome whose probability is below ZERO_PROBABILITY_EPS
-    is left unnormalized.
-    """
-    b = _outcome_amplitudes(info, e, basis, k)
+def _probabilities(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Probabilities and zero flags of the amplitude rows b_α; each row is divided by √p_α
+    in place, except where p_α is below ZERO_PROBABILITY_EPS."""
     probs = np.real(np.einsum("...ai,...ai->...a", b.conj(), b))
     zero = probs < ZERO_PROBABILITY_EPS
     b /= np.sqrt(np.where(zero, 1.0, probs))[..., None]
-    return probs, zero, b
-
-
-def _corrected_states(bob: np.ndarray, e: np.ndarray, basis: BellBasis, k: np.ndarray | None,
-                      tol: Tolerance) -> np.ndarray:
-    """Rows C^(α) b_α / |C^(α) b_α| for the best available correction C^(α).
-
-    C^(α) is the unitary part O^(α)†/√s of O^(α)^-1 when O^(α)†O^(α) = s·1
-    with s > 0, and the identity otherwise.  `bob` (T, 4^n, 2^n) holds the
-    Bob states of T runs with channel matrices e[t] and operators K = k[t],
-    row α for outcome α.  An all-zero row stays zero.
-    """
-    if k is not None:  # one test on G = K†K covers every α of a run
-        scaled = _unitary_scale(k, tol) > 0.0
-        if not scaled.any():
-            return bob
-        index = action_index(basis.n)  # entries k·2^n + s: i^k times entry s
-        # the rows K† b_α, gathered, then times their phases in place to spare a (T, 4^n, 2^n)
-        # array; the phases are ±1, ±i, so the products are exact
-        corrected = np.take_along_axis(bob @ k.conj(), index[None] & (2**basis.n - 1), axis=-1)
-        corrected *= POWERS_OF_I[index >> basis.n]
-        _normalize_rows(corrected)
-        np.copyto(corrected, bob, where=~scaled[:, None, None])
-        return corrected
-    members = np.asarray(basis.members, dtype=np.complex128)
-    ops = np.einsum("tij,akj->taik", e.swapaxes(-1, -2), members.conj())
-    scaled = _unitary_scale(ops, tol) > 0.0
-    corrected = np.where(scaled[..., None], np.einsum("taji,taj->tai", ops.conj(), bob), bob)
-    return _normalize_rows(corrected)
+    return probs, zero
 
 
 def _normalize_rows(rows: np.ndarray) -> np.ndarray:
@@ -250,25 +199,55 @@ def _normalize_rows(rows: np.ndarray) -> np.ndarray:
     return np.divide(rows, norm, out=rows, where=norm > 0.0)
 
 
-def _fidelities(corrected: np.ndarray, info: np.ndarray) -> np.ndarray:
-    """|<I|row>|² for the rows (T, 4^n, 2^n) of T runs with information states (T, 2^n)."""
-    return np.abs(corrected @ info.conj()[..., None])[..., 0] ** 2
+def _outcomes(info: np.ndarray, e: np.ndarray, basis: BellBasis, tol: Tolerance):
+    """The columns probs, zero, bob, corrected and fidelities of T runs, row α for outcome α.
+
+    Run t sends info[t] (T, 2^n) over the channel matrix e[t] (T, 2^n, 2^n).  Its Bob
+    states are b_α = O^(α)·I / √p_α, its corrected states c_α = C^(α) b_α / |C^(α) b_α|
+    and its fidelities |<I|c_α>|².  C^(α) is the unitary part O^(α)†/√s of O^(α)^-1
+    when O^(α)†O^(α) = s·1 with s > 0, else the identity; an all-zero row stays zero.
+    """
+    if basis.seed is not None:
+        k = e.swapaxes(-1, -2) @ dagger(basis.seed)  # K = E^T B^(0)†, so O^(α) = K P_α
+        index = action_index(basis.n)  # entries k·2^n + s: i^k times entry s
+        bob = signed_copies(info)[:, index] @ k.swapaxes(-1, -2)  # the rows P_α I, times K^T
+        probs, zero = _probabilities(bob)
+        scaled = _unitary_scale(k, tol) > 0.0  # one test on G = K†K covers every α of a run
+        corrected = bob
+        if scaled.any():
+            # the rows K† b_α, gathered, then times their phases in place to spare a
+            # (T, 4^n, 2^n) array; the phases are ±1, ±i, so the products are exact
+            corrected = np.take_along_axis(bob @ k.conj(), index[None] & (2**basis.n - 1), axis=-1)
+            corrected *= POWERS_OF_I[index >> basis.n]
+            _normalize_rows(corrected)
+            np.copyto(corrected, bob, where=~scaled[:, None, None])
+    else:
+        members = np.asarray(basis.members, dtype=np.complex128)
+        bob = np.einsum("akj,tk->taj", members.conj(), info) @ e
+        probs, zero = _probabilities(bob)
+        ops = np.einsum("tij,akj->taik", e.swapaxes(-1, -2), members.conj())
+        scaled = _unitary_scale(ops, tol) > 0.0
+        corrected = _normalize_rows(
+            np.where(scaled[..., None], np.einsum("taji,taj->tai", ops.conj(), bob), bob))
+    fidelities = np.abs(corrected @ info.conj()[..., None])[..., 0] ** 2
+    return probs, zero, bob, corrected, fidelities
 
 
 def composite_expand(
     info: StateVector, ch: Channel, basis: BellBasis, tol: Tolerance = DEFAULT_TOL
 ) -> OutcomeRecords:
-    """Per-outcome probabilities and Bob states as columns, no corrections applied.
+    """Every outcome of one run as the columns of `OutcomeRecords`, each one corrected.
 
-    An n whose (4^n, 2^n) complex outcome array would exceed `errors.BYTE_BUDGET`
-    (n >= 9) is a ResourceLimitError, raised before any outcome is expanded.
+    The inputs are checked first.  An n whose (4^n, 2^n) complex outcome array
+    would exceed `errors.BYTE_BUDGET` (n >= 9) is a ResourceLimitError, raised
+    before any outcome is expanded.
     """
     _check_dims(info, ch, basis, tol)
     errors.check_budget(4 + 3 * basis.n, "running the protocol at n={n} needs {size} MiB per "
                         "outcome array, over the {budget} MiB limit", n=basis.n)
-    e = ch.e_matrix[None]
-    probs, zero, bob = _bob_states(info.amplitudes[None], e, basis, _seed_operator(e, basis))
-    return OutcomeRecords(probs[0], zero[0], _finite(bob[0]))
+    columns = _outcomes(info.amplitudes[None], ch.e_matrix[None], basis, tol)
+    probs, zero, bob, corrected, fidelities = (column[0] for column in columns)
+    return OutcomeRecords(probs, zero, _finite(bob), _finite(corrected), fidelities)
 
 
 def _check_sampling(mode: str, shots: int | None, seed: int | None):
@@ -295,22 +274,15 @@ def run_protocol(
     shots: int | None = None,
     tol: Tolerance = DEFAULT_TOL,
 ) -> ProtocolResult:
-    """Run the full protocol, applying the best available correction per outcome.
+    """Run the full protocol: the sampling options are checked, then `composite_expand` runs.
 
-    Exhaustive mode evaluates every outcome; sampled mode additionally draws
-    `shots` outcomes from the BSM distribution with a deterministic generator
-    seeded by `seed` and reports per-outcome counts.  The result keeps the
-    outcomes as the columns of `OutcomeRecords` (those of `composite_expand`
-    plus the corrected states and fidelities of every outcome), and
-    builds an `OutcomeRecord` only when `records` is indexed.  The sampling
-    options are checked first; `composite_expand` then checks the inputs.
+    Exhaustive mode returns the records of `composite_expand` as they are;
+    sampled mode additionally draws `shots` outcomes from the BSM distribution
+    with a deterministic generator seeded by `seed` and reports per-outcome
+    counts.  The sampling options are checked before any outcome is expanded.
     """
-    _check_sampling(mode, shots, seed)  # before the 4^n outcomes are expanded
-    expanded = composite_expand(info, ch, basis, tol)
-    e = ch.e_matrix[None]
-    corrected = _corrected_states(expanded.bob[None], e, basis, _seed_operator(e, basis), tol)
-    records = OutcomeRecords(expanded.probs, expanded.zero, expanded.bob, _finite(corrected[0]),
-                             _fidelities(corrected, info.amplitudes[None])[0])
+    _check_sampling(mode, shots, seed)
+    records = composite_expand(info, ch, basis, tol)
     if mode == "exhaustive":
         return ProtocolResult(records)
     rng = np.random.default_rng(seed)
@@ -326,13 +298,11 @@ def min_fidelities(info: np.ndarray, e: np.ndarray, basis: BellBasis,
     """Worst fidelity over the nonzero-probability outcomes of each of T runs.
 
     Run t sends info[t] (T, 2^n) over the channel matrix e[t] (T, 2^n, 2^n)
-    through the code of `run_protocol`, and the value equals, bit for bit,
-    the least fidelity of its records; K is formed once.  The inputs are not validated.
+    through `_outcomes`, the code of `run_protocol`, so the value equals, bit for
+    bit, the least fidelity of its records.  The inputs are not validated.
     """
-    k = _seed_operator(e, basis)
-    _, zero, bob = _bob_states(info, e, basis, k)
-    corrected = _corrected_states(bob, e, basis, k, tol)
-    return np.min(np.where(zero, np.inf, _fidelities(corrected, info)), axis=-1)
+    _, zero, _, _, fidelities = _outcomes(info, e, basis, tol)
+    return np.min(np.where(zero, np.inf, fidelities), axis=-1)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import resource
@@ -10,6 +11,7 @@ import pytest
 import qtel
 import qtel.bell
 import qtel.channel
+import qtel.cli
 import qtel.errors
 import qtel.magic
 import qtel.teleport
@@ -289,6 +291,12 @@ MALFORMED = {
     "empty_basis": lambda t, info, ch: [
         "teleport", "run", "--info", info, "--channel", ch, "--basis",
         _write(t, "b0.json", [])],
+    # member 3 is 2 x 3 among 4 x 4 members: refused by the per-member shape check
+    "member_shape_2x3": lambda t, info, ch: [
+        "teleport", "run", "--info", info, "--channel", ch, "--basis",
+        _write(t, "bshape.json", [{"rows": 4, "cols": 4, "entries": [[0.5, 0]] * 16}] * 3
+               + [{"rows": 2, "cols": 3, "entries": [[0.5, 0]] * 6}]
+               + [{"rows": 4, "cols": 4, "entries": [[0.5, 0]] * 16}] * 12)],
     "negative_matrix_shape": lambda t, info, ch: [
         "teleport", "run", "--info", info, "--channel", ch, "--basis",
         _write(t, "bneg.json", [{"rows": -1, "cols": -1, "entries": [[1, 0]]}])],
@@ -652,6 +660,52 @@ def test_refusal_runs_with_numpy_blocked(case, capsys, monkeypatch, tmp_path):
     assert (blocked.returncode, blocked.stdout, blocked.stderr) == (2, "", captured.err)
     assert captured.err.count("\n") in (1, 2) and "Traceback" not in captured.err
     assert len(captured.err.replace(str(tmp_path), "").encode()) < 200  # echoes no input at length
+
+
+_LETTERS = "a" * 100_000
+
+# values argparse refuses, by type, by choice or as an unrecognized argument
+ARGPARSE_REFUSALS = {
+    "bell_gen_n_letters": (["bell", "gen", "--n", _LETTERS], qtel.errors.excerpt(_LETTERS)),
+    "tol_letters": (["--tol", _LETTERS, "magic", "catalog"], qtel.errors.excerpt(_LETTERS)),
+    "command_letters": ([_LETTERS], qtel.errors.excerpt(_LETTERS)),
+    "mode_letters": (["teleport", "run", "--info", "i.json", "--channel", "c.json",
+                      "--mode", _LETTERS], qtel.errors.excerpt(_LETTERS)),
+    "unrecognized_letters": (["magic", "catalog", _LETTERS], "a" * 80 + "…"),
+    "cliques_n_4000_nines": (["magic", "cliques", "--n", "9" * 4000], "9" * 80 + "…"),
+    "witness_n_4000_nines": (["magic", "witness", "--n", "9" * 4000], "9" * 80 + "…"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ARGPARSE_REFUSALS))
+def test_argparse_error_quotes_an_excerpt_of_the_value(case, capsys):
+    argv, quote = ARGPARSE_REFUSALS[case]
+    with pytest.raises(SystemExit) as refused:
+        main(argv)
+    assert refused.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage: qtel")
+    line = captured.err.splitlines()[-1]
+    assert quote in line and len(line.encode()) < 200 and len(captured.err.encode()) < 400
+
+
+@pytest.mark.parametrize("argv", [
+    ["bell", "gen", "--n", "a" * 78],  # a repr of 80 characters
+    ["bell", "gen", "--n", "it's"],
+    ["--tol", "x y", "magic", "catalog"],
+    ["magic", "cliques", "--n", "9" * 80],
+    ["magic", "catalog", "b" * 80, "c" * 80],
+    ["teleport", "run", "--mode", "other"],
+    ["channel"],
+])
+def test_argparse_error_keeps_a_short_value_whole(argv, capsys, monkeypatch):
+    with pytest.raises(SystemExit):
+        main(argv)
+    ours = capsys.readouterr()
+    monkeypatch.setattr(qtel.cli, "_Parser", argparse.ArgumentParser)
+    with pytest.raises(SystemExit):
+        main(argv)
+    assert capsys.readouterr() == ours
 
 
 @pytest.mark.parametrize(("tol", "perfect"), [("1e-9", False), ("1e-3", True)])

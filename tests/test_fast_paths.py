@@ -18,6 +18,7 @@ must give each row's `np.linalg.norm` bit for bit.  The trial draws of
 three-call loop gave, the lowest-vertex clique pivot the cliques of Tomita's
 pivot and of the definition, and the engine that forms K = E^T B^(0)† once
 per batch the columns of the one whose two stages each formed it.
+`composite_expand` must give the five columns of `run_protocol` bit for bit.
 """
 
 import itertools
@@ -517,32 +518,42 @@ def phase_tables(n):
     return perm, np.array([1, 1j, -1, -1j])[powers % 4]
 
 
-def phase_outcome_amplitudes(info, e, basis, k):
-    """`teleport._outcome_amplitudes` of a generated basis, as it was."""
+COLUMNS = ("probs", "zero", "bob", "corrected", "fidelities")  # of `teleport.OutcomeRecords`
+
+
+def reference_probabilities(b):
+    """Probabilities and zero flags of the amplitude rows b, normalized in place, as the
+    engine has always formed them."""
+    probs = np.real(np.einsum("...ai,...ai->...a", b.conj(), b))
+    zero = probs < teleport.ZERO_PROBABILITY_EPS
+    b /= np.sqrt(np.where(zero, 1.0, probs))[..., None]
+    return probs, zero
+
+
+def reference_fidelities(corrected, info):
+    """|<I|row>|² for the rows (T, 4^n, 2^n) of T runs with information states (T, 2^n)."""
+    return np.abs(corrected @ info.conj()[..., None])[..., 0] ** 2
+
+
+def seed_operator(e, basis):
+    """K = E^T B^(0)† of a generated basis, per run."""
+    return e.swapaxes(-1, -2) @ qtel.linalg.dagger(basis.seed)
+
+
+def phase_columns(info, e, basis, tol=DEFAULT_TOL):
+    """The five outcome columns of T runs on a generated basis, with the (perm, phase) tables."""
     perm, phase = phase_tables(basis.n)
-    return (phase * info[:, perm]) @ k.swapaxes(-1, -2)
-
-
-def phase_corrected_states(bob, e, basis, k, tol):
-    """`teleport._corrected_states` of a generated basis, with the (perm, phase) tables."""
+    k = seed_operator(e, basis)
+    bob = (phase * info[:, perm]) @ k.swapaxes(-1, -2)
+    probs, zero = reference_probabilities(bob)
+    corrected = bob
     scaled = teleport._unitary_scale(k, tol) > 0.0
-    if not scaled.any():
-        return bob
-    perm, phase = phase_tables(basis.n)
-    kdag_b = bob @ k.conj()
-    corrected = np.take_along_axis(kdag_b, perm[None], axis=-1)
-    corrected *= phase
-    teleport._normalize_rows(corrected)
-    np.copyto(corrected, bob, where=~scaled[:, None, None])
-    return corrected
-
-
-def with_phase_tables(fn, *args):
-    """``fn(*args)`` with the engine's two Pauli-action stages as they were."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(teleport, "_outcome_amplitudes", phase_outcome_amplitudes)
-        mp.setattr(teleport, "_corrected_states", phase_corrected_states)
-        return fn(*args)
+    if scaled.any():
+        corrected = np.take_along_axis(bob @ k.conj(), perm[None], axis=-1)
+        corrected *= phase
+        teleport._normalize_rows(corrected)
+        np.copyto(corrected, bob, where=~scaled[:, None, None])
+    return probs, zero, bob, corrected, reference_fidelities(corrected, info)
 
 
 def phase_members(seed, alphas):
@@ -597,14 +608,15 @@ def assert_index_form_equals_phase_form(n, seed_kind, channel_kind, rng):
     ch = channel_from_state(state_from_matrix(e, n), n)
     info = random_state(n, rng)
     new = run_protocol(info, ch, basis).records
-    old = with_phase_tables(run_protocol, info, ch, basis).records
-    for column in ("probs", "zero", "bob", "corrected", "fidelities"):
-        assert _same_bits(getattr(new, column), getattr(old, column)), column
+    old = phase_columns(info.amplitudes[None], e[None], basis)
+    for name, column in zip(COLUMNS, old):
+        assert _same_bits(getattr(new, name), column[0]), name
     if n <= 6:  # a block of runs, as verify_partial_basis hands them over, of every kind
         infos = np.stack([random_state(n, rng).amplitudes for _ in range(3)])
         es = np.stack([e, *(_channel_matrix(n, kind, rng) for kind in ("perfect", "degenerate"))])
+        _, zero, _, _, fidelities = phase_columns(infos, es, basis)
         assert _same_bits(min_fidelities(infos, es, basis),
-                          with_phase_tables(min_fidelities, infos, es, basis))
+                          np.min(np.where(zero, np.inf, fidelities), axis=-1))
     for alpha in rng.integers(4**n, size=3).tolist():
         assert _same_bits(basis.members[alpha], phase_members(basis.seed, alpha))
     if n <= 5:  # the (4^n, 2^n, 2^n) stack is 256 MiB at n = 6
@@ -632,7 +644,7 @@ def test_index_form_equals_phase_form_n7():
 def useful_corrected_states(bob, alphas, e, basis, tol):
     """`teleport._corrected_states` as it was: `bob` holds the rows of the outcomes `alphas`."""
     if basis.seed is not None:
-        k = teleport._seed_operator(e, basis)
+        k = seed_operator(e, basis)
         scaled = teleport._unitary_scale(k, tol) > 0.0
         if not scaled.any():
             return bob
@@ -654,12 +666,12 @@ def useful_run_protocol(info, ch, basis, tol=DEFAULT_TOL):
 
     Its `corrected` (U, 2^n) and `fidelities` (U,) hold only the U nonzero outcomes.
     """
-    e = ch.e_matrix[None]
-    probs, zero, bob = teleport._bob_states(info.amplitudes[None], e, basis,
-                                            teleport._seed_operator(e, basis))
+    info, e = info.amplitudes[None], ch.e_matrix[None]
+    bob = per_stage_outcome_amplitudes(info, e, basis)
+    probs, zero = reference_probabilities(bob)
     useful = np.flatnonzero(~zero[0])
-    corrected = useful_corrected_states(bob[:, useful], useful, ch.e_matrix[None], basis, tol)
-    fidelities = teleport._fidelities(corrected, info.amplitudes[None])
+    corrected = useful_corrected_states(bob[:, useful], useful, e, basis, tol)
+    fidelities = reference_fidelities(corrected, info)
     return probs[0], zero[0], bob[0], useful, corrected[0], fidelities[0]
 
 
@@ -761,7 +773,7 @@ def per_stage_outcome_amplitudes(info, e, basis):
     """`teleport._outcome_amplitudes` as it was: it forms K = E^T B^(0)† itself."""
     if basis.seed is not None:
         rows = pauli.signed_copies(info)[:, pauli.action_index(basis.n)]
-        return rows @ (e.swapaxes(-1, -2) @ qtel.linalg.dagger(basis.seed)).swapaxes(-1, -2)
+        return rows @ seed_operator(e, basis).swapaxes(-1, -2)
     members = np.asarray(basis.members, dtype=np.complex128)
     return np.einsum("akj,tk->taj", members.conj(), info) @ e
 
@@ -769,7 +781,7 @@ def per_stage_outcome_amplitudes(info, e, basis):
 def per_stage_corrected_states(bob, e, basis, tol):
     """`teleport._corrected_states` as it was: it forms K again."""
     if basis.seed is not None:
-        k = e.swapaxes(-1, -2) @ qtel.linalg.dagger(basis.seed)
+        k = seed_operator(e, basis)
         scaled = teleport._unitary_scale(k, tol) > 0.0
         if not scaled.any():
             return bob
@@ -790,11 +802,9 @@ def per_stage_columns(info, e, basis, tol=DEFAULT_TOL):
     """Probabilities, zero flags, Bob's, corrected states and fidelities of T runs, as the
     engine gave them when each stage formed its own K."""
     b = per_stage_outcome_amplitudes(info, e, basis)
-    probs = np.real(np.einsum("...ai,...ai->...a", b.conj(), b))
-    zero = probs < teleport.ZERO_PROBABILITY_EPS
-    b /= np.sqrt(np.where(zero, 1.0, probs))[..., None]
+    probs, zero = reference_probabilities(b)
     corrected = per_stage_corrected_states(b, e, basis, tol)
-    return probs, zero, b, corrected, teleport._fidelities(corrected, info)
+    return probs, zero, b, corrected, reference_fidelities(corrected, info)
 
 
 @pytest.mark.parametrize("basis_kind", ["standard", "haar", "standard-dense", "haar-dense"])
@@ -814,8 +824,23 @@ def test_one_k_per_batch_equals_one_k_per_stage_bit_for_bit(n, basis_kind):
         records = run_protocol(StateVector(n, info), channel_from_state(state_from_matrix(e, n), n),
                                basis).records
         alone = per_stage_columns(info[None], e[None], basis)
-        for name, column in zip(("probs", "zero", "bob", "corrected", "fidelities"), alone):
+        for name, column in zip(COLUMNS, alone):
             assert _same_bits(getattr(records, name), column[0]), (t, name)
+
+
+@pytest.mark.parametrize("basis_kind", ["standard", "haar", "standard-dense", "haar-dense"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_composite_expand_gives_the_columns_of_run_protocol_bit_for_bit(n, basis_kind):
+    rng = np.random.default_rng(20 * n + len(basis_kind))
+    basis = _basis(n, basis_kind, rng)
+    for kind in ("perfect", "imperfect", "degenerate", "ghz", "aligned"):
+        ch = channel_from_state(state_from_matrix(_zero_outcome_channel(n, kind, basis, rng), n), n)
+        info = (StateVector(n, np.eye(2**n)[rng.integers(2**n)]) if kind == "aligned"
+                else random_state(n, rng))
+        expanded = teleport.composite_expand(info, ch, basis)
+        records = run_protocol(info, ch, basis, mode="sampled", seed=5, shots=10).records
+        for name in COLUMNS:
+            assert _same_bits(getattr(expanded, name), getattr(records, name)), (kind, name)
 
 
 @pytest.mark.parametrize("width", range(1, 65))

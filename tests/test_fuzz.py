@@ -47,6 +47,8 @@ def check_contract(argv: list[str], directory: str = ""):
             code = main(argv)
         except SystemExit as exc:  # argparse refused the arguments
             assert exc.code == 2, argv
+            line = err.getvalue().splitlines()[-1]  # after the usage lines
+            assert len(line.replace(directory, "").encode()) < 200, (argv, line[:300])
             return
     assert code in (0, 1, 2), argv
     if out.getvalue():
@@ -169,7 +171,9 @@ def test_mutated_basis_files_keep_the_contract(data, fmt, n):
     run_with_files(fmt + ["teleport", "run"] + data.draw(SAMPLING), texts)
 
 
-N_VALUES = ["-1", "0", "1", "2", "3", "1.5", "abc", "", "5000", "20000", str(2**70), "9" * 4300]
+LETTERS = "a" * 100_000  # a value argparse refuses, which its error quotes by an excerpt
+N_VALUES = ["-1", "0", "1", "2", "3", "1.5", "abc", "", "5000", "20000", str(2**70), "9" * 4000,
+            "9" * 4300, LETTERS]
 SEEDS = ["-1", "0", "1", "abc", str(2**70)]
 
 
@@ -187,7 +191,7 @@ def _options(directory: str) -> dict[str, dict[str, list[str]]]:
         "channel check": {"--file": files},
         "bell gen": {"--n": N_VALUES, "--seed-file": files},
         "teleport run": {"--info": files, "--channel": files, "--basis": files,
-                         "--mode": ["exhaustive", "sampled", "other"],
+                         "--mode": ["exhaustive", "sampled", "other", LETTERS],
                          "--shots": ["-1", "0", "1", "1000", "1e3", "100000000000000000000"],
                          "--seed": SEEDS, "--expect-perfect": []},
         "magic cliques": {"--n": N_VALUES},
@@ -209,11 +213,12 @@ def test_argument_lists_keep_the_contract(data):
         command = data.draw(st.sampled_from(sorted(options)))
         argv = data.draw(st.sampled_from([[], ["--format", "json"], ["--format", "text"]]))
         argv += data.draw(st.sampled_from([[], ["--tol", "1e-6"], ["--tol", "1e-17"],
-                                           ["--tol", "0"], ["--tol", "nan"]]))
+                                           ["--tol", "0"], ["--tol", "nan"], ["--tol", LETTERS]]))
         argv += command.split()
         for flag in data.draw(st.lists(st.sampled_from(sorted(options[command])), unique=True)):
             values = options[command][flag]
             argv += [flag] + ([data.draw(st.sampled_from(values))] if values else [])
-        if data.draw(st.integers(0, 9)) == 0:
-            argv.insert(data.draw(st.integers(0, len(argv))), "--bogus")
+        if data.draw(st.integers(0, 9)) == 0:  # an unknown option, or a stray word or command
+            argv.insert(data.draw(st.integers(0, len(argv))),
+                        data.draw(st.sampled_from(["--bogus", LETTERS])))
         check_contract(argv, directory)

@@ -158,6 +158,11 @@ class TestFamilyPropertyReport:
         with pytest.raises(ResourceLimitError):
             family_property_report(4)
 
+    @pytest.mark.parametrize("n", [0, -1, -10**30])
+    def test_n_below_one_is_refused_by_the_range_check(self, n):
+        with pytest.raises(ResourceLimitError, match=r"supports 1 <= n <= 3, got -?\d"):
+            family_property_report(n)
+
     @pytest.mark.parametrize("shift", [1, 2, 3])
     def test_closure_checks_the_phase_of_product(self, monkeypatch, shift):
         # products with the right strings but a wrong power of i fail closure only

@@ -172,13 +172,9 @@ def eager_records(outcomes):
         if zero:
             records.append(OutcomeRecord(alpha, float(p), zero_probability=True))
             continue
-        bob = StateVector(outcomes.n, outcomes.bob[alpha])
-        if outcomes.corrected is None:
-            records.append(OutcomeRecord(alpha, float(p), bob))
-        else:
-            records.append(OutcomeRecord(
-                alpha, float(p), bob, StateVector(outcomes.n, outcomes.corrected[alpha]),
-                float(outcomes.fidelities[alpha])))
+        records.append(OutcomeRecord(
+            alpha, float(p), StateVector(outcomes.n, outcomes.bob[alpha]),
+            StateVector(outcomes.n, outcomes.corrected[alpha]), float(outcomes.fidelities[alpha])))
     return records
 
 
@@ -233,7 +229,7 @@ def test_result_keeps_the_replace_and_repr_contracts():
     assert repr(result) == repr(run_protocol(info, ch, standard_basis(2), mode="sampled",
                                              seed=3, shots=50))
     assert "0x" not in repr(result)
-    assert "OutcomeRecords(n=2, outcomes=16, useful=8, corrected=True)" in repr(result)
+    assert "OutcomeRecords(n=2, outcomes=16, useful=8)" in repr(result)
     with pytest.raises(ValueError):
         result.records.probs[0] = 1.0
 

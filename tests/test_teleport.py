@@ -226,7 +226,7 @@ class TestRunProtocol:
         def unexpected(*args):
             raise AssertionError("outcomes expanded before the options were checked")
 
-        monkeypatch.setattr(teleport, "_bob_states", unexpected)
+        monkeypatch.setattr(teleport, "_outcomes", unexpected)
         with pytest.raises(ValidationError, match=message):
             run_protocol(basis_state(1, 0), bell_channel(), standard_basis(1), **options)
 
