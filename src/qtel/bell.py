@@ -20,9 +20,9 @@ its entry (q, p) from the same products, summed in the same order over α, as
 the conjugate of its entry (p, q), so the two have the same modulus bit for
 bit.  `verify_completeness` therefore evaluates R only on and above its block
 diagonal, one block row at a time, and never holds R itself.  The block rows
-run on up to one thread per available CPU, each with the operands and shapes
-it has alone, so the deviation has the same bits for any thread count; no
-option selects this.
+run on a standard-library thread pool, up to one thread per available CPU, in
+buffers the caller allocates, each with the operands and shapes it has alone,
+so the deviation has the same bits for any thread count; no option selects it.
 """
 
 from __future__ import annotations
@@ -183,12 +183,13 @@ def verify_completeness(basis: BellBasis, tol: Tolerance = DEFAULT_TOL) -> tuple
     over all of R, which is never held.  A member matrix over
     `errors.BYTE_BUDGET` is a ResourceLimitError, raised before it is built.
 
-    `_run_blocks` runs the block rows, on up to one thread per available CPU,
-    each block with the operands and shapes it has alone, and the deviation
-    is the max of the blocks' deviations, so the verdict and the deviation do
-    not depend on the thread count.  Block 0 reads every column of V, so a nan
-    entry of V makes its deviation, and so the deviation, nan: it never reads
-    as complete.  A check of fewer than 16 blocks (n <= 4) starts no thread.
+    `_run_blocks` runs the block rows on a ``concurrent.futures`` thread pool
+    of up to one thread per available CPU, in buffers the caller allocates,
+    each block with the operands and shapes it has alone, and the deviation is
+    the max of the blocks' deviations, so the verdict and the deviation do not
+    depend on the thread count.  Block 0 reads every column of V, so a nan entry
+    of V makes its deviation, and so the deviation, nan: it never reads as
+    complete.  A check of fewer than 16 blocks (n <= 4) starts no thread.
     """
     check_completeness_size(basis.n)
     size = basis.size
@@ -221,53 +222,44 @@ def _run_blocks(fill, blocks: int, entries: int) -> list[float]:
     Each worker has two complex buffers of `entries`, 32·entries bytes, so at
     most blocks / 8 workers keep them within a quarter of the 16·size² byte
     member matrix that the check already holds: 1 below n = 5, 2 at n = 5 and
-    up to 8 at n = 6, and never more than one per available CPU.  The calling
-    thread allocates every buffer and is itself one worker; numpy's ``matmul``
-    releases the GIL, so the workers' products run at once.  A thread that
-    cannot be started leaves its blocks to the others.  Every thread is joined
-    before this returns, and the first exception raised by any block is raised here.
+    up to 8 at n = 6, and never more than one per available CPU.  The caller
+    allocates every buffer, and a block on a ``ThreadPoolExecutor`` thread takes
+    a pair from a free-list; numpy's ``matmul`` releases the GIL, so the products
+    run at once.  The first block to raise, in block order, cancels those not yet
+    started and is raised here once every thread is joined.  One worker, or a
+    pool that cannot start a thread, leaves every block to the caller.
     """
     import os
-    import threading  # loaded already by numpy, as os is by Python itself
 
     workers = max(1, blocks // 8)
     if workers > 1:  # only then can the CPU count bind
         affinity = getattr(os, "sched_getaffinity", None)
         workers = min(workers, len(affinity(0)) if affinity else os.cpu_count() or 1)
-    pending = iter(range(blocks))
-    lock = threading.Lock()
-    results = [None] * blocks
-    failures = []
-
-    def work(conj: np.ndarray, product: np.ndarray):
-        try:
-            while not failures:
-                with lock:
-                    block = next(pending, None)
-                if block is None:
-                    return
-                results[block] = fill(block, conj, product)
-        except BaseException as exc:  # re-raised by the caller: a lost block never reads as done
-            failures.append(exc)
-
     buffers = [(np.empty(entries, np.complex128), np.empty(entries, np.complex128))
                for _ in range(workers)]
-    started = []
-    try:
-        for conj, product in buffers[1:]:
-            thread = threading.Thread(target=work, args=(conj, product))
+    if workers > 1:
+        import queue
+        from concurrent.futures import ThreadPoolExecutor
+
+        free = queue.SimpleQueue()
+        for pair in buffers:
+            free.put(pair)
+
+        def run(block: int) -> float:
+            pair = free.get()
             try:
-                thread.start()
-            except RuntimeError:  # e.g. the process is at its thread limit
-                break
-            started.append(thread)
-        work(*buffers[0])
-    finally:
-        for thread in started:
-            thread.join()
-    if failures:
-        raise failures[0]
-    return results
+                return fill(block, *pair)
+            finally:
+                free.put(pair)
+
+        with ThreadPoolExecutor(workers) as pool:  # joins every thread on the way out
+            try:
+                results = pool.map(run, range(blocks))  # submits every block at once
+            except RuntimeError:  # a thread could not start, e.g. at the process's thread limit
+                pass
+            else:
+                return list(results)
+    return [fill(block, *buffers[0]) for block in range(blocks)]
 
 
 def is_maximal_member(basis: BellBasis, alpha: int, tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -25,9 +25,9 @@ import re
 import sys
 
 from . import serialize
-from .errors import (DEFAULT_ABS_EPS, GRAPH_EXHAUSTIVE_MAX_QUBITS, DomainError,
-                     InternalConsistencyError, QtelError, Tolerance, ValidationError, _cut,
-                     excerpt)
+from .errors import (DEFAULT_ABS_EPS, EXCERPT_CHARS, GRAPH_EXHAUSTIVE_MAX_QUBITS,
+                     DomainError, InternalConsistencyError, QtelError, Tolerance,
+                     ValidationError, _cut, excerpt)
 
 SCHEMA = "qtel/1"
 
@@ -126,14 +126,15 @@ def cmd_teleport_run(args) -> int:
         info, ch, basis, mode=args.mode, seed=args.seed, shots=args.shots, tol=args.tol
     )
     outcomes = result.records
-    probs = outcomes.probs.tolist()
-    fidelities = outcomes.fidelities[~outcomes.zero].tolist()
+    probs, zeros = outcomes.probs.tolist(), outcomes.zero.tolist()
+    column = [None if zero else f for f, zero in zip(outcomes.fidelities.tolist(), zeros)]
+    fidelities = [f for f in column if f is not None]
     rows = []
-    for alpha, (probability, zero) in enumerate(zip(probs, outcomes.zero.tolist())):
+    for alpha, (probability, zero, fidelity) in enumerate(zip(probs, zeros, column)):
         row = {
             "alpha": alpha,
             "probability": probability,
-            "fidelity": None if zero else float(outcomes.fidelities[alpha]),
+            "fidelity": fidelity,
             "zero_probability": zero,
         }
         if result.counts is not None:
@@ -266,11 +267,16 @@ class _Parser(argparse.ArgumentParser):
 
     argparse quotes a refused value by its repr and an unrecognized argument as it
     is; `error` cuts each quote, and any other run without a space, as `errors.excerpt`
-    cuts a repr.  argparse builds subparsers of their parent's class.
+    cuts a repr, and then the list of unrecognized arguments as one quote once it is
+    longer than two whole quotes.  argparse builds subparsers of their parent's class.
     """
 
     def error(self, message):
-        super().error(re.sub(_QUOTED, lambda quote: _cut(quote.group()), message))
+        message = re.sub(_QUOTED, lambda quote: _cut(quote.group()), message)
+        head, label, arguments = message.partition("unrecognized arguments: ")
+        if label and not head and len(arguments) > 2 * EXCERPT_CHARS + 1:
+            message = label + _cut(arguments)
+        super().error(message)
 
 
 def build_parser() -> argparse.ArgumentParser:

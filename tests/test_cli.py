@@ -672,6 +672,9 @@ ARGPARSE_REFUSALS = {
     "mode_letters": (["teleport", "run", "--info", "i.json", "--channel", "c.json",
                       "--mode", _LETTERS], qtel.errors.excerpt(_LETTERS)),
     "unrecognized_letters": (["magic", "catalog", _LETTERS], "a" * 80 + "…"),
+    # the list of unrecognized arguments is cut as one quote once it is longer than two
+    "two_unrecognized_letters": (["magic", "catalog", _LETTERS, _LETTERS], "a" * 80 + "…"),
+    "unrecognized_20000_words": (["magic", "catalog", *["ab"] * 20_000], "ab " * 26 + "ab…"),
     "cliques_n_4000_nines": (["magic", "cliques", "--n", "9" * 4000], "9" * 80 + "…"),
     "witness_n_4000_nines": (["magic", "witness", "--n", "9" * 4000], "9" * 80 + "…"),
 }
@@ -695,6 +698,7 @@ def test_argparse_error_quotes_an_excerpt_of_the_value(case, capsys):
     ["--tol", "x y", "magic", "catalog"],
     ["magic", "cliques", "--n", "9" * 80],
     ["magic", "catalog", "b" * 80, "c" * 80],
+    ["magic", "catalog", *["ab"] * 54],  # 161 characters, as long as two whole quotes
     ["teleport", "run", "--mode", "other"],
     ["channel"],
 ])

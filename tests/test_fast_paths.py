@@ -23,7 +23,9 @@ per batch the columns of the one whose two stages each formed it.
 
 import itertools
 import os
+import sys
 import threading
+import time
 import tracemalloc
 from collections.abc import Sequence
 
@@ -420,6 +422,47 @@ def test_block_failure_in_a_worker_thread_reaches_the_caller(monkeypatch, capsys
     assert capsys.readouterr() == ("", "")
 
 
+def test_block_failure_drops_the_blocks_not_yet_started(monkeypatch):
+    _set_cpus(monkeypatch, 2)
+    run_blocks = qtel.bell._run_blocks
+    ran = []
+
+    def counted(fill, blocks, entries):
+        def failing(block, conj, product):
+            ran.append(block)
+            if block == 0:
+                raise RuntimeError("block failed")
+            time.sleep(0.05)  # the other blocks outlast the caller's reaction to the failure
+            return fill(block, conj, product)
+
+        return run_blocks(failing, blocks, entries)
+
+    monkeypatch.setattr(qtel.bell, "_run_blocks", counted)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="block failed"):
+        verify_completeness(standard_basis(5))
+    assert 0 in ran and len(ran) < 16  # n = 5 has 16 blocks
+    assert threading.active_count() == threads
+
+
+def test_no_two_running_blocks_share_a_buffer(monkeypatch):
+    _set_cpus(monkeypatch, 8)  # 64 blocks: eight workers, more than the cores of most hosts
+
+    def fill(block, conj, product):
+        conj[:], product[:] = block, -block
+        for _ in range(20):  # switch points, at which a block sharing the buffers would write
+            assert (conj == block).all() and (product == -block).all()
+            conj[:], product[:] = block, -block
+        return float(block)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert qtel.bell._run_blocks(fill, 64, 16) == [float(block) for block in range(64)]
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_completeness_of_one_block_starts_no_thread(monkeypatch):
     _set_cpus(monkeypatch, 64)
     started = []
@@ -434,7 +477,7 @@ def test_completeness_of_one_block_starts_no_thread(monkeypatch):
         assert verify_completeness(standard_basis(n))[0]
     assert started == []
     assert verify_completeness(standard_basis(5))[0]
-    assert len(started) == 1  # two workers at n = 5: the caller and one thread
+    assert len(started) == 2  # two workers at n = 5: two pool threads, while the caller waits
 
 
 @pytest.mark.parametrize(("n", "width"), [(1, None), (3, None), (3, 4), (4, 16)])
