@@ -183,6 +183,10 @@ def verify_completeness(basis: BellBasis, tol: Tolerance = DEFAULT_TOL) -> tuple
     over all of R, which is never held.  A member matrix over
     `errors.BYTE_BUDGET` is a ResourceLimitError, raised before it is built.
 
+    For a seed-generated basis, Σ_α P_α X P_α† = 2^n·tr(X)·1 makes R equal to
+    1 ⊗ 2^n·conj(B^(0)†B^(0)), so the deviation is 2^n times the seed's
+    `linalg.is_maximally_entangled` deviation, up to rounding (within 1e-14 for n <= 5).
+
     `_run_blocks` runs the block rows on a ``concurrent.futures`` thread pool
     of up to one thread per available CPU, in buffers the caller allocates,
     each block with the operands and shapes it has alone, and the deviation is

@@ -1,10 +1,11 @@
 """Command-line front end.
 
-Exit codes: 0 on success; 1 when a numerical assertion fails or an
-`InternalConsistencyError` is raised; 2 on usage or file-format errors,
-that is any other `QtelError` or an `OSError`, written as one ``error:``
-line that quotes any input by its `errors.excerpt`; argparse's usage errors
-quote theirs by the same cut (`_Parser`).  JSON reports carry
+Each ``cmd_*`` returns its report and verdict; `main` writes the report
+(`_emit`) and maps the verdict to exit code 0 (success) or 1 (a numerical
+assertion fails).  An `InternalConsistencyError` exits 1 too; any other
+`QtelError` or an `OSError` exits 2, as one ``error:`` line that quotes any
+input by its `errors.excerpt` (80 bytes as written at most); argparse's usage
+errors quote theirs by the same cut (`_Parser`).  JSON reports carry
 top-level ``"schema": "qtel/1"`` and ``"command"`` keys and are
 byte-identical for identical invocations and seeds.  ``--format text``
 writes the same encoded fields one per line (see `_emit`); its layout
@@ -27,7 +28,7 @@ import sys
 from . import serialize
 from .errors import (DEFAULT_ABS_EPS, EXCERPT_CHARS, GRAPH_EXHAUSTIVE_MAX_QUBITS,
                      DomainError, InternalConsistencyError, QtelError, Tolerance,
-                     ValidationError, _cut, excerpt)
+                     ValidationError, _cut, _size, excerpt)
 
 SCHEMA = "qtel/1"
 
@@ -78,23 +79,21 @@ def _emit(report: dict, args):
     sys.stdout.write("\n".join(lines) + "\n")
 
 
-def cmd_channel_check(args) -> int:
+def cmd_channel_check(args) -> tuple[dict, bool]:
     state = serialize.load_state(args.file)
     from . import channel
     n = state.n_qubits // 2
     ch = channel.channel_from_state(state, n, args.tol)
     perfect, deviation = channel.is_perfect(ch, args.tol)
-    report = {
+    return {
         "n": n,
         "perfect": perfect,
         "deviation": deviation,
         "tolerance": args.tol.abs_eps,
-    }
-    _emit(report, args)
-    return EXIT_OK if perfect else EXIT_ASSERTION
+    }, perfect
 
 
-def cmd_bell_gen(args) -> int:
+def cmd_bell_gen(args) -> tuple[dict, bool]:
     seed = serialize.load_state(args.seed_file) if args.seed_file else None
     from . import bell
     bell.check_completeness_size(args.n if seed is None else seed.n_qubits // 2)
@@ -102,18 +101,16 @@ def cmd_bell_gen(args) -> int:
         seed = bell.standard_seed(args.n)
     basis = bell.generate_from_seed(seed, args.tol)
     complete, deviation = bell.verify_completeness(basis, args.tol)
-    report = {
+    return {
         "n": basis.n,
         "size": basis.size,
         "complete": complete,
         "completeness_deviation": deviation,
         "members": serialize.basis_to_list(basis.members),
-    }
-    _emit(report, args)
-    return EXIT_OK if complete else EXIT_ASSERTION
+    }, complete
 
 
-def cmd_teleport_run(args) -> int:
+def cmd_teleport_run(args) -> tuple[dict, bool]:
     info = serialize.load_state(args.info)
     state = serialize.load_state(args.channel)
     from . import bell, channel, teleport
@@ -154,20 +151,17 @@ def cmd_teleport_run(args) -> int:
     if result.mode == "sampled":
         report["seed"] = result.seed
         report["shots"] = result.shots
-    _emit(report, args)
-    if args.expect_perfect and not all_perfect:
-        return EXIT_ASSERTION
-    return EXIT_OK
+    return report, all_perfect or not args.expect_perfect
 
 
-def cmd_magic_cliques(args) -> int:
+def cmd_magic_cliques(args) -> tuple[dict, bool]:
     from . import magic, pauli
     graph = magic.build_anticomm_graph(args.n)
     report = magic.maximal_anticommuting_sets(graph)
     strings = {
         v.quaternary_index: pauli.render(v) for v in graph.vertices
     }
-    out = {
+    return {
         "n": args.n,
         "vertices": len(graph.vertices),
         "max_size": report.max_size,
@@ -175,15 +169,13 @@ def cmd_magic_cliques(args) -> int:
             {"alphas": c, "strings": [strings[a] for a in c]}
             for c in report.maximal_cliques
         ],
-    }
-    _emit(out, args)
-    return EXIT_OK
+    }, True
 
 
-def cmd_magic_catalog(args) -> int:
+def cmd_magic_catalog(args) -> tuple[dict, bool]:
     from . import magic
     catalog = magic.n2_catalog()
-    out = {
+    return {
         "states": {name: serialize.state_to_dict(state) for name, state in catalog.states.items()},
         "printed_state_typos": catalog.printed_state_typos,
         "maximal_sets": catalog.maximal_sets,
@@ -192,9 +184,7 @@ def cmd_magic_catalog(args) -> int:
         "reconciliation": [
             dict(vars(e)) for e in catalog.reconciliation + catalog.quarter_reconciliation
         ],
-    }
-    _emit(out, args)
-    return EXIT_OK
+    }, True
 
 
 def _resolve_set(tokens: list[str], n: int | None):
@@ -217,7 +207,7 @@ def _resolve_set(tokens: list[str], n: int | None):
     return paulis
 
 
-def cmd_magic_verify(args) -> int:
+def cmd_magic_verify(args) -> tuple[dict, bool]:
     from . import magic, pauli
     paulis = _resolve_set(args.set.split(","), args.n)
     magic.verify_block_trials(paulis[0].n_qubits)
@@ -225,36 +215,32 @@ def cmd_magic_verify(args) -> int:
     verification = magic.verify_partial_basis(basis, args.trials, args.seed, args.tol)
     report = {"set": [pauli.render(p) for p in basis.source_set], "dimension": basis.dimension,
               **vars(verification)}
-    _emit(report, args)
-    return EXIT_OK if verification.passed else EXIT_ASSERTION
+    return report, verification.passed
 
 
-def cmd_magic_witness(args) -> int:
+def cmd_magic_witness(args) -> tuple[dict, bool]:
     from . import magic
     report = magic.no_full_magic_basis_witness(args.n)
     out = dict(vars(report))
     deviation, residual = out.pop("ghz_deviation"), out.pop("ghz_min_residual")
     if deviation is not None:
         out["ghz_counterexample"] = {"deviation": deviation, "min_projection_residual": residual}
-    _emit(out, args)
-    return EXIT_OK if report.holds else EXIT_ASSERTION
+    return out, report.holds
 
 
-def cmd_masfi(args) -> int:
+def cmd_masfi(args) -> tuple[dict, bool]:
     state = serialize.load_state(args.channel)
     from . import channel, teleport
     ch = channel.channel_from_state(state, 1, args.tol)
     result = teleport.masfi_1q(ch)
     concurrence = channel.concurrence_2q(state, args.tol)
-    report = {
+    return {
         "masfi": result.value,
         "degenerate": result.degenerate,
         "converged": result.converged,
         "concurrence": concurrence,
         "formula_2c_over_1_plus_c": 2 * concurrence / (1 + concurrence),
-    }
-    _emit(report, args)
-    return EXIT_OK if result.converged else EXIT_ASSERTION
+    }, result.converged
 
 
 # a repr as argparse quotes a value, or any other run of its message without a space;
@@ -268,13 +254,14 @@ class _Parser(argparse.ArgumentParser):
     argparse quotes a refused value by its repr and an unrecognized argument as it
     is; `error` cuts each quote, and any other run without a space, as `errors.excerpt`
     cuts a repr, and then the list of unrecognized arguments as one quote once it is
-    longer than two whole quotes.  argparse builds subparsers of their parent's class.
+    longer than two whole quotes, in bytes as written (`errors._size`).  argparse builds
+    subparsers of their parent's class.
     """
 
     def error(self, message):
         message = re.sub(_QUOTED, lambda quote: _cut(quote.group()), message)
         head, label, arguments = message.partition("unrecognized arguments: ")
-        if label and not head and len(arguments) > 2 * EXCERPT_CHARS + 1:
+        if label and not head and _size(arguments) > 2 * EXCERPT_CHARS + 1:
             message = label + _cut(arguments)
         super().error(message)
 
@@ -375,10 +362,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.tol = _tolerance(args)  # validated here, also for commands that do not read it
-        return args.func(args)
+        report, ok = args.func(args)
+        _emit(report, args)
     except (QtelError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ASSERTION if isinstance(exc, InternalConsistencyError) else EXIT_USAGE
+    return EXIT_OK if ok else EXIT_ASSERTION
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ BYTE_BUDGET = 2**28
 # the largest n of the exhaustive anticommutation graph, and of the CLI's clique `--n` choices
 GRAPH_EXHAUSTIVE_MAX_QUBITS = 3
 DEFAULT_ABS_EPS = 1e-9
-# the longest quotation of a value from outside the program in an error message
+# the longest quotation of a value from outside the program in an error message, in bytes
 EXCERPT_CHARS = 80
 
 
@@ -79,12 +79,12 @@ def check_budget(log2_bytes: int, message: str, **fields):
 
 
 def excerpt(value) -> str:
-    """The repr of a value an error quotes, in at most about EXCERPT_CHARS characters.
+    """The repr of a value an error quotes, in at most about EXCERPT_CHARS bytes.
 
-    A longer repr is cut to EXCERPT_CHARS characters and '…'.  An integer of more
-    than 24 digits is written as its first 20 digits, '…' and its digit count, so
-    that no such integer is converted whole (CPython refuses past 4,300 digits) and
-    two of them still fit one short error line.
+    A longer repr is cut by `_cut`.  An integer of more than 24 digits is written
+    as its first 20 digits, '…' and its digit count, so that no such integer is
+    converted whole (CPython refuses past 4,300 digits) and two of them still fit
+    one short error line.
     """
     if type(value) is int and abs(value) >= 10**24:
         size = abs(value)
@@ -94,6 +94,14 @@ def excerpt(value) -> str:
     return _cut(repr(value))
 
 
+def _size(text: str) -> int:
+    """The bytes of `text` as stderr writes it: UTF-8, a lone surrogate as its backslash escape."""
+    return len(text.encode("utf-8", "backslashreplace"))
+
+
 def _cut(text: str) -> str:
-    """`text`, or its first EXCERPT_CHARS characters and '…' when it is longer."""
-    return text if len(text) <= EXCERPT_CHARS else text[:EXCERPT_CHARS] + "…"
+    """`text` if it fits EXCERPT_CHARS bytes (`_size`), else its longest head that does and '…'."""
+    head = text[:EXCERPT_CHARS]
+    while _size(head) > EXCERPT_CHARS:
+        head = head[:-1]
+    return text if head == text else head + "…"

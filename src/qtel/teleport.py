@@ -161,17 +161,6 @@ def transformation_operator(
     return TransformationOperator(o, bool(_unitary_scale(o, tol) > 0.0))
 
 
-def _synthesized_correction(ch: Channel, basis: BellBasis, alpha: int, tol: Tolerance):
-    """U^(α) = 2^n · B^(α) · E* for a channel and member already known to be maximal."""
-    u = (2**ch.n) * basis.members[alpha] @ ch.e_matrix.conj()
-    ok, udev = is_scaled_identity(dagger(u) @ u, 1.0, Tolerance(10 * tol.abs_eps))
-    if not ok:
-        raise InternalConsistencyError(
-            f"synthesized correction for alpha={alpha} is not unitary (deviation {udev:.3e})"
-        )
-    return u
-
-
 def correction_unitary(
     ch: Channel, basis: BellBasis, alpha: int, tol: Tolerance = DEFAULT_TOL
 ) -> np.ndarray:
@@ -181,7 +170,13 @@ def correction_unitary(
         raise ValidationError(f"channel is not perfect (deviation {deviation:.3e})")
     if not is_maximal_member(basis, alpha, tol):
         raise ValidationError(f"basis member {alpha} is not maximally entangled")
-    return _synthesized_correction(ch, basis, alpha, tol)
+    u = (2**ch.n) * basis.members[alpha] @ ch.e_matrix.conj()
+    ok, udev = is_scaled_identity(dagger(u) @ u, 1.0, Tolerance(10 * tol.abs_eps))
+    if not ok:
+        raise InternalConsistencyError(
+            f"synthesized correction for alpha={alpha} is not unitary (deviation {udev:.3e})"
+        )
+    return u
 
 
 def _probabilities(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -315,11 +310,12 @@ class KernelReport:
 
 
 def kernel_operator(ch: Channel, basis: BellBasis, tol: Tolerance = DEFAULT_TOL) -> KernelReport:
-    perfect, _ = is_perfect(ch, tol)
-    if perfect and is_maximal_member(basis, 0, tol):
-        return KernelReport(_synthesized_correction(ch, basis, 0, tol), True, True)
-    op = transformation_operator(ch, basis, 0, tol)
-    return KernelReport(op.matrix, False, op.unitary_scaled)
+    """U^(0) when `correction_unitary` defines it, else O^(0) from `transformation_operator`."""
+    try:
+        return KernelReport(correction_unitary(ch, basis, 0, tol), True, True)
+    except ValidationError:
+        op = transformation_operator(ch, basis, 0, tol)
+        return KernelReport(op.matrix, False, op.unitary_scaled)
 
 
 @dataclass(frozen=True)

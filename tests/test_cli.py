@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import resource
@@ -635,6 +637,10 @@ REFUSED_WITHOUT_NUMPY = {
     "zero_tol": lambda t: (["--tol", "0", "magic", "catalog"], None),
     "tol_env_text": lambda t: (["magic", "witness", "--n", "2"], "abc"),
     "tol_env_100000_letters": lambda t: (["magic", "catalog"], "a" * 100_000),
+    # 2 bytes a letter in UTF-8: the excerpt is cut at 80 bytes, not 80 letters
+    "n_qubits_50000_e_acute": lambda t: (
+        ["channel", "check", "--file",
+         _write(t, "e_acute_n.json", {"n_qubits": "é" * 50_000, "amplitudes": [[1, 0]]})], None),
 }
 
 
@@ -690,6 +696,44 @@ def test_argparse_error_quotes_an_excerpt_of_the_value(case, capsys):
     assert captured.out == "" and captured.err.startswith("usage: qtel")
     line = captured.err.splitlines()[-1]
     assert quote in line and len(line.encode()) < 200 and len(captured.err.encode()) < 400
+
+
+def _as_written(text: str) -> bytes:
+    """`text` as stderr writes it: UTF-8, a lone surrogate as its backslash escape."""
+    return text.encode("utf-8", "backslashreplace")
+
+
+# how sys.argv holds the byte 0xff, which is not UTF-8 (surrogateescape)
+_FF = "\udcff"
+
+# non-ASCII values argparse refuses, each with the quote its error line ends in: the cut
+# keeps the longest head of at most 80 bytes as written, é 2 bytes and "\udcff" 6
+NON_ASCII_REFUSALS = {
+    "bell_gen_n_50000_e_acute": (["bell", "gen", "--n", "é" * 50_000], "'" + "é" * 39 + "…"),
+    "unrecognized_300_ff_bytes": (["magic", "catalog", _FF * 300], _FF * 13 + "…"),
+    "unrecognized_3000_ff_arguments": (["magic", "catalog", *[_FF] * 3000],
+                                       f"{_FF} " * 11 + "…"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_ASCII_REFUSALS))
+def test_argparse_error_quotes_80_bytes_as_written(case, capsys):
+    argv, quote = NON_ASCII_REFUSALS[case]
+    err = io.StringIO()  # takes lone surrogates, which the capture stream refuses
+    with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as refused:
+        main(argv)
+    assert refused.value.code == 2 and capsys.readouterr().out == ""
+    assert err.getvalue().startswith("usage: qtel")
+    line = err.getvalue().splitlines()[-1]
+    assert line.endswith(quote) and len(_as_written(line)) < 200
+    assert len(_as_written(err.getvalue())) < 400
+    # a qtel process given the same arguments as bytes writes exactly these bytes
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qtel.__file__)),
+               PYTHONUTF8="1")
+    argv_bytes = [arg.encode("utf-8", "surrogateescape") for arg in argv]
+    run = subprocess.run([sys.executable, "-m", "qtel.cli", *argv_bytes], env=env,
+                         capture_output=True, timeout=60)
+    assert (run.returncode, run.stdout, run.stderr) == (2, b"", _as_written(err.getvalue()))
 
 
 @pytest.mark.parametrize("argv", [
