@@ -26,9 +26,9 @@ import re
 import sys
 
 from . import serialize
-from .errors import (DEFAULT_ABS_EPS, EXCERPT_CHARS, GRAPH_EXHAUSTIVE_MAX_QUBITS,
-                     DomainError, InternalConsistencyError, QtelError, Tolerance,
-                     ValidationError, _cut, _size, excerpt)
+from .errors import (DEFAULT_TOL, EXCERPT_CHARS, GRAPH_EXHAUSTIVE_MAX_QUBITS, DomainError,
+                     InternalConsistencyError, QtelError, Tolerance, ValidationError, _cut,
+                     _size, excerpt)
 
 SCHEMA = "qtel/1"
 
@@ -43,7 +43,7 @@ def _tolerance(args) -> Tolerance:
         return Tolerance(args.tol)
     env = os.environ.get("QTEL_TOL")
     if not env:
-        return Tolerance(DEFAULT_ABS_EPS)
+        return DEFAULT_TOL
     try:
         value = float(env)
     except ValueError:

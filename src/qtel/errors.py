@@ -1,5 +1,7 @@
 """Exception types, the tolerance, the resource limits and the excerpt rule; imports no numpy."""
 
+import sys
+
 # the largest working set, in bytes, that one command may build: the member matrix of
 # `bell.verify_completeness`, a block of `magic.verify_partial_basis` trials, one outcome
 # array of `teleport.composite_expand`.  Each of those guards calls `check_budget` with its
@@ -36,26 +38,20 @@ class InternalConsistencyError(QtelError, RuntimeError):
     """A quantity the theory guarantees failed its numerical check."""
 
 
-class Tolerance:
-    """Absolute comparison tolerance. All quantities here are O(1).
+class Tolerance(float):
+    """Absolute comparison tolerance, a positive and finite float.  All quantities here are O(1).
 
-    Read-only, and compared, hashed and printed by value.  Not a dataclass, so
-    that a cold CLI call, a refusal included, imports no `dataclasses` and `inspect`.
+    `abs_eps` reads it as a plain `float`.  Not a dataclass, so that a cold CLI call,
+    a refusal included, imports no `dataclasses` and `inspect`.
     """
 
-    __slots__ = ("_abs_eps",)
-    abs_eps = property(lambda self: self._abs_eps)
+    __slots__ = ()
+    abs_eps = property(float)
 
-    def __init__(self, abs_eps: float = DEFAULT_ABS_EPS):
+    def __new__(cls, abs_eps: float = DEFAULT_ABS_EPS):
         if not 0 < abs_eps < float("inf"):
             raise ValidationError(f"tolerance must be positive and finite, got {abs_eps}")
-        self._abs_eps = abs_eps
-
-    def __eq__(self, other):
-        return self.abs_eps == other.abs_eps if type(other) is type(self) else NotImplemented
-
-    def __hash__(self):
-        return hash((self.abs_eps,))
+        return super().__new__(cls, abs_eps)
 
     def __repr__(self):
         return f"Tolerance(abs_eps={self.abs_eps!r})"
@@ -95,8 +91,8 @@ def excerpt(value) -> str:
 
 
 def _size(text: str) -> int:
-    """The bytes of `text` as stderr writes it: UTF-8, a lone surrogate as its backslash escape."""
-    return len(text.encode("utf-8", "backslashreplace"))
+    """The bytes of `text` as stderr writes it: its encoding or UTF-8, what that lacks escaped."""
+    return len(text.encode(getattr(sys.stderr, "encoding", None) or "utf-8", "backslashreplace"))
 
 
 def _cut(text: str) -> str:

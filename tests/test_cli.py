@@ -699,7 +699,7 @@ def test_argparse_error_quotes_an_excerpt_of_the_value(case, capsys):
 
 
 def _as_written(text: str) -> bytes:
-    """`text` as stderr writes it: UTF-8, a lone surrogate as its backslash escape."""
+    """`text` as a UTF-8 stderr writes it, a lone surrogate as its backslash escape."""
     return text.encode("utf-8", "backslashreplace")
 
 
@@ -734,6 +734,30 @@ def test_argparse_error_quotes_80_bytes_as_written(case, capsys):
     run = subprocess.run([sys.executable, "-m", "qtel.cli", *argv_bytes], env=env,
                          capture_output=True, timeout=60)
     assert (run.returncode, run.stdout, run.stderr) == (2, b"", _as_written(err.getvalue()))
+
+
+# refusals under an ASCII stderr, which writes é as its 4-byte escape \xe9, 中 as the 6-byte
+# \u4e2d and … as \u2026; each builds its argv from tmp_path, and ends in the quote shown
+ASCII_STDERR_REFUSALS = {
+    "bell_gen_n_50000_e_acute": (lambda t: ["bell", "gen", "--n", "é" * 50_000],
+                                 b"'" + b"\\xe9" * 19 + b"\\u2026"),
+    "n_qubits_50000_zhong": (lambda t: [
+        "channel", "check", "--file",
+        _write(t, "zhong_n.json", {"n_qubits": "中" * 50_000, "amplitudes": [[1, 0]]})],
+        b"'" + b"\\u4e2d" * 13 + b"\\u2026"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ASCII_STDERR_REFUSALS))
+def test_error_quotes_80_bytes_as_an_ascii_stderr_writes_them(case, tmp_path):
+    build, quote = ASCII_STDERR_REFUSALS[case]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qtel.__file__)),
+               PYTHONIOENCODING="ascii")
+    run = subprocess.run([sys.executable, "-m", "qtel.cli", *build(tmp_path)], env=env,
+                         capture_output=True, timeout=60)
+    assert (run.returncode, run.stdout) == (2, b"")
+    line = run.stderr.splitlines()[-1]
+    assert line.endswith(quote) and len(line.replace(str(tmp_path).encode(), b"")) < 200
 
 
 @pytest.mark.parametrize("argv", [

@@ -2,21 +2,30 @@
 
 `golden/<group>.json` lists, for one command group, ``qtel`` invocations
 over the input files in `golden/inputs/`, each with the exit code it gave
-and the sha256 of the stdout it printed when the corpus was written.  The
-groups are `teleport run`, `channel check`, `bell gen`, the `magic`
-subcommands, `masfi`, and the malformed inputs of `test_cli.MALFORMED`.
-The replay runs each invocation in process.  It compares exit codes on
-every platform, but stdout digests only under the numpy version and BLAS
-build recorded in the corpus: another numpy or BLAS (CI on an older Python
-resolves an older numpy) may round the last bit of a probability
-differently.  Stdout is hashed exactly as printed, never rounded.  Stderr
-must be empty when a report was printed, and one ``error: `` line when
-none was; a numpy ``RuntimeWarning`` raised on the way fails the case.
+and the sha256 of the stdout it printed when the corpus was written, and,
+for a ``--format json`` report, the report decoded (`bell gen`'s without
+its ``members``, which the digest covers).  The groups are `teleport run`,
+`channel check`, `bell gen`, the `magic` subcommands, `masfi`, and the
+malformed inputs of `test_cli.MALFORMED`.  The replay runs each invocation
+in process.  On every platform it compares exit codes, and each recorded
+report with the one printed now: the same keys, equal non-float values and
+every float within FLOAT_BOUND = 1e-9.  It compares stdout digests only
+under the numpy version and BLAS build recorded in the corpus: another
+numpy or BLAS (CI on an older Python resolves an older numpy) may round
+the last bit of a probability differently.  Stdout is hashed exactly as
+printed, never rounded.  Stderr must be empty when a report was printed,
+and one ``error: `` line when none was; a numpy ``RuntimeWarning`` raised
+on the way fails the case.
 
 To rewrite the inputs and every corpus file, which is right only when a
 change of stdout is intended, run from the root of a checkout:
 
     PYTHONPATH=src python tests/test_golden.py
+
+and to print, for each recorded report, the largest |Δ| of each of its
+fields between the corpus and the working tree:
+
+    PYTHONPATH=src python tests/test_golden.py --diff
 """
 
 from __future__ import annotations
@@ -25,8 +34,11 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import pathlib
+import re
+import sys
 import warnings
 
 import numpy as np
@@ -41,6 +53,9 @@ from test_cli import MALFORMED
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 GROUPS = ("teleport_run", "channel_check", "bell_gen", "magic", "masfi", "malformed")
+# how far a float of a report may move on any platform: the default tolerance, above the
+# MASFI refinement's 1e-10 stopping rule and far above a rounding difference of BLAS builds
+FLOAT_BOUND = 1e-9
 
 
 def corpus_path(group: str) -> str:
@@ -86,6 +101,45 @@ def _recorded(group: str) -> dict:
 RECORDED = {group: _recorded(group) for group in GROUPS}
 
 
+def decoded(stdout: str):
+    """The report of a ``--format json`` stdout, None for any other.
+
+    `bell gen`'s ``members`` are cut from the text before it is decoded: the
+    digest covers them, and at N = 5 they are 40 MB of text.
+    """
+    if not stdout.startswith("{"):
+        return None
+    start = stdout.find(',"members":')
+    if start >= 0:  # a list of objects, so its text ends at the first "}]"
+        stdout = stdout[:start] + stdout[stdout.index("}]", start) + 2:]
+    return json.loads(stdout)
+
+
+def deltas(recorded, current, field: str = "", table: dict | None = None) -> dict:
+    """The largest |Δ| of each field between two decoded reports.
+
+    A field is a key path, its list indices written ``[]``.  Equal non-float
+    values count 0; a key, a list length, a type or a non-float value that
+    differs counts inf.
+    """
+    table = {} if table is None else table
+    kind = type(recorded) if type(recorded) is type(current) else None
+    if kind is dict and recorded.keys() == current.keys():
+        for key in recorded:
+            deltas(recorded[key], current[key], f"{field}.{key}" if field else key, table)
+        return table
+    if kind is list and len(recorded) == len(current):
+        for old, new in zip(recorded, current):
+            deltas(old, new, field + "[]", table)
+        return table
+    if kind is float:
+        delta = abs(recorded - current)
+    else:
+        delta = 0.0 if kind is not None and recorded == current else math.inf
+    table[field] = max(table.get(field, 0.0), delta)
+    return table
+
+
 def _replay(case: dict, recorded: dict):
     code, stdout, digest, stderr = invoke(case["argv"])
     assert code == case["exit_code"]
@@ -94,6 +148,9 @@ def _replay(case: dict, recorded: dict):
     else:
         assert code != 0
         assert stderr.startswith("error: ") and stderr.count("\n") == 1, stderr
+    if "report" in case:
+        table = deltas(case["report"], decoded(stdout))
+        assert not {field: delta for field, delta in table.items() if not delta <= FLOAT_BOUND}
     if versions() == recorded["versions"]:
         assert digest == case["stdout_sha256"]
 
@@ -117,6 +174,8 @@ def test_corpus_is_present():
     assert len(RECORDED["teleport_run"]["invocations"]) >= 20
     for group in GROUPS:
         assert RECORDED[group]["invocations"], group
+    for group in GROUPS[:-1]:  # the malformed inputs print no report
+        assert any("report" in case for case in RECORDED[group]["invocations"]), group
 
 
 # --- writing the corpus ------------------------------------------------------
@@ -281,6 +340,17 @@ _INVOCATIONS = {"teleport_run": _teleport_run, "channel_check": _channel_check,
                 "bell_gen": _bell_gen, "magic": _magic, "masfi": _masfi, "malformed": _malformed}
 
 
+def _dumps(corpus: dict) -> str:
+    """`corpus` as JSON indented by one space, but each report compact on one line."""
+    reports = []
+    for case in corpus["invocations"]:
+        if "report" in case:
+            reports.append(json.dumps(case["report"], separators=(",", ":")))
+            case["report"] = f"\0{len(reports) - 1}"
+    text = json.dumps(corpus, indent=1)
+    return re.sub(r'"\\u0000(\d+)"', lambda mark: reports[int(mark[1])], text) + "\n"
+
+
 def write_corpus() -> None:
     _write_inputs(np.random.default_rng(20111006))
     cwd = os.getcwd()
@@ -292,13 +362,28 @@ def write_corpus() -> None:
             os.chdir(cwd)
         invocations = []
         for case_id, argv in cases:
-            code, _, digest, _ = invoke(argv)
+            code, stdout, digest, _ = invoke(argv)
+            report = decoded(stdout)
             invocations.append({"id": case_id, "argv": argv, "exit_code": code,
+                                **({} if report is None else {"report": report}),
                                 "stdout_sha256": digest})
         with open(corpus_path(group), "w") as fh:
-            json.dump({"versions": versions(), "invocations": invocations}, fh, indent=1)
-            fh.write("\n")
+            fh.write(_dumps({"versions": versions(), "invocations": invocations}))
+
+
+def print_diff() -> None:
+    """Print the largest |Δ| of each field of each recorded report, corpus against working tree."""
+    print(f"case\tfield\tlargest |Δ| (bound {FLOAT_BOUND:g}; inf: a key, length, type or "
+          "non-float value differs)")
+    for group in GROUPS:
+        for case in RECORDED[group]["invocations"]:
+            if "report" in case:
+                _, stdout, _, _ = invoke(case["argv"])
+                for field, delta in deltas(case["report"], decoded(stdout)).items():
+                    print(f"{group}:{case['id']}\t{field or '(report)'}\t{delta:.3g}")
 
 
 if __name__ == "__main__":
-    write_corpus()
+    if sys.argv[1:] not in ([], ["--diff"]):
+        sys.exit("usage: python tests/test_golden.py [--diff]")
+    print_diff() if sys.argv[1:] else write_corpus()

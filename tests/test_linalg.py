@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -118,3 +121,26 @@ def test_tolerance_must_be_positive():
     for eps in (0.0, float("inf")):
         with pytest.raises(ValidationError):
             Tolerance(eps)
+
+
+@pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy,
+                                       lambda tol: pickle.loads(pickle.dumps(tol))])
+def test_tolerance_copies_and_pickles_to_an_equal_tolerance(duplicate):
+    tol = Tolerance(0.5)
+    twin = duplicate(tol)
+    assert type(twin) is Tolerance and twin == tol and twin.abs_eps == 0.5
+
+
+def test_tolerance_repr_names_its_value():
+    assert repr(Tolerance(1e-9)) == "Tolerance(abs_eps=1e-09)"
+
+
+def test_tolerance_abs_eps_is_a_read_only_float():
+    tol = Tolerance(1e-9)
+    assert type(tol.abs_eps) is float and tol.abs_eps == 1e-9
+    with pytest.raises(AttributeError):
+        tol.abs_eps = 0.5
+
+
+def test_tolerances_of_different_values_differ():
+    assert Tolerance(0.5) != Tolerance(0.25)
