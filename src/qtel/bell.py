@@ -20,9 +20,10 @@ its entry (q, p) from the same products, summed in the same order over α, as
 the conjugate of its entry (p, q), so the two have the same modulus bit for
 bit.  `verify_completeness` therefore evaluates R only on and above its block
 diagonal, one block row at a time, and never holds R itself.  The block rows
-run on a standard-library thread pool, up to one thread per available CPU, in
-buffers the caller allocates, each with the operands and shapes it has alone,
-so the deviation has the same bits for any thread count; no option selects it.
+run on a standard-library thread pool, up to one thread per available CPU,
+each thread in the one pair of buffers it claims from the caller's, and each
+block with the operands and shapes it has alone, so the deviation has the same
+bits for any thread count; no option selects it.
 """
 
 from __future__ import annotations
@@ -92,10 +93,6 @@ class BellBasis:
         if not 0 <= alpha < self.size:
             raise DomainError(f"alpha={alpha} out of range for basis of size {self.size}")
         return self.members[alpha]
-
-    def member_state(self, alpha: int) -> StateVector:
-        """The measurement state |B^(α)> as a 2n-qubit vector."""
-        return StateVector(2 * self.n, self.member(alpha).reshape(-1))
 
 
 def standard_seed(n: int) -> StateVector:
@@ -188,12 +185,13 @@ def verify_completeness(basis: BellBasis, tol: Tolerance = DEFAULT_TOL) -> tuple
     `linalg.is_maximally_entangled` deviation, up to rounding (within 1e-14 for n <= 5).
 
     `_run_blocks` runs the block rows on a ``concurrent.futures`` thread pool
-    of up to one thread per available CPU, in buffers the caller allocates,
-    each block with the operands and shapes it has alone, and the deviation is
-    the max of the blocks' deviations, so the verdict and the deviation do not
-    depend on the thread count.  Block 0 reads every column of V, so a nan entry
-    of V makes its deviation, and so the deviation, nan: it never reads as
-    complete.  A check of fewer than 16 blocks (n <= 4) starts no thread.
+    of up to one thread per available CPU, each thread in one pair of buffers
+    that the caller allocates, each block with the operands and shapes it has
+    alone, and the deviation is the max of the blocks' deviations, so the
+    verdict and the deviation do not depend on the thread count.  Block 0 reads
+    every column of V, so a nan entry of V makes its deviation, and so the
+    deviation, nan: it never reads as complete.  A check of fewer than 16
+    blocks (n <= 4) starts no thread.
     """
     check_completeness_size(basis.n)
     size = basis.size
@@ -227,11 +225,12 @@ def _run_blocks(fill, blocks: int, entries: int) -> list[float]:
     most blocks / 8 workers keep them within a quarter of the 16·size² byte
     member matrix that the check already holds: 1 below n = 5, 2 at n = 5 and
     up to 8 at n = 6, and never more than one per available CPU.  The caller
-    allocates every buffer, and a block on a ``ThreadPoolExecutor`` thread takes
-    a pair from a free-list; numpy's ``matmul`` releases the GIL, so the products
-    run at once.  The first block to raise, in block order, cancels those not yet
-    started and is raised here once every thread is joined.  One worker, or a
-    pool that cannot start a thread, leaves every block to the caller.
+    allocates every buffer, and each ``ThreadPoolExecutor`` thread claims one
+    pair as it starts and fills every block it runs in it; numpy's ``matmul``
+    releases the GIL, so the products run at once.  The first block to raise,
+    in block order, cancels those not yet started and is raised here once every
+    thread is joined.  One worker, or a pool that cannot start a thread, leaves
+    every block to the caller.
     """
     import os
 
@@ -242,23 +241,17 @@ def _run_blocks(fill, blocks: int, entries: int) -> list[float]:
     buffers = [(np.empty(entries, np.complex128), np.empty(entries, np.complex128))
                for _ in range(workers)]
     if workers > 1:
-        import queue
+        import threading
         from concurrent.futures import ThreadPoolExecutor
 
-        free = queue.SimpleQueue()
-        for pair in buffers:
-            free.put(pair)
+        unclaimed, own = buffers.copy(), threading.local()
 
-        def run(block: int) -> float:
-            pair = free.get()
-            try:
-                return fill(block, *pair)
-            finally:
-                free.put(pair)
+        def claim():
+            own.pair = unclaimed.pop()  # atomic; at most `workers` threads start, one pair each
 
-        with ThreadPoolExecutor(workers) as pool:  # joins every thread on the way out
+        with ThreadPoolExecutor(workers, initializer=claim) as pool:  # joins every thread
             try:
-                results = pool.map(run, range(blocks))  # submits every block at once
+                results = pool.map(lambda block: fill(block, *own.pair), range(blocks))
             except RuntimeError:  # a thread could not start, e.g. at the process's thread limit
                 pass
             else:

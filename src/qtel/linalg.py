@@ -107,12 +107,6 @@ class StateVector:
         dim = 2 ** (self.n_qubits // 2)
         return self.amplitudes.reshape(dim, dim).copy()
 
-    def normalized(self) -> "StateVector":
-        n = self.norm()
-        if n == 0.0:
-            raise ValidationError("cannot normalize the zero vector")
-        return StateVector(self.n_qubits, self.amplitudes / n)
-
     def permute_qubits(self, order: list[int]) -> "StateVector":
         """Reorder qubits so that new qubit position k holds old qubit order[k].
 

@@ -73,13 +73,10 @@ class PauliString:
     def is_identity(self) -> bool:
         return self.x_bits == 0 and self.z_bits == 0
 
-    def digit(self, qubit: int) -> int:
-        """Quaternary digit of the factor on 0-based qubit index."""
-        shift = self.n_qubits - 1 - qubit
-        return 2 * ((self.x_bits >> shift) & 1) + ((self.z_bits >> shift) & 1)
-
     def digits(self) -> tuple[int, ...]:
-        return tuple(self.digit(q) for q in range(self.n_qubits))
+        """Quaternary digit of the factor on each qubit, qubit 0 first."""
+        return tuple(2 * ((self.x_bits >> shift) & 1) + ((self.z_bits >> shift) & 1)
+                     for shift in reversed(range(self.n_qubits)))
 
     @property
     def quaternary_index(self) -> int:
@@ -91,10 +88,6 @@ class PauliString:
 
     def __str__(self) -> str:
         return render(self)
-
-
-def identity(n_qubits: int) -> PauliString:
-    return PauliString(n_qubits, 0, 0, 0)
 
 
 def pauli_from_digits(digits, phase_power: int = 0) -> PauliString:

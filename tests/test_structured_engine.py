@@ -529,14 +529,16 @@ def recorded(fun, log):
     return wrapper
 
 
+MASFI_STOPPING = {"xatol": teleport.MASFI_XATOL, "fatol": teleport.MASFI_FATOL}
+
+
 def assert_nelder_mead_is_scipys(make_objective, x0):
     """`teleport.minimize` and scipy evaluate the same points and agree on the
     bits of x and fun, on nfev and on success."""
     points = ([], [])
-    ours = teleport.minimize(recorded(make_objective(), points[0]), x0,
-                             xatol=1e-6, fatol=1e-10)
+    ours = teleport.minimize(recorded(make_objective(), points[0]), x0)
     theirs = scipy_minimize(recorded(make_objective(), points[1]), x0, method="Nelder-Mead",
-                            options={"xatol": 1e-6, "fatol": 1e-10})
+                            options=MASFI_STOPPING)
     assert np.array_equal(*(np.array(p).view(np.uint64) for p in points))
     bits = [np.append(r.x, r.fun).view(np.uint64).tolist() for r in (ours, theirs)]
     assert bits[0] == bits[1]
@@ -578,7 +580,7 @@ def test_nelder_mead_runs_out_halfway_through_a_shrink():
     values = [0.0, 1.0, 2.0, 0.5, 0.25]
     evaluated = []
     theirs = scipy_minimize(recorded(scripted(values), evaluated), (0.0, 0.0), method="Nelder-Mead",
-                            options={"xatol": 1e-6, "fatol": 1e-10})
+                            options=MASFI_STOPPING)
     moved = [v for v in theirs.final_simplex[0]
              if not any(np.array_equal(v, p) for p in evaluated)]
     assert (theirs.nfev, theirs.nit, len(moved)) == (400, 101, 1)
@@ -690,8 +692,7 @@ def reference_masfi(ch):
         value = worst_fidelity(angles)
         if value < best[0]:
             best = (value, tuple(float(x) for x in angles))
-    refined = teleport.minimize(worst_fidelity, best[1], xatol=teleport.MASFI_XATOL,
-                                fatol=teleport.MASFI_FATOL)
+    refined = teleport.minimize(worst_fidelity, best[1])
     if refined.fun <= best[0]:
         return teleport.MasfiResult(float(refined.fun), converged=bool(refined.success),
                                     argmin=tuple(float(x) for x in refined.x)), refined.nfev

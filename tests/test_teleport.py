@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from qtel import errors, teleport
-from qtel.bell import BellBasis, generate_from_seed, standard_basis
+from qtel.bell import BellBasis, generate_from_seed, standard_basis, standard_seed
 from qtel.channel import channel_from_state, state_from_matrix
-from qtel.errors import DomainError, ResourceLimitError, ShapeError, ValidationError
+from qtel.errors import (DomainError, InternalConsistencyError, ResourceLimitError, ShapeError,
+                         ValidationError)
 from qtel.linalg import StateVector, Tolerance, basis_state, haar_random_unitary, random_state
 from qtel.teleport import (
     composite_expand,
@@ -253,6 +254,19 @@ class TestKernelOperator:
         report = kernel_operator(two_bell_channel(), standard_basis(2))
         assert report.channel_perfect and report.unitary_scaled
         assert calls == {"is_perfect": 1, "is_maximal_member": 1}
+
+    @pytest.mark.parametrize("eps", [1e307, 1e308, 1.7e308])
+    def test_perfect_channel_under_a_huge_tolerance(self, eps):
+        # 10·eps overflows past 1.8e307: the unitarity bound is then inf, not a refusal
+        ch = channel_from_state(standard_seed(1), 1)
+        report = kernel_operator(ch, standard_basis(1), Tolerance(eps))
+        assert report.channel_perfect and report.unitary_scaled
+        assert np.allclose(report.matrix, np.eye(2))
+
+    def test_nan_unitarity_deviation_is_not_unitary(self, monkeypatch):
+        monkeypatch.setattr(teleport, "is_scaled_identity", lambda *args: (True, np.nan))
+        with pytest.raises(InternalConsistencyError, match="deviation nan"):
+            correction_unitary(bell_channel(), standard_basis(1), 0, Tolerance(1.7e308))
 
     def test_ghz_reports_singular_operator(self):
         report = kernel_operator(ghz_channel(), standard_basis(2))
