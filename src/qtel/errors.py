@@ -2,10 +2,10 @@
 
 import sys
 
-# the largest working set, in bytes, that one command may build: the member matrix of
-# `bell.verify_completeness`, a block of `magic.verify_partial_basis` trials, one outcome
-# array of `teleport.composite_expand`.  Each of those guards calls `check_budget` with its
-# need before anything is allocated, and `check_budget` reads the budget when called.
+# the largest size, in bytes, of each of three arrays, not of a command's whole memory: the
+# member matrix of `bell.verify_completeness`, a block of `magic.verify_partial_basis` trials,
+# one outcome array of `teleport.composite_expand`.  Each of those guards calls `check_budget`
+# with its need before anything is allocated, and `check_budget` reads the budget when called.
 BYTE_BUDGET = 2**28
 # the largest n of the exhaustive anticommutation graph, and of the CLI's clique `--n` choices
 GRAPH_EXHAUSTIVE_MAX_QUBITS = 3

@@ -23,11 +23,10 @@ from .channel import channel_from_state, is_perfect, state_from_matrix
 from .channel import hill_wootters_basis  # noqa: F401 (also importable from here)
 from .errors import GRAPH_EXHAUSTIVE_MAX_QUBITS, ResourceLimitError, ValidationError
 from .linalg import DEFAULT_TOL, StateVector, Tolerance, _row_norms, is_maximally_entangled
-from .pauli import (PauliString, commutes, matrix_of, pauli_from_digits, pauli_from_quaternary,
+from .pauli import (POWERS_OF_I, PauliString, commutes, matrices_of, pauli_from_quaternary,
                     product_table)
 from .teleport import min_fidelities
 
-PRINTED_AMPLITUDE_EPS = 1e-12  # the printed amplitudes are ±1/2 and ±i/2, exact in binary
 # verify_partial_basis evaluates at most this many trials at a time, and only as many as
 # fit in `errors.BYTE_BUDGET` at four (4^n, 2^n) complex arrays each, one trial's peak in
 # `teleport.min_fidelities`: 128 trials up to n = 5, fewer above, none from n = 8
@@ -136,8 +135,10 @@ def partial_basis_from_set(paulis) -> MagicPartialBasis:
             raise ValidationError(f"strings must pairwise anticommute: {p} commutes with {q}")
     ordered = tuple(sorted(paulis, key=lambda p: p.quaternary_index))
     scale = 2.0 ** (-n / 2)
+    # the unit phase of `matrix_of` first: it sets the sign of each zero that the scaling keeps
+    mats = POWERS_OF_I[0] * matrices_of(np.array([p.quaternary_index for p in ordered]), n)
     members = [state_from_matrix(scale * np.eye(2**n), n)]
-    members += [state_from_matrix(scale * 1j * matrix_of(p), n) for p in ordered]
+    members += [state_from_matrix(m, n) for m in scale * 1j * mats]
     return MagicPartialBasis(n, tuple(members), ordered)
 
 
@@ -412,25 +413,22 @@ def _max_disjoint_triangle_packing(triangles: list[tuple[int, ...]]) -> list[tup
 def n2_catalog() -> N2Catalog:
     """Everything explicit for n = 2: named states, cliques, partial bases.
 
-    Constructed states are ground truth; the printed amplitude table and
-    printed anticommuting sets are reconciled against them and every
-    disagreement is reported as a typo flag.
+    Constructed states are ground truth; the printed amplitude table (±1/2 and
+    ±i/2, exact in binary, so compared exactly) and printed anticommuting sets
+    are reconciled against them and every disagreement is reported as a typo flag.
     """
     n = 2
-    states: dict[str, StateVector] = {}
-    for name, digits in N2_NAMES.items():
-        states[name] = state_from_matrix(0.5 * matrix_of(pauli_from_digits(digits)), n)
+    mats = 0.5 * matrices_of(np.array([4 * d1 + d2 for d1, d2 in N2_NAMES.values()]), n)
+    states = {name: state_from_matrix(m, n) for name, m in zip(N2_NAMES, mats)}
 
     typos: dict[str, str] = {}
     for name, entries in N2_PRINTED_STATES.items():
         printed = np.zeros(16, dtype=np.complex128)
         for index, amp in entries:
             printed[index] += amp
-        diff = np.flatnonzero(np.abs(printed - states[name].amplitudes) > PRINTED_AMPLITUDE_EPS)
+        diff = np.flatnonzero(printed != states[name].amplitudes)
         if diff.size:
-            typos[name] = (
-                f"printed amplitudes disagree at indices {diff.tolist()}"
-            )
+            typos[name] = f"printed amplitudes disagree at indices {diff.tolist()}"
 
     graph = build_anticomm_graph(n)
     report = maximal_anticommuting_sets(graph)

@@ -38,7 +38,6 @@ POWERS_OF_I = np.array([1, 1j, -1, -1j])  # i^k at index k
 POWERS_OF_I.flags.writeable = False
 
 FAMILY_EXHAUSTIVE_MAX_QUBITS = 3
-FAMILY_CHECK_EPS = 1e-12  # Pauli products are exact (entries 0, ±1, ±i): a failure is off by 1
 
 
 def _split(alpha, n: int):
@@ -255,6 +254,8 @@ def family_property_report(n: int) -> FamilyPropertyReport:
     dichotomy (dense matrices against `product_table`), existence of an
     anticommuting partner, zero trace off the identity, linear independence,
     and spanning of all 2^n x 2^n matrices (one rank decides both).
+    Squares, adjoints, products and traces are compared exactly: their entries
+    are sums of products of 0, ±1 and ±i, which floating point forms exactly.
     Also records whether every non-identity pair anticommutes (it cannot,
     for n > 1).
     """
@@ -267,38 +268,37 @@ def family_property_report(n: int) -> FamilyPropertyReport:
     mats = matrices_of(np.arange(4**n), n)
     index, power, anticommutes = product_table(n)
     dim = 2**n
-    eye = np.eye(dim)
     checks: list[PropertyCheck] = []
 
     def check(name, failures):
         checks.append(PropertyCheck(name, not failures, "; ".join(failures[:3])))
 
-    def worst(a):  # largest entry modulus of each matrix in a stack
-        return np.max(np.abs(a), axis=(-2, -1))
+    def differs(a, b):  # which matrices of two stacks differ in some entry
+        return (a != b).any(axis=(-2, -1))
 
-    def failing(deviations):  # the strings whose deviation exceeds FAMILY_CHECK_EPS
-        return [str(family[a]) for a in np.flatnonzero(deviations > FAMILY_CHECK_EPS)]
+    def failing(flags):
+        return [str(family[a]) for a in np.flatnonzero(flags)]
 
-    check("square is identity", failing(worst(mats @ mats - eye)))
-    check("hermitian", failing(worst(mats - mats.conj().swapaxes(-1, -2))))
+    check("square is identity", failing(differs(mats @ mats, np.eye(dim))))
+    check("hermitian", failing(differs(mats, mats.conj().swapaxes(-1, -2))))
 
     closure_phase = POWERS_OF_I[power]
     # entry [a, b] compares mats[a] @ mats[b] with the product's i^k·P and
-    # with mats[b] @ mats[a]; one row of products at a time keeps memory small
-    closure, comm, anti = (np.empty((4**n, 4**n)) for _ in range(3))
+    # with ±mats[b] @ mats[a]; one row of products at a time keeps memory small
+    closure, comm, anti = (np.empty((4**n, 4**n), dtype=bool) for _ in range(3))
     for a in range(4**n):
         prods, flipped = mats[a] @ mats, mats @ mats[a]
-        closure[a] = worst(prods - closure_phase[a, :, None, None] * mats[index[a]])
-        comm[a] = worst(prods - flipped)
-        anti[a] = worst(prods + flipped)
-    fails = [f"{family[a]}·{family[b]}" for a, b in zip(*np.nonzero(closure > FAMILY_CHECK_EPS))]
+        closure[a] = differs(prods, closure_phase[a, :, None, None] * mats[index[a]])
+        comm[a] = differs(prods, flipped)
+        anti[a] = differs(prods, -flipped)
+    fails = [f"{family[a]}·{family[b]}" for a, b in zip(*np.nonzero(closure))]
     check("products close up to ±1, ±i", fails)
 
     # ordered pairs of distinct non-identity strings
     pairs = ~np.eye(4**n, dtype=bool)
     pairs[0] = pairs[:, 0] = False
-    dense_anticommutes = anti <= FAMILY_CHECK_EPS
-    neither = pairs & (comm > FAMILY_CHECK_EPS) & ~dense_anticommutes
+    dense_anticommutes = ~anti
+    neither = pairs & comm & anti
     mismatch = pairs & (dense_anticommutes != anticommutes)
     fails = []
     for a, b in zip(*np.nonzero(neither | mismatch)):
@@ -311,8 +311,8 @@ def family_property_report(n: int) -> FamilyPropertyReport:
     counts = {a: int(c) for a, c in enumerate((pairs & dense_anticommutes).sum(1)) if a}
     check("anticommuting partner exists", [str(family[a]) for a in counts if counts[a] == 0])
 
-    traces = np.abs(np.trace(mats, axis1=-2, axis2=-1))
-    traces[0] = 0.0  # the identity's trace is 2^n
+    traces = np.trace(mats, axis1=-2, axis2=-1) != 0
+    traces[0] = False  # the identity's trace is 2^n
     check("zero trace off identity", failing(traces))
 
     # 4^n matrices in the 4^n-dimensional matrix space: independent exactly when they span it

@@ -19,6 +19,9 @@ three-call loop gave, the lowest-vertex clique pivot the cliques of Tomita's
 pivot and of the definition, and the engine that forms K = E^T B^(0)† once
 per batch the columns of the one whose two stages each formed it.
 `composite_expand` must give the five columns of `run_protocol` bit for bit.
+The members that `partial_basis_from_set` and `n2_catalog` take from one
+`pauli.matrices_of` stack must be those of one `matrix_of` per string, bit
+for bit.
 """
 
 import collections
@@ -118,6 +121,33 @@ def test_stacked_pauli_matrices_equal_kron_chain_bit_for_bit(n):
         for p in family:
             p = PauliString(n, p.x_bits, p.z_bits, phase)
             assert _same_bits(pauli.matrix_of(p), (1j**phase) * kron_chain(p))
+
+
+def per_string_members(paulis) -> list[StateVector]:
+    """The members of `partial_basis_from_set` as it built them: one `matrix_of` per string."""
+    ordered = sorted(paulis, key=lambda p: p.quaternary_index)
+    n = ordered[0].n_qubits
+    scale = 2.0 ** (-n / 2)
+    members = [state_from_matrix(scale * np.eye(2**n), n)]
+    return members + [state_from_matrix(scale * 1j * pauli.matrix_of(p), n) for p in ordered]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_stacked_partial_basis_equals_per_string_build_bit_for_bit(n):
+    for clique in maximal_anticommuting_sets(build_anticomm_graph(n)).maximal_cliques:
+        paulis = [pauli_from_quaternary(a, n) for a in clique]
+        members = partial_basis_from_set(paulis).members
+        expected = per_string_members(paulis)
+        assert len(members) == len(expected)
+        assert all(_same_bits(m.amplitudes, e.amplitudes) for m, e in zip(members, expected))
+
+
+def test_stacked_catalog_states_equal_per_name_build_bit_for_bit():
+    states = qtel.magic.n2_catalog().states
+    assert list(states) == list(qtel.magic.N2_NAMES)
+    for name, digits in qtel.magic.N2_NAMES.items():
+        expected = state_from_matrix(0.5 * pauli.matrix_of(pauli.pauli_from_digits(digits)), 2)
+        assert _same_bits(states[name].amplitudes, expected.amplitudes)
 
 
 def _old_random_amplitudes(n: int, rng) -> np.ndarray:

@@ -298,6 +298,13 @@ class TestCatalog:
         assert "[3, 7]" in catalog.printed_state_typos["D1"]
         assert "[9, 12]" in catalog.printed_state_typos["D2"]
 
+    def test_printed_amplitude_off_by_1e_13_is_a_typo(self, monkeypatch):
+        (index, amp), *rest = qtel.magic.N2_PRINTED_STATES["F"]
+        monkeypatch.setitem(qtel.magic.N2_PRINTED_STATES, "F", ((index, amp + 1e-13), *rest))
+        typos = n2_catalog().printed_state_typos
+        assert set(typos) == {"D1", "D2", "F"}
+        assert typos["F"] == f"printed amplitudes disagree at indices [{index}]"
+
     def test_maximal_sets_and_dimensions(self, catalog):
         assert len(catalog.maximal_sets) == 26
         assert catalog.max_partial_basis_dimension == 6

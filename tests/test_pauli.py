@@ -11,6 +11,7 @@ from qtel.pauli import (
     PauliString,
     commutes,
     family_property_report,
+    matrices_of,
     matrix_of,
     parse,
     pauli_from_digits,
@@ -172,3 +173,15 @@ class TestFamilyPropertyReport:
         monkeypatch.setattr(qtel.pauli, "product_table", wrong_phase)
         failed = [c.name for c in family_property_report(2).checks if not c.passed]
         assert failed == ["products close up to ±1, ±i"]
+
+    def test_an_entry_off_by_1e_13_fails(self, monkeypatch):
+        # the family is compared exactly: an error far below any threshold still fails
+        def perturbed(alphas, n):
+            mats = matrices_of(alphas, n)
+            mats[5, 0, 0] += 1e-13  # ZZ's first diagonal entry
+            return mats
+
+        monkeypatch.setattr(qtel.pauli, "matrices_of", perturbed)
+        report = family_property_report(2)
+        assert not report.all_passed
+        assert report.checks[0].detail == "ZZ"  # its square is no longer the identity
