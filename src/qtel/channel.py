@@ -52,11 +52,6 @@ def is_perfect(ch: Channel, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float]:
     return is_maximally_entangled(ch.e_matrix, tol)
 
 
-def character_matrix(ch: Channel) -> np.ndarray:
-    """2^{n/2}·E; unitary iff the channel is perfect."""
-    return (2.0 ** (ch.n / 2)) * ch.e_matrix
-
-
 def hill_wootters_basis() -> tuple[StateVector, ...]:
     """The four single-pair magic states |e_0>..|e_3>, with their i factors."""
     s = 1 / np.sqrt(2)

@@ -55,28 +55,33 @@ def _emit(report: dict, args):
     """Write the report under the name of the subcommand that made it.
 
     Each field is encoded once, by `serialize.dumps`, unless it is a
-    `serialize.JSONText`, which is encoded already and goes in as it stands.
+    `serialize.JSONText`, which is encoded already; each is written on its own, as it
+    stands, never copied into a larger string.
     ``--format json`` writes one object of the encoded fields under sorted keys,
     the schema's among them.  ``--format text`` writes one ``key: value`` line
     per field in report order, ``command`` first and no schema: a string as it
     is, any other value as its JSON text, and each object of a list of objects
     on its own line, indented by two spaces, under a ``key:`` line.
     """
+    write = sys.stdout.write
     command = " ".join(filter(None, (args.command, getattr(args, "subcommand", None))))
     if args.format == "json":
         report = {"schema": SCHEMA, "command": command, **report}
-        fields = (f"{serialize.dumps(key)}:"
-                  f"{value if isinstance(value, serialize.JSONText) else serialize.dumps(value)}"
-                  for key, value in sorted(report.items()))
-        sys.stdout.write("{" + ",".join(fields) + "}\n")
+        for i, (key, value) in enumerate(sorted(report.items())):
+            write(("," if i else "{") + serialize.dumps(key) + ":")
+            write(value if isinstance(value, serialize.JSONText) else serialize.dumps(value))
+        write("}\n")
         return
-    lines = [f"command: {command}"]
+    write(f"command: {command}\n")
     for key, value in report.items():
         if isinstance(value, list) and value and isinstance(value[0], dict):
-            lines += [f"{key}:"] + [f"  {serialize.dumps(item)}" for item in value]
+            write(f"{key}:\n")
+            for item in value:
+                write(f"  {serialize.dumps(item)}\n")
         else:
-            lines.append(f"{key}: {value if isinstance(value, str) else serialize.dumps(value)}")
-    sys.stdout.write("\n".join(lines) + "\n")
+            write(f"{key}: ")
+            write(value if isinstance(value, str) else serialize.dumps(value))
+            write("\n")
 
 
 def cmd_channel_check(args) -> tuple[dict, bool]:

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DEFAULT_ABS_EPS  # noqa: F401 (also importable from here)
 from .errors import DEFAULT_TOL, ShapeError, Tolerance, ValidationError, excerpt
 
 
@@ -106,18 +105,6 @@ class StateVector:
                                   f"{abs(self.norm() - 1.0):.3e}")
         dim = 2 ** (self.n_qubits // 2)
         return self.amplitudes.reshape(dim, dim).copy()
-
-    def permute_qubits(self, order: list[int]) -> "StateVector":
-        """Reorder qubits so that new qubit position k holds old qubit order[k].
-
-        Positions are 0-based, qubit 0 most significant.  For example
-        ``order=[0, 2, 1, 3]`` moves the interleaved wiring (A1 B1 A2 B2)
-        into the canonical A-side-first layout (A1 A2 B1 B2).
-        """
-        if sorted(order) != list(range(self.n_qubits)):
-            raise ValidationError(f"order must be a permutation of 0..{self.n_qubits - 1}")
-        tensor = self.amplitudes.reshape((2,) * self.n_qubits)
-        return StateVector(self.n_qubits, tensor.transpose(order).reshape(-1))
 
     def overlap(self, other: "StateVector") -> complex:
         """Inner product <self|other>."""

@@ -20,7 +20,6 @@ import numpy as np
 from . import errors
 from .bell import standard_basis
 from .channel import channel_from_state, is_perfect, state_from_matrix
-from .channel import hill_wootters_basis  # noqa: F401 (also importable from here)
 from .errors import GRAPH_EXHAUSTIVE_MAX_QUBITS, ResourceLimitError, ValidationError
 from .linalg import DEFAULT_TOL, StateVector, Tolerance, _row_norms, is_maximally_entangled
 from .pauli import (POWERS_OF_I, PauliString, commutes, matrices_of, pauli_from_quaternary,

@@ -204,17 +204,16 @@ def matrix_of(p: PauliString) -> np.ndarray:
     return (1j**p.phase_power) * matrices_of(np.array([p.quaternary_index]), p.n_qubits)[0]
 
 
-def render(p: PauliString, separator: str = "") -> str:
-    """Text form like "i·ZX" or, with separator "⊗", "Y⊗I"."""
-    letters = separator.join(_LETTERS[d] for d in p.digits())
-    return _PHASE_PREFIX[p.phase_power] + letters
+def render(p: PauliString) -> str:
+    """Text form like "i·ZX"."""
+    return _PHASE_PREFIX[p.phase_power] + "".join(_LETTERS[d] for d in p.digits())
 
 
 _PARSE_RE = re.compile(r"^(?P<phase>-i·?|i·?|-)?(?P<letters>[IZXY](?:⊗?[IZXY])*)$")
 
 
 def parse(text: str) -> PauliString:
-    """Parse the `render` grammar: optional phase prefix then I/Z/X/Y letters."""
+    """Parse the `render` grammar, letters optionally split by "⊗" as in "Y⊗I"."""
     m = _PARSE_RE.match(text.strip())
     if m is None:
         raise ValidationError(f"cannot parse Pauli string: {excerpt(text)}")

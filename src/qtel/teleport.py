@@ -164,7 +164,10 @@ def transformation_operator(
 def correction_unitary(
     ch: Channel, basis: BellBasis, alpha: int, tol: Tolerance = DEFAULT_TOL
 ) -> np.ndarray:
-    """U^(α) = 2^n · B^(α) · E*, defined when channel and member are maximal."""
+    """U^(α) = 2^n · B^(α) · E*, defined when channel and member are maximal.
+
+    At α = 0 it is the paper's kernel (head-judgment) operator.
+    """
     perfect, deviation = is_perfect(ch, tol)
     if not perfect:
         raise ValidationError(f"channel is not perfect (deviation {deviation:.3e})")
@@ -298,24 +301,6 @@ def min_fidelities(info: np.ndarray, e: np.ndarray, basis: BellBasis,
     """
     _, zero, _, _, fidelities = _outcomes(info, e, basis, tol)
     return np.min(np.where(zero, np.inf, fidelities), axis=-1)
-
-
-@dataclass(frozen=True)
-class KernelReport:
-    """The α = 0 (kernel / head-judgment) operator of a seed-generated basis."""
-
-    matrix: np.ndarray = field(repr=False)
-    channel_perfect: bool = False
-    unitary_scaled: bool = False
-
-
-def kernel_operator(ch: Channel, basis: BellBasis, tol: Tolerance = DEFAULT_TOL) -> KernelReport:
-    """U^(0) when `correction_unitary` defines it, else O^(0) from `transformation_operator`."""
-    try:
-        return KernelReport(correction_unitary(ch, basis, 0, tol), True, True)
-    except ValidationError:
-        op = transformation_operator(ch, basis, 0, tol)
-        return KernelReport(op.matrix, False, op.unitary_scaled)
 
 
 @dataclass(frozen=True)

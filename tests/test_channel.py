@@ -6,12 +6,9 @@ import numpy as np
 import pytest
 
 import qtel
-import qtel.magic
 from qtel.channel import (
     channel_from_state,
-    character_matrix,
     concurrence_2q,
-    hill_wootters_basis,
     is_perfect,
     state_from_matrix,
 )
@@ -41,14 +38,6 @@ class TestChannelFromState:
 
     def test_two_bell_pairs_matrix(self):
         ch = channel_from_state(two_bell_pairs(), 2)
-        assert np.allclose(ch.e_matrix, np.eye(4) / 2)
-
-    def test_interleaved_wiring_needs_permutation(self):
-        # Bell pairs wired A1 B1 A2 B2 must be permuted to A1 A2 B1 B2
-        pair = np.array([1, 0, 0, 1]) / np.sqrt(2)
-        interleaved = StateVector(4, np.kron(pair, pair))
-        canonical = interleaved.permute_qubits([0, 2, 1, 3])
-        ch = channel_from_state(canonical, 2)
         assert np.allclose(ch.e_matrix, np.eye(4) / 2)
 
     def test_ghz_corner_matrix(self):
@@ -106,21 +95,6 @@ class TestIsPerfect:
             assert ok and dev < 1e-9
 
 
-class TestCharacterMatrix:
-    def test_bell_pair_unitary(self):
-        ch = channel_from_state(bell_pair(), 1)
-        assert np.allclose(character_matrix(ch), np.eye(2))
-
-    def test_two_bell_pairs(self):
-        ch = channel_from_state(two_bell_pairs(), 2)
-        assert np.allclose(character_matrix(ch), np.eye(4))
-
-    def test_ghz_nonunitary_with_zero_rows(self):
-        c = character_matrix(channel_from_state(ghz4(), 2))
-        assert np.allclose(c[1], 0) and np.allclose(c[2], 0)
-        assert not np.allclose(c.conj().T @ c, np.eye(4))
-
-
 class TestConcurrence:
     def test_bell_pair_maximal(self):
         assert concurrence_2q(bell_pair()) == pytest.approx(1.0)
@@ -145,10 +119,6 @@ class TestConcurrence:
     def test_requires_two_qubits(self):
         with pytest.raises(ShapeError):
             concurrence_2q(random_state(3, np.random.default_rng(5)))
-
-
-def test_hill_wootters_basis_is_importable_from_magic():
-    assert qtel.magic.hill_wootters_basis is hill_wootters_basis
 
 
 def test_concurrence_leaves_magic_unloaded():

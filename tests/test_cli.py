@@ -6,6 +6,7 @@ import os
 import resource
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ import qtel.channel
 import qtel.cli
 import qtel.errors
 import qtel.magic
+import qtel.serialize
 import qtel.teleport
 from qtel.cli import main
 from qtel.linalg import StateVector
@@ -103,6 +105,18 @@ class TestBellGen:
         path = tmp_path / "sep.json"
         save_state(str(path), StateVector(2, np.array([1.0, 0, 0, 0])))
         assert main(["bell", "gen", "--seed-file", str(path)]) == 2
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_members_text_is_written_as_it_stands(self, monkeypatch, fmt):
+        # the report's largest field reaches stdout as the object `basis_to_list` made
+        made, written = [], []
+        real = qtel.serialize.basis_to_list
+        monkeypatch.setattr(qtel.serialize, "basis_to_list",
+                            lambda members: made.append(real(members)) or made[-1])
+        monkeypatch.setattr(sys, "stdout", types.SimpleNamespace(write=written.append))
+        assert main(["--format", fmt, "bell", "gen", "--n", "2"]) == 0
+        (members,) = made
+        assert [piece is members for piece in written if members in piece] == [True]
 
 
 class TestTeleportRun:

@@ -13,7 +13,6 @@ from qtel.linalg import (
     haar_random_unitary,
     is_maximally_entangled,
     is_scaled_identity,
-    random_state,
 )
 
 I2 = np.eye(2)
@@ -91,20 +90,6 @@ class TestStateVector:
         # index 0b10 sets qubit 1 (most significant) to |1>
         s = basis_state(2, 0b10)
         assert s.amplitudes[2] == 1
-
-    def test_permute_qubits_interleaved_to_sides(self):
-        # |q0 q1 q2 q3> = |0011>; moving (A1 B1 A2 B2) -> (A1 A2 B1 B2)
-        s = basis_state(4, 0b0011)
-        permuted = s.permute_qubits([0, 2, 1, 3])
-        assert permuted.amplitudes[0b0101] == 1
-
-    def test_permute_roundtrip(self):
-        rng = np.random.default_rng(5)
-        s = random_state(3, rng)
-        assert np.array_equal(
-            s.permute_qubits([2, 0, 1]).permute_qubits([1, 2, 0]).amplitudes,
-            s.amplitudes,
-        )
 
     def test_overlap(self):
         assert basis_state(1, 0).overlap(basis_state(1, 1)) == 0

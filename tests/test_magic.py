@@ -5,7 +5,7 @@ import pytest
 
 import qtel.errors
 import qtel.magic
-from qtel.channel import concurrence_2q
+from qtel.channel import concurrence_2q, hill_wootters_basis, state_from_matrix
 from qtel.cli import main
 from qtel.errors import ResourceLimitError, ValidationError
 from qtel.linalg import Tolerance
@@ -18,14 +18,12 @@ from qtel.magic import (
     PRINTED_QUARTER_BASIS_COUNT,
     build_anticomm_graph,
     ghz_state,
-    hill_wootters_basis,
     maximal_anticommuting_sets,
     n2_catalog,
     no_full_magic_basis_witness,
     partial_basis_from_set,
     verify_partial_basis,
 )
-from qtel.channel import state_from_matrix
 from qtel.pauli import commutes, matrix_of, pauli_from_digits, pauli_from_quaternary
 
 X = pauli_from_digits([2])

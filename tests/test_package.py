@@ -73,7 +73,6 @@ def test_an_unknown_attribute_is_an_attribute_error():
 def test_moved_constants_are_still_importable_from_their_old_homes():
     assert qtel.linalg.Tolerance is qtel.errors.Tolerance
     assert qtel.linalg.DEFAULT_TOL is qtel.errors.DEFAULT_TOL
-    assert qtel.linalg.DEFAULT_ABS_EPS == qtel.errors.DEFAULT_ABS_EPS == 1e-9
     assert qtel.magic.GRAPH_EXHAUSTIVE_MAX_QUBITS is qtel.errors.GRAPH_EXHAUSTIVE_MAX_QUBITS
 
 

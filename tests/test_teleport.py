@@ -10,7 +10,6 @@ from qtel.linalg import StateVector, Tolerance, basis_state, haar_random_unitary
 from qtel.teleport import (
     composite_expand,
     correction_unitary,
-    kernel_operator,
     masfi_1q,
     run_protocol,
     transformation_operator,
@@ -233,16 +232,15 @@ class TestRunProtocol:
 
 
 class TestKernelOperator:
+    """The kernel (head-judgment) operator is U^(0), `correction_unitary` at α = 0."""
+
     def test_matched_gives_identity(self):
-        report = kernel_operator(bell_channel(), standard_basis(1))
-        assert report.channel_perfect
-        assert np.allclose(report.matrix, np.eye(2))
+        assert np.allclose(correction_unitary(bell_channel(), standard_basis(1), 0), np.eye(2))
 
     def test_z_rotated_channel_gives_sigma_z(self):
         state = StateVector(2, np.array([1, 0, 0, -1]) / np.sqrt(2))
-        report = kernel_operator(channel_from_state(state, 1), standard_basis(1))
-        assert report.channel_perfect
-        assert np.allclose(report.matrix, SZ)
+        u = correction_unitary(channel_from_state(state, 1), standard_basis(1), 0)
+        assert np.allclose(u, SZ)
 
     def test_perfect_channel_checked_once(self, monkeypatch):
         calls = {"is_perfect": 0, "is_maximal_member": 0}
@@ -251,17 +249,15 @@ class TestKernelOperator:
                 calls[name] += 1
                 return real(*args)
             monkeypatch.setattr(teleport, name, counted)
-        report = kernel_operator(two_bell_channel(), standard_basis(2))
-        assert report.channel_perfect and report.unitary_scaled
+        u = correction_unitary(two_bell_channel(), standard_basis(2), 0)
+        assert np.allclose(u, np.eye(4))
         assert calls == {"is_perfect": 1, "is_maximal_member": 1}
 
     @pytest.mark.parametrize("eps", [1e307, 1e308, 1.7e308])
     def test_perfect_channel_under_a_huge_tolerance(self, eps):
         # 10·eps overflows past 1.8e307: the unitarity bound is then inf, not a refusal
         ch = channel_from_state(standard_seed(1), 1)
-        report = kernel_operator(ch, standard_basis(1), Tolerance(eps))
-        assert report.channel_perfect and report.unitary_scaled
-        assert np.allclose(report.matrix, np.eye(2))
+        assert np.allclose(correction_unitary(ch, standard_basis(1), 0, Tolerance(eps)), np.eye(2))
 
     def test_nan_unitarity_deviation_is_not_unitary(self, monkeypatch):
         monkeypatch.setattr(teleport, "is_scaled_identity", lambda *args: (True, np.nan))
@@ -269,10 +265,22 @@ class TestKernelOperator:
             correction_unitary(bell_channel(), standard_basis(1), 0, Tolerance(1.7e308))
 
     def test_ghz_reports_singular_operator(self):
-        report = kernel_operator(ghz_channel(), standard_basis(2))
-        assert not report.channel_perfect
-        assert not report.unitary_scaled
-        assert np.linalg.matrix_rank(report.matrix) == 2
+        with pytest.raises(ValidationError, match="channel is not perfect"):
+            correction_unitary(ghz_channel(), standard_basis(2), 0)
+        op = transformation_operator(ghz_channel(), standard_basis(2), 0)
+        assert not op.unitary_scaled
+        assert np.linalg.matrix_rank(op.matrix) == 2
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_is_the_conjugate_character_matrix(self, n):
+        # on the standard basis B^(0) = 2^-n/2·1, so U^(0) = 2^n/2·E*: the conjugate of the
+        # character matrix 2^n/2·E, which is unitary exactly when the channel is perfect
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            e = haar_random_unitary(2**n, rng) / 2 ** (n / 2)
+            ch = channel_from_state(state_from_matrix(e, n), n)
+            u = correction_unitary(ch, standard_basis(n), 0)
+            assert np.abs(u - np.conj(2 ** (n / 2) * ch.e_matrix)).max() <= 1e-12
 
 
 class TestMasfi:
