@@ -51,12 +51,17 @@ def _tolerance(args) -> Tolerance:
     return Tolerance(value)
 
 
+def _pieces(value) -> list[str]:
+    """A field's JSON text in the pieces it is written in: a `serialize.JSONText` is its own."""
+    return value if isinstance(value, serialize.JSONText) else [serialize.dumps(value)]
+
+
 def _emit(report: dict, args):
     """Write the report under the name of the subcommand that made it.
 
     Each field is encoded once, by `serialize.dumps`, unless it is a
-    `serialize.JSONText`, which is encoded already; each is written on its own, as it
-    stands, never copied into a larger string.
+    `serialize.JSONText`, whose pieces are encoded already; each piece is written
+    on its own, as it stands, never copied into a larger string.
     ``--format json`` writes one object of the encoded fields under sorted keys,
     the schema's among them.  ``--format text`` writes one ``key: value`` line
     per field in report order, ``command`` first and no schema: a string as it
@@ -69,7 +74,8 @@ def _emit(report: dict, args):
         report = {"schema": SCHEMA, "command": command, **report}
         for i, (key, value) in enumerate(sorted(report.items())):
             write(("," if i else "{") + serialize.dumps(key) + ":")
-            write(value if isinstance(value, serialize.JSONText) else serialize.dumps(value))
+            for piece in _pieces(value):
+                write(piece)
         write("}\n")
         return
     write(f"command: {command}\n")
@@ -80,7 +86,8 @@ def _emit(report: dict, args):
                 write(f"  {serialize.dumps(item)}\n")
         else:
             write(f"{key}: ")
-            write(value if isinstance(value, str) else serialize.dumps(value))
+            for piece in [value] if isinstance(value, str) else _pieces(value):
+                write(piece)
             write("\n")
 
 

@@ -386,27 +386,16 @@ def _names_of_clique(clique: tuple[int, ...]) -> tuple[str, ...]:
     return tuple(_N2_ALPHA_TO_NAME[a] for a in clique)
 
 
-def _max_disjoint_triangle_packing(triangles: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Lexicographically-first maximum family of vertex-disjoint triangles."""
-    best: list[tuple[int, ...]] = []
-    vertices = len(set().union(*triangles))
-
-    def search(start: int, used: set[int], chosen: list[tuple[int, ...]]):
-        nonlocal best
-        room = min(len(triangles) - start, (vertices - len(used)) // 3)  # most still addable
-        if len(chosen) + room <= len(best):
-            return  # cannot beat the incumbent
-        if len(chosen) > len(best):
-            best = list(chosen)
-        for i in range(start, len(triangles)):
-            t = triangles[i]
-            if used.isdisjoint(t):
-                chosen.append(t)
-                search(i + 1, used | set(t), chosen)
-                chosen.pop()
-
-    search(0, set(), [])
-    return best
+def _covering_first_fit(triangles: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The first fit of disjoint triangles; covering all V vertices, it is a maximum (V / 3)."""
+    kept, used = [], set()
+    for t in triangles:
+        if used.isdisjoint(t):
+            kept.append(t)
+            used.update(t)
+    if used != set().union(*triangles):
+        raise errors.InternalConsistencyError("disjoint triangles leave vertices uncovered")
+    return kept
 
 
 def n2_catalog() -> N2Catalog:
@@ -462,7 +451,7 @@ def n2_catalog() -> N2Catalog:
 
     # every triangle lies in a maximal clique, whose alphas are sorted
     triangles = sorted({t for c in report.maximal_cliques for t in itertools.combinations(c, 3)})
-    packing = _max_disjoint_triangle_packing(triangles)
+    packing = _covering_first_fit(triangles)
     quarter_families = tuple(_names_of_clique(t) for t in packing)
 
     quarter_reconciliation = [

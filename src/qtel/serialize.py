@@ -8,7 +8,7 @@ The members of a generated Bell basis are written from its row table:
 every row of P_α B^(0) is one of the 4·2^n rows of `bell.PauliMembers.table`,
 so `basis_to_list` encodes those rows once and lays out each member from
 `pauli.action_index`, instead of converting 16^n entries to Python floats.
-It returns JSON text, which `cli._emit` writes as it stands.
+It returns the text in pieces, which `cli._emit` writes one by one.
 
 numpy and the array layers are imported by the functions that build arrays,
 after the checks that need none (JSON syntax, fields, an integer `n_qubits`).
@@ -26,8 +26,8 @@ if TYPE_CHECKING:
     from .linalg import StateVector
 
 
-class JSONText(str):
-    """JSON text of a report field, written into the report as it stands."""
+class JSONText(list):
+    """JSON text of a report field as a list of pieces, written into the report one by one."""
 
 
 def dumps(value) -> str:
@@ -135,7 +135,8 @@ def save_state(path: str, state: StateVector):
 
 
 def basis_to_list(members) -> JSONText:
-    """The members' JSON array text, ``dumps([matrix_to_dict(m) for m in members])``.
+    """``dumps([matrix_to_dict(m) for m in members])`` in pieces: the opening bracket,
+    each member's text with the comma before it, and the closing bracket.
 
     For a `bell.PauliMembers` the text is built from its row table: each
     row of `table` is encoded once, and each member is joined from the rows
@@ -145,14 +146,16 @@ def basis_to_list(members) -> JSONText:
     """
     from .bell import PauliMembers
     from .pauli import action_index
-    if not isinstance(members, PauliMembers):
-        return JSONText(dumps([matrix_to_dict(m) for m in members]))
-    d = members.seed.shape[0]
-    pairs = _to_pairs(members.table)
-    rows = [dumps(pairs[i:i + d])[1:-1] for i in range(0, len(pairs), d)]
-    head, tail = f'{{"cols":{d},"entries":[', f'],"rows":{d}}}'
-    return JSONText("[" + ",".join(head + ",".join([rows[i] for i in member]) + tail
-                                   for member in action_index(members.n).tolist()) + "]")
+    if isinstance(members, PauliMembers):
+        d = members.seed.shape[0]
+        pairs = _to_pairs(members.table)
+        rows = [dumps(pairs[i:i + d])[1:-1] for i in range(0, len(pairs), d)]
+        head, tail = f'{{"cols":{d},"entries":[', f'],"rows":{d}}}'
+        texts = (head + ",".join([rows[i] for i in member]) + tail
+                 for member in action_index(members.n).tolist())
+    else:
+        texts = (dumps(matrix_to_dict(m)) for m in members)
+    return JSONText(["[", *(("," if k else "") + text for k, text in enumerate(texts)), "]"])
 
 
 def load_basis_members(path: str) -> list[np.ndarray]:

@@ -41,6 +41,7 @@ from __future__ import annotations
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -332,22 +333,22 @@ def minimize(fun, x0) -> Minimum:
     options={"xatol": MASFI_XATOL, "fatol": MASFI_FATOL})``, the stopping rule
     of `masfi_1q`: coefficients ρ = 1, χ = 2, ψ = σ = 1/2, no bounds, the
     default initial simplex, and at most 200·N evaluations, which always run
-    out before scipy's 200·N iterations.  Every expression, the argsorts and
-    the copy of x passed to ``fun`` are scipy's, so the evaluated points,
-    ``x``, ``fun``, ``nfev`` and ``success`` agree with scipy's bit for bit
-    (`tests/test_structured_engine.py` compares them).  An evaluation past the
-    budget ends its iteration where it stands, even halfway through a shrink,
-    as scipy's ``_MaxFuncCallError`` does.  No import happens.
+    out before scipy's 200·N iterations.  The simplex and its values are Python
+    floats, each coordinate formed by scipy's expression; the centroid adds the
+    rows from 0.0 in order, as numpy's reduction does, and the order is scipy's
+    ``np.argsort``.  So the evaluated points, ``x``, ``fun``, ``nfev`` and
+    ``success`` agree with scipy's bit for bit (`tests/test_structured_engine.py`
+    compares them).  An evaluation past the budget ends its iteration where it
+    stands, even halfway through a shrink, as scipy's ``_MaxFuncCallError`` does.
     """
     rho, chi, psi, sigma = 1, 2, 0.5, 0.5
-    x0 = np.asarray(x0, dtype=float)
+    x0 = np.asarray(x0, dtype=float).tolist()
     n = len(x0)
-    sim = np.empty((n + 1, n))
-    sim[0] = x0
+    sim = [x0]
     for k in range(n):
-        y = np.array(x0, copy=True)
+        y = list(x0)
         y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
-        sim[k + 1] = y
+        sim.append(y)
     maxfev = 200 * n
     nfev = 0
 
@@ -356,27 +357,25 @@ def minimize(fun, x0) -> Minimum:
         if nfev >= maxfev:
             raise _OutOfEvaluations
         nfev += 1
-        return fun(np.copy(x))
+        return float(fun(np.array(x)))
 
     def by_value(sim, fsim):
-        ind = np.argsort(fsim)
-        return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+        ind = np.argsort(fsim).tolist()
+        return [sim[i] for i in ind], [fsim[i] for i in ind]
 
-    fsim = np.full((n + 1,), np.inf)
-    for k in range(n + 1):  # n + 1 <= maxfev evaluations
-        fsim[k] = evaluate(sim[k])
+    fsim = [evaluate(x) for x in sim]  # n + 1 <= maxfev evaluations
     sim, fsim = by_value(*by_value(sim, fsim))  # scipy sorts twice here
     while nfev < maxfev:
-        try:
-            if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= MASFI_XATOL
-                    and np.max(np.abs(fsim[0] - fsim[1:])) <= MASFI_FATOL):
+        try:  # all() fails on a NaN difference, as scipy's np.max does
+            if (all(abs(v - b) <= MASFI_XATOL for x in sim[1:] for v, b in zip(x, sim[0]))
+                    and all(abs(fsim[0] - f) <= MASFI_FATOL for f in fsim[1:])):
                 break
-            xbar = np.add.reduce(sim[:-1], 0) / n
-            xr = (1 + rho) * xbar - rho * sim[-1]
+            xbar = [reduce(operator.add, col, 0.0) / n for col in zip(*sim[:-1])]
+            xr = [(1 + rho) * a - rho * w for a, w in zip(xbar, sim[-1])]
             fxr = evaluate(xr)
             doshrink = False
             if fxr < fsim[0]:
-                xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+                xe = [(1 + rho * chi) * a - rho * chi * w for a, w in zip(xbar, sim[-1])]
                 fxe = evaluate(xe)
                 if fxe < fxr:
                     sim[-1], fsim[-1] = xe, fxe
@@ -385,14 +384,14 @@ def minimize(fun, x0) -> Minimum:
             elif fxr < fsim[-2]:
                 sim[-1], fsim[-1] = xr, fxr
             elif fxr < fsim[-1]:  # outside contraction
-                xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                xc = [(1 + psi * rho) * a - psi * rho * w for a, w in zip(xbar, sim[-1])]
                 fxc = evaluate(xc)
                 if fxc <= fxr:
                     sim[-1], fsim[-1] = xc, fxc
                 else:
                     doshrink = True
             else:  # inside contraction
-                xcc = (1 - psi) * xbar + psi * sim[-1]
+                xcc = [(1 - psi) * a + psi * w for a, w in zip(xbar, sim[-1])]
                 fxcc = evaluate(xcc)
                 if fxcc < fsim[-1]:
                     sim[-1], fsim[-1] = xcc, fxcc
@@ -400,12 +399,12 @@ def minimize(fun, x0) -> Minimum:
                     doshrink = True
             if doshrink:
                 for j in range(1, n + 1):
-                    sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                    sim[j] = [b + sigma * (v - b) for b, v in zip(sim[0], sim[j])]
                     fsim[j] = evaluate(sim[j])
         except _OutOfEvaluations:
             pass
         sim, fsim = by_value(sim, fsim)
-    return Minimum(sim[0], np.min(fsim), nfev, nfev < maxfev)
+    return Minimum(np.array(sim[0]), np.min(fsim), nfev, nfev < maxfev)
 
 
 def _worst_fidelities(operators: np.ndarray, corrections: np.ndarray, angles) -> np.ndarray:

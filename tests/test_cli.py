@@ -107,16 +107,20 @@ class TestBellGen:
         assert main(["bell", "gen", "--seed-file", str(path)]) == 2
 
     @pytest.mark.parametrize("fmt", ["json", "text"])
-    def test_members_text_is_written_as_it_stands(self, monkeypatch, fmt):
-        # the report's largest field reaches stdout as the object `basis_to_list` made
-        made, written = [], []
-        real = qtel.serialize.basis_to_list
-        monkeypatch.setattr(qtel.serialize, "basis_to_list",
-                            lambda members: made.append(real(members)) or made[-1])
+    def test_members_are_written_one_at_a_time(self, monkeypatch, fmt):
+        # no write holds more than one member's text and the bracket or comma before it
+        written = []
         monkeypatch.setattr(sys, "stdout", types.SimpleNamespace(write=written.append))
-        assert main(["--format", fmt, "bell", "gen", "--n", "2"]) == 0
-        (members,) = made
-        assert [piece is members for piece in written if members in piece] == [True]
+        assert main(["--format", fmt, "bell", "gen", "--n", "3"]) == 0
+        text = "".join(written)
+        if fmt == "json":
+            members = json.loads(text)["members"]
+        else:
+            (line,) = [line for line in text.splitlines() if line.startswith("members: ")]
+            members = json.loads(line.removeprefix("members: "))
+        assert len(members) == 64
+        longest = max(len(qtel.serialize.dumps(m)) for m in members)
+        assert max(map(len, written)) <= longest + 1
 
 
 class TestTeleportRun:

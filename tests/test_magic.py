@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import itertools
 
 import numpy as np
@@ -7,11 +9,11 @@ import qtel.errors
 import qtel.magic
 from qtel.channel import concurrence_2q, hill_wootters_basis, state_from_matrix
 from qtel.cli import main
-from qtel.errors import ResourceLimitError, ValidationError
+from qtel.errors import InternalConsistencyError, ResourceLimitError, ValidationError
 from qtel.linalg import Tolerance
 from qtel.magic import (
     MagicPartialBasis,
-    _max_disjoint_triangle_packing,
+    _covering_first_fit,
     N2_NAMES,
     N2_PRINTED_MAXIMAL_SETS,
     N2_PRINTED_QUARTER_BASES,
@@ -265,12 +267,34 @@ def _first_max_packing(triangles):
 
 @pytest.mark.parametrize("seed", range(40))
 def test_triangle_packing_matches_brute_force(seed):
+    # a first fit that covers every vertex is the first maximum family; one that does not raises
     rng = np.random.default_rng(seed)
     vertices = int(rng.integers(3, 10))
     every = list(itertools.combinations(range(vertices), 3))
     count = int(rng.integers(0, min(len(every), 12) + 1))
     triangles = sorted(every[i] for i in rng.choice(len(every), count, replace=False))
-    assert _max_disjoint_triangle_packing(triangles) == _first_max_packing(triangles)
+    first_fit = functools.reduce(
+        lambda kept, t: kept + [t] if all(set(t).isdisjoint(k) for k in kept) else kept,
+        triangles, [])
+    if 3 * len(first_fit) == len(set().union(*triangles)):
+        assert _covering_first_fit(triangles) == _first_max_packing(triangles)
+    else:
+        with pytest.raises(InternalConsistencyError):
+            _covering_first_fit(triangles)
+
+
+def test_catalog_without_a_cover_raises(monkeypatch):
+    # without the cliques through alpha = 1 the first fit covers 12 of 14 vertices
+    real = qtel.magic.maximal_anticommuting_sets
+
+    def without_alpha_1(graph):
+        report = real(graph)
+        kept = tuple(c for c in report.maximal_cliques if 1 not in c)
+        return dataclasses.replace(report, maximal_cliques=kept)
+
+    monkeypatch.setattr(qtel.magic, "maximal_anticommuting_sets", without_alpha_1)
+    with pytest.raises(InternalConsistencyError):
+        n2_catalog()
 
 
 def test_ghz_state_shape():

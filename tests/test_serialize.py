@@ -112,7 +112,7 @@ class TestBasisFiles:
     def test_round_trip(self, tmp_path):
         members = [np.eye(2, dtype=complex) / np.sqrt(2) for _ in range(4)]
         path = tmp_path / "basis.json"
-        path.write_text(basis_to_list(members))
+        path.write_text("".join(basis_to_list(members)))
         restored = load_basis_members(str(path))
         assert len(restored) == 4
         assert all(np.array_equal(r, m) for r, m in zip(restored, members))
@@ -148,7 +148,7 @@ class TestBasisEncoding:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_standard_basis(self, n):
         members = standard_basis(n).members
-        assert mismatch(basis_to_list(members), dense_encoding(members)) is None
+        assert mismatch("".join(basis_to_list(members)), dense_encoding(members)) is None
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(1, 4), rng_seed=st.integers(0, 2**32 - 1),
@@ -162,13 +162,13 @@ class TestBasisEncoding:
         hit = rng.random(parts.shape) < zero_fraction
         parts[hit] = np.where(rng.random(parts.shape) < 0.5, 0.0, -0.0)[hit]
         members = PauliMembers(seed)
-        assert mismatch(basis_to_list(members), dense_encoding(members)) is None
+        assert mismatch("".join(basis_to_list(members)), dense_encoding(members)) is None
 
     def test_dense_member_list(self):
         rng = np.random.default_rng(7)
         members = [rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)) for _ in range(16)]
         members[3][1, 2] = complex(-0.0, 0.0)
-        assert mismatch(basis_to_list(members), dense_encoding(members)) is None
+        assert mismatch("".join(basis_to_list(members)), dense_encoding(members)) is None
 
 
 class TestDiagnostics:

@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize as scipy_minimize
+from scipy.optimize import rosen
 
 from qtel import teleport
 from qtel.bell import (BellBasis, bell_basis_from_members, generate_from_seed,
@@ -532,17 +533,91 @@ def recorded(fun, log):
 MASFI_STOPPING = {"xatol": teleport.MASFI_XATOL, "fatol": teleport.MASFI_FATOL}
 
 
+def numpy_minimize(fun, x0) -> teleport.Minimum:
+    """`teleport.minimize` as it was, on a float64 simplex and value array."""
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    x0 = np.asarray(x0, dtype=float)
+    n = len(x0)
+    sim = np.empty((n + 1, n))
+    sim[0] = x0
+    for k in range(n):
+        y = np.array(x0, copy=True)
+        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
+        sim[k + 1] = y
+    maxfev = 200 * n
+    nfev = 0
+
+    def evaluate(x):
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise teleport._OutOfEvaluations
+        nfev += 1
+        return fun(np.copy(x))
+
+    def by_value(sim, fsim):
+        ind = np.argsort(fsim)
+        return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+    fsim = np.full((n + 1,), np.inf)
+    for k in range(n + 1):
+        fsim[k] = evaluate(sim[k])
+    sim, fsim = by_value(*by_value(sim, fsim))
+    while nfev < maxfev:
+        try:
+            if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= teleport.MASFI_XATOL
+                    and np.max(np.abs(fsim[0] - fsim[1:])) <= teleport.MASFI_FATOL):
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = (1 + rho) * xbar - rho * sim[-1]
+            fxr = evaluate(xr)
+            doshrink = False
+            if fxr < fsim[0]:
+                xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+                fxe = evaluate(xe)
+                if fxe < fxr:
+                    sim[-1], fsim[-1] = xe, fxe
+                else:
+                    sim[-1], fsim[-1] = xr, fxr
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            elif fxr < fsim[-1]:
+                xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                fxc = evaluate(xc)
+                if fxc <= fxr:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    doshrink = True
+            else:
+                xcc = (1 - psi) * xbar + psi * sim[-1]
+                fxcc = evaluate(xcc)
+                if fxcc < fsim[-1]:
+                    sim[-1], fsim[-1] = xcc, fxcc
+                else:
+                    doshrink = True
+            if doshrink:
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                    fsim[j] = evaluate(sim[j])
+        except teleport._OutOfEvaluations:
+            pass
+        sim, fsim = by_value(sim, fsim)
+    return teleport.Minimum(sim[0], np.min(fsim), nfev, nfev < maxfev)
+
+
+def scipy_nelder_mead(fun, x0):
+    return scipy_minimize(fun, x0, method="Nelder-Mead", options=MASFI_STOPPING)
+
+
 def assert_nelder_mead_is_scipys(make_objective, x0):
-    """`teleport.minimize` and scipy evaluate the same points and agree on the
-    bits of x and fun, on nfev and on success."""
-    points = ([], [])
-    ours = teleport.minimize(recorded(make_objective(), points[0]), x0)
-    theirs = scipy_minimize(recorded(make_objective(), points[1]), x0, method="Nelder-Mead",
-                            options=MASFI_STOPPING)
-    assert np.array_equal(*(np.array(p).view(np.uint64) for p in points))
-    bits = [np.append(r.x, r.fun).view(np.uint64).tolist() for r in (ours, theirs)]
-    assert bits[0] == bits[1]
-    assert (ours.nfev, ours.success) == (theirs.nfev, theirs.success)
+    """`teleport.minimize`, its numpy version and scipy evaluate the same points
+    and agree on the bits of x and fun, on nfev and on success."""
+    runs = [(minimize, []) for minimize in (teleport.minimize, numpy_minimize, scipy_nelder_mead)]
+    results = [minimize(recorded(make_objective(), points), x0) for minimize, points in runs]
+    points = [np.array(p).view(np.uint64).tolist() for _, p in runs]
+    assert points[0] == points[1] == points[2]
+    bits = [np.append(r.x, r.fun).view(np.uint64).tolist() for r in results]
+    assert bits[0] == bits[1] == bits[2]
+    assert len({(r.nfev, bool(r.success)) for r in results}) == 1
 
 
 OBJECTIVES = {
@@ -563,6 +638,21 @@ def test_nelder_mead_is_scipys_bit_for_bit(kind, rng_seed, x0):
     fun, start = masfi_objective(one_qubit_channel(kind, rng_seed))
     assert_nelder_mead_is_scipys(lambda: fun, start)
     assert_nelder_mead_is_scipys(lambda: fun, x0)
+
+
+ANY_DIMENSION = {
+    "quadratic": lambda x: np.sum(np.arange(1, len(x) + 1) * (x - 1.25) ** 2),
+    "rosenbrock": rosen,
+    "unbounded": lambda x: -np.sum(x),
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(sorted(ANY_DIMENSION)),
+       x0=st.lists(coordinates, min_size=1, max_size=5))
+def test_nelder_mead_is_scipys_in_any_dimension(kind, x0):
+    # the centroid of three or more rows depends on the order of its additions
+    assert_nelder_mead_is_scipys(lambda: ANY_DIMENSION[kind], x0)
 
 
 @settings(max_examples=40, deadline=None)
