@@ -107,10 +107,14 @@ def cmd_channel_check(args) -> tuple[dict, bool]:
 
 def cmd_bell_gen(args) -> tuple[dict, bool]:
     seed = serialize.load_state(args.seed_file) if args.seed_file else None
+    if seed is not None and args.n is not None and 2 * args.n != seed.n_qubits:
+        raise ValidationError(f"--n {excerpt(args.n)} does not match the seed file: "
+                              f"it has {seed.n_qubits} qubits, not 2n")
     from . import bell
-    bell.check_completeness_size(args.n if seed is None else seed.n_qubits // 2)
+    n = 1 if args.n is None else args.n
+    bell.check_completeness_size(n if seed is None else seed.n_qubits // 2)
     if seed is None:
-        seed = bell.standard_seed(args.n)
+        seed = bell.standard_seed(n)
     basis = bell.generate_from_seed(seed, args.tol)
     complete, deviation = bell.verify_completeness(basis, args.tol)
     return {
@@ -123,6 +127,10 @@ def cmd_bell_gen(args) -> tuple[dict, bool]:
 
 
 def cmd_teleport_run(args) -> tuple[dict, bool]:
+    for option, value in (("--seed", args.seed), ("--shots", args.shots)):
+        if value is not None and args.mode != "sampled":
+            raise ValidationError(f"{option} is read only with --mode sampled, "
+                                  f"got {excerpt(value)}")
     info = serialize.load_state(args.info)
     state = serialize.load_state(args.channel)
     from . import bell, channel, teleport
@@ -216,6 +224,10 @@ def _resolve_set(tokens: list[str], n: int | None):
             paulis.append(pauli.pauli_from_quaternary(alpha, n))
         else:
             paulis.append(pauli.parse(token))
+    for token, p in zip(tokens, paulis):
+        if n is not None and p.n_qubits != n:
+            raise ValidationError(f"--n {excerpt(n)} does not match {excerpt(token)}, "
+                                  f"a string of {p.n_qubits} qubits")
     return paulis
 
 
@@ -304,7 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="generate the 2^2N-member basis by Pauli products on a seed "
              "state and verify the completeness sum",
     )
-    p_gen.add_argument("--n", type=int, default=1, help="qubits per side")
+    p_gen.add_argument("--n", type=int, default=None,
+                       help="qubits per side (default 1; must match a --seed-file)")
     p_gen.add_argument("--seed-file", help="JSON seed state (defaults to Bell pairs)")
     p_gen.set_defaults(func=cmd_bell_gen)
 

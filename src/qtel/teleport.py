@@ -455,9 +455,6 @@ def masfi_1q(ch: Channel) -> MasfiResult:
     corrections = matrices_of(np.arange(4), 1)
     operators = np.array([transformation_operator(ch, basis, alpha).matrix for alpha in range(4)])
 
-    def worst_fidelity(angles) -> float:
-        return float(_worst_fidelities(operators, corrections, angles))
-
     thetas = np.linspace(0.0, np.pi, MASFI_GRID_THETA)
     phis = np.linspace(0.0, 2 * np.pi, MASFI_GRID_PHI, endpoint=False)
     # <I|A|I> over the grid, rows θ and columns φ, for I = (cos θ/2, e^{iφ} sin θ/2)
@@ -476,6 +473,7 @@ def masfi_1q(ch: Channel) -> MasfiResult:
     ties = np.flatnonzero(grid <= grid.min() + MASFI_TIE_BAND)  # row-major: the loop order
     angles = np.stack([thetas[ties // MASFI_GRID_PHI], phis[ties % MASFI_GRID_PHI]], axis=-1)
     values = _worst_fidelities(operators, corrections, angles)
-    refined = minimize(worst_fidelity, angles[np.argmin(values)])  # the first strict minimum
+    refined = minimize(lambda x: _worst_fidelities(operators, corrections, x),
+                       angles[np.argmin(values)])  # the first strict minimum
     return MasfiResult(float(refined.fun), converged=bool(refined.success),
                        argmin=tuple(float(x) for x in refined.x))

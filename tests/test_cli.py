@@ -275,6 +275,9 @@ def _write(tmp_path, name, content) -> str:
     return str(path)
 
 
+_BELL_PAIR = {"n_qubits": 2, "amplitudes": [[2**-0.5, 0], [0, 0], [0, 0], [2**-0.5, 0]]}
+
+
 def _one_qubit_run(tmp_path, name, n_qubits=1, rows=None) -> list[str]:
     """`teleport run` of a one-qubit state over a Bell pair, with its integer fields as given.
 
@@ -282,9 +285,8 @@ def _one_qubit_run(tmp_path, name, n_qubits=1, rows=None) -> list[str]:
     a `--basis` file that holds the standard basis.
     """
     state = {"n_qubits": n_qubits, "amplitudes": [[0.6, 0], [0.8, 0]]}
-    bell = {"n_qubits": 2, "amplitudes": [[2**-0.5, 0], [0, 0], [0, 0], [2**-0.5, 0]]}
     argv = ["teleport", "run", "--info", _write(tmp_path, f"{name}_info.json", state),
-            "--channel", _write(tmp_path, "bell_pair_n1.json", bell)]
+            "--channel", _write(tmp_path, "bell_pair_n1.json", _BELL_PAIR)]
     if rows is None:
         return argv
     members = [dict(matrix_to_dict(m), rows=rows) for m in qtel.bell.standard_basis(1).members]
@@ -417,6 +419,14 @@ MALFORMED = {
                                                   "--n", "2"],
     "set_string_1000_letters": lambda t, info, ch: ["magic", "verify", "--set", "Q" * 1000,
                                                     "--n", "2"],
+    # an option the command would ignore; each of these ran and exited 0
+    "exhaustive_negative_seed": lambda t, info, ch: [
+        "teleport", "run", "--info", info, "--channel", ch, "--seed", "-3"],
+    "exhaustive_shots": lambda t, info, ch: [
+        "teleport", "run", "--info", info, "--channel", ch, "--shots", "0"],
+    "verify_n_against_set": lambda t, info, ch: ["magic", "verify", "--set", "F,G", "--n", "3"],
+    "bell_gen_n_against_seed_file": lambda t, info, ch: [
+        "bell", "gen", "--n", "2", "--seed-file", _write(t, "bell_pair_n1.json", _BELL_PAIR)],
 }
 
 
@@ -638,6 +648,10 @@ REFUSED_WITHOUT_NUMPY = {
         None),
     "missing_seed_file": lambda t: (
         ["bell", "gen", "--seed-file", str(t / "absent.json")], None),
+    # refused before the state files are read
+    "exhaustive_seed": lambda t: (
+        ["teleport", "run", "--info", str(t / "absent.json"), "--channel", str(t / "absent.json"),
+         "--seed", "1"], None),
     "nested_5000_deep": lambda t: (
         ["channel", "check", "--file", _write(t, "nested.json", _NESTED_STATE)], None),
     "truncated_json": lambda t: (

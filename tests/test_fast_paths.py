@@ -436,17 +436,21 @@ def test_completeness_peak_below_one_and_a_half_member_matrices(monkeypatch, cpu
 
 def test_block_failure_in_a_worker_thread_reaches_the_caller(monkeypatch, capsys):
     _set_cpus(monkeypatch, 2)
+    run_blocks = qtel.bell._run_blocks
     failed = threading.Event()
     threads = threading.active_count()
 
-    def failing(a, scale, tol):
-        if threading.current_thread() is threading.main_thread():
-            assert failed.wait(10), "no block ran on a worker thread"
-            return is_scaled_identity(a, scale, tol)
-        failed.set()
-        raise RuntimeError("block failed")
+    def injected(fill, blocks, entries):
+        def failing(block, conj, product):
+            if threading.current_thread() is threading.main_thread():
+                assert failed.wait(10), "no block ran on a worker thread"
+                return fill(block, conj, product)
+            failed.set()
+            raise RuntimeError("block failed")
 
-    monkeypatch.setattr(qtel.bell, "is_scaled_identity", failing)
+        return run_blocks(failing, blocks, entries)
+
+    monkeypatch.setattr(qtel.bell, "_run_blocks", injected)
     with pytest.raises(RuntimeError, match="block failed"):
         verify_completeness(standard_basis(5))
     assert threading.active_count() == threads
