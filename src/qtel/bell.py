@@ -19,12 +19,11 @@ matrix V, whose row α is B^(α) flattened.  R is Hermitian, and BLAS computes
 its entry (q, p) from the same products, summed in the same order over α, as
 the conjugate of its entry (p, q), so the two have the same modulus bit for
 bit.  `verify_completeness` therefore evaluates R only on and above its block
-diagonal, one block row at a time, tests each block row as |R - 1| in one
-pass, and never holds R itself.  The block rows run on a standard-library
-thread pool, up to one thread per available CPU, each thread in the one pair
-of buffers it claims from the caller's, and each block with the operands and
-shapes it has alone, so the deviation has the same bits for any thread count;
-no option selects it.
+diagonal, one block row at a time, and never holds R itself.  The block rows
+run on a standard-library thread pool, up to one thread per available CPU,
+each thread in the one pair of buffers it claims from the caller's, and each
+block with the operands and shapes it has alone, so the deviation has the same
+bits for any thread count; no option selects it.
 """
 
 from __future__ import annotations
@@ -36,7 +35,8 @@ import numpy as np
 
 from . import errors
 from .errors import DomainError, ShapeError, ValidationError
-from .linalg import DEFAULT_TOL, StateVector, Tolerance, _finite, is_maximally_entangled
+from .linalg import (DEFAULT_TOL, StateVector, Tolerance, _finite, is_maximally_entangled,
+                     is_scaled_identity)
 from .pauli import action_index, signed_copies
 
 # verify_completeness evaluates the completeness sum this many columns at a time: a power of 4
@@ -174,12 +174,11 @@ def verify_completeness(basis: BellBasis, tol: Tolerance = DEFAULT_TOL) -> tuple
     The sum is R = V^T·conj(V), with row α of V the flattened B^(α).  For
     each block I of `width` = min(4^n, COMPLETENESS_BLOCK_COLUMNS) columns,
     conj(V[:, I])^T·V on the columns from I onwards is the conjugate of R's
-    block row I on and above the diagonal: 1 is taken off its diagonal, max
-    |R - 1| over the block row is read in one pass, and the block is dropped.
-    |R[q, p]| = |R[p, q]| bit for bit, so the deviation is max |R - 1| over all
-    of R, which is never held, and `tol` is read once, at the verdict.  A member
-    matrix over `errors.BYTE_BUDGET` is a ResourceLimitError, raised before it
-    is built.
+    block row I on and above the diagonal: its leading square block is tested
+    as a scaled identity, the rest entry by entry against 0, and the block is
+    dropped.  |R[q, p]| = |R[p, q]| bit for bit, so the deviation is max |R - 1|
+    over all of R, which is never held.  A member matrix over
+    `errors.BYTE_BUDGET` is a ResourceLimitError, raised before it is built.
 
     For a seed-generated basis, Σ_α P_α X P_α† = 2^n·tr(X)·1 makes R equal to
     1 ⊗ 2^n·conj(B^(0)†B^(0)), so the deviation is 2^n times the seed's
@@ -198,21 +197,22 @@ def verify_completeness(basis: BellBasis, tol: Tolerance = DEFAULT_TOL) -> tuple
     size = basis.size
     vecs = np.asarray(basis.members, dtype=np.complex128).reshape(size, -1)
     width = min(size, COMPLETENESS_BLOCK_COLUMNS)
-    diagonal = np.arange(width)
 
     def fill(block: int, conj: np.ndarray, product: np.ndarray) -> float:
-        """max |R - 1| over block row `block`, computed in the flat buffers `conj` and `product`.
+        """The deviation of block row `block`, computed in the flat buffers `conj` and `product`.
 
-        Each view has the shape and C order of the array the block would allocate, 1 is
-        taken off the product's diagonal in place, and its |entries| go into `conj` once
-        the product no longer reads it: a worker allocates nothing large.
+        Each view has the shape and C order of the array the block would
+        allocate, and the |entries| off the diagonal block go into `conj`
+        once the product no longer reads it, so a worker allocates nothing large.
         """
         start = block * width
         lhs = np.conjugate(vecs[:, start:start + width], out=conj.reshape(size, width)).T
         part = np.matmul(lhs, vecs[:, start:],
                          out=product[:width * (size - start)].reshape(width, -1))
-        part[diagonal, diagonal] -= 1.0
-        return float(np.abs(part, out=conj.view(np.float64)[:part.size].reshape(part.shape)).max())
+        _, diagonal_dev = is_scaled_identity(part[:, :width], 1.0, tol)
+        off = np.abs(part[:, width:],
+                     out=conj.view(np.float64)[:width * (size - start - width)].reshape(width, -1))
+        return float(off.max(initial=diagonal_dev))  # a nan in either part stays nan
 
     deviation = max(_run_blocks(fill, size // width, size * width))  # max keeps a leading nan
     return deviation <= tol.abs_eps, deviation
