@@ -106,7 +106,7 @@ def cmd_channel_check(args) -> tuple[dict, bool]:
 
 
 def cmd_bell_gen(args) -> tuple[dict, bool]:
-    seed = serialize.load_state(args.seed_file) if args.seed_file else None
+    seed = serialize.load_state(args.seed_file) if args.seed_file is not None else None
     if seed is not None and args.n is not None and 2 * args.n != seed.n_qubits:
         raise ValidationError(f"--n {excerpt(args.n)} does not match the seed file: "
                               f"it has {seed.n_qubits} qubits, not 2n")
@@ -135,7 +135,7 @@ def cmd_teleport_run(args) -> tuple[dict, bool]:
     state = serialize.load_state(args.channel)
     from . import bell, channel, teleport
     ch = channel.channel_from_state(state, info.n_qubits, args.tol)
-    if args.basis:
+    if args.basis is not None:
         basis = bell.bell_basis_from_members(serialize.load_basis_members(args.basis), args.tol)
     else:
         basis = bell.standard_basis(info.n_qubits)
@@ -216,7 +216,7 @@ def _resolve_set(tokens: list[str], n: int | None):
         elif token.isdecimal():  # int() reads these; not "²", which isdigit() accepts
             if n is None:
                 raise ValidationError("--n is required when selecting by index")
-            magic.verify_block_trials(n)  # refuses an oversized n before the label loops over it
+            magic.verify_block_trials(n)  # n < 1 or oversized: its message, before any string
             try:
                 alpha = int(token)
             except ValueError:  # over the interpreter's digit limit, so far past 4^n

@@ -1,18 +1,19 @@
 """Exact symplectic algebra of N-qubit Pauli strings.
 
-A string is stored as X/Z bitmasks plus an integer power of i, so products
-and commutation tests are pure bit arithmetic and the tracked phase makes
+A string is stored as its label α plus an integer power of i.  `_split`
+gives the X/Z masks the symplectic product reads, so products and
+commutation tests are pure bit arithmetic and the tracked phase makes
 ``matrix_of(product(p, q))`` agree with the dense matrix product exactly.
 The symplectic product is written once (`_multiply`), for ints or int
 arrays: `product_table` applies it to every pair of family elements at once.
 A string acts on a vector in one form: `action_index` points into the four
 signed copies i^k·v that `signed_copies` builds.
 
-Bitmask convention: bit 0 (the most significant qubit, qubit index 0) is
-the highest bit of the mask, i.e. qubit r occupies bit ``n_qubits-1-r``.
-Quaternary digits map 0, 1, 2, 3 to I, Z, X, Y: a factor with x bit x and
-z bit z has digit d = 2·x + z.  Digit 3 is the hermitian Y (the family's
-hermiticity and square-to-one properties require it).
+Label convention: qubit r (qubit 0 leading) is base-4 digit ``n_qubits-1-r``
+of α from the right, and bit ``n_qubits-1-r`` of each mask.  Digits 0, 1, 2, 3
+map to I, Z, X, Y: a factor with x bit x and z bit z has digit d = 2·x + z.
+Digit 3 is the hermitian Y (the family's hermiticity and square-to-one
+properties require it).
 """
 
 from __future__ import annotations
@@ -54,36 +55,27 @@ def _split(alpha, n: int):
 
 @dataclass(frozen=True)
 class PauliString:
-    """i^phase_power times a tensor product of I/Z/X/Y factors."""
+    """i^phase_power times the tensor product of I/Z/X/Y factors labelled α."""
 
     n_qubits: int
-    x_bits: int
-    z_bits: int
+    quaternary_index: int  # α, whose base-4 digits name the factors, qubit 0 leading
     phase_power: int = 0
 
     def __post_init__(self):
+        alpha = self.quaternary_index
+        if alpha < 0 or alpha.bit_length() > 2 * self.n_qubits:  # alpha < 4^n, without 4^n
+            raise DomainError(f"alpha={excerpt(alpha)} out of range for {self.n_qubits} qubits")
         if self.n_qubits < 1:
             raise ValidationError(f"n_qubits must be >= 1, got {self.n_qubits}")
-        if self.x_bits >> self.n_qubits or self.z_bits >> self.n_qubits:
-            raise ValidationError("bitmask does not fit the qubit count")
         object.__setattr__(self, "phase_power", self.phase_power % 4)
 
     @property
     def is_identity(self) -> bool:
-        return self.x_bits == 0 and self.z_bits == 0
+        return self.quaternary_index == 0
 
     def digits(self) -> tuple[int, ...]:
         """Quaternary digit of the factor on each qubit, qubit 0 first."""
-        return tuple(2 * ((self.x_bits >> shift) & 1) + ((self.z_bits >> shift) & 1)
-                     for shift in reversed(range(self.n_qubits)))
-
-    @property
-    def quaternary_index(self) -> int:
-        """Decimal alpha whose base-4 digits name the factors, phase ignored."""
-        alpha = 0
-        for d in self.digits():
-            alpha = 4 * alpha + d
-        return alpha
+        return tuple((self.quaternary_index >> 2 * k) & 3 for k in reversed(range(self.n_qubits)))
 
     def __str__(self) -> str:
         return render(self)
@@ -91,20 +83,17 @@ class PauliString:
 
 def pauli_from_digits(digits, phase_power: int = 0) -> PauliString:
     digits = tuple(digits)
-    n = len(digits)
     alpha = 0
     for d in digits:
         if d not in range(4):
             raise DomainError(f"quaternary digit out of range: {d}")
         alpha = 4 * alpha + int(d)
-    return PauliString(n, *_split(alpha, n), phase_power)
+    return PauliString(len(digits), alpha, phase_power)
 
 
 def pauli_from_quaternary(alpha: int, n_qubits: int) -> PauliString:
     """The alpha-th family element, alpha read in base 4 (qubit 1 = leading digit)."""
-    if alpha < 0 or int(alpha).bit_length() > 2 * n_qubits:  # alpha < 4^n, without 4^n
-        raise DomainError(f"alpha={excerpt(alpha)} out of range for {n_qubits} qubits")
-    return PauliString(n_qubits, *map(int, _split(alpha, n_qubits)))
+    return PauliString(n_qubits, int(alpha))  # a numpy integer has no bit_length
 
 
 def _bit_count(a, n_bits: int):
@@ -159,19 +148,24 @@ def _multiply(px, pz, qx, qz, n_bits: int):
     return x, z, k, (_bit_count(px & qz, n_bits) + zx) % 2
 
 
-def product(p: PauliString, q: PauliString) -> PauliString:
-    """Matrix product p·q with exact phase tracking."""
+def _multiply_strings(p: PauliString, q: PauliString):
+    """`_multiply` on the masks of two strings of one qubit count."""
     if p.n_qubits != q.n_qubits:
         raise ShapeError(f"qubit count mismatch: {p.n_qubits} vs {q.n_qubits}")
-    x, z, k, _ = _multiply(p.x_bits, p.z_bits, q.x_bits, q.z_bits, p.n_qubits)
-    return PauliString(p.n_qubits, x, z, p.phase_power + q.phase_power + k)
+    n = p.n_qubits
+    return _multiply(*_split(p.quaternary_index, n), *_split(q.quaternary_index, n), n)
+
+
+def product(p: PauliString, q: PauliString) -> PauliString:
+    """Matrix product p·q with exact phase tracking."""
+    k = _multiply_strings(p, q)[2]
+    return PauliString(p.n_qubits, p.quaternary_index ^ q.quaternary_index,
+                       p.phase_power + q.phase_power + k)
 
 
 def commutes(p: PauliString, q: PauliString) -> bool:
     """Symplectic-form parity: commute iff <p.x,q.z> + <p.z,q.x> is even."""
-    if p.n_qubits != q.n_qubits:
-        raise ShapeError(f"qubit count mismatch: {p.n_qubits} vs {q.n_qubits}")
-    return _multiply(p.x_bits, p.z_bits, q.x_bits, q.z_bits, p.n_qubits)[3] == 0
+    return _multiply_strings(p, q)[3] == 0
 
 
 def product_table(n_qubits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

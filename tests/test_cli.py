@@ -427,6 +427,10 @@ MALFORMED = {
     "verify_n_against_set": lambda t, info, ch: ["magic", "verify", "--set", "F,G", "--n", "3"],
     "bell_gen_n_against_seed_file": lambda t, info, ch: [
         "bell", "gen", "--n", "2", "--seed-file", _write(t, "bell_pair_n1.json", _BELL_PAIR)],
+    # an empty path is a missing file; each of these ran on the standard basis and exited 0
+    "empty_seed_file": lambda t, info, ch: ["bell", "gen", "--seed-file", ""],
+    "empty_basis_path": lambda t, info, ch: [
+        "teleport", "run", "--info", info, "--channel", ch, "--basis", ""],
 }
 
 
@@ -648,6 +652,7 @@ REFUSED_WITHOUT_NUMPY = {
         None),
     "missing_seed_file": lambda t: (
         ["bell", "gen", "--seed-file", str(t / "absent.json")], None),
+    "empty_seed_file": lambda t: (["bell", "gen", "--seed-file", ""], None),
     # refused before the state files are read
     "exhaustive_seed": lambda t: (
         ["teleport", "run", "--info", str(t / "absent.json"), "--channel", str(t / "absent.json"),

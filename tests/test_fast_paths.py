@@ -119,7 +119,7 @@ def test_stacked_pauli_matrices_equal_kron_chain_bit_for_bit(n):
                       np.array([kron_chain(p) for p in family]))
     for phase in range(4):
         for p in family:
-            p = PauliString(n, p.x_bits, p.z_bits, phase)
+            p = PauliString(n, p.quaternary_index, phase)
             assert _same_bits(pauli.matrix_of(p), (1j**phase) * kron_chain(p))
 
 

@@ -57,9 +57,20 @@ class TestConstruction:
         with pytest.raises(DomainError):
             pauli_from_quaternary(16, 2)
 
-    def test_bad_bitmask(self):
+    def test_bad_label(self):
         with pytest.raises(Exception):
-            PauliString(1, 0b10, 0)
+            PauliString(1, 0b100)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_label_range_is_checked_once_with_an_excerpt(self, n):
+        huge = 7 * (10**10_000 - 1) // 9  # 10,000 sevens, past int()'s 4,300-digit limit
+        for alpha, quoted in ((4**n, repr(4**n)), (-1, "-1"),
+                              (huge, "77777777777777777777…(10000 digits)")):
+            with pytest.raises(DomainError) as info:
+                PauliString(n, alpha)
+            message = str(info.value)
+            assert message == f"alpha={quoted} out of range for {n} qubits"
+            assert len(message.encode()) < 200
 
 
 class TestProduct:
@@ -70,7 +81,7 @@ class TestProduct:
 
     def test_xz_is_minus_i_y(self):
         r = product(X, Z)
-        assert (r.x_bits, r.z_bits, r.phase_power) == (1, 1, 3)
+        assert (r.quaternary_index, r.phase_power) == (3, 3)  # x = z = 1: digit 3
         assert np.allclose(matrix_of(r), SX @ SZ)
 
     def test_two_qubit_product_dense_oracle(self):
@@ -78,7 +89,7 @@ class TestProduct:
         q = pauli_from_digits([2, 1])  # X⊗Z
         r = product(p, q)
         assert np.allclose(matrix_of(r), matrix_of(p) @ matrix_of(q))
-        assert (r.x_bits, r.z_bits) == (0b11, 0b11)  # ±(Y⊗Y) up to phase
+        assert r.quaternary_index == 0b1111  # ±(Y⊗Y) up to phase: digits 3, 3
 
     def test_phase_exact_all_pairs_n2(self):
         for p, q in itertools.product(all_strings(2), repeat=2):
