@@ -18,12 +18,14 @@ Completeness is the resolution R = V^T·conj(V) = 1 of the (4^n, 4^n) member
 matrix V, whose row α is B^(α) flattened.  R is Hermitian, and BLAS computes
 its entry (q, p) from the same products, summed in the same order over α, as
 the conjugate of its entry (p, q), so the two have the same modulus bit for
-bit.  `verify_completeness` therefore evaluates R only on and above its block
-diagonal, one block row at a time, and never holds R itself.  The block rows
-run on a standard-library thread pool, up to one thread per available CPU,
-each thread in the one pair of buffers it claims from the caller's, and each
-block with the operands and shapes it has alone, so the deviation has the same
-bits for any thread count; no option selects it.
+bit.  `verify_completeness` therefore evaluates R only on and above its
+diagonal, in 64 x 64 tiles (4^n x 4^n at n <= 2), each from two blocks of
+columns of V, and holds neither R nor V: a generated basis gathers each block
+from `PauliMembers.table`, a dense family reads it as a view of its stack.
+The block rows run on a standard-library thread pool, up to one thread per
+available CPU, each thread in the one pair of buffers it claims from the
+caller's, and each tile with the operands and shapes it has alone, so the
+deviation has the same bits for any thread count; no option selects it.
 """
 
 from __future__ import annotations
@@ -159,81 +161,121 @@ def bell_basis_from_members(members, tol: Tolerance = DEFAULT_TOL) -> BellBasis:
 
 
 def check_completeness_size(n: int):
-    """Refuse an n whose completeness check needs a member matrix over `errors.BYTE_BUDGET`.
+    """Refuse an n whose member matrix, 16·16^n bytes, would pass `errors.BYTE_BUDGET`.
 
-    The matrix takes 16·16^n bytes, so n <= 6 runs and n >= 7 is a
-    ResourceLimitError; ``bell gen`` calls it before it builds the seed.
+    The check never builds that matrix, but a dense family of n >= 7 holds its
+    16^n entries, and ``bell gen`` would print them, so n <= 6 runs and n >= 7
+    is a ResourceLimitError; ``bell gen`` calls it before it builds the seed.
     """
     errors.check_budget(4 + 4 * n, "checking completeness at n={n} needs a {size} MiB member "
                         "matrix, over the {budget} MiB limit", n=n)
 
 
+def _column_blocks(basis: BellBasis, width: int):
+    """``columns(block, out)``: columns block·width .. of the member matrix V, as (4^n, width).
+
+    Row α of V is B^(α) flattened.  For a seed-generated basis the columns are
+    gathered into the flat complex buffer `out` from `PauliMembers.table`, whose
+    rows, cut into pieces of min(width, 2^n) entries, hold every piece of every
+    member: one ``np.take`` per block, at an index array made contiguous once
+    per check.  For a dense family they are a strided view of its stack, and
+    `out` is not written.
+    """
+    size = basis.size
+    members = basis.members
+    if not isinstance(members, PauliMembers):
+        vecs = np.asarray(members, dtype=np.complex128).reshape(size, -1)
+        return lambda block, out: vecs[:, block * width:(block + 1) * width]
+    dim = members.seed.shape[0]
+    unit = min(width, dim)
+    cuts, per_block = dim // unit, width // unit  # pieces per seed row, pieces per block
+    pieces = members.table.reshape(-1, unit)  # piece q of table row t is row t·cuts + q
+    index = action_index(basis.n)
+    blocks = []
+    for block in range(size // width):
+        piece = np.arange(block * per_block, (block + 1) * per_block)  # of a flattened member
+        blocks.append(np.ascontiguousarray(index[:, piece // cuts] * cuts + piece % cuts))
+
+    def columns(block: int, out: np.ndarray) -> np.ndarray:
+        out = out.reshape(size, per_block, unit)
+        return np.take(pieces, blocks[block], axis=0, mode="clip", out=out).reshape(size, width)
+
+    return columns
+
+
 def verify_completeness(basis: BellBasis, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float]:
     """Check sum_α B^(α)_ij B^(α)*_kl = δ_ik δ_jl over all index quadruples.
 
-    The sum is R = V^T·conj(V), with row α of V the flattened B^(α).  For
-    each block I of `width` = min(4^n, COMPLETENESS_BLOCK_COLUMNS) columns,
-    conj(V[:, I])^T·V on the columns from I onwards is the conjugate of R's
-    block row I on and above the diagonal: its leading square block is tested
-    as a scaled identity, the rest entry by entry against 0, and the block is
-    dropped.  |R[q, p]| = |R[p, q]| bit for bit, so the deviation is max |R - 1|
-    over all of R, which is never held.  A member matrix over
-    `errors.BYTE_BUDGET` is a ResourceLimitError, raised before it is built.
+    The sum is R = V^T·conj(V), with row α of V the flattened B^(α).  Take the
+    columns of V in blocks of `width` = min(4^n, COMPLETENESS_BLOCK_COLUMNS)
+    (`_column_blocks`).  For each block I and each block J from I onwards, the
+    width x width tile conj(V[:, I])^T·V[:, J] is the conjugate of R's tile
+    (I, J): the diagonal tile is tested as a scaled identity, the others entry by
+    entry against 0, and each tile is dropped.  |R[q, p]| = |R[p, q]| bit for
+    bit, so the deviation is max |R - 1| over all of R; neither R nor V is ever
+    held.  An n whose member matrix would pass `errors.BYTE_BUDGET` is a
+    ResourceLimitError (`check_completeness_size`).
 
     For a seed-generated basis, Σ_α P_α X P_α† = 2^n·tr(X)·1 makes R equal to
     1 ⊗ 2^n·conj(B^(0)†B^(0)), so the deviation is 2^n times the seed's
     `linalg.is_maximally_entangled` deviation, up to rounding (within 1e-14 for n <= 5).
 
-    `_run_blocks` runs the block rows on a ``concurrent.futures`` thread pool
+    `_run_blocks` runs the block rows I on a ``concurrent.futures`` thread pool
     of up to one thread per available CPU, each thread in one pair of buffers
-    that the caller allocates, each block with the operands and shapes it has
-    alone, and the deviation is the max of the blocks' deviations, so the
-    verdict and the deviation do not depend on the thread count.  Block 0 reads
+    that the caller allocates, each tile with the operands and shapes it has
+    alone, and the deviation is the max of the rows' deviations, so the verdict
+    and the deviation do not depend on the thread count.  Block row 0 reads
     every column of V, so a nan entry of V makes its deviation, and so the
     deviation, nan: it never reads as complete.  A check of fewer than 16
     blocks (n <= 4) starts no thread.
     """
     check_completeness_size(basis.n)
     size = basis.size
-    vecs = np.asarray(basis.members, dtype=np.complex128).reshape(size, -1)
     width = min(size, COMPLETENESS_BLOCK_COLUMNS)
+    blocks = size // width
+    columns = _column_blocks(basis, width)
 
-    def fill(block: int, conj: np.ndarray, product: np.ndarray) -> float:
-        """The deviation of block row `block`, computed in the flat buffers `conj` and `product`.
+    def fill(block: int, left: np.ndarray, right: np.ndarray) -> float:
+        """The deviation of block row `block`, from its tiles in the flat buffers `left` and `right`.
 
-        Each view has the shape and C order of the array the block would
-        allocate, and the |entries| off the diagonal block go into `conj`
-        once the product no longer reads it, so a worker allocates nothing large.
+        `left` holds conj(V[:, I]) and then the tile, `right` the columns V[:, J]
+        and then, once the product has read them, the |entries| of a tile off the
+        diagonal, so a worker allocates nothing large.
         """
-        start = block * width
-        lhs = np.conjugate(vecs[:, start:start + width], out=conj.reshape(size, width)).T
-        part = np.matmul(lhs, vecs[:, start:],
-                         out=product[:width * (size - start)].reshape(width, -1))
-        _, diagonal_dev = is_scaled_identity(part[:, :width], 1.0, tol)
-        off = np.abs(part[:, width:],
-                     out=conj.view(np.float64)[:width * (size - start - width)].reshape(width, -1))
-        return float(off.max(initial=diagonal_dev))  # a nan in either part stays nan
+        lhs = left[:size * width]
+        lhs = np.conjugate(columns(block, lhs), out=lhs.reshape(size, width)).T
+        tile = left[size * width:].reshape(width, width)
+        deviations = np.empty(blocks - block)
+        for j in range(block, blocks):
+            part = np.matmul(lhs, columns(j, right[:size * width]), out=tile)
+            if j == block:
+                _, deviations[0] = is_scaled_identity(part, 1.0, tol)
+            else:
+                off = np.abs(part, out=right.view(np.float64)[:width * width].reshape(width, width))
+                deviations[j - block] = off.max()
+        return float(deviations.max())  # a nan in any tile stays nan
 
-    deviation = max(_run_blocks(fill, size // width, size * width))  # max keeps a leading nan
+    deviation = max(_run_blocks(fill, blocks, (size + width) * width))  # max keeps a leading nan
     return deviation <= tol.abs_eps, deviation
 
 
 def _run_blocks(fill, blocks: int, entries: int) -> list[float]:
-    """What ``fill(block, conj, product)`` returns for each block number, filled on threads.
+    """What ``fill(block, left, right)`` returns for each block number, filled on threads.
 
-    Each worker has two complex buffers of `entries`, 32·entries bytes, so at
-    most blocks / 8 workers keep them within a quarter of the 16·size² byte
-    member matrix that the check already holds: 1 below n = 5, 2 at n = 5 and
-    up to 8 at n = 6, and never more than one per available CPU.  The caller
-    allocates every buffer, and each ``ThreadPoolExecutor`` thread claims one
-    pair as it starts and fills every block it runs in it, so no large array is
-    allocated on a pool thread: with each block allocating its own arrays there,
-    the teleport-dense benchmark's peak RSS rose from 71.9 to 77.5 MB (median of
-    8 runs each, 2-vCPU host, one BLAS thread).  numpy's ``matmul`` releases
-    the GIL, so the products run at once.  The first block to raise, in block
-    order, cancels those not yet started and is raised here once every thread
-    is joined.  One worker, or a pool that cannot start a thread, leaves every
-    block to the caller.
+    Each worker has two complex buffers of `entries`, 32·entries bytes: for
+    `verify_completeness`, two (4^n + 64) x 64 blocks, about 2 MiB at n = 5 and
+    8 MiB at n = 6.  There are at most blocks / 8 workers, so a check of fewer than
+    16 block rows, a few milliseconds at n <= 4, starts no thread: 1 below
+    n = 5, 2 at n = 5 and up to 8 at n = 6, and never more than one per
+    available CPU.  The caller allocates every buffer, and each
+    ``ThreadPoolExecutor`` thread claims one pair as it starts and fills every
+    block it runs in it, so no large array is allocated on a pool thread: with
+    each block allocating its own arrays there, the teleport-dense benchmark's
+    peak RSS rose from 71.9 to 77.5 MB (median of 8 runs each, 2-vCPU host, one
+    BLAS thread).  numpy's ``matmul`` releases the GIL, so the products run at
+    once.  The first block to raise, in block order, cancels those not yet
+    started and is raised here once every thread is joined.  One worker, or a
+    pool that cannot start a thread, leaves every block to the caller.
     """
     import os
 

@@ -24,6 +24,7 @@ import argparse
 import os
 import re
 import sys
+from collections.abc import Iterator
 
 from . import serialize
 from .errors import (DEFAULT_TOL, EXCERPT_CHARS, GRAPH_EXHAUSTIVE_MAX_QUBITS, DomainError,
@@ -51,17 +52,17 @@ def _tolerance(args) -> Tolerance:
     return Tolerance(value)
 
 
-def _pieces(value) -> list[str]:
-    """A field's JSON text in the pieces it is written in: a `serialize.JSONText` is its own."""
-    return value if isinstance(value, serialize.JSONText) else [serialize.dumps(value)]
+def _pieces(value):
+    """A field's JSON text in the pieces it is written in: an iterator yields its own."""
+    return value if isinstance(value, Iterator) else [serialize.dumps(value)]
 
 
 def _emit(report: dict, args):
     """Write the report under the name of the subcommand that made it.
 
-    Each field is encoded once, by `serialize.dumps`, unless it is a
-    `serialize.JSONText`, whose pieces are encoded already; each piece is written
-    on its own, as it stands, never copied into a larger string.
+    Each field is encoded once, by `serialize.dumps`, unless it is an iterator of
+    pieces encoded already (`serialize.basis_to_list`); each piece is written on
+    its own, as it stands, never copied into a larger string.
     ``--format json`` writes one object of the encoded fields under sorted keys,
     the schema's among them.  ``--format text`` writes one ``key: value`` line
     per field in report order, ``command`` first and no schema: a string as it

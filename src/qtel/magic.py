@@ -27,8 +27,10 @@ from .pauli import (POWERS_OF_I, PauliString, commutes, matrices_of, pauli_from_
 from .teleport import min_fidelities
 
 # verify_partial_basis evaluates at most this many trials at a time, and only as many as
-# fit in `errors.BYTE_BUDGET` at four (4^n, 2^n) complex arrays each, one trial's peak in
-# `teleport.min_fidelities`: 128 trials up to n = 5, fewer above, none from n = 8
+# fit in `errors.BYTE_BUDGET` at four (4^n, 2^n) complex arrays each: 128 trials up to n = 5,
+# fewer above, none from n = 8.  `teleport.min_fidelities` forms a trial's outcomes 256 at a
+# time, so from n = 5 a block of trials holds 4^n / 256 times less than that; the n >= 8
+# refusal stands for `pauli.action_index(8)`, 128 MiB on its own.
 VERIFY_BLOCK_TRIALS = 128
 
 

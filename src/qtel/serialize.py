@@ -8,7 +8,8 @@ The members of a generated Bell basis are written from its row table:
 every row of P_α B^(0) is one of the 4·2^n rows of `bell.PauliMembers.table`,
 so `basis_to_list` encodes those rows once and lays out each member from
 `pauli.action_index`, instead of converting 16^n entries to Python floats.
-It returns the text in pieces, which `cli._emit` writes one by one.
+It yields the text in pieces, each formed as `cli._emit` writes it, so no
+more than one member's text is held at once.
 
 numpy and the array layers are imported by the functions that build arrays,
 after the checks that need none (JSON syntax, fields, an integer `n_qubits`).
@@ -24,10 +25,6 @@ from .errors import ValidationError, excerpt
 if TYPE_CHECKING:
     import numpy as np
     from .linalg import StateVector
-
-
-class JSONText(list):
-    """JSON text of a report field as a list of pieces, written into the report one by one."""
 
 
 def dumps(value) -> str:
@@ -134,11 +131,13 @@ def save_state(path: str, state: StateVector):
         fh.write("\n")
 
 
-def basis_to_list(members) -> JSONText:
-    """``dumps([matrix_to_dict(m) for m in members])`` in pieces: the opening bracket,
-    each member's text with the comma before it, and the closing bracket.
+def basis_to_list(members):
+    """``dumps([matrix_to_dict(m) for m in members])`` as an iterator of pieces: the opening
+    bracket, each member's text with the comma before it, and the closing bracket.
 
-    For a `bell.PauliMembers` the text is built from its row table: each
+    Each piece is formed when it is read, as `cli._emit` writes it, so ``bell gen``
+    holds one member's text at a time, never all of them.  For a
+    `bell.PauliMembers` the text is built from its row table: each
     row of `table` is encoded once, and each member is joined from the rows
     `pauli.action_index` names, so every float is the one the dense member gives.
     The name is kept from when this returned a list of dicts: the
@@ -146,6 +145,7 @@ def basis_to_list(members) -> JSONText:
     """
     from .bell import PauliMembers
     from .pauli import action_index
+    yield "["
     if isinstance(members, PauliMembers):
         d = members.seed.shape[0]
         pairs = _to_pairs(members.table)
@@ -155,7 +155,9 @@ def basis_to_list(members) -> JSONText:
                  for member in action_index(members.n).tolist())
     else:
         texts = (dumps(matrix_to_dict(m)) for m in members)
-    return JSONText(["[", *(("," if k else "") + text for k, text in enumerate(texts)), "]"])
+    for k, text in enumerate(texts):
+        yield ("," if k else "") + text
+    yield "]"
 
 
 def load_basis_members(path: str) -> list[np.ndarray]:

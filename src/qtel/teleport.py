@@ -9,16 +9,18 @@ falls back to the (phase-normalized) inverse of O^(α) when that operator
 is a scaled unitary, and to the identity otherwise, and the per-outcome
 fidelity reports the damage.
 
-The protocol is one pass, `_outcomes`: expand the composite state over the
-4^n outcomes, one row of a (4^n, 2^n) array each, then correct every row.
+The protocol is one pass, `_outcomes`, over the 4^n outcomes in blocks of
+OUTCOME_BLOCK (256): expand the composite state over a block's outcomes, one
+row of a (T, 256, 2^n) array each, then correct every row.  Only the
+probabilities, the zero mask and the fidelities are kept whole, (T, 4^n).
 It tests the basis kind once.  For a seed-generated basis B^(α) = P_α B^(0),
 so O^(α) = K P_α with K = E^T B^(0)† and O^(α)†O^(α) = P_α G P_α with
 G = K†K: one product K, one Gram matrix G and one scaled-identity test serve
 every outcome, and P_α v is read from the signed copies i^k·v
 (`pauli.action_index`).  The test on G is exact for each α, since P_α only
 permutes the entries of G - s·1 and multiplies them by unit phases.  A basis
-given member by member (``--basis``) takes the dense path: every O^(α) from
-one stacked ``einsum`` and a scaled-identity test per member.
+given member by member (``--basis``) takes the dense path: each block's O^(α)
+from one stacked ``einsum`` and a scaled-identity test per member.
 
 `_outcomes` carries a leading batch axis of T protocol runs, each with its
 own information state and channel matrix.  `composite_expand`, and through it
@@ -28,12 +30,14 @@ computes each run's product exactly as it would alone.
 
 Every outcome α is corrected, as in the protocol, whatever its
 probability; the zero mask only says which outcomes cannot occur.  A run's
-result keeps its arrays as the columns of `OutcomeRecords`, one row per α:
-the probabilities, the zero mask, Bob's states, the corrected states and
-the fidelities.  An `OutcomeRecord`, with its `StateVector`s, is built only
-when an outcome is indexed.  The finiteness check (`linalg._finite`) runs
-once on the column of Bob's states and once on the corrected column, and
-again on each row that an indexed record wraps in a `StateVector`.
+result holds the probabilities, the zero mask and the fidelities as whole
+columns of `OutcomeRecords`, one row per α, and forms the blocks of Bob's
+and of the corrected states again, by the same code and with the same bits,
+when they are read: whole, as the columns `bob` and `corrected`, or one
+block at a time, as an indexed `OutcomeRecord` and its `StateVector`s need
+them.  The finiteness check (`linalg._finite`) runs on every block of Bob's
+states and of the corrected states as the run forms it, and again on each
+row that an indexed record wraps in a `StateVector`.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from __future__ import annotations
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -53,6 +57,8 @@ from .linalg import DEFAULT_TOL, StateVector, Tolerance, _finite, dagger, is_sca
 from .pauli import POWERS_OF_I, action_index, matrices_of, signed_copies
 
 ZERO_PROBABILITY_EPS = 1e-14  # an outcome less likely is masked, whatever --tol is
+# `_outcomes` forms the rows of at most this many outcomes at a time, so n <= 4 is one block
+OUTCOME_BLOCK = 256
 # Sampled mode draws from the probabilities rounded to multiples of
 # 1/SAMPLING_GRID.  numpy's binomial draws branch on p <= 1/2, and tied
 # probabilities (every perfect channel) put the multinomial exactly on that
@@ -95,15 +101,35 @@ class OutcomeRecords(Sequence):
     `corrected` (4^n, 2^n) and `fidelities` (4^n,) hold the corrected states and
     their fidelities.  A zero outcome's rows are finite but mean nothing, and
     its record carries none of them.  The columns are read-only.
+
+    Only `probs`, `zero` and `fidelities` are held.  ``rows(start)`` forms Bob's
+    and the corrected states of the OUTCOME_BLOCK outcomes from `start` again,
+    with their bits: `bob` and `corrected` are each formed whole from it on
+    first access, and a record reads its rows from the one block last formed.
     """
 
-    def __init__(self, probs: np.ndarray, zero: np.ndarray, bob: np.ndarray,
-                 corrected: np.ndarray, fidelities: np.ndarray):
-        self.n = int(bob.shape[-1]).bit_length() - 1
-        self.probs, self.zero, self.bob = probs, zero, bob
-        self.corrected, self.fidelities = corrected, fidelities
-        for column in (probs, zero, bob, corrected, fidelities):
+    def __init__(self, probs: np.ndarray, zero: np.ndarray, fidelities: np.ndarray, rows):
+        self.n = (len(probs).bit_length() - 1) // 2
+        self.probs, self.zero, self.fidelities = probs, zero, fidelities
+        for column in (probs, zero, fidelities):
             column.flags.writeable = False
+        self._rows = rows
+        self._block = (None, None)  # (start, (bob, corrected)) of the block last formed
+
+    @cached_property
+    def bob(self) -> np.ndarray:
+        return self._column(0)
+
+    @cached_property
+    def corrected(self) -> np.ndarray:
+        return self._column(1)
+
+    def _column(self, which: int) -> np.ndarray:
+        column = np.empty((len(self), 2**self.n), dtype=np.complex128)
+        for start in range(0, len(self), OUTCOME_BLOCK):
+            column[start:start + OUTCOME_BLOCK] = self._rows(start)[which]
+        column.flags.writeable = False
+        return column
 
     def __len__(self) -> int:
         return len(self.probs)
@@ -116,9 +142,12 @@ class OutcomeRecords(Sequence):
         probability = float(self.probs[alpha])
         if self.zero[alpha]:
             return OutcomeRecord(alpha, probability, zero_probability=True)
-        return OutcomeRecord(alpha, probability, StateVector(self.n, self.bob[alpha]),
-                             StateVector(self.n, self.corrected[alpha]),
-                             float(self.fidelities[alpha]))
+        start, row = alpha - alpha % OUTCOME_BLOCK, alpha % OUTCOME_BLOCK
+        if self._block[0] != start:
+            self._block = (start, self._rows(start))
+        bob, corrected = self._block[1]
+        return OutcomeRecord(alpha, probability, StateVector(self.n, bob[row]),
+                             StateVector(self.n, corrected[row]), float(self.fidelities[alpha]))
 
     def __repr__(self) -> str:
         return (f"OutcomeRecords(n={self.n}, outcomes={len(self)}, "
@@ -199,37 +228,49 @@ def _normalize_rows(rows: np.ndarray) -> np.ndarray:
 
 
 def _outcomes(info: np.ndarray, e: np.ndarray, basis: BellBasis, tol: Tolerance):
-    """The columns probs, zero, bob, corrected and fidelities of T runs, row α for outcome α.
+    """``rows(start)``: the columns probs, zero, bob, corrected and fidelities of T runs on
+    the block of outcomes start .. start + OUTCOME_BLOCK - 1, row α - start for outcome α.
 
     Run t sends info[t] (T, 2^n) over the channel matrix e[t] (T, 2^n, 2^n).  Its Bob
     states are b_α = O^(α)·I / √p_α, its corrected states c_α = C^(α) b_α / |C^(α) b_α|
     and its fidelities |<I|c_α>|².  C^(α) is the unitary part O^(α)†/√s of O^(α)^-1
     when O^(α)†O^(α) = s·1 with s > 0, else the identity; an all-zero row stays zero.
+    What the blocks share (K, its test, the signed copies of I) is formed here, once;
+    each row has the bits it has in one (T, 4^n, 2^n) pass, at any block size.
     """
+    fidelity_of = info.conj()[..., None]
     if basis.seed is not None:
+        n, index = basis.n, action_index(basis.n)  # entries k·2^n + s: i^k times entry s
         k = e.swapaxes(-1, -2) @ dagger(basis.seed)  # K = E^T B^(0)†, so O^(α) = K P_α
-        index = action_index(basis.n)  # entries k·2^n + s: i^k times entry s
-        bob = signed_copies(info)[:, index] @ k.swapaxes(-1, -2)  # the rows P_α I, times K^T
-        probs, zero = _probabilities(bob)
+        copies = signed_copies(info)
         scaled = _unitary_scale(k, tol) > 0.0  # one test on G = K†K covers every α of a run
-        corrected = bob
-        if scaled.any():
-            # the rows K† b_α, gathered, then times their phases in place to spare a
-            # (T, 4^n, 2^n) array; the phases are ±1, ±i, so the products are exact
-            corrected = np.take_along_axis(bob @ k.conj(), index[None] & (2**basis.n - 1), axis=-1)
-            corrected *= POWERS_OF_I[index >> basis.n]
-            _normalize_rows(corrected)
-            np.copyto(corrected, bob, where=~scaled[:, None, None])
+
+        def rows(start: int):
+            block = index[start:start + OUTCOME_BLOCK]
+            bob = copies[:, block] @ k.swapaxes(-1, -2)  # the rows P_α I, times K^T
+            probs, zero = _probabilities(bob)
+            corrected = bob
+            if scaled.any():
+                # the rows K† b_α, gathered, then times their phases in place to spare a
+                # (T, 256, 2^n) array; the phases are ±1, ±i, so the products are exact
+                corrected = np.take_along_axis(bob @ k.conj(), block[None] & (2**n - 1), axis=-1)
+                corrected *= POWERS_OF_I[block >> n]
+                _normalize_rows(corrected)
+                np.copyto(corrected, bob, where=~scaled[:, None, None])
+            return probs, zero, bob, corrected, np.abs(corrected @ fidelity_of)[..., 0] ** 2
     else:
         members = np.asarray(basis.members, dtype=np.complex128)
-        bob = np.einsum("akj,tk->taj", members.conj(), info) @ e
-        probs, zero = _probabilities(bob)
-        ops = np.einsum("tij,akj->taik", e.swapaxes(-1, -2), members.conj())
-        scaled = _unitary_scale(ops, tol) > 0.0
-        corrected = _normalize_rows(
-            np.where(scaled[..., None], np.einsum("taji,taj->tai", ops.conj(), bob), bob))
-    fidelities = np.abs(corrected @ info.conj()[..., None])[..., 0] ** 2
-    return probs, zero, bob, corrected, fidelities
+
+        def rows(start: int):
+            block = members[start:start + OUTCOME_BLOCK].conj()
+            bob = np.einsum("akj,tk->taj", block, info) @ e
+            probs, zero = _probabilities(bob)
+            ops = np.einsum("tij,akj->taik", e.swapaxes(-1, -2), block)
+            scaled = _unitary_scale(ops, tol) > 0.0
+            corrected = _normalize_rows(
+                np.where(scaled[..., None], np.einsum("taji,taj->tai", ops.conj(), bob), bob))
+            return probs, zero, bob, corrected, np.abs(corrected @ fidelity_of)[..., 0] ** 2
+    return rows
 
 
 def composite_expand(
@@ -239,14 +280,29 @@ def composite_expand(
 
     The inputs are checked first.  An n whose (4^n, 2^n) complex outcome array
     would exceed `errors.BYTE_BUDGET` (n >= 9) is a ResourceLimitError, raised
-    before any outcome is expanded.
+    before any outcome is expanded: no such array is formed unless `bob` or
+    `corrected` is read, but `pauli.action_index(9)` alone is 1 GiB.  Every block
+    of Bob's and of the corrected states is checked finite as it is formed.
     """
     _check_dims(info, ch, basis, tol)
     errors.check_budget(4 + 3 * basis.n, "running the protocol at n={n} needs {size} MiB per "
                         "outcome array, over the {budget} MiB limit", n=basis.n)
-    columns = _outcomes(info.amplitudes[None], ch.e_matrix[None], basis, tol)
-    probs, zero, bob, corrected, fidelities = (column[0] for column in columns)
-    return OutcomeRecords(probs, zero, _finite(bob), _finite(corrected), fidelities)
+    rows = _outcomes(info.amplitudes[None], ch.e_matrix[None], basis, tol)
+    probs, fidelities = np.empty(basis.size), np.empty(basis.size)
+    zero = np.empty(basis.size, dtype=bool)
+    for start in range(0, basis.size, OUTCOME_BLOCK):
+        block = slice(start, start + OUTCOME_BLOCK)
+        probs[block], zero[block], bob, corrected, fidelities[block] = (
+            column[0] for column in rows(start))
+        _finite(bob)
+        _finite(corrected)
+
+    def states(start: int) -> tuple[np.ndarray, np.ndarray]:
+        _, _, bob, corrected, _ = rows(start)
+        bob.flags.writeable = corrected.flags.writeable = False
+        return bob[0], corrected[0]
+
+    return OutcomeRecords(probs, zero, fidelities, states)
 
 
 def _check_sampling(mode: str, shots: int | None, seed: int | None):
@@ -298,10 +354,15 @@ def min_fidelities(info: np.ndarray, e: np.ndarray, basis: BellBasis,
 
     Run t sends info[t] (T, 2^n) over the channel matrix e[t] (T, 2^n, 2^n)
     through `_outcomes`, the code of `run_protocol`, so the value equals, bit for
-    bit, the least fidelity of its records.  The inputs are not validated.
+    bit, the least fidelity of its records.  It keeps the least value over the
+    blocks of OUTCOME_BLOCK outcomes as they are formed.  The inputs are not validated.
     """
-    _, zero, _, _, fidelities = _outcomes(info, e, basis, tol)
-    return np.min(np.where(zero, np.inf, fidelities), axis=-1)
+    rows = _outcomes(info, e, basis, tol)
+    least = np.full(len(info), np.inf)
+    for start in range(0, basis.size, OUTCOME_BLOCK):
+        _, zero, _, _, fidelities = rows(start)
+        np.minimum(least, np.min(np.where(zero, np.inf, fidelities), axis=-1), out=least)
+    return least
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,9 @@ must give each row's `np.linalg.norm` bit for bit.  The trial draws of
 three-call loop gave, the lowest-vertex clique pivot the cliques of Tomita's
 pivot and of the definition, and the engine that forms K = E^T B^(0)† once
 per batch the columns of the one whose two stages each formed it.
-`composite_expand` must give the five columns of `run_protocol` bit for bit.
+`composite_expand` must give the five columns of `run_protocol` bit for bit,
+and the protocol pass in blocks of outcomes (`teleport._outcomes`) the
+columns, records and `min_fidelities` of the whole-array pass it replaced.
 The members that `partial_basis_from_set` and `n2_catalog` take from one
 `pauli.matrices_of` stack must be those of one `matrix_of` per string, bit
 for bit.
@@ -431,7 +433,9 @@ def test_completeness_peak_below_one_and_a_half_member_matrices(monkeypatch, cpu
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * 16 * 16**5  # the (4^5, 4^5) complex member matrix is 16 MiB
+    # the (4^5, 4^5) complex member matrix, 16 MiB, is never built; each of the two workers
+    # at n = 5 holds two (4^5 + 64, 64) complex buffers, 1.06 MiB each
+    assert peak <= 0.3 * 16 * 16**5
 
 
 def test_block_failure_in_a_worker_thread_reaches_the_caller(monkeypatch, capsys):
@@ -925,6 +929,120 @@ def test_composite_expand_gives_the_columns_of_run_protocol_bit_for_bit(n, basis
         records = run_protocol(info, ch, basis, mode="sampled", seed=5, shots=10).records
         for name in COLUMNS:
             assert _same_bits(getattr(expanded, name), getattr(records, name)), (kind, name)
+
+
+# --- the protocol pass as it was: every outcome at once --------------------------
+
+
+def whole_outcomes(info, e, basis, tol=DEFAULT_TOL):
+    """`teleport._outcomes` as it was: the five columns of T runs as whole (T, 4^n, ...) arrays."""
+    if basis.seed is not None:
+        k = e.swapaxes(-1, -2) @ qtel.linalg.dagger(basis.seed)
+        index = pauli.action_index(basis.n)
+        bob = pauli.signed_copies(info)[:, index] @ k.swapaxes(-1, -2)
+        probs, zero = teleport._probabilities(bob)
+        scaled = teleport._unitary_scale(k, tol) > 0.0
+        corrected = bob
+        if scaled.any():
+            corrected = np.take_along_axis(bob @ k.conj(), index[None] & (2**basis.n - 1), axis=-1)
+            corrected *= pauli.POWERS_OF_I[index >> basis.n]
+            teleport._normalize_rows(corrected)
+            np.copyto(corrected, bob, where=~scaled[:, None, None])
+    else:
+        members = np.asarray(basis.members, dtype=np.complex128)
+        bob = np.einsum("akj,tk->taj", members.conj(), info) @ e
+        probs, zero = teleport._probabilities(bob)
+        ops = np.einsum("tij,akj->taik", e.swapaxes(-1, -2), members.conj())
+        scaled = teleport._unitary_scale(ops, tol) > 0.0
+        corrected = teleport._normalize_rows(
+            np.where(scaled[..., None], np.einsum("taji,taj->tai", ops.conj(), bob), bob))
+    fidelities = np.abs(corrected @ info.conj()[..., None])[..., 0] ** 2
+    return probs, zero, bob, corrected, fidelities
+
+
+def blocked_columns(info, e, basis):
+    """The five columns of T runs, joined from the blocks that `teleport._outcomes` forms."""
+    rows = teleport._outcomes(info, e, basis, DEFAULT_TOL)
+    blocks = [rows(start) for start in range(0, basis.size, teleport.OUTCOME_BLOCK)]
+    return [np.concatenate(column, axis=1) for column in zip(*blocks)]
+
+
+def assert_records_equal_rows(records, columns, order):
+    """`records[α]`, read in `order`, carries the rows α of the five whole `columns`."""
+    probs, zero, bob, corrected, fidelities = columns
+    for alpha in order:
+        record = records[alpha]
+        assert _same_bits(record.probability, probs[alpha]), alpha
+        assert record.zero_probability == zero[alpha], alpha
+        if zero[alpha]:
+            assert record.bob_state is record.corrected_state is record.fidelity is None
+            continue
+        assert _same_bits(record.bob_state.amplitudes, bob[alpha]), alpha
+        assert _same_bits(record.corrected_state.amplitudes, corrected[alpha]), alpha
+        assert _same_bits(record.fidelity, fidelities[alpha]), alpha
+
+
+def assert_blocks_equal_whole_pass(n, basis_kind, runs, rng):
+    """The blocked protocol against `whole_outcomes`, bit for bit, on a perfect, a Gaussian
+    and a degenerate channel: `run_protocol`'s five columns and its records read in reverse
+    and in random order, then, for ``runs > 1``, those runs as one batch through
+    `teleport._outcomes` and `min_fidelities`."""
+    basis = _basis(n, basis_kind, rng)
+    kinds = ("perfect", "imperfect", "degenerate")  # "imperfect": a Gaussian state's matrix
+    es = np.stack([_channel_matrix(n, kind, rng) for kind in kinds])
+    infos = np.stack([random_state(n, rng).amplitudes for _ in kinds])
+    for info, e in zip(infos, es):
+        want = [column[0] for column in whole_outcomes(info[None], e[None], basis)]
+        records = run_protocol(StateVector(n, info), channel_from_state(state_from_matrix(e, n), n),
+                               basis).records
+        reverse = range(4**n - 1, -1, -1 if n <= 6 else -37)
+        assert_records_equal_rows(records, want, reverse)
+        assert_records_equal_rows(records, want, rng.permutation(4**n)[:12])
+        for name, column in zip(COLUMNS, want):  # the whole columns, formed after the records
+            assert _same_bits(getattr(records, name), column), name
+        del want, records
+    if runs == 1:
+        return
+    infos, es = infos[:runs], es[:runs]
+    want = whole_outcomes(infos, es, basis)
+    for name, got, column in zip(COLUMNS, blocked_columns(infos, es, basis), want):
+        assert _same_bits(got, column), name
+    _, zero, _, _, fidelities = want
+    assert _same_bits(min_fidelities(infos, es, basis),
+                      np.min(np.where(zero, np.inf, fidelities), axis=-1))
+
+
+@pytest.mark.parametrize("basis_kind", ["standard", "haar"])
+@pytest.mark.parametrize(("n", "block"), [(1, 256), (2, 256), (3, 256), (4, 256), (5, 256),
+                                          (6, 256), (4, 64), (5, 64), (6, 64), (6, 1024)])
+def test_outcome_blocks_equal_the_whole_pass_bit_for_bit(monkeypatch, n, basis_kind, block):
+    monkeypatch.setattr(teleport, "OUTCOME_BLOCK", block)
+    assert_blocks_equal_whole_pass(n, basis_kind, 3, np.random.default_rng(31 * n + block))
+
+
+def test_outcome_blocks_of_a_dense_basis_equal_the_whole_pass_bit_for_bit():
+    assert_blocks_equal_whole_pass(5, "haar-dense", 2, np.random.default_rng(5))
+
+
+@pytest.mark.parametrize("basis_kind", ["standard", "haar"])
+def test_outcome_blocks_equal_the_whole_pass_bit_for_bit_n7(basis_kind):
+    assert_blocks_equal_whole_pass(7, basis_kind, 1, np.random.default_rng(7))
+
+
+def test_run_protocol_at_n7_peaks_below_8_mib_and_keeps_under_1_mib():
+    n = 7
+    basis = standard_basis(n)
+    ch = channel_from_state(state_from_matrix(np.eye(2**n) / 2 ** (n / 2), n), n)
+    info = random_state(n, np.random.default_rng(n))
+    run_protocol(info, ch, basis)  # fills the action-index cache
+    tracemalloc.start()
+    try:
+        result = run_protocol(info, ch, basis)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20  # one (4^7, 2^7) complex outcome array is 32 MiB
+    assert held < 2**20 and result.records.fidelities.min() == pytest.approx(1.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("width", range(1, 65))
