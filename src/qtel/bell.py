@@ -10,9 +10,10 @@ Such a basis is stored as its seed B^(0) plus the label α.  Every row of
 every member is one of the 4·2^n signed seed rows i^k · B^(0)[s], so
 `PauliMembers` computes those rows once, as `table`, and reads a member,
 the whole member stack (``np.asarray``) and the JSON text of
-`serialize.basis_to_list` from it at the positions `pauli.action_index`
-names.  A family given member by member (e.g. a ``--basis`` file) is stored
-densely as one read-only (4^n, 2^n, 2^n) array and has no seed.
+`serialize.basis_to_list` from it at the positions that `pauli.action_rows`
+forms, for the members read, from two tables of at most 256 x 16 entries.
+A family given member by member (e.g. a ``--basis`` file) is stored densely
+as one read-only (4^n, 2^n, 2^n) array and has no seed.
 
 Completeness is the resolution R = V^T·conj(V) = 1 of the (4^n, 4^n) member
 matrix V, whose row α is B^(α) flattened.  R is Hermitian, and BLAS computes
@@ -21,11 +22,12 @@ the conjugate of its entry (p, q), so the two have the same modulus bit for
 bit.  `verify_completeness` therefore evaluates R only on and above its
 diagonal, in 64 x 64 tiles (4^n x 4^n at n <= 2), each from two blocks of
 columns of V, and holds neither R nor V: a generated basis gathers each block
-from `PauliMembers.table`, a dense family reads it as a view of its stack.
-The block rows run on a standard-library thread pool, up to one thread per
-available CPU, each thread in the one pair of buffers it claims from the
-caller's, and each tile with the operands and shapes it has alone, so the
-deviation has the same bits for any thread count; no option selects it.
+from `PauliMembers.table` (at positions from `pauli.action_columns`), a dense
+family reads it as a view of its stack.  The caller and up to one more thread
+per available CPU take the block rows in turn, each thread in one pair of
+buffers that the caller allocates, and each tile with the operands and shapes
+it has alone, so the deviation has the same bits for any thread count; no
+option selects it.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from . import errors
 from .errors import DomainError, ShapeError, ValidationError
 from .linalg import (DEFAULT_TOL, StateVector, Tolerance, _finite, is_maximally_entangled,
                      is_scaled_identity)
-from .pauli import action_index, signed_copies
+from .pauli import action_columns, action_rows, signed_copies
 
 # verify_completeness evaluates the completeness sum this many columns at a time: a power of 4
 # from 4 up, so every block of the 4^n columns is exactly min(4^n, this) wide, and each entry
@@ -51,7 +53,7 @@ class PauliMembers(Sequence):
     """The members P_α B^(0), α = 0 .. 4^n - 1, read from one table of signed seed rows.
 
     Row k·2^n + s of `table` is i^k·B^(0)[s] (`pauli.signed_copies`), so row r
-    of P_α B^(0) is row ``action_index(n)[α, r]`` of `table` (`pauli.action_index`).
+    of P_α B^(0) is row ``action_rows(n, α, α + 1)[0, r]`` of `table` (`pauli.action_rows`).
     """
 
     def __init__(self, seed: np.ndarray):
@@ -67,11 +69,12 @@ class PauliMembers(Sequence):
     def __getitem__(self, alpha: int) -> np.ndarray:
         if not -len(self) <= alpha < len(self):
             raise IndexError(f"member index {alpha} out of range for {len(self)} members")
-        return self.table[action_index(self.n)[alpha]]
+        alpha %= len(self)
+        return self.table[action_rows(self.n, alpha, alpha + 1)[0]]
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         """The (4^n, 2^n, 2^n) stack of every member."""
-        return np.asarray(self.table[action_index(self.n)], dtype=dtype)
+        return np.asarray(self.table[action_rows(self.n, 0, len(self))], dtype=dtype)
 
 
 @dataclass(frozen=True)
@@ -177,9 +180,10 @@ def _column_blocks(basis: BellBasis, width: int):
     Row α of V is B^(α) flattened.  For a seed-generated basis the columns are
     gathered into the flat complex buffer `out` from `PauliMembers.table`, whose
     rows, cut into pieces of min(width, 2^n) entries, hold every piece of every
-    member: one ``np.take`` per block, at an index array made contiguous once
-    per check.  For a dense family they are a strided view of its stack, and
-    `out` is not written.
+    member: one ``np.take`` per block, at an index array formed once per check
+    from the columns of the Pauli action that the block reads
+    (`pauli.action_columns`).  For a dense family they are a strided view of its
+    stack, and `out` is not written.
     """
     size = basis.size
     members = basis.members
@@ -190,11 +194,10 @@ def _column_blocks(basis: BellBasis, width: int):
     unit = min(width, dim)
     cuts, per_block = dim // unit, width // unit  # pieces per seed row, pieces per block
     pieces = members.table.reshape(-1, unit)  # piece q of table row t is row t·cuts + q
-    index = action_index(basis.n)
     blocks = []
     for block in range(size // width):
         piece = np.arange(block * per_block, (block + 1) * per_block)  # of a flattened member
-        blocks.append(np.ascontiguousarray(index[:, piece // cuts] * cuts + piece % cuts))
+        blocks.append(action_columns(basis.n, piece // cuts) * cuts + piece % cuts)
 
     def columns(block: int, out: np.ndarray) -> np.ndarray:
         out = out.reshape(size, per_block, unit)
@@ -220,11 +223,11 @@ def verify_completeness(basis: BellBasis, tol: Tolerance = DEFAULT_TOL) -> tuple
     1 ⊗ 2^n·conj(B^(0)†B^(0)), so the deviation is 2^n times the seed's
     `linalg.is_maximally_entangled` deviation, up to rounding (within 1e-14 for n <= 5).
 
-    `_run_blocks` runs the block rows I on a ``concurrent.futures`` thread pool
-    of up to one thread per available CPU, each thread in one pair of buffers
-    that the caller allocates, each tile with the operands and shapes it has
-    alone, and the deviation is the max of the rows' deviations, so the verdict
-    and the deviation do not depend on the thread count.  Block row 0 reads
+    `_run_blocks` runs the block rows I on the caller and up to one more thread
+    per available CPU, each thread in one pair of buffers that the caller
+    allocates, each tile with the operands and shapes it has alone, and the
+    deviation is the max of the rows' deviations, so the verdict and the
+    deviation do not depend on the thread count.  Block row 0 reads
     every column of V, so a nan entry of V makes its deviation, and so the
     deviation, nan: it never reads as complete.  A check of fewer than 16
     blocks (n <= 4) starts no thread.
@@ -265,17 +268,18 @@ def _run_blocks(fill, blocks: int, entries: int) -> list[float]:
     Each worker has two complex buffers of `entries`, 32·entries bytes: for
     `verify_completeness`, two (4^n + 64) x 64 blocks, about 2 MiB at n = 5 and
     8 MiB at n = 6.  There are at most blocks / 8 workers, so a check of fewer than
-    16 block rows, a few milliseconds at n <= 4, starts no thread: 1 below
+    16 block rows, a few milliseconds at n <= 4, starts no thread: 1 worker below
     n = 5, 2 at n = 5 and up to 8 at n = 6, and never more than one per
-    available CPU.  The caller allocates every buffer, and each
-    ``ThreadPoolExecutor`` thread claims one pair as it starts and fills every
-    block it runs in it, so no large array is allocated on a pool thread: with
-    each block allocating its own arrays there, the teleport-dense benchmark's
-    peak RSS rose from 71.9 to 77.5 MB (median of 8 runs each, 2-vCPU host, one
-    BLAS thread).  numpy's ``matmul`` releases the GIL, so the products run at
-    once.  The first block to raise, in block order, cancels those not yet
-    started and is raised here once every thread is joined.  One worker, or a
-    pool that cannot start a thread, leaves every block to the caller.
+    available CPU.  The caller is one worker and starts a ``threading.Thread`` for
+    each other; every worker takes the next block number from one shared iterator
+    and fills it in its own pair of buffers, which the caller allocates, so no
+    large array is allocated on a started thread: with each block allocating its
+    own arrays there, the teleport-dense benchmark's peak RSS rose from 71.9 to
+    77.5 MB (median of 8 runs each, 2-vCPU host, one BLAS thread).  numpy's
+    ``matmul`` releases the GIL, so the products run at once.  Once a block
+    raises, no worker starts another; every thread is joined, and the failure of
+    the first block, in block order, that raised is raised here.  A thread that
+    cannot start leaves its blocks to the workers that run.
     """
     import os
 
@@ -285,23 +289,36 @@ def _run_blocks(fill, blocks: int, entries: int) -> list[float]:
         workers = min(workers, len(affinity(0)) if affinity else os.cpu_count() or 1)
     buffers = [(np.empty(entries, np.complex128), np.empty(entries, np.complex128))
                for _ in range(workers)]
+    results, failures = [0.0] * blocks, {}
+    claims = iter(range(blocks))  # shared: each next() is one call, atomic under the GIL
+
+    def work(left: np.ndarray, right: np.ndarray):
+        for block in claims:
+            if failures:
+                return
+            try:
+                results[block] = fill(block, left, right)
+            except BaseException as exc:  # raised on the caller, once every thread is joined
+                failures[block] = exc
+                return
+
+    threads = []
     if workers > 1:
         import threading
-        from concurrent.futures import ThreadPoolExecutor
 
-        unclaimed, own = buffers.copy(), threading.local()
-
-        def claim():
-            own.pair = unclaimed.pop()  # atomic; at most `workers` threads start, one pair each
-
-        with ThreadPoolExecutor(workers, initializer=claim) as pool:  # joins every thread
+        for pair in buffers[1:]:
+            thread = threading.Thread(target=work, args=pair)
             try:
-                results = pool.map(lambda block: fill(block, *own.pair), range(blocks))
-            except RuntimeError:  # a thread could not start, e.g. at the process's thread limit
-                pass
-            else:
-                return list(results)
-    return [fill(block, *buffers[0]) for block in range(blocks)]
+                thread.start()
+            except RuntimeError:  # e.g. at the process's thread limit
+                break
+            threads.append(thread)
+    work(*buffers[0])
+    for thread in threads:
+        thread.join()
+    if failures:
+        raise failures[min(failures)]
+    return results
 
 
 def is_maximal_member(basis: BellBasis, alpha: int, tol: Tolerance = DEFAULT_TOL) -> bool:

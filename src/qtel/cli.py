@@ -21,10 +21,11 @@ array are refused before numpy is imported.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import re
 import sys
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 
 from . import serialize
 from .errors import (DEFAULT_TOL, EXCERPT_CHARS, GRAPH_EXHAUSTIVE_MAX_QUBITS, DomainError,
@@ -52,8 +53,24 @@ def _tolerance(args) -> Tolerance:
     return Tolerance(value)
 
 
+class _Objects:
+    """A list of JSON objects, each formed when `_emit` writes it and then dropped."""
+
+    def __init__(self, objects: Iterable[dict]):
+        self._objects = objects
+
+    def __iter__(self) -> Iterator[dict]:
+        return iter(self._objects)
+
+
 def _pieces(value):
-    """A field's JSON text in the pieces it is written in: an iterator yields its own."""
+    """A field's JSON text in the pieces it is written in: an iterator yields its own, and
+    `_Objects` one piece per 1024 objects, each encoded by one `serialize.dumps` call."""
+    if isinstance(value, _Objects):
+        objects = iter(value)
+        batches = iter(lambda: list(itertools.islice(objects, 1024)), [])
+        return itertools.chain("[", (("," if k else "") + serialize.dumps(batch)[1:-1]
+                                     for k, batch in enumerate(batches)), "]")
     return value if isinstance(value, Iterator) else [serialize.dumps(value)]
 
 
@@ -61,8 +78,9 @@ def _emit(report: dict, args):
     """Write the report under the name of the subcommand that made it.
 
     Each field is encoded once, by `serialize.dumps`, unless it is an iterator of
-    pieces encoded already (`serialize.basis_to_list`); each piece is written on
-    its own, as it stands, never copied into a larger string.
+    pieces encoded already (`serialize.basis_to_list`) or `_Objects`, whose
+    objects are encoded as they are formed; each piece is written on its own,
+    as it stands, never copied into a larger string.
     ``--format json`` writes one object of the encoded fields under sorted keys,
     the schema's among them.  ``--format text`` writes one ``key: value`` line
     per field in report order, ``command`` first and no schema: a string as it
@@ -81,7 +99,8 @@ def _emit(report: dict, args):
         return
     write(f"command: {command}\n")
     for key, value in report.items():
-        if isinstance(value, list) and value and isinstance(value[0], dict):
+        if isinstance(value, _Objects) or (isinstance(value, list) and value
+                                           and isinstance(value[0], dict)):
             write(f"{key}:\n")
             for item in value:
                 write(f"  {serialize.dumps(item)}\n")
@@ -144,28 +163,30 @@ def cmd_teleport_run(args) -> tuple[dict, bool]:
         info, ch, basis, mode=args.mode, seed=args.seed, shots=args.shots, tol=args.tol
     )
     outcomes = result.records
-    probs, zeros = outcomes.probs.tolist(), outcomes.zero.tolist()
-    column = [None if zero else f for f, zero in zip(outcomes.fidelities.tolist(), zeros)]
-    fidelities = [f for f in column if f is not None]
-    rows = []
-    for alpha, (probability, zero, fidelity) in enumerate(zip(probs, zeros, column)):
-        row = {
-            "alpha": alpha,
-            "probability": probability,
-            "fidelity": fidelity,
-            "zero_probability": zero,
-        }
-        if result.counts is not None:
-            row["count"] = result.counts[alpha]
-        rows.append(row)
-    all_perfect = bool(fidelities) and min(fidelities) >= 1.0 - args.tol.abs_eps
+
+    def rows():
+        columns = outcomes.probs.tolist(), outcomes.zero.tolist(), outcomes.fidelities.tolist()
+        for alpha, (probability, zero, fidelity) in enumerate(zip(*columns)):
+            row = {
+                "alpha": alpha,
+                "probability": probability,
+                "fidelity": None if zero else fidelity,
+                "zero_probability": zero,
+            }
+            if result.counts is not None:
+                row["count"] = result.counts[alpha]
+            yield row
+
+    useful = outcomes.fidelities[~outcomes.zero]  # finite: the run checked every state
+    least = float(useful.min()) if useful.size else None
+    all_perfect = least is not None and least >= 1.0 - args.tol.abs_eps
     report = {
         "n": info.n_qubits,
         "mode": result.mode,
-        "outcomes": rows,
+        "outcomes": _Objects(rows()),
         "summary": {
-            "total_probability": float(sum(probs)),
-            "min_fidelity": min(fidelities) if fidelities else None,
+            "total_probability": float(sum(outcomes.probs.tolist())),  # in order, as Python adds
+            "min_fidelity": least,
             "all_fidelities_perfect": all_perfect,
         },
     }

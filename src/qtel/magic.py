@@ -29,8 +29,9 @@ from .teleport import min_fidelities
 # verify_partial_basis evaluates at most this many trials at a time, and only as many as
 # fit in `errors.BYTE_BUDGET` at four (4^n, 2^n) complex arrays each: 128 trials up to n = 5,
 # fewer above, none from n = 8.  `teleport.min_fidelities` forms a trial's outcomes 256 at a
-# time, so from n = 5 a block of trials holds 4^n / 256 times less than that; the n >= 8
-# refusal stands for `pauli.action_index(8)`, 128 MiB on its own.
+# time, so from n = 5 a block of trials holds 4^n / 256 times less than that, and the Pauli
+# action is formed for those 256 outcomes alone (`pauli.action_rows`); the n >= 8 refusal is
+# kept until the guard is sized by what a block holds.
 VERIFY_BLOCK_TRIALS = 128
 
 

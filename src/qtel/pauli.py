@@ -6,8 +6,11 @@ commutation tests are pure bit arithmetic and the tracked phase makes
 ``matrix_of(product(p, q))`` agree with the dense matrix product exactly.
 The symplectic product is written once (`_multiply`), for ints or int
 arrays: `product_table` applies it to every pair of family elements at once.
-A string acts on a vector in one form: `action_index` points into the four
-signed copies i^k·v that `signed_copies` builds.
+A string acts on a vector in one form: an entry of the (4^n, 2^n) action table
+points into the four signed copies i^k·v that `signed_copies` builds.  The
+table is held whole only for n <= 4 (`action_index`); `action_rows` and
+`action_columns` form the rows and columns a caller reads from two such
+factors, never the whole table.
 
 Label convention: qubit r (qubit 0 leading) is base-4 digit ``n_qubits-1-r``
 of α from the right, and bit ``n_qubits-1-r`` of each mask.  Digits 0, 1, 2, 3
@@ -108,22 +111,63 @@ def _bit_count(a, n_bits: int):
 
 @functools.lru_cache(maxsize=None)
 def action_index(n_qubits: int) -> np.ndarray:
-    """Every family element P_α, α = 0 .. 4^n - 1, as positions in `signed_copies`.
+    """Every family element P_α, α = 0 .. 4^n - 1, as positions in `signed_copies`, for n <= 4.
 
-    Returns a read-only (4^n, 2^n) integer array with entries k·2^n + (r ^ x_α):
+    Returns a read-only (4^n, 2^n) int32 array with entries k·2^n + (r ^ x_α):
     ``(P_α v)[r] = signed_copies(v)[index[α, r]] = i^k · v[r ^ x_α]``.  Each string
     permutes basis indices by XOR with its X mask and multiplies them by a power
     of i, so ``matrix_of(pauli_from_quaternary(α, n))`` is never needed to apply it.
+    It is at most 256 x 16, kept for the life of the process, and the factor from
+    which `action_rows` and `action_columns` form the table of any larger n.
     """
-    if n_qubits < 1:
-        raise ValidationError(f"n_qubits must be >= 1, got {n_qubits}")
-    x, z = _split(np.arange(4**n_qubits), n_qubits)
-    perm = x[:, None] ^ np.arange(2**n_qubits)[None, :]
+    if not 1 <= n_qubits <= 4:
+        raise ValidationError(f"the whole action table is kept for 1 <= n_qubits <= 4, "
+                              f"got {excerpt(n_qubits)}")
+    x, z = _split(np.arange(4**n_qubits, dtype=np.int32), n_qubits)
+    perm = x[:, None] ^ np.arange(2**n_qubits, dtype=np.int32)[None, :]
     # P_α = i^{|x & z|} X^x Z^z, and X^x Z^z |s> = (-1)^{z·s} |s ^ x> with s = r ^ x
     powers = 2 * _bit_count(z[:, None] & perm, n_qubits) + _bit_count(x & z, n_qubits)[:, None]
     index = (powers % 4) * 2**n_qubits + perm
     index.flags.writeable = False
     return index
+
+
+def _low_factor(n_qubits: int) -> np.ndarray:
+    """`action_index(4)` with each phase k moved from 16·k to 2^n·k: (256, 16) int32."""
+    low = action_index(4)
+    return (low >> 4 << n_qubits) | (low & 15)
+
+
+def action_rows(n_qubits: int, start: int, stop: int) -> np.ndarray:
+    """Rows start .. stop - 1 (stop at most 4^n) of the (4^n, 2^n) `action_index` table of n qubits.
+
+    For n <= 4 a view of the cached table.  Above, with α = h·256 + l and r = r_h·16 + r_l,
+    P_α is P_h on the first n - 4 qubits times P_l on the last four, so
+    index[α, r] = ((k_h + k_l) mod 4)·2^n + q_h·16 + q_l, where row h of the table of
+    n - 4 qubits holds k_h·2^(n-4) + q_h at r_h and row l of `action_index(4)` holds
+    k_l·16 + q_l at r_l: the same integers, formed in int32 from one row of each factor.
+    """
+    if n_qubits <= 4:
+        return action_index(n_qubits)[start:stop]
+    stop = min(stop, 4**n_qubits)
+    alphas, first = np.arange(start, stop), start >> 8
+    high = action_rows(n_qubits - 4, first, ((stop - 1) >> 8) + 1) << 4
+    rows = high[(alphas >> 8) - first, :, None] + _low_factor(n_qubits)[alphas & 255, None, :]
+    rows &= 4 * 2**n_qubits - 1  # k_h + k_l mod 4
+    return rows.reshape(len(alphas), 2**n_qubits)
+
+
+def action_columns(n_qubits: int, columns: np.ndarray) -> np.ndarray:
+    """Columns `columns` (an int array) of the `action_index` table of n qubits: (4^n, len) int32.
+
+    Formed from the two factors as in `action_rows`.
+    """
+    if n_qubits <= 4:
+        return action_index(n_qubits)[:, columns]
+    high = action_columns(n_qubits - 4, columns >> 4) << 4
+    index = high[:, None, :] + _low_factor(n_qubits)[:, columns & 15]
+    index &= 4 * 2**n_qubits - 1  # k_h + k_l mod 4
+    return index.reshape(4**n_qubits, len(columns))
 
 
 def signed_copies(v: np.ndarray, axis: int = -1) -> np.ndarray:

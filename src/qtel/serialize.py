@@ -7,7 +7,8 @@ im], ...]} row-major.  Complex numbers are always two-element arrays.
 The members of a generated Bell basis are written from its row table:
 every row of P_α B^(0) is one of the 4·2^n rows of `bell.PauliMembers.table`,
 so `basis_to_list` encodes those rows once and lays out each member from
-`pauli.action_index`, instead of converting 16^n entries to Python floats.
+`pauli.action_rows`, 256 members at a time, instead of converting 16^n entries
+to Python floats.
 It yields the text in pieces, each formed as `cli._emit` writes it, so no
 more than one member's text is held at once.
 
@@ -139,12 +140,12 @@ def basis_to_list(members):
     holds one member's text at a time, never all of them.  For a
     `bell.PauliMembers` the text is built from its row table: each
     row of `table` is encoded once, and each member is joined from the rows
-    `pauli.action_index` names, so every float is the one the dense member gives.
+    `pauli.action_rows` names, so every float is the one the dense member gives.
     The name is kept from when this returned a list of dicts: the
     benchmark's traced run reports it as ``serialize.basis_to_list.ms``.
     """
     from .bell import PauliMembers
-    from .pauli import action_index
+    from .pauli import action_rows
     yield "["
     if isinstance(members, PauliMembers):
         d = members.seed.shape[0]
@@ -152,7 +153,8 @@ def basis_to_list(members):
         rows = [dumps(pairs[i:i + d])[1:-1] for i in range(0, len(pairs), d)]
         head, tail = f'{{"cols":{d},"entries":[', f'],"rows":{d}}}'
         texts = (head + ",".join([rows[i] for i in member]) + tail
-                 for member in action_index(members.n).tolist())
+                 for start in range(0, len(members), 256)
+                 for member in action_rows(members.n, start, start + 256).tolist())
     else:
         texts = (dumps(matrix_to_dict(m)) for m in members)
     for k, text in enumerate(texts):

@@ -16,11 +16,12 @@ probabilities, the zero mask and the fidelities are kept whole, (T, 4^n).
 It tests the basis kind once.  For a seed-generated basis B^(α) = P_α B^(0),
 so O^(α) = K P_α with K = E^T B^(0)† and O^(α)†O^(α) = P_α G P_α with
 G = K†K: one product K, one Gram matrix G and one scaled-identity test serve
-every outcome, and P_α v is read from the signed copies i^k·v
-(`pauli.action_index`).  The test on G is exact for each α, since P_α only
-permutes the entries of G - s·1 and multiplies them by unit phases.  A basis
-given member by member (``--basis``) takes the dense path: each block's O^(α)
-from one stacked ``einsum`` and a scaled-identity test per member.
+every outcome, and P_α v is read from the signed copies i^k·v at the
+positions that `pauli.action_rows` forms for a block's outcomes.  The test on
+G is exact for each α, since P_α only permutes the entries of G - s·1 and
+multiplies them by unit phases.  A basis given member by member (``--basis``)
+takes the dense path: each block's O^(α) from one stacked ``einsum`` and a
+scaled-identity test per member.
 
 `_outcomes` carries a leading batch axis of T protocol runs, each with its
 own information state and channel matrix.  `composite_expand`, and through it
@@ -54,7 +55,7 @@ from .channel import Channel, is_perfect
 from . import errors
 from .errors import InternalConsistencyError, ShapeError, ValidationError
 from .linalg import DEFAULT_TOL, StateVector, Tolerance, _finite, dagger, is_scaled_identity
-from .pauli import POWERS_OF_I, action_index, matrices_of, signed_copies
+from .pauli import POWERS_OF_I, action_rows, matrices_of, signed_copies
 
 ZERO_PROBABILITY_EPS = 1e-14  # an outcome less likely is masked, whatever --tol is
 # `_outcomes` forms the rows of at most this many outcomes at a time, so n <= 4 is one block
@@ -106,6 +107,10 @@ class OutcomeRecords(Sequence):
     and the corrected states of the OUTCOME_BLOCK outcomes from `start` again,
     with their bits: `bob` and `corrected` are each formed whole from it on
     first access, and a record reads its rows from the one block last formed.
+    Reading the records in order, as iteration does (the benchmark's teleport
+    checks iterate them), forms each block once; a read that leaves the block
+    last formed forms its own block again, whole, so reading them out of order
+    can cost up to one block of the protocol per record.
     """
 
     def __init__(self, probs: np.ndarray, zero: np.ndarray, fidelities: np.ndarray, rows):
@@ -240,13 +245,13 @@ def _outcomes(info: np.ndarray, e: np.ndarray, basis: BellBasis, tol: Tolerance)
     """
     fidelity_of = info.conj()[..., None]
     if basis.seed is not None:
-        n, index = basis.n, action_index(basis.n)  # entries k·2^n + s: i^k times entry s
+        n = basis.n
         k = e.swapaxes(-1, -2) @ dagger(basis.seed)  # K = E^T B^(0)†, so O^(α) = K P_α
         copies = signed_copies(info)
         scaled = _unitary_scale(k, tol) > 0.0  # one test on G = K†K covers every α of a run
 
         def rows(start: int):
-            block = index[start:start + OUTCOME_BLOCK]
+            block = action_rows(n, start, start + OUTCOME_BLOCK)  # k·2^n + s: i^k times entry s
             bob = copies[:, block] @ k.swapaxes(-1, -2)  # the rows P_α I, times K^T
             probs, zero = _probabilities(bob)
             corrected = bob
@@ -280,9 +285,9 @@ def composite_expand(
 
     The inputs are checked first.  An n whose (4^n, 2^n) complex outcome array
     would exceed `errors.BYTE_BUDGET` (n >= 9) is a ResourceLimitError, raised
-    before any outcome is expanded: no such array is formed unless `bob` or
-    `corrected` is read, but `pauli.action_index(9)` alone is 1 GiB.  Every block
-    of Bob's and of the corrected states is checked finite as it is formed.
+    before any outcome is expanded, though no such array is formed unless `bob`
+    or `corrected` is read.  Every block of Bob's and of the corrected states is
+    checked finite as it is formed.
     """
     _check_dims(info, ch, basis, tol)
     errors.check_budget(4 + 3 * basis.n, "running the protocol at n={n} needs {size} MiB per "

@@ -474,7 +474,7 @@ def _standard_n9_files(t) -> list[str]:
 def test_astronomical_n_is_usage_error_in_a_capped_process(argv, tmp_path):
     # in a separate process under a 1 GiB address-space cap: code that forms 2^n or 16^n
     # for such an n fails there with a MemoryError (or runs out the timeout), not here;
-    # at n = 9, action_index alone would take the whole 1 GiB
+    # at n = 9, one (4^9, 2^9) complex outcome array alone would take the whole 1 GiB
     src = os.path.dirname(os.path.dirname(qtel.__file__))
     code = f"import sys; from qtel.cli import main; sys.exit(main({argv(tmp_path)!r}))"
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")

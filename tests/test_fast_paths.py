@@ -6,8 +6,10 @@ Clique lists and product tables must be equal; the figures of
 `verify_partial_basis` must be equal bit for bit (``uint64`` views),
 including every array its trial loop hands to `teleport.min_fidelities`;
 the verdict and deviation of `verify_completeness` must equal those of the
-one dense (4^n, 4^n) resolution.  The Pauli action read through
-`pauli.action_index` must give the columns of `run_protocol`, the values of
+one dense (4^n, 4^n) resolution.  The rows and columns of the Pauli action
+that `pauli.action_rows` and `pauli.action_columns` form from two small
+factors must be the integers of the whole table they replaced, and the action
+read through them must give the columns of `run_protocol`, the values of
 `min_fidelities`, the member stack and the `basis_to_list` text bit for bit
 as the (perm, phase) tables it replaced gave them.  `run_protocol`, which
 corrects every outcome, must give the columns of the engine that corrected
@@ -426,7 +428,7 @@ def test_block_completeness_equals_dense_resolution_n5(kind):
 def test_completeness_peak_below_one_and_a_half_member_matrices(monkeypatch, cpus):
     _set_cpus(monkeypatch, cpus)
     basis = standard_basis(5)
-    verify_completeness(basis)  # fills the action-index cache
+    verify_completeness(basis)  # fills the factor cache
     tracemalloc.start()
     try:
         verify_completeness(basis)
@@ -521,7 +523,7 @@ def test_completeness_of_one_block_starts_no_thread(monkeypatch):
         assert verify_completeness(standard_basis(n))[0]
     assert started == []
     assert verify_completeness(standard_basis(5))[0]
-    assert len(started) == 2  # two workers at n = 5: two pool threads, while the caller waits
+    assert len(started) == 1  # two workers at n = 5: the caller and one started thread
 
 
 @pytest.mark.parametrize(("n", "width"), [(1, None), (3, None), (3, 4), (4, 16)])
@@ -603,6 +605,32 @@ def phase_tables(n):
     perm = x[:, None] ^ np.arange(2**n)[None, :]
     powers = 2 * pauli._bit_count(z[:, None] & perm, n) + pauli._bit_count(x & z, n)[:, None]
     return perm, np.array([1, 1j, -1, -1j])[powers % 4]
+
+
+def whole_action_index(n):
+    """`pauli.action_index` as it was for every n: the whole (4^n, 2^n) int64 table at once."""
+    x, z = pauli._split(np.arange(4**n), n)
+    perm = x[:, None] ^ np.arange(2**n)[None, :]
+    powers = 2 * pauli._bit_count(z[:, None] & perm, n) + pauli._bit_count(x & z, n)[:, None]
+    return (powers % 4) * 2**n + perm
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_factored_action_equals_the_whole_table(n):
+    table = whole_action_index(n)
+    for block, offset in itertools.product((64, 256, 1024), (0, 37, 200)):
+        rows = [pauli.action_rows(n, start, start + block)
+                for start in range(offset, 4**n, block)]
+        assert all(r.dtype == np.int32 for r in rows)
+        if offset < 4**n:
+            assert np.array_equal(np.concatenate(rows), table[offset:]), (block, offset)
+    for alpha in (0, 4**n - 1):
+        assert np.array_equal(pauli.action_rows(n, alpha, alpha + 1), table[alpha:alpha + 1])
+    columns = pauli.action_columns(n, np.arange(2**n))
+    assert columns.dtype == np.int32 and np.array_equal(columns, table)
+    rng = np.random.default_rng(n)
+    for chosen in (rng.integers(2**n, size=3), np.repeat(np.arange(2**n), 2)[:64], [2**n - 1]):
+        assert np.array_equal(pauli.action_columns(n, np.asarray(chosen)), table[:, chosen])
 
 
 COLUMNS = ("probs", "zero", "bob", "corrected", "fidelities")  # of `teleport.OutcomeRecords`
@@ -736,7 +764,7 @@ def useful_corrected_states(bob, alphas, e, basis, tol):
         scaled = teleport._unitary_scale(k, tol) > 0.0
         if not scaled.any():
             return bob
-        index = pauli.action_index(basis.n)[alphas]
+        index = whole_action_index(basis.n)[alphas]
         corrected = np.take_along_axis(bob @ k.conj(), index[None] & (2**basis.n - 1), axis=-1)
         corrected *= pauli.POWERS_OF_I[index >> basis.n]
         corrected /= np.linalg.norm(corrected, axis=-1, keepdims=True)
@@ -826,7 +854,7 @@ def test_run_protocol_peak_below_four_outcome_arrays():
     basis = standard_basis(n)
     ch = channel_from_state(state_from_matrix(np.eye(2**n) / 2 ** (n / 2), n), n)
     info = random_state(n, np.random.default_rng(6))
-    run_protocol(info, ch, basis)  # fills the action-index cache
+    run_protocol(info, ch, basis)  # fills the factor cache
     tracemalloc.start()
     try:
         run_protocol(info, ch, basis)
@@ -860,7 +888,7 @@ def test_min_fidelities_is_least_nonzero_fidelity_of_run_protocol(n, basis_kind)
 def per_stage_outcome_amplitudes(info, e, basis):
     """`teleport._outcome_amplitudes` as it was: it forms K = E^T B^(0)† itself."""
     if basis.seed is not None:
-        rows = pauli.signed_copies(info)[:, pauli.action_index(basis.n)]
+        rows = pauli.signed_copies(info)[:, whole_action_index(basis.n)]
         return rows @ seed_operator(e, basis).swapaxes(-1, -2)
     members = np.asarray(basis.members, dtype=np.complex128)
     return np.einsum("akj,tk->taj", members.conj(), info) @ e
@@ -873,7 +901,7 @@ def per_stage_corrected_states(bob, e, basis, tol):
         scaled = teleport._unitary_scale(k, tol) > 0.0
         if not scaled.any():
             return bob
-        index = pauli.action_index(basis.n)
+        index = whole_action_index(basis.n)
         corrected = np.take_along_axis(bob @ k.conj(), index[None] & (2**basis.n - 1), axis=-1)
         corrected *= pauli.POWERS_OF_I[index >> basis.n]
         teleport._normalize_rows(corrected)
@@ -938,7 +966,7 @@ def whole_outcomes(info, e, basis, tol=DEFAULT_TOL):
     """`teleport._outcomes` as it was: the five columns of T runs as whole (T, 4^n, ...) arrays."""
     if basis.seed is not None:
         k = e.swapaxes(-1, -2) @ qtel.linalg.dagger(basis.seed)
-        index = pauli.action_index(basis.n)
+        index = whole_action_index(basis.n)
         bob = pauli.signed_copies(info)[:, index] @ k.swapaxes(-1, -2)
         probs, zero = teleport._probabilities(bob)
         scaled = teleport._unitary_scale(k, tol) > 0.0
@@ -1034,7 +1062,7 @@ def test_run_protocol_at_n7_peaks_below_8_mib_and_keeps_under_1_mib():
     basis = standard_basis(n)
     ch = channel_from_state(state_from_matrix(np.eye(2**n) / 2 ** (n / 2), n), n)
     info = random_state(n, np.random.default_rng(n))
-    run_protocol(info, ch, basis)  # fills the action-index cache
+    run_protocol(info, ch, basis)  # fills the factor cache
     tracemalloc.start()
     try:
         result = run_protocol(info, ch, basis)

@@ -423,7 +423,7 @@ def test_verification_equals_per_trial_protocol_runs(basis, seed, trials, tol):
 
 def test_verification_memory_does_not_grow_with_trials():
     basis = partial_basis_from_set(pauli_from_quaternary(a, 3) for a in cliques(3)[0])
-    verify_partial_basis(basis, 1, 0)  # fills the action-index cache
+    verify_partial_basis(basis, 1, 0)  # fills the factor cache
 
     def peak(trials):
         tracemalloc.start()
