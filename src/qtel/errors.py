@@ -4,11 +4,12 @@ import sys
 
 # the largest size, in bytes, that each of three guards allows the arrays it names, though none
 # is built whole: the (4^n, 4^n) member matrix of `bell.verify_completeness` (read in 64 x 64
-# tiles), four (4^n, 2^n) outcome arrays per trial of `magic.verify_partial_basis` and one
-# of `teleport.composite_expand` (both formed 256 outcomes at a time).  The limits they set are
-# kept for what is still held or written whole, a dense family or printed basis of 16^n entries,
-# until each guard is sized by what its command holds.  Each guard calls `check_budget` with its
-# need before anything is allocated, and `check_budget` reads the budget when called.
+# tiles), four (4^n, 2^n) outcome arrays per trial of `magic.verify_partial_basis` (formed 256
+# outcomes at a time) and one of `teleport.composite_expand`, which forms none and keeps three
+# (4^n,) columns.  The limits they set are kept for what is still held or written whole, a dense
+# family or printed basis of 16^n entries, until each guard is sized by what its command holds.
+# Each guard calls `check_budget` with its need before anything is allocated, and `check_budget`
+# reads the budget when called.
 BYTE_BUDGET = 2**28
 # the largest n of the exhaustive anticommutation graph, and of the CLI's clique `--n` choices
 GRAPH_EXHAUSTIVE_MAX_QUBITS = 3

@@ -31,14 +31,11 @@ computes each run's product exactly as it would alone.
 
 Every outcome α is corrected, as in the protocol, whatever its
 probability; the zero mask only says which outcomes cannot occur.  A run's
-result holds the probabilities, the zero mask and the fidelities as whole
-columns of `OutcomeRecords`, one row per α, and forms the blocks of Bob's
-and of the corrected states again, by the same code and with the same bits,
-when they are read: whole, as the columns `bob` and `corrected`, or one
-block at a time, as an indexed `OutcomeRecord` and its `StateVector`s need
-them.  The finiteness check (`linalg._finite`) runs on every block of Bob's
-states and of the corrected states as the run forms it, and again on each
-row that an indexed record wraps in a `StateVector`.
+result is what its callers read: the probabilities, the zero mask and the
+fidelities, whole columns of `OutcomeRecords`, one row per α, from which an
+indexed `OutcomeRecord` is built.  Bob's states and the corrected states are
+formed only to give the fidelities: each block of them is checked finite
+(`linalg._finite`) as the run forms it, and then dropped.
 """
 
 from __future__ import annotations
@@ -46,7 +43,7 @@ from __future__ import annotations
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import reduce
 
 import numpy as np
 
@@ -87,54 +84,24 @@ class TransformationOperator:
 class OutcomeRecord:
     alpha: int
     probability: float
-    bob_state: StateVector | None = None
-    corrected_state: StateVector | None = None
     fidelity: float | None = None
     zero_probability: bool = False
 
 
 class OutcomeRecords(Sequence):
-    """The 4^n outcomes of one run as columns; each `OutcomeRecord` is built when indexed.
+    """The 4^n outcomes of one run as three read-only columns; each `OutcomeRecord` is
+    built from them when indexed.
 
-    Row α of every column is outcome α.  `probs` (4^n,) holds the
-    probabilities and `zero` (4^n,) flags those below ZERO_PROBABILITY_EPS;
-    `bob` (4^n, 2^n) holds Bob's states, a zero outcome's row unnormalized;
-    `corrected` (4^n, 2^n) and `fidelities` (4^n,) hold the corrected states and
-    their fidelities.  A zero outcome's rows are finite but mean nothing, and
-    its record carries none of them.  The columns are read-only.
-
-    Only `probs`, `zero` and `fidelities` are held.  ``rows(start)`` forms Bob's
-    and the corrected states of the OUTCOME_BLOCK outcomes from `start` again,
-    with their bits: `bob` and `corrected` are each formed whole from it on
-    first access, and a record reads its rows from the one block last formed.
-    Reading the records in order, as iteration does (the benchmark's teleport
-    checks iterate them), forms each block once; a read that leaves the block
-    last formed forms its own block again, whole, so reading them out of order
-    can cost up to one block of the protocol per record.
+    Row α of every column is outcome α.  `probs` (4^n,) holds the probabilities,
+    `zero` (4^n,) flags those below ZERO_PROBABILITY_EPS and `fidelities` (4^n,)
+    holds the fidelities of the corrected states.  A zero outcome's fidelity is
+    finite but means nothing, and its record carries none.
     """
 
-    def __init__(self, probs: np.ndarray, zero: np.ndarray, fidelities: np.ndarray, rows):
-        self.n = (len(probs).bit_length() - 1) // 2
+    def __init__(self, probs: np.ndarray, zero: np.ndarray, fidelities: np.ndarray):
         self.probs, self.zero, self.fidelities = probs, zero, fidelities
         for column in (probs, zero, fidelities):
             column.flags.writeable = False
-        self._rows = rows
-        self._block = (None, None)  # (start, (bob, corrected)) of the block last formed
-
-    @cached_property
-    def bob(self) -> np.ndarray:
-        return self._column(0)
-
-    @cached_property
-    def corrected(self) -> np.ndarray:
-        return self._column(1)
-
-    def _column(self, which: int) -> np.ndarray:
-        column = np.empty((len(self), 2**self.n), dtype=np.complex128)
-        for start in range(0, len(self), OUTCOME_BLOCK):
-            column[start:start + OUTCOME_BLOCK] = self._rows(start)[which]
-        column.flags.writeable = False
-        return column
 
     def __len__(self) -> int:
         return len(self.probs)
@@ -147,15 +114,10 @@ class OutcomeRecords(Sequence):
         probability = float(self.probs[alpha])
         if self.zero[alpha]:
             return OutcomeRecord(alpha, probability, zero_probability=True)
-        start, row = alpha - alpha % OUTCOME_BLOCK, alpha % OUTCOME_BLOCK
-        if self._block[0] != start:
-            self._block = (start, self._rows(start))
-        bob, corrected = self._block[1]
-        return OutcomeRecord(alpha, probability, StateVector(self.n, bob[row]),
-                             StateVector(self.n, corrected[row]), float(self.fidelities[alpha]))
+        return OutcomeRecord(alpha, probability, float(self.fidelities[alpha]))
 
     def __repr__(self) -> str:
-        return (f"OutcomeRecords(n={self.n}, outcomes={len(self)}, "
+        return (f"OutcomeRecords(n={(len(self).bit_length() - 1) // 2}, outcomes={len(self)}, "
                 f"useful={np.count_nonzero(~self.zero)})")
 
 
@@ -281,13 +243,13 @@ def _outcomes(info: np.ndarray, e: np.ndarray, basis: BellBasis, tol: Tolerance)
 def composite_expand(
     info: StateVector, ch: Channel, basis: BellBasis, tol: Tolerance = DEFAULT_TOL
 ) -> OutcomeRecords:
-    """Every outcome of one run as the columns of `OutcomeRecords`, each one corrected.
+    """Every outcome of one run, each one corrected, as the columns of `OutcomeRecords`.
 
     The inputs are checked first.  An n whose (4^n, 2^n) complex outcome array
     would exceed `errors.BYTE_BUDGET` (n >= 9) is a ResourceLimitError, raised
-    before any outcome is expanded, though no such array is formed unless `bob`
-    or `corrected` is read.  Every block of Bob's and of the corrected states is
-    checked finite as it is formed.
+    before any outcome is expanded, though no such array is formed: the refusal
+    keeps its threshold and message until it is sized by what a run holds.  Every
+    block of Bob's and of the corrected states is checked finite as it is formed.
     """
     _check_dims(info, ch, basis, tol)
     errors.check_budget(4 + 3 * basis.n, "running the protocol at n={n} needs {size} MiB per "
@@ -301,13 +263,7 @@ def composite_expand(
             column[0] for column in rows(start))
         _finite(bob)
         _finite(corrected)
-
-    def states(start: int) -> tuple[np.ndarray, np.ndarray]:
-        _, _, bob, corrected, _ = rows(start)
-        bob.flags.writeable = corrected.flags.writeable = False
-        return bob[0], corrected[0]
-
-    return OutcomeRecords(probs, zero, fidelities, states)
+    return OutcomeRecords(probs, zero, fidelities)
 
 
 def _check_sampling(mode: str, shots: int | None, seed: int | None):

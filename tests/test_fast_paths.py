@@ -20,9 +20,12 @@ must give each row's `np.linalg.norm` bit for bit.  The trial draws of
 three-call loop gave, the lowest-vertex clique pivot the cliques of Tomita's
 pivot and of the definition, and the engine that forms K = E^T B^(0)† once
 per batch the columns of the one whose two stages each formed it.
-`composite_expand` must give the five columns of `run_protocol` bit for bit,
-and the protocol pass in blocks of outcomes (`teleport._outcomes`) the
-columns, records and `min_fidelities` of the whole-array pass it replaced.
+`composite_expand` must give the three columns of `run_protocol` bit for bit,
+and the protocol pass in blocks of outcomes (`teleport._outcomes`) the five
+columns, the records and `min_fidelities` of the whole-array pass it replaced.
+A run keeps only the probabilities, the zero flags and the fidelities, so
+Bob's and the corrected states are read from the blocks `teleport._outcomes`
+forms for that run.
 The members that `partial_basis_from_set` and `n2_catalog` take from one
 `pauli.matrices_of` stack must be those of one `matrix_of` per string, bit
 for bit.
@@ -489,8 +492,13 @@ def test_block_failure_drops_the_blocks_not_yet_started(monkeypatch):
 def test_no_two_running_blocks_share_a_buffer(monkeypatch):
     _set_cpus(monkeypatch, 8)  # 64 blocks: eight workers, more than the cores of most hosts
     pairs = collections.defaultdict(set)  # the buffer pairs each thread filled
+    arrived, two = set(), threading.Event()
 
     def fill(block, conj, product):
+        arrived.add(threading.get_ident())
+        if len(arrived) > 1:
+            two.set()
+        two.wait(5)  # else, on a loaded host, the first thread to start can take every block
         pairs[threading.get_ident()].add((id(conj), id(product)))
         conj[:], product[:] = block, -block
         for _ in range(20):  # switch points, at which a block sharing the buffers would write
@@ -633,7 +641,7 @@ def test_factored_action_equals_the_whole_table(n):
         assert np.array_equal(pauli.action_columns(n, np.asarray(chosen)), table[:, chosen])
 
 
-COLUMNS = ("probs", "zero", "bob", "corrected", "fidelities")  # of `teleport.OutcomeRecords`
+COLUMNS = ("probs", "zero", "bob", "corrected", "fidelities")  # of a `teleport._outcomes` block
 
 
 def reference_probabilities(b):
@@ -724,8 +732,7 @@ def assert_index_form_equals_phase_form(n, seed_kind, channel_kind, rng):
     info = random_state(n, rng)
     new = run_protocol(info, ch, basis).records
     old = phase_columns(info.amplitudes[None], e[None], basis)
-    for name, column in zip(COLUMNS, old):
-        assert _same_bits(getattr(new, name), column[0]), name
+    assert_run_equals_columns(new, info.amplitudes, e, basis, [column[0] for column in old])
     if n <= 6:  # a block of runs, as verify_partial_basis hands them over, of every kind
         infos = np.stack([random_state(n, rng).amplitudes for _ in range(3)])
         es = np.stack([e, *(_channel_matrix(n, kind, rng) for kind in ("perfect", "degenerate"))])
@@ -823,13 +830,14 @@ def assert_all_rows_equal_useful_rows(n, basis_kind, channel_kind, info_kind, rn
     info = (random_state(n, rng) if info_kind == "haar"
             else StateVector(n, np.eye(2**n)[rng.integers(2**n)]))
     new = run_protocol(info, ch, basis).records
+    new_bob, new_corrected = run_states(info.amplitudes, ch.e_matrix, basis)
     probs, zero, bob, useful, corrected, fidelities = useful_run_protocol(info, ch, basis)
     assert _same_bits(new.probs, probs) and _same_bits(new.zero, zero)
-    assert _same_bits(new.bob, bob)
-    assert new.corrected.shape == new.bob.shape and new.fidelities.shape == new.probs.shape
-    assert _same_bits(new.corrected[useful], corrected)
+    assert _same_bits(new_bob, bob)
+    assert new_corrected.shape == new_bob.shape and new.fidelities.shape == new.probs.shape
+    assert _same_bits(new_corrected[useful], corrected)
     assert _same_bits(new.fidelities[useful], fidelities)
-    assert np.isfinite(new.corrected).all() and np.isfinite(new.fidelities).all()
+    assert np.isfinite(new_corrected).all() and np.isfinite(new.fidelities).all()
 
 
 @settings(max_examples=60, deadline=None)
@@ -940,8 +948,7 @@ def test_one_k_per_batch_equals_one_k_per_stage_bit_for_bit(n, basis_kind):
         records = run_protocol(StateVector(n, info), channel_from_state(state_from_matrix(e, n), n),
                                basis).records
         alone = per_stage_columns(info[None], e[None], basis)
-        for name, column in zip(COLUMNS, alone):
-            assert _same_bits(getattr(records, name), column[0]), (t, name)
+        assert_run_equals_columns(records, info, e, basis, [column[0] for column in alone])
 
 
 @pytest.mark.parametrize("basis_kind", ["standard", "haar", "standard-dense", "haar-dense"])
@@ -955,7 +962,7 @@ def test_composite_expand_gives_the_columns_of_run_protocol_bit_for_bit(n, basis
                 else random_state(n, rng))
         expanded = teleport.composite_expand(info, ch, basis)
         records = run_protocol(info, ch, basis, mode="sampled", seed=5, shots=10).records
-        for name in COLUMNS:
+        for name in ("probs", "zero", "fidelities"):  # the columns `OutcomeRecords` keeps
             assert _same_bits(getattr(expanded, name), getattr(records, name)), (kind, name)
 
 
@@ -995,26 +1002,43 @@ def blocked_columns(info, e, basis):
     return [np.concatenate(column, axis=1) for column in zip(*blocks)]
 
 
+def run_states(info, e, basis):
+    """Bob's and the corrected states (4^n, 2^n) of the run of `info` (2^n,) over `e`, from
+    the blocks that `teleport._outcomes` forms for it, as `run_protocol` does."""
+    _, _, bob, corrected, _ = blocked_columns(info[None], e[None], basis)
+    return bob[0], corrected[0]
+
+
+def assert_run_equals_columns(records, info, e, basis, want):
+    """The run of `info` over `e` has the five columns `want` bit for bit: `records` its
+    probabilities, zero flags and fidelities, and its blocks Bob's and the corrected states."""
+    bob, corrected = run_states(info, e, basis)
+    got = (records.probs, records.zero, bob, corrected, records.fidelities)
+    for name, have, column in zip(COLUMNS, got, want):
+        assert _same_bits(have, column), name
+
+
 def assert_records_equal_rows(records, columns, order):
-    """`records[α]`, read in `order`, carries the rows α of the five whole `columns`."""
-    probs, zero, bob, corrected, fidelities = columns
-    for alpha in order:
-        record = records[alpha]
-        assert _same_bits(record.probability, probs[alpha]), alpha
-        assert record.zero_probability == zero[alpha], alpha
-        if zero[alpha]:
-            assert record.bob_state is record.corrected_state is record.fidelity is None
-            continue
-        assert _same_bits(record.bob_state.amplitudes, bob[alpha]), alpha
-        assert _same_bits(record.corrected_state.amplitudes, corrected[alpha]), alpha
-        assert _same_bits(record.fidelity, fidelities[alpha]), alpha
+    """`records[α]`, read in `order`, carries α and the rows α of the `probs`, `zero` and
+    `fidelities` in `columns`; a zero outcome's record carries no fidelity."""
+    probs, zero, _, _, fidelities = columns
+    order = np.asarray(order)
+    read = [records[alpha] for alpha in order.tolist()]
+    assert [record.alpha for record in read] == order.tolist()
+    assert _same_bits(np.array([record.probability for record in read]), probs[order])
+    assert _same_bits(np.array([record.zero_probability for record in read]), zero[order])
+    useful = ~zero[order]
+    assert all(record.fidelity is None for record, keep in zip(read, useful) if not keep)
+    assert _same_bits(np.array([record.fidelity for record, keep in zip(read, useful) if keep],
+                               dtype=float), fidelities[order][useful])
 
 
 def assert_blocks_equal_whole_pass(n, basis_kind, runs, rng):
     """The blocked protocol against `whole_outcomes`, bit for bit, on a perfect, a Gaussian
-    and a degenerate channel: `run_protocol`'s five columns and its records read in reverse
-    and in random order, then, for ``runs > 1``, those runs as one batch through
-    `teleport._outcomes` and `min_fidelities`."""
+    and a degenerate channel: `run_protocol`'s three columns and its blocks' Bob's and
+    corrected states, and every one of its records read in reverse and in random order,
+    then, for ``runs > 1``, those runs as one batch through `teleport._outcomes` and
+    `min_fidelities`."""
     basis = _basis(n, basis_kind, rng)
     kinds = ("perfect", "imperfect", "degenerate")  # "imperfect": a Gaussian state's matrix
     es = np.stack([_channel_matrix(n, kind, rng) for kind in kinds])
@@ -1023,11 +1047,9 @@ def assert_blocks_equal_whole_pass(n, basis_kind, runs, rng):
         want = [column[0] for column in whole_outcomes(info[None], e[None], basis)]
         records = run_protocol(StateVector(n, info), channel_from_state(state_from_matrix(e, n), n),
                                basis).records
-        reverse = range(4**n - 1, -1, -1 if n <= 6 else -37)
-        assert_records_equal_rows(records, want, reverse)
-        assert_records_equal_rows(records, want, rng.permutation(4**n)[:12])
-        for name, column in zip(COLUMNS, want):  # the whole columns, formed after the records
-            assert _same_bits(getattr(records, name), column), name
+        assert_records_equal_rows(records, want, range(4**n - 1, -1, -1))
+        assert_records_equal_rows(records, want, rng.permutation(4**n))
+        assert_run_equals_columns(records, info, e, basis, want)
         del want, records
     if runs == 1:
         return

@@ -90,6 +90,13 @@ def dense_reference(info, e, b0, n, tol=DEFAULT_TOL):
             np.array(zero))
 
 
+def run_states(info, ch, basis):
+    """Bob's and the corrected states of one run, from the blocks of `teleport._outcomes`."""
+    rows = teleport._outcomes(info.amplitudes[None], ch.e_matrix[None], basis, DEFAULT_TOL)
+    blocks = [rows(start)[2:4] for start in range(0, basis.size, teleport.OUTCOME_BLOCK)]
+    return [np.concatenate(column, axis=1)[0] for column in zip(*blocks)]
+
+
 def make_case(n, channel_kind, seed_kind, info_kind, rng):
     d = 2**n
     if channel_kind == "perfect":
@@ -135,11 +142,9 @@ def test_protocol_matches_dense_reference(case, storage):
     got = np.array([np.nan if r.fidelity is None else r.fidelity for r in result.records])
     assert np.array_equal(np.isnan(got), zero)
     assert np.max(np.abs(got[~zero] - fids[~zero])) <= 1e-12
-    for r, bob, state in zip(result.records, bobs, corrected):
-        assert (r.bob_state is None) == (r.corrected_state is None) == r.zero_probability
-        if not r.zero_probability:
-            assert np.max(np.abs(r.bob_state.amplitudes - bob)) <= 1e-12
-            assert np.max(np.abs(r.corrected_state.amplitudes - state)) <= 1e-12
+    got_bobs, got_corrected = run_states(info, ch, basis)
+    assert np.max(np.abs(got_bobs[~zero] - bobs[~zero]), initial=0.0) <= 1e-12
+    assert np.max(np.abs(got_corrected[~zero] - corrected[~zero]), initial=0.0) <= 1e-12
     weights = np.round(probs * SAMPLING_GRID)
     expected = np.random.default_rng(shot_seed).multinomial(500, weights / weights.sum())
     assert result.counts == tuple(int(c) for c in expected)
@@ -151,31 +156,24 @@ def test_bob_states_match_dense_reference(case):
     n, channel_kind, seed_kind, info_kind, rng_seed = case
     info, ch, b0 = make_case(n, channel_kind, seed_kind, info_kind,
                              np.random.default_rng(rng_seed))
-    records = composite_expand(info, ch, generate_from_seed(state_from_matrix(b0, n)))
-    for record, member in zip(records, dense_members(b0, n)):
+    basis = generate_from_seed(state_from_matrix(b0, n))
+    records = composite_expand(info, ch, basis)
+    bobs, _ = run_states(info, ch, basis)
+    for record, member, bob in zip(records, dense_members(b0, n), bobs):
         if record.zero_probability:
             continue
         b = ch.e_matrix.T @ member.conj().T @ info.amplitudes
-        assert np.max(np.abs(record.bob_state.amplitudes - b / np.linalg.norm(b))) <= 1e-12
-
-
-def record_bits(record):
-    """Every field of a record, with its states as bytes."""
-    states = [None if s is None else (s.n_qubits, s.amplitudes.tobytes())
-              for s in (record.bob_state, record.corrected_state)]
-    return (record.alpha, record.probability, record.fidelity, record.zero_probability, *states)
+        assert np.max(np.abs(bob - b / np.linalg.norm(b))) <= 1e-12
 
 
 def eager_records(outcomes):
     """The records of `outcomes`, all built at once from its columns."""
     records = []
-    for alpha, (p, zero) in enumerate(zip(outcomes.probs, outcomes.zero)):
+    for alpha, (p, zero, f) in enumerate(zip(outcomes.probs, outcomes.zero, outcomes.fidelities)):
         if zero:
             records.append(OutcomeRecord(alpha, float(p), zero_probability=True))
             continue
-        records.append(OutcomeRecord(
-            alpha, float(p), StateVector(outcomes.n, outcomes.bob[alpha]),
-            StateVector(outcomes.n, outcomes.corrected[alpha]), float(outcomes.fidelities[alpha])))
+        records.append(OutcomeRecord(alpha, float(p), float(f)))
     return records
 
 
@@ -189,9 +187,9 @@ def test_records_are_built_from_the_columns_as_an_eager_construction(case):
     for outcomes in (composite_expand(info, ch, basis), run_protocol(info, ch, basis).records):
         eager = eager_records(outcomes)
         assert len(outcomes) == len(eager) == 4**n
-        assert [record_bits(r) for r in outcomes] == [record_bits(r) for r in eager]
+        assert list(outcomes) == eager
         for alpha in range(-4**n, 4**n, max(1, 4**n // 7)):
-            assert record_bits(outcomes[alpha]) == record_bits(eager[alpha])
+            assert outcomes[alpha] == eager[alpha]
         for alpha in (4**n, -4**n - 1):
             with pytest.raises(IndexError):
                 outcomes[alpha]
@@ -212,10 +210,35 @@ def test_no_state_vector_is_built_until_a_record_is_indexed():
 
     with mock.patch.object(StateVector, "__post_init__", counting_post_init):
         result = run_protocol(info, ch, basis, mode="sampled", seed=1, shots=100)
-        assert built == []
         record = result.records[-1]
-        assert built == [n, n]
+        assert built == []  # neither the run nor its records keep a state
     assert record.alpha == 4**n - 1 and record.fidelity == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize(("n", "channel_kind", "storage"), [
+    (1, "perfect", "seeded"), (2, "ghz", "seeded"), (5, "perfect", "seeded"),
+    (5, "ghz", "seeded"), (3, "ghz", "dense")])
+def test_reading_a_record_runs_no_protocol_code(n, channel_kind, storage):
+    rng = np.random.default_rng(10 * n + len(channel_kind))
+    seed_kind = "standard" if channel_kind == "ghz" else "haar"  # the GHZ runs have zero outcomes
+    info, ch, b0 = make_case(n, channel_kind, seed_kind, "basis", rng)
+    basis = generate_from_seed(state_from_matrix(b0, n))
+    if storage == "dense":
+        basis = BellBasis(n, tuple(dense_members(b0, n)))
+    records = run_protocol(info, ch, basis).records
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("reading a record ran protocol code")
+
+    order = rng.permutation(4**n).tolist()
+    with mock.patch.object(teleport, "action_rows", refuse), \
+            mock.patch.object(teleport, "_probabilities", refuse):
+        read = [records[alpha] for alpha in order]
+    assert records.zero.any() == (channel_kind == "ghz" and n > 1)
+    for alpha, record in zip(order, read):
+        zero = bool(records.zero[alpha])
+        assert record == OutcomeRecord(alpha, float(records.probs[alpha]),
+                                       None if zero else float(records.fidelities[alpha]), zero)
 
 
 def test_result_keeps_the_replace_and_repr_contracts():
@@ -225,7 +248,7 @@ def test_result_keeps_the_replace_and_repr_contracts():
     ch = channel_from_state(state_from_matrix(ghz, 2), 2)
     result = run_protocol(info, ch, standard_basis(2), mode="sampled", seed=3, shots=50)
     replaced = dataclasses.replace(result, records=tuple(result.records))
-    assert [record_bits(r) for r in replaced.records] == [record_bits(r) for r in result.records]
+    assert list(replaced.records) == list(result.records)
     assert (replaced.mode, replaced.counts) == (result.mode, result.counts)
     assert repr(result) == repr(run_protocol(info, ch, standard_basis(2), mode="sampled",
                                              seed=3, shots=50))
@@ -319,10 +342,12 @@ def test_validated_dense_family_is_a_read_only_stack(perfect):
     e /= np.linalg.norm(e)
     ch = channel_from_state(state_from_matrix(e, n), n)
     info = random_state(n, rng)
-    got = run_protocol(info, ch, basis).records
-    want = run_protocol(info, ch, BellBasis(n, tuple(members))).records
-    for name in ("probs", "zero", "bob", "corrected", "fidelities"):
-        a, b = getattr(got, name), getattr(want, name)
+    runs = []
+    for family in (basis, BellBasis(n, tuple(members))):
+        records = run_protocol(info, ch, family).records
+        runs.append((records.probs, records.zero, *run_states(info, ch, family),
+                     records.fidelities))
+    for name, a, b in zip(("probs", "zero", "bob", "corrected", "fidelities"), *runs):
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
 
 
