@@ -21,13 +21,13 @@ its entry (q, p) from the same products, summed in the same order over α, as
 the conjugate of its entry (p, q), so the two have the same modulus bit for
 bit.  `verify_completeness` therefore evaluates R only on and above its
 diagonal, in 64 x 64 tiles (4^n x 4^n at n <= 2), each from two blocks of
-columns of V, and holds neither R nor V: a generated basis gathers each block
-from `PauliMembers.table` (at positions from `pauli.action_columns`), a dense
-family reads it as a view of its stack.  The caller and up to one more thread
-per available CPU take the block rows in turn, each thread in one pair of
-buffers that the caller allocates, and each tile with the operands and shapes
-it has alone, so the deviation has the same bits for any thread count; no
-option selects it.
+columns of V, and holds neither R nor V.  A block is whole rows of every
+member: a generated basis gathers it from `PauliMembers.table` at the
+positions `pauli.action_rows` forms, a dense family reads it as a view of its
+stack.  The caller and up to one more thread per available CPU take the block
+rows in turn, each thread in one pair of buffers that the caller allocates,
+and each tile with the operands and shapes it has alone, so the deviation has
+the same bits for any thread count; no option selects it.
 """
 
 from __future__ import annotations
@@ -41,11 +41,10 @@ from . import errors
 from .errors import DomainError, ShapeError, ValidationError
 from .linalg import (DEFAULT_TOL, StateVector, Tolerance, _finite, is_maximally_entangled,
                      is_scaled_identity)
-from .pauli import action_columns, action_rows, signed_copies
+from .pauli import action_rows, signed_copies
 
-# verify_completeness evaluates the completeness sum this many columns at a time: a power of 4
-# from 4 up, so every block of the 4^n columns is exactly min(4^n, this) wide, and each entry
-# has the bits it has in the one (4^n, 4^n) product (widths 1, 2 and 7 do not give them)
+# verify_completeness evaluates the completeness sum this many columns at a time, each block
+# whole member rows: a power of 4 that is at least 2^n for every n <= 6 the check accepts
 COMPLETENESS_BLOCK_COLUMNS = 64
 
 
@@ -177,31 +176,25 @@ def check_completeness_size(n: int):
 def _column_blocks(basis: BellBasis, width: int):
     """``columns(block, out)``: columns block·width .. of the member matrix V, as (4^n, width).
 
-    Row α of V is B^(α) flattened.  For a seed-generated basis the columns are
-    gathered into the flat complex buffer `out` from `PauliMembers.table`, whose
-    rows, cut into pieces of min(width, 2^n) entries, hold every piece of every
-    member: one ``np.take`` per block, at an index array formed once per check
-    from the columns of the Pauli action that the block reads
-    (`pauli.action_columns`).  For a dense family they are a strided view of its
-    stack, and `out` is not written.
+    Row α of V is B^(α) flattened, so with k = width / 2^n whole rows per
+    block, block b is rows b·k .. (b+1)·k - 1 of every member.  For a
+    seed-generated basis they are gathered into the flat complex buffer `out`
+    from `PauliMembers.table` by one ``np.take``, at those columns of the
+    action index `pauli.action_rows` forms once per check.  For a dense family
+    they are a strided view of its stack, and `out` is not written.
     """
     size = basis.size
     members = basis.members
+    rows = width // 2**basis.n  # whole member rows per block
     if not isinstance(members, PauliMembers):
-        vecs = np.asarray(members, dtype=np.complex128).reshape(size, -1)
-        return lambda block, out: vecs[:, block * width:(block + 1) * width]
-    dim = members.seed.shape[0]
-    unit = min(width, dim)
-    cuts, per_block = dim // unit, width // unit  # pieces per seed row, pieces per block
-    pieces = members.table.reshape(-1, unit)  # piece q of table row t is row t·cuts + q
-    blocks = []
-    for block in range(size // width):
-        piece = np.arange(block * per_block, (block + 1) * per_block)  # of a flattened member
-        blocks.append(action_columns(basis.n, piece // cuts) * cuts + piece % cuts)
+        stack = np.asarray(members, dtype=np.complex128)
+        return lambda block, out: stack[:, block * rows:(block + 1) * rows].reshape(size, width)
+    index = action_rows(basis.n, 0, size)
 
     def columns(block: int, out: np.ndarray) -> np.ndarray:
-        out = out.reshape(size, per_block, unit)
-        return np.take(pieces, blocks[block], axis=0, mode="clip", out=out).reshape(size, width)
+        out = out.reshape(size, rows, -1)
+        return np.take(members.table, index[:, block * rows:(block + 1) * rows], axis=0,
+                       mode="clip", out=out).reshape(size, width)
 
     return columns
 
@@ -210,14 +203,14 @@ def verify_completeness(basis: BellBasis, tol: Tolerance = DEFAULT_TOL) -> tuple
     """Check sum_α B^(α)_ij B^(α)*_kl = δ_ik δ_jl over all index quadruples.
 
     The sum is R = V^T·conj(V), with row α of V the flattened B^(α).  Take the
-    columns of V in blocks of `width` = min(4^n, COMPLETENESS_BLOCK_COLUMNS)
-    (`_column_blocks`).  For each block I and each block J from I onwards, the
-    width x width tile conj(V[:, I])^T·V[:, J] is the conjugate of R's tile
-    (I, J): the diagonal tile is tested as a scaled identity, the others entry by
-    entry against 0, and each tile is dropped.  |R[q, p]| = |R[p, q]| bit for
-    bit, so the deviation is max |R - 1| over all of R; neither R nor V is ever
-    held.  An n whose member matrix would pass `errors.BYTE_BUDGET` is a
-    ResourceLimitError (`check_completeness_size`).
+    columns of V in blocks of `width` = min(4^n, COMPLETENESS_BLOCK_COLUMNS),
+    each whole rows of every member (`_column_blocks`).  For each block I and
+    each block J from I onwards, the width x width tile conj(V[:, I])^T·V[:, J]
+    is the conjugate of R's tile (I, J): the diagonal tile is tested as a scaled
+    identity, the others entry by entry against 0, and each tile is dropped.
+    |R[q, p]| = |R[p, q]| bit for bit, so the deviation is max |R - 1| over all
+    of R; neither R nor V is ever held.  An n whose member matrix would pass
+    `errors.BYTE_BUDGET` is a ResourceLimitError (`check_completeness_size`).
 
     For a seed-generated basis, Σ_α P_α X P_α† = 2^n·tr(X)·1 makes R equal to
     1 ⊗ 2^n·conj(B^(0)†B^(0)), so the deviation is 2^n times the seed's

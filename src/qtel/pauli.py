@@ -8,9 +8,8 @@ The symplectic product is written once (`_multiply`), for ints or int
 arrays: `product_table` applies it to every pair of family elements at once.
 A string acts on a vector in one form: an entry of the (4^n, 2^n) action table
 points into the four signed copies i^k·v that `signed_copies` builds.  The
-table is held whole only for n <= 4 (`action_index`); `action_rows` and
-`action_columns` form the rows and columns a caller reads from two such
-factors, never the whole table.
+table is held whole only for n <= 4 (`action_index`); `action_rows` forms
+the rows a caller reads from two such factors.
 
 Label convention: qubit r (qubit 0 leading) is base-4 digit ``n_qubits-1-r``
 of α from the right, and bit ``n_qubits-1-r`` of each mask.  Digits 0, 1, 2, 3
@@ -118,7 +117,7 @@ def action_index(n_qubits: int) -> np.ndarray:
     permutes basis indices by XOR with its X mask and multiplies them by a power
     of i, so ``matrix_of(pauli_from_quaternary(α, n))`` is never needed to apply it.
     It is at most 256 x 16, kept for the life of the process, and the factor from
-    which `action_rows` and `action_columns` form the table of any larger n.
+    which `action_rows` forms the table of any larger n.
     """
     if not 1 <= n_qubits <= 4:
         raise ValidationError(f"the whole action table is kept for 1 <= n_qubits <= 4, "
@@ -155,19 +154,6 @@ def action_rows(n_qubits: int, start: int, stop: int) -> np.ndarray:
     rows = high[(alphas >> 8) - first, :, None] + _low_factor(n_qubits)[alphas & 255, None, :]
     rows &= 4 * 2**n_qubits - 1  # k_h + k_l mod 4
     return rows.reshape(len(alphas), 2**n_qubits)
-
-
-def action_columns(n_qubits: int, columns: np.ndarray) -> np.ndarray:
-    """Columns `columns` (an int array) of the `action_index` table of n qubits: (4^n, len) int32.
-
-    Formed from the two factors as in `action_rows`.
-    """
-    if n_qubits <= 4:
-        return action_index(n_qubits)[:, columns]
-    high = action_columns(n_qubits - 4, columns >> 4) << 4
-    index = high[:, None, :] + _low_factor(n_qubits)[:, columns & 15]
-    index &= 4 * 2**n_qubits - 1  # k_h + k_l mod 4
-    return index.reshape(4**n_qubits, len(columns))
 
 
 def signed_copies(v: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -13,11 +13,13 @@ It yields the text in pieces, each formed as `cli._emit` writes it, so no
 more than one member's text is held at once.
 
 numpy and the array layers are imported by the functions that build arrays,
-after the checks that need none (JSON syntax, fields, an integer `n_qubits`).
+after the checks that need none (JSON syntax, fields, an integer `n_qubits`,
+entries that are JSON numbers).
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from typing import TYPE_CHECKING
 
@@ -40,6 +42,14 @@ def _to_pairs(a: np.ndarray) -> list[list[float]]:
 
 
 def pairs_to_array(pairs, what: str) -> np.ndarray:
+    # a list of lists of JSON numbers, checked before numpy is imported: numpy would read
+    # "1" and true as numbers
+    if type(pairs) is not list or set(map(type, pairs)) - {list}:
+        raise ValidationError(f"{what}: entries must be [re, im] pairs")
+    others = set(map(type, itertools.chain.from_iterable(pairs))) - {int, float}
+    if others:
+        entry = next(x for x in itertools.chain.from_iterable(pairs) if type(x) in others)
+        raise ValidationError(f"{what}: entries must be JSON numbers, got {excerpt(entry)}")
     import numpy as np
     try:
         arr = np.asarray(pairs, dtype=np.float64)
@@ -78,8 +88,9 @@ def _integer(value, what: str) -> int:
 def state_from_dict(data: dict) -> StateVector:
     n_qubits, amplitudes = _fields(data, ("n_qubits", "amplitudes"), "state file")
     n_qubits = _integer(n_qubits, "n_qubits")
+    amplitudes = pairs_to_array(amplitudes, "amplitudes")
     from .linalg import StateVector
-    return StateVector(n_qubits, pairs_to_array(amplitudes, "amplitudes"))
+    return StateVector(n_qubits, amplitudes)
 
 
 def matrix_to_dict(matrix: np.ndarray) -> dict:

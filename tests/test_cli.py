@@ -293,12 +293,24 @@ def _one_qubit_run(tmp_path, name, n_qubits=1, rows=None) -> list[str]:
     return argv + ["--basis", _write(tmp_path, f"{name}_basis.json", members)]
 
 
+# 2-qubit states whose first amplitude is the text "1", and true
+_AMPLITUDE_TEXT = {"n_qubits": 2, "amplitudes": [["1", 0]] + [[0, 0]] * 3}
+_AMPLITUDE_TRUE = {"n_qubits": 2, "amplitudes": [[True, 0]] + [[0, 0]] * 3}
+
 _NESTED_STATE = '{"n_qubits": 2, "amplitudes": ' + "[" * 5000 + "]" * 5000 + "}"
 
 
 def _pairs_as_n_qubits(count: int) -> dict:
     """A state file whose n_qubits is `count` amplitude pairs, a repr of 8·count bytes."""
     return {"n_qubits": [[0, 0]] * count, "amplitudes": [[1, 0]]}
+
+
+def _text_basis_entry(tmp_path, info, ch) -> list[str]:
+    """`teleport run` over the standard basis as a --basis file, its first entry the text "0.5"."""
+    members = [matrix_to_dict(m) for m in qtel.bell.standard_basis(2).members]
+    members[0]["entries"][0][0] = "0.5"
+    return ["teleport", "run", "--info", info, "--channel", ch,
+            "--basis", _write(tmp_path, "text_basis.json", members)]
 
 
 # a --n past any budget, of the most digits the interpreter converts (4,300)
@@ -338,6 +350,14 @@ MALFORMED = {
     "n_qubits_true": lambda t, info, ch: _one_qubit_run(t, "true", n_qubits=True),
     "n_qubits_text_digit": lambda t, info, ch: _one_qubit_run(t, "digit", n_qubits="1"),
     "matrix_rows_fraction": lambda t, info, ch: _one_qubit_run(t, "rows", rows=2.5),
+    # entries take JSON numbers only; each of these was read as a number, and ran
+    "amplitude_text": lambda t, info, ch: [
+        "teleport", "run", "--info", _write(t, "text_amp_info.json", _AMPLITUDE_TEXT),
+        "--channel", ch],
+    "amplitude_true": lambda t, info, ch: [
+        "teleport", "run", "--info", _write(t, "true_amp_info.json", _AMPLITUDE_TRUE),
+        "--channel", ch],
+    "basis_entry_text": _text_basis_entry,
     "not_utf8": lambda t, info, ch: [
         "channel", "check", "--file", _write(t, "latin1.json", b'{"n_qubits": "\xe9"}')],
     "negative_n": lambda t, info, ch: ["bell", "gen", "--n", "-1"],
@@ -671,6 +691,10 @@ REFUSED_WITHOUT_NUMPY = {
     "n_qubits_100000_pairs": lambda t: (
         ["channel", "check", "--file", _write(t, "n_pairs.json", _pairs_as_n_qubits(100_000))],
         None),
+    "amplitude_text": lambda t: (
+        ["channel", "check", "--file", _write(t, "text_amp.json", _AMPLITUDE_TEXT)], None),
+    "amplitude_true": lambda t: (
+        ["channel", "check", "--file", _write(t, "true_amp.json", _AMPLITUDE_TRUE)], None),
     "zero_tol": lambda t: (["--tol", "0", "magic", "catalog"], None),
     "tol_env_text": lambda t: (["magic", "witness", "--n", "2"], "abc"),
     "tol_env_100000_letters": lambda t: (["magic", "catalog"], "a" * 100_000),

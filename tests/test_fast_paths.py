@@ -6,8 +6,9 @@ Clique lists and product tables must be equal; the figures of
 `verify_partial_basis` must be equal bit for bit (``uint64`` views),
 including every array its trial loop hands to `teleport.min_fidelities`;
 the verdict and deviation of `verify_completeness` must equal those of the
-one dense (4^n, 4^n) resolution.  The rows and columns of the Pauli action
-that `pauli.action_rows` and `pauli.action_columns` form from two small
+one dense (4^n, 4^n) resolution, and each block of columns that it reads,
+whole rows of every member, those columns of the member matrix bit for bit.
+The rows of the Pauli action that `pauli.action_rows` forms from two small
 factors must be the integers of the whole table they replaced, and the action
 read through them must give the columns of `run_protocol`, the values of
 `min_fidelities`, the member stack and the `basis_to_list` text bit for bit
@@ -405,15 +406,25 @@ def _block_completeness(basis, width, tol=DEFAULT_TOL, cpus=1):
         return verify_completeness(basis, tol)
 
 
+# the block widths the tests set (None: the default, 64); a block is whole member rows, so
+# each width is used only where it is at least 2^n
+WIDTHS = (None, 4, 16, 256)
+
+
+def _widths(n):
+    return [w for w in WIDTHS if w is None or w >= 2**n]
+
+
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 4), kind=st.sampled_from(["standard", "haar", "dense", "gaussian",
                                                   "repeated"]),
-       width=st.sampled_from([None, 4, 16]), seed=st.integers(0, 2**32 - 1),
+       data=st.data(), seed=st.integers(0, 2**32 - 1),
        tol=st.sampled_from([DEFAULT_TOL, Tolerance(1e-15), Tolerance(0.5)]),
        cpus=st.sampled_from([1, 2, 4]))
-def test_block_completeness_equals_dense_resolution(n, kind, width, seed, tol, cpus):
+def test_block_completeness_equals_dense_resolution(n, kind, data, seed, tol, cpus):
     if kind == "dense" and n > 3:
         n = 3  # bell_basis_from_members checks each of the 256 members at n = 4 one by one
+    width = data.draw(st.sampled_from(_widths(n)), label="width")
     basis = _family(n, kind, np.random.default_rng(seed))
     assert _block_completeness(basis, width, tol, cpus) == dense_completeness(basis, tol)
 
@@ -423,8 +434,24 @@ def test_block_completeness_equals_dense_resolution_n5(kind):
     basis = _family(5, kind, np.random.default_rng(5))
     expected = dense_completeness(basis)
     assert expected[0] == (kind != "gaussian")
-    for width, cpus in itertools.product((None, 4, 16), (1, 2, 4)):
+    for width, cpus in itertools.product(_widths(5), (1, 2, 4)):
         assert _block_completeness(basis, width, cpus=cpus) == expected, (width, cpus)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("kind", ["standard", "haar", "dense"])
+def test_column_blocks_are_the_columns_of_the_member_matrix_bit_for_bit(n, kind):
+    basis = _generated(n, "standard" if kind == "standard" else "haar", np.random.default_rng(n))
+    if kind == "dense":
+        basis = BellBasis(n, np.asarray(basis.members))
+    vecs = np.asarray(basis.members).reshape(4**n, -1)
+    for width in _widths(n):
+        width = min(4**n, width or qtel.bell.COMPLETENESS_BLOCK_COLUMNS)
+        columns = qtel.bell._column_blocks(basis, width)
+        out = np.empty(4**n * width, np.complex128)
+        for block in range(4**n // width):
+            got = columns(block, out)
+            assert _same_bits(got, vecs[:, block * width:(block + 1) * width]), (width, block)
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 4, 64])
@@ -534,7 +561,7 @@ def test_completeness_of_one_block_starts_no_thread(monkeypatch):
     assert len(started) == 1  # two workers at n = 5: the caller and one started thread
 
 
-@pytest.mark.parametrize(("n", "width"), [(1, None), (3, None), (3, 4), (4, 16)])
+@pytest.mark.parametrize(("n", "width"), [(1, None), (2, 4), (3, None), (3, 16), (4, 16)])
 @pytest.mark.parametrize("entry", [(0, 0, 0), (-1, -1, -1)], ids=["first_column", "last_column"])
 def test_completeness_with_a_nan_entry_is_false(n, width, entry):
     members = np.asarray(standard_basis(n).members).copy()
@@ -634,11 +661,6 @@ def test_factored_action_equals_the_whole_table(n):
             assert np.array_equal(np.concatenate(rows), table[offset:]), (block, offset)
     for alpha in (0, 4**n - 1):
         assert np.array_equal(pauli.action_rows(n, alpha, alpha + 1), table[alpha:alpha + 1])
-    columns = pauli.action_columns(n, np.arange(2**n))
-    assert columns.dtype == np.int32 and np.array_equal(columns, table)
-    rng = np.random.default_rng(n)
-    for chosen in (rng.integers(2**n, size=3), np.repeat(np.arange(2**n), 2)[:64], [2**n - 1]):
-        assert np.array_equal(pauli.action_columns(n, np.asarray(chosen)), table[:, chosen])
 
 
 COLUMNS = ("probs", "zero", "bob", "corrected", "fidelities")  # of a `teleport._outcomes` block
