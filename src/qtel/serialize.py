@@ -55,7 +55,7 @@ def pairs_to_array(pairs, what: str) -> np.ndarray:
         arr = np.asarray(pairs, dtype=np.float64)
     except OverflowError as exc:  # an integer beyond the float range
         raise ValidationError(f"{what}: {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:  # pairs of different lengths
         raise ValidationError(f"{what}: entries must be [re, im] pairs") from exc
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValidationError(f"{what}: entries must be [re, im] pairs")
