@@ -200,15 +200,14 @@ def cmd_magic_cliques(args) -> tuple[dict, bool]:
     from . import magic, pauli
     graph = magic.build_anticomm_graph(args.n)
     report = magic.maximal_anticommuting_sets(graph)
-    strings = {
-        v.quaternary_index: pauli.render(v) for v in graph.vertices
-    }
+    strings = [pauli.render(pauli.pauli_from_quaternary(a, args.n))
+               for a in range(1, len(graph) + 1)]
     return {
         "n": args.n,
-        "vertices": len(graph.vertices),
+        "vertices": len(graph),
         "max_size": report.max_size,
         "maximal_cliques": [
-            {"alphas": c, "strings": [strings[a] for a in c]}
+            {"alphas": c, "strings": [strings[a - 1] for a in c]}
             for c in report.maximal_cliques
         ],
     }, True

@@ -113,14 +113,6 @@ class StateVector:
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
 
-def basis_state(n_qubits: int, index: int) -> StateVector:
-    if not 0 <= index < 2**n_qubits:
-        raise ValidationError(f"basis index {index} out of range for {n_qubits} qubits")
-    amps = np.zeros(2**n_qubits, dtype=np.complex128)
-    amps[index] = 1.0
-    return StateVector(n_qubits, amps)
-
-
 def _row_norms(a: np.ndarray) -> np.ndarray:
     """``np.linalg.norm`` of each row of a C-contiguous 2-D array, as one stacked ``matmul``
     of 1×k · k×1 items (per part if complex): BLAS ``ddot`` on each, as in ``ndarray.dot``."""

@@ -6,8 +6,9 @@ Maximal such families are maximal cliques of the anticommutation graph on
 the 4^n - 1 non-identity strings; enumerating them exactly both produces
 every partial basis and witnesses that no full magic basis can exist for
 n > 1 (the clique number falls far short of 4^n - 1).
-The graph is read from `pauli.product_table`, and the clique search holds
-its vertex sets as Python-int bitmasks.
+The graph is a boolean adjacency over the labels 1 … 4^n - 1, read from
+`pauli.product_table`, and the clique search holds its vertex sets as
+Python-int bitmasks.
 """
 
 from __future__ import annotations
@@ -35,28 +36,28 @@ from .teleport import min_fidelities
 VERIFY_BLOCK_TRIALS = 128
 
 
-@dataclass(frozen=True)
-class AnticommGraph:
-    """Graph on the non-identity Pauli strings; edges join anticommuting pairs."""
-
-    n: int
-    vertices: tuple[PauliString, ...]  # ordered by quaternary index, phase 0
-    adjacency: np.ndarray = field(repr=False)  # boolean, indexed like vertices
+class _Adjacency(np.ndarray):
+    """A graph's boolean adjacency, whose `n` is the qubit count its 4^n - 1 rows name
+    (the benchmark's spans label a call by its argument's `n`)."""
 
     @property
-    def alphas(self) -> tuple[int, ...]:
-        return tuple(v.quaternary_index for v in self.vertices)
+    def n(self) -> int:
+        return len(self).bit_length() // 2
 
 
-def build_anticomm_graph(n: int) -> AnticommGraph:
-    """The graph for 1 <= n <= GRAPH_EXHAUSTIVE_MAX_QUBITS, the clique searches' one limit."""
+def build_anticomm_graph(n: int) -> np.ndarray:
+    """The graph for 1 <= n <= GRAPH_EXHAUSTIVE_MAX_QUBITS, the clique searches' one limit.
+
+    A read-only boolean (4^n - 1, 4^n - 1) adjacency over the labels 1 … 4^n - 1:
+    vertex v is the string α = v + 1, and an edge joins each anticommuting pair.
+    """
     if not 1 <= n <= GRAPH_EXHAUSTIVE_MAX_QUBITS:
         raise ResourceLimitError(
             f"anticommutation graph supports 1 <= n <= {GRAPH_EXHAUSTIVE_MAX_QUBITS}, got {n}"
         )
-    vertices = tuple(pauli_from_quaternary(alpha, n) for alpha in range(1, 4**n))
-    adjacency = product_table(n)[2][1:, 1:]  # vertex v is the string α = v + 1
-    return AnticommGraph(n, vertices, adjacency)
+    adjacency = product_table(n)[2][1:, 1:].view(_Adjacency)
+    adjacency.flags.writeable = False
+    return adjacency
 
 
 @dataclass(frozen=True)
@@ -68,17 +69,17 @@ class CliqueReport:
     max_size: int
 
 
-def maximal_anticommuting_sets(g: AnticommGraph) -> CliqueReport:
+def maximal_anticommuting_sets(g: np.ndarray) -> CliqueReport:
     """Exact maximal-clique enumeration: Bron-Kerbosch with pivoting.
 
-    The sets P and X are Python-int bitmasks (bit v is vertex v); the pivot is
-    the lowest vertex of P ∪ X, as any in P ∪ X keeps the search exact.  Tomita's
-    max |P ∩ N(u)| makes fewer calls at n = 3, but its scan costs more than they
-    do.  The clique R is a tuple of alphas.
+    `g` is a boolean adjacency over the labels 1 … 4^n - 1 (`build_anticomm_graph`),
+    vertex v being the label v + 1; n is read from its size.  The sets P and X are
+    Python-int bitmasks (bit v is vertex v); the pivot is the lowest vertex of P ∪ X,
+    as any in P ∪ X keeps the search exact.  Tomita's max |P ∩ N(u)| makes fewer calls
+    at n = 3, but its scan costs more than they do.  The clique R is a tuple of labels.
     """
-    adj = [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
-           for row in g.adjacency]
-    alphas = g.alphas
+    adj = [int.from_bytes(row.tobytes(), "little")
+           for row in np.packbits(g, axis=1, bitorder="little")]
     cliques: list[tuple[int, ...]] = []
 
     def expand(r: tuple[int, ...], p: int, x: int):
@@ -91,14 +92,14 @@ def maximal_anticommuting_sets(g: AnticommGraph) -> CliqueReport:
         while rest:
             low = rest & -rest
             v = low.bit_length() - 1
-            expand(r + (alphas[v],), p & adj[v], x & adj[v])
+            expand(r + (v + 1,), p & adj[v], x & adj[v])
             p ^= low
             x |= low
             rest ^= low
 
-    expand((), (1 << len(g.vertices)) - 1, 0)
+    expand((), (1 << len(g)) - 1, 0)
     cliques.sort()
-    return CliqueReport(g.n, tuple(cliques), max(len(c) for c in cliques))
+    return CliqueReport(len(g).bit_length() // 2, tuple(cliques), max(len(c) for c in cliques))
 
 
 @dataclass(frozen=True)
@@ -276,7 +277,7 @@ def no_full_magic_basis_witness(n: int) -> WitnessReport:
         n,
         report.max_size,
         required,
-        len(graph.vertices),
+        len(graph),
         len(report.maximal_cliques),
         report.max_size < required,
         ghz_dev,
@@ -421,8 +422,7 @@ def n2_catalog() -> N2Catalog:
         if diff.size:
             typos[name] = f"printed amplitudes disagree at indices {diff.tolist()}"
 
-    graph = build_anticomm_graph(n)
-    report = maximal_anticommuting_sets(graph)
+    report = maximal_anticommuting_sets(build_anticomm_graph(n))
     named_sets = tuple(_names_of_clique(c) for c in report.maximal_cliques)
     bases = tuple(_basis_from_alpha_clique(c, n) for c in report.maximal_cliques)
 

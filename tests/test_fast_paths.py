@@ -70,9 +70,10 @@ from qtel.serialize import basis_to_list, dumps, matrix_to_dict
 from qtel.teleport import min_fidelities, run_protocol
 
 
-def set_based_cliques(g) -> CliqueReport:
+def set_based_cliques(n) -> CliqueReport:
     """Bron-Kerbosch with pivoting on Python sets, as `maximal_anticommuting_sets` was."""
-    adj = [set(np.flatnonzero(g.adjacency[v])) for v in range(len(g.vertices))]
+    g = build_anticomm_graph(n)
+    adj = [set(np.flatnonzero(g[v])) for v in range(len(g))]
     cliques: list[tuple[int, ...]] = []
 
     def expand(r: set[int], p: set[int], x: set[int]):
@@ -85,16 +86,14 @@ def set_based_cliques(g) -> CliqueReport:
             p = p - {v}
             x = x | {v}
 
-    expand(set(), set(range(len(g.vertices))), set())
-    alphas = g.alphas
-    named = sorted(tuple(alphas[v] for v in c) for c in cliques)
-    return CliqueReport(g.n, tuple(named), max(len(c) for c in named))
+    expand(set(), set(range(len(g))), set())
+    named = sorted(tuple(v + 1 for v in c) for c in cliques)  # vertex v is the label v + 1
+    return CliqueReport(n, tuple(named), max(len(c) for c in named))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_bitmask_cliques_equal_set_based(n):
-    g = build_anticomm_graph(n)
-    assert maximal_anticommuting_sets(g) == set_based_cliques(g)
+    assert maximal_anticommuting_sets(build_anticomm_graph(n)) == set_based_cliques(n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -299,10 +298,11 @@ def test_the_draw_identities_verify_rests_on():
         assert np.array_equal(apart.view(np.uint64), joined.view(np.uint64))
 
 
-def tomita_cliques(g) -> CliqueReport:
+def tomita_cliques(n) -> CliqueReport:
     """`maximal_anticommuting_sets` as it was: the pivot maximizes |P ∩ N(u)| over P ∪ X."""
+    g = build_anticomm_graph(n)
     adj = [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
-           for row in g.adjacency]
+           for row in g]
     cliques: list[tuple[int, ...]] = []
 
     def expand(r: tuple[int, ...], p: int, x: int):
@@ -321,20 +321,21 @@ def tomita_cliques(g) -> CliqueReport:
         while rest:
             low = rest & -rest
             v = low.bit_length() - 1
-            expand(r + (g.alphas[v],), p & adj[v], x & adj[v])
+            expand(r + (v + 1,), p & adj[v], x & adj[v])
             p ^= low
             x |= low
             rest ^= low
 
-    expand((), (1 << len(g.vertices)) - 1, 0)
+    expand((), (1 << len(g)) - 1, 0)
     cliques.sort()
-    return CliqueReport(g.n, tuple(cliques), max(len(c) for c in cliques))
+    return CliqueReport(n, tuple(cliques), max(len(c) for c in cliques))
 
 
-def brute_force_cliques(g) -> CliqueReport:
+def brute_force_cliques(n) -> CliqueReport:
     """The maximal cliques by definition: every pairwise-anticommuting vertex set to which
     no further vertex is adjacent throughout, found among all sets of each size."""
-    adj, vertices = g.adjacency, range(len(g.vertices))
+    adj = build_anticomm_graph(n)
+    vertices = range(len(adj))
     cliques = []
     for size in itertools.count(1):
         found = [c for c in itertools.combinations(vertices, size)
@@ -343,20 +344,18 @@ def brute_force_cliques(g) -> CliqueReport:
             break
         cliques += [c for c in found
                     if not any(all(adj[w, u] for u in c) for w in vertices if w not in c)]
-    named = sorted(tuple(g.alphas[v] for v in c) for c in cliques)
-    return CliqueReport(g.n, tuple(named), max(len(c) for c in named))
+    named = sorted(tuple(v + 1 for v in c) for c in cliques)
+    return CliqueReport(n, tuple(named), max(len(c) for c in named))
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_cliques_equal_the_definition(n):
-    g = build_anticomm_graph(n)
-    assert maximal_anticommuting_sets(g) == brute_force_cliques(g)
+    assert maximal_anticommuting_sets(build_anticomm_graph(n)) == brute_force_cliques(n)
 
 
 def test_lowest_vertex_pivot_cliques_equal_tomita_pivot_n3():
-    g = build_anticomm_graph(3)
-    report = maximal_anticommuting_sets(g)
-    assert report == tomita_cliques(g)
+    report = maximal_anticommuting_sets(build_anticomm_graph(3))
+    assert report == tomita_cliques(3)
     assert (len(report.maximal_cliques), report.max_size) == (2640, 7)
 
 

@@ -47,7 +47,7 @@ import pytest
 from qtel.bell import generate_from_seed, standard_basis
 from qtel.channel import state_from_matrix
 from qtel.cli import main
-from qtel.linalg import StateVector, basis_state, haar_random_unitary, random_state
+from qtel.linalg import StateVector, haar_random_unitary, random_state
 from qtel.serialize import basis_to_list, save_state
 from test_cli import MALFORMED
 
@@ -189,7 +189,7 @@ def _write_inputs(rng) -> None:
     for n in (1, 2, 3):
         d = 2**n
         save(f"info_n{n}.json", random_state(n, rng))
-        save(f"basis_state_n{n}.json", basis_state(n, d - 1))
+        save(f"basis_state_n{n}.json", StateVector(n, np.eye(d)[d - 1]))
         save(f"perfect_n{n}.json", state_from_matrix(haar_random_unitary(d, rng) / np.sqrt(d), n))
         save(f"imperfect_n{n}.json", random_state(2 * n, rng))
         ghz = np.zeros(d * d)
@@ -205,7 +205,7 @@ def _write_inputs(rng) -> None:
     save("haar_seed_n3.json", state_from_matrix(haar_random_unitary(8, rng) / np.sqrt(8), 3))
     # two-qubit channels of Schmidt coefficients (cos π/8, sin π/8) and (1, 0)
     save("schmidt_n1.json", StateVector(2, [np.cos(np.pi / 8), 0, 0, np.sin(np.pi / 8)]))
-    save("product_n1.json", basis_state(2, 0))
+    save("product_n1.json", StateVector(2, np.eye(4)[0]))
     # a Bell pair written with signed zeros in both parts
     s = 2**-0.5
     signed = {"n_qubits": 2, "amplitudes": [[s, -0.0], [-0.0, 0.0], [0.0, -0.0], [-s, -0.0]]}

@@ -51,19 +51,24 @@ def public_names(source: str) -> list[str]:
 
 
 def referenced_names(source: str) -> set[str]:
-    """Each name the code reads: as a variable, as an attribute, by importing it, or as a
-    string that is the whole name (the benchmark looks functions up by name)."""
-    names = set()
-    for node in ast.walk(ast.parse(source)):
+    """Each name the code reads: as an attribute, by importing it, as a string that is the
+    whole name (the benchmark looks functions up by name), or as a bare name where the file
+    defines or imports it (a local variable of the same name reads nothing of the package)."""
+    tree = ast.parse(source)
+    names, bound, bare = set(), set(), set()
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            names.add(node.id)
+            bare.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
-        elif isinstance(node, ast.ImportFrom):
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
             names.update(alias.name for alias in node.names)
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             names.add(node.value)
-    return names
+    return names | (bare & bound)
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -74,6 +79,15 @@ def test_no_unused_import(module):
 def test_the_check_finds_an_unused_import():
     source = "import os\nimport sys\nfrom json import dumps, loads  # noqa: F401\nsys.exit()\n"
     assert unused_imports(source) == ["1: os", "3: dumps", "3: loads"]
+
+
+def test_a_bare_name_counts_only_where_the_file_defines_or_imports_it():
+    source = ("from qtel.linalg import StateVector\n"
+              "def f():\n"
+              "    basis_state = 1\n"
+              "    return StateVector, basis_state, qtel.pauli.render, 'masfi'\n"
+              "f()\n")
+    assert referenced_names(source) == {"StateVector", "f", "pauli", "render", "masfi"}
 
 
 def test_every_public_name_has_a_consumer():

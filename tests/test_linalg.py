@@ -8,7 +8,6 @@ from qtel.errors import ShapeError, ValidationError
 from qtel.linalg import (
     StateVector,
     Tolerance,
-    basis_state,
     dagger,
     haar_random_unitary,
     is_maximally_entangled,
@@ -88,11 +87,11 @@ class TestStateVector:
 
     def test_basis_state_big_endian(self):
         # index 0b10 sets qubit 1 (most significant) to |1>
-        s = basis_state(2, 0b10)
+        s = StateVector(2, np.eye(4)[0b10])
         assert s.amplitudes[2] == 1
 
     def test_overlap(self):
-        assert basis_state(1, 0).overlap(basis_state(1, 1)) == 0
+        assert StateVector(1, np.eye(2)[0]).overlap(StateVector(1, np.eye(2)[1])) == 0
 
 
 def test_haar_random_unitary_is_unitary():

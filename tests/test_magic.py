@@ -54,20 +54,29 @@ class TestHillWootters:
 class TestAnticommGraph:
     def test_n1_is_triangle(self):
         g = build_anticomm_graph(1)
-        assert g.alphas == (1, 2, 3)
-        assert np.array_equal(g.adjacency, ~np.eye(3, dtype=bool))
+        assert g.shape == (3, 3)  # the labels 1, 2, 3
+        assert np.array_equal(g, ~np.eye(3, dtype=bool))
 
     def test_n2_regular_degree_eight(self):
         g = build_anticomm_graph(2)
-        assert len(g.vertices) == 15
-        assert set(g.adjacency.sum(axis=0).tolist()) == {8}
+        assert len(g) == 15
+        assert set(g.sum(axis=0).tolist()) == {8}
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_adjacency_is_the_pairwise_commutation_test(self, n):
         g = build_anticomm_graph(n)
-        pairwise = [[not commutes(p, q) for q in g.vertices] for p in g.vertices]
-        assert g.adjacency.dtype == bool
-        assert np.array_equal(g.adjacency, np.array(pairwise))
+        strings = [pauli_from_quaternary(v + 1, n) for v in range(len(g))]
+        pairwise = [[not commutes(p, q) for q in strings] for p in strings]
+        assert g.dtype == bool
+        assert np.array_equal(g, np.array(pairwise))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_adjacency_is_read_only_and_names_its_qubit_count(self, n):
+        g = build_anticomm_graph(n)
+        assert not g.flags.writeable
+        with pytest.raises(ValueError):
+            g[0, 0] = True
+        assert g.n == n  # the benchmark's spans label a call by it
 
     def test_resource_bound(self):
         with pytest.raises(ResourceLimitError):
@@ -103,16 +112,15 @@ class TestMaximalSets:
         for n in (2, 3):
             g = build_anticomm_graph(n)
             report = maximal_anticommuting_sets(g)
-            index = {a: i for i, a in enumerate(g.alphas)}
             assert len(set(report.maximal_cliques)) == len(report.maximal_cliques)
             for clique in report.maximal_cliques:
-                rows = [index[a] for a in clique]
-                block = g.adjacency[np.ix_(rows, rows)]
+                rows = [a - 1 for a in clique]  # vertex v is the label v + 1
+                block = g[np.ix_(rows, rows)]
                 assert block.sum() == len(rows) * (len(rows) - 1)  # all but the diagonal
-                outside = np.ones(len(g.alphas), dtype=bool)
+                outside = np.ones(len(g), dtype=bool)
                 outside[rows] = False
                 # no vertex outside anticommutes with every member
-                assert not g.adjacency[np.ix_(outside, rows)].all(axis=1).any()
+                assert not g[np.ix_(outside, rows)].all(axis=1).any()
 
 
 class TestPartialBasisConstruction:

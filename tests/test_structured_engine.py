@@ -32,7 +32,6 @@ from qtel.linalg import (
     DEFAULT_TOL,
     StateVector,
     Tolerance,
-    basis_state,
     haar_random_unitary,
     is_maximally_entangled,
     random_state,
@@ -111,7 +110,7 @@ def make_case(n, channel_kind, seed_kind, info_kind, rng):
     else:
         b0 = haar_random_unitary(d, rng) / np.sqrt(d)
     info = (random_state(n, rng) if info_kind == "haar"
-            else basis_state(n, int(rng.integers(d))))
+            else StateVector(n, np.eye(d)[rng.integers(d)]))
     return info, channel_from_state(state_from_matrix(e, n), n), b0
 
 
@@ -242,7 +241,7 @@ def test_reading_a_record_runs_no_protocol_code(n, channel_kind, storage):
 
 
 def test_result_keeps_the_replace_and_repr_contracts():
-    info = basis_state(2, 1)
+    info = StateVector(2, np.eye(4)[1])
     ghz = np.zeros((4, 4), dtype=complex)
     ghz[0, 0] = ghz[-1, -1] = 2**-0.5
     ch = channel_from_state(state_from_matrix(ghz, 2), 2)
@@ -263,7 +262,7 @@ def test_no_state_that_is_not_finite_leaves_the_protocol(bad):
     ch = Channel(1, np.array([[bad, 0.0], [0.0, 0.5]], dtype=complex))
     for stage in (composite_expand, run_protocol):
         with np.errstate(invalid="ignore"), pytest.raises(ValidationError, match="must be finite"):
-            stage(basis_state(1, 0), ch, standard_basis(1))
+            stage(StateVector(1, np.eye(2)[0]), ch, standard_basis(1))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -6,7 +6,7 @@ from qtel.bell import BellBasis, generate_from_seed, standard_basis, standard_se
 from qtel.channel import channel_from_state, state_from_matrix
 from qtel.errors import (DomainError, InternalConsistencyError, ResourceLimitError, ShapeError,
                          ValidationError)
-from qtel.linalg import StateVector, Tolerance, basis_state, haar_random_unitary, random_state
+from qtel.linalg import StateVector, Tolerance, haar_random_unitary, random_state
 from qtel.teleport import (
     composite_expand,
     correction_unitary,
@@ -47,7 +47,7 @@ def random_perfect_channel(n, rng):
 
 class TestCompositeExpand:
     def test_textbook_uniform_probabilities(self):
-        records = composite_expand(basis_state(1, 0), bell_channel(), standard_basis(1))
+        records = composite_expand(StateVector(1, np.eye(2)[0]), bell_channel(), standard_basis(1))
         assert [r.alpha for r in records] == [0, 1, 2, 3]
         for r in records:
             assert r.probability == pytest.approx(0.25, abs=1e-12)
@@ -59,13 +59,14 @@ class TestCompositeExpand:
             assert r.probability == pytest.approx(1 / 16, abs=1e-12)
 
     def test_ghz_kills_cross_terms(self):
-        records = composite_expand(basis_state(2, 0b01), ghz_channel(), standard_basis(2))
+        info = StateVector(2, np.eye(4)[0b01])
+        records = composite_expand(info, ghz_channel(), standard_basis(2))
         assert any(r.zero_probability for r in records)
         assert sum(r.probability for r in records) == pytest.approx(1.0, abs=1e-10)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ShapeError):
-            composite_expand(basis_state(2, 0), bell_channel(), standard_basis(1))
+            composite_expand(StateVector(2, np.eye(4)[0]), bell_channel(), standard_basis(1))
 
 
 class TestCorrectionUnitary:
@@ -203,7 +204,7 @@ class TestRunProtocol:
             run_protocol(info, bell_channel(), standard_basis(1))
 
     def test_outcome_array_limit_is_the_module_constant(self, monkeypatch):
-        info, ch, basis = basis_state(2, 0), two_bell_channel(), standard_basis(2)
+        info, ch, basis = StateVector(2, np.eye(4)[0]), two_bell_channel(), standard_basis(2)
         monkeypatch.setattr(errors, "BYTE_BUDGET", 16 * 8**2)  # one (4^2, 2^2) complex array
         assert len(run_protocol(info, ch, basis).records) == 16
         monkeypatch.setattr(errors, "BYTE_BUDGET", 16 * 8**2 - 1)
@@ -212,7 +213,7 @@ class TestRunProtocol:
 
     def test_sampled_requires_seed_and_shots(self):
         with pytest.raises(ValidationError):
-            run_protocol(basis_state(1, 0), bell_channel(), standard_basis(1),
+            run_protocol(StateVector(1, np.eye(2)[0]), bell_channel(), standard_basis(1),
                          mode="sampled")
 
     @pytest.mark.parametrize("options, message", [
@@ -228,7 +229,7 @@ class TestRunProtocol:
 
         monkeypatch.setattr(teleport, "_outcomes", unexpected)
         with pytest.raises(ValidationError, match=message):
-            run_protocol(basis_state(1, 0), bell_channel(), standard_basis(1), **options)
+            run_protocol(StateVector(1, np.eye(2)[0]), bell_channel(), standard_basis(1), **options)
 
 
 class TestKernelOperator:
