@@ -6,14 +6,16 @@ The canonical construction applies each quaternary Pauli string to the
 first n qubits of a seed state whose matrix already satisfies the
 maximal-entanglement condition B†B = 2^-n·1, so B^(α) = P_α B^(0).
 
-Such a basis is stored as its seed B^(0) plus the label α.  Every row of
-every member is one of the 4·2^n signed seed rows i^k · B^(0)[s], so
-`PauliMembers` computes those rows once, as `table`, and reads a member,
-the whole member stack (``np.asarray``) and the JSON text of
-`serialize.basis_to_list` from it at the positions that `pauli.action_rows`
-forms, for the members read, from two tables of at most 256 x 16 entries.
-A family given member by member (e.g. a ``--basis`` file) is stored densely
-as one read-only (4^n, 2^n, 2^n) array and has no seed.
+Every basis keeps its members as one `Members`: a read-only table of rows,
+and `Members.rows`, which names the 2^n rows each member reads.  A member, the
+member stack (``np.asarray``), the column blocks of the completeness check and
+the text of `serialize.basis_to_list` are all read from the table at those
+rows, so only `Members.rows` knows the kind.  A generated basis keeps its seed
+B^(0): its table is the 4·2^n signed seed rows i^k · B^(0)[s], and
+`pauli.action_rows` forms the rows of the members read from two tables of at
+most 256 x 16 entries.  A family given member by member (e.g. a ``--basis``
+file) has no seed: its table is its read-only (4^n, 2^n, 2^n) stack seen as
+4^n·2^n rows.
 
 Completeness is the resolution R = V^T·conj(V) = 1 of the (4^n, 4^n) member
 matrix V, whose row α is B^(α) flattened.  R is Hermitian, and BLAS computes
@@ -22,12 +24,12 @@ the conjugate of its entry (p, q), so the two have the same modulus bit for
 bit.  `verify_completeness` therefore evaluates R only on and above its
 diagonal, in 64 x 64 tiles (4^n x 4^n at n <= 2), each from two blocks of
 columns of V, and holds neither R nor V.  A block is whole rows of every
-member: a generated basis gathers it from `PauliMembers.table` at the
-positions `pauli.action_rows` forms, a dense family reads it as a view of its
-stack.  The caller and up to one more thread per available CPU take the block
-rows in turn, each thread in one pair of buffers that the caller allocates,
-and each tile with the operands and shapes it has alone, so the deviation has
-the same bits for any thread count; no option selects it.
+member, gathered from `Members.table` at the positions `Members.rows` names,
+for a generated basis and a dense family alike.  The caller and up to one
+more thread per available CPU take the block rows in turn, each thread in one
+pair of buffers that the caller allocates, and each tile with the operands
+and shapes it has alone, so the deviation has the same bits for any thread
+count; no option selects it.
 """
 
 from __future__ import annotations
@@ -48,32 +50,45 @@ from .pauli import action_rows, signed_copies
 COMPLETENESS_BLOCK_COLUMNS = 64
 
 
-class PauliMembers(Sequence):
-    """The members P_α B^(0), α = 0 .. 4^n - 1, read from one table of signed seed rows.
+class Members(Sequence):
+    """The members B^(α), α = 0 .. 4^n - 1, of a basis: 2^n rows each of one read-only `table`.
 
-    Row k·2^n + s of `table` is i^k·B^(0)[s] (`pauli.signed_copies`), so row r
-    of P_α B^(0) is row ``action_rows(n, α, α + 1)[0, r]`` of `table` (`pauli.action_rows`).
+    `rows(start, stop)` names the rows of `table` that members start .. stop - 1
+    read, one (2^n,) row of positions per member.  A generated basis has its
+    `seed` B^(0): row k·2^n + s of `table` is i^k·B^(0)[s] (`pauli.signed_copies`)
+    and member α reads row ``action_rows(n, α, α + 1)[0]`` (`pauli.action_rows`).
+    A dense family has no seed: `table` is its (4^n·2^n, 2^n) member stack, and
+    member α reads rows α·2^n .. (α+1)·2^n - 1.
     """
 
-    def __init__(self, seed: np.ndarray):
-        self.seed = seed
-        self.n = int(seed.shape[0]).bit_length() - 1
-        # + 0.0 turns the -0.0 that a sign flip makes of a zero entry into 0.0
-        self.table = signed_copies(seed, axis=0) + 0.0
-        self.table.flags.writeable = False
+    def __init__(self, table: np.ndarray, seed: np.ndarray | None = None):
+        table.flags.writeable = False
+        self.table, self.seed = table, seed
+        self.n = int(table.shape[1]).bit_length() - 1
 
     def __len__(self) -> int:
         return 4**self.n
+
+    def rows(self, start: int, stop: int) -> np.ndarray:
+        """Positions in `table` of the rows of members start .. stop - 1 (stop clipped to 4^n)."""
+        if self.seed is not None:
+            return action_rows(self.n, start, stop)
+        dim = 2**self.n
+        return np.arange(start * dim, min(stop, len(self)) * dim).reshape(-1, dim)
+
+    def block(self, start: int, stop: int) -> np.ndarray:
+        """Members start .. stop - 1 as one (stop - start, 2^n, 2^n) array."""
+        return self.table[self.rows(start, stop)]
 
     def __getitem__(self, alpha: int) -> np.ndarray:
         if not -len(self) <= alpha < len(self):
             raise IndexError(f"member index {alpha} out of range for {len(self)} members")
         alpha %= len(self)
-        return self.table[action_rows(self.n, alpha, alpha + 1)[0]]
+        return self.block(alpha, alpha + 1)[0]
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         """The (4^n, 2^n, 2^n) stack of every member."""
-        return np.asarray(self.table[action_rows(self.n, 0, len(self))], dtype=dtype)
+        return np.asarray(self.block(0, len(self)), dtype=dtype)
 
 
 @dataclass(frozen=True)
@@ -81,7 +96,7 @@ class BellBasis:
     """Family of 2^{2n} measurement-state matrices, each 2^n x 2^n."""
 
     n: int
-    members: Sequence[np.ndarray] = field(repr=False)
+    members: Members = field(repr=False)
 
     @property
     def size(self) -> int:
@@ -89,8 +104,8 @@ class BellBasis:
 
     @property
     def seed(self) -> np.ndarray | None:
-        """B^(0) when every member is P_α B^(0), None for a family stored densely."""
-        return self.members.seed if isinstance(self.members, PauliMembers) else None
+        """B^(0) when every member is P_α B^(0), None for a family given member by member."""
+        return self.members.seed
 
     def member(self, alpha: int) -> np.ndarray:
         """B^(α), for an outcome label 0 <= α < 4^n; any other α is a DomainError."""
@@ -121,7 +136,8 @@ def generate_from_seed(seed: StateVector, tol: Tolerance = DEFAULT_TOL) -> BellB
         raise ValidationError(
             f"seed is not maximally entangled: max |B†B - 2^-n·1| = {deviation:.3e}"
         )
-    return BellBasis(seed.n_qubits // 2, PauliMembers(b0))
+    # + 0.0 turns the -0.0 that a sign flip makes of a zero entry into 0.0
+    return BellBasis(seed.n_qubits // 2, Members(signed_copies(b0, axis=0) + 0.0, b0))
 
 
 def standard_basis(n: int) -> BellBasis:
@@ -132,12 +148,15 @@ def bell_basis_from_members(members, tol: Tolerance = DEFAULT_TOL) -> BellBasis:
     """Accept an arbitrary complete maximally-entangled family.
 
     Checks the members' shapes, their maximality as one stack, and completeness,
-    before building the basis, whose members are one read-only (4^n, 2^n, 2^n)
-    array.  Orthonormality follows from completeness: the member matrix is square.
+    before building the basis.  Its `Members` table is the read-only
+    (4^n, 2^n, 2^n) stack of the members seen as 4^n·2^n rows, a view, not a copy.
+    Orthonormality follows from completeness: the member matrix is square.
     """
     members = tuple(np.asarray(m, dtype=np.complex128) for m in members)
     if not members:
         raise ValidationError("basis family is empty")
+    if members[0].ndim != 2:
+        raise ShapeError(f"member 0 has shape {members[0].shape}")
     dim = members[0].shape[0]
     n = int(dim).bit_length() - 1
     if n < 1 or 2**n != dim or len(members) != 4**n:
@@ -155,7 +174,7 @@ def bell_basis_from_members(members, tol: Tolerance = DEFAULT_TOL) -> BellBasis:
         raise ValidationError(
             f"member {alpha} is not maximally entangled (deviation {deviation[alpha]:.3e})"
         )
-    basis = BellBasis(n, stack)
+    basis = BellBasis(n, Members(stack.reshape(-1, dim)))
     ok, deviation = verify_completeness(basis, tol)
     if not ok:
         raise ValidationError(f"family is not complete (deviation {deviation:.3e})")
@@ -177,19 +196,14 @@ def _column_blocks(basis: BellBasis, width: int):
     """``columns(block, out)``: columns block·width .. of the member matrix V, as (4^n, width).
 
     Row α of V is B^(α) flattened, so with k = width / 2^n whole rows per
-    block, block b is rows b·k .. (b+1)·k - 1 of every member.  For a
-    seed-generated basis they are gathered into the flat complex buffer `out`
-    from `PauliMembers.table` by one ``np.take``, at those columns of the
-    action index `pauli.action_rows` forms once per check.  For a dense family
-    they are a strided view of its stack, and `out` is not written.
+    block, block b is rows b·k .. (b+1)·k - 1 of every member: one ``np.take``
+    gathers them from `Members.table` into the flat complex buffer `out`, at
+    those columns of the positions `Members.rows` names once per check.
     """
     size = basis.size
     members = basis.members
     rows = width // 2**basis.n  # whole member rows per block
-    if not isinstance(members, PauliMembers):
-        stack = np.asarray(members, dtype=np.complex128)
-        return lambda block, out: stack[:, block * rows:(block + 1) * rows].reshape(size, width)
-    index = action_rows(basis.n, 0, size)
+    index = members.rows(0, size)
 
     def columns(block: int, out: np.ndarray) -> np.ndarray:
         out = out.reshape(size, rows, -1)

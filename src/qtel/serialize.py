@@ -4,13 +4,12 @@ States: {"n_qubits": int, "amplitudes": [[re, im], ...]} with 2^n_qubits
 entries, index big-endian.  Matrices: {"rows", "cols", "entries": [[re,
 im], ...]} row-major.  Complex numbers are always two-element arrays.
 
-The members of a generated Bell basis are written from its row table:
-every row of P_α B^(0) is one of the 4·2^n rows of `bell.PauliMembers.table`,
-so `basis_to_list` encodes those rows once and lays out each member from
-`pauli.action_rows`, 256 members at a time, instead of converting 16^n entries
-to Python floats.
-It yields the text in pieces, each formed as `cli._emit` writes it, so no
-more than one member's text is held at once.
+A Bell basis is written from its row table: every row of every member is a
+row of `bell.Members.table`, so `basis_to_list` encodes each row of the table
+once and lays out each member from the rows `Members.rows` names, 256 members
+at a time; for a generated basis that is 4·2^n rows, not 16^n entries.  It
+yields the text in pieces, each formed as `cli._emit` writes it, so no more
+than one member's text is held at once.
 
 numpy and the array layers are imported by the functions that build arrays,
 after the checks that need none (JSON syntax, fields, an integer `n_qubits`,
@@ -93,16 +92,6 @@ def state_from_dict(data: dict) -> StateVector:
     return StateVector(n_qubits, amplitudes)
 
 
-def matrix_to_dict(matrix: np.ndarray) -> dict:
-    import numpy as np
-    matrix = np.asarray(matrix, dtype=np.complex128)
-    return {
-        "rows": matrix.shape[0],
-        "cols": matrix.shape[1],
-        "entries": _to_pairs(matrix),
-    }
-
-
 def matrix_from_dict(data: dict) -> np.ndarray:
     rows, cols, entries = _fields(data, ("rows", "cols", "entries"), "matrix object")
     rows, cols = _integer(rows, "rows"), _integer(cols, "cols")
@@ -144,30 +133,25 @@ def save_state(path: str, state: StateVector):
 
 
 def basis_to_list(members):
-    """``dumps([matrix_to_dict(m) for m in members])`` as an iterator of pieces: the opening
-    bracket, each member's text with the comma before it, and the closing bracket.
+    """The JSON array of `members`, a `bell.Members`, as an iterator of pieces: the opening
+    bracket, each member's ``{"cols", "entries", "rows"}`` object with the comma before
+    it, and the closing bracket.
 
-    Each piece is formed when it is read, as `cli._emit` writes it, so ``bell gen``
-    holds one member's text at a time, never all of them.  For a
-    `bell.PauliMembers` the text is built from its row table: each
-    row of `table` is encoded once, and each member is joined from the rows
-    `pauli.action_rows` names, so every float is the one the dense member gives.
-    The name is kept from when this returned a list of dicts: the
-    benchmark's traced run reports it as ``serialize.basis_to_list.ms``.
+    Each row of `members.table` is encoded once, and each member is joined from the
+    rows `members.rows` names, 256 members at a time, so every float is the one the
+    member gives.  Each piece is formed when it is read, as `cli._emit` writes it, so
+    ``bell gen`` holds one member's text at a time, never all of them.  The name is
+    kept from when this returned a list of dicts: the benchmark's traced run reports
+    it as ``serialize.basis_to_list.ms``.
     """
-    from .bell import PauliMembers
-    from .pauli import action_rows
+    d = 2**members.n
+    pairs = _to_pairs(members.table)
+    rows = [dumps(pairs[i:i + d])[1:-1] for i in range(0, len(pairs), d)]
+    head, tail = f'{{"cols":{d},"entries":[', f'],"rows":{d}}}'
+    texts = (head + ",".join([rows[i] for i in member]) + tail
+             for start in range(0, len(members), 256)
+             for member in members.rows(start, start + 256).tolist())
     yield "["
-    if isinstance(members, PauliMembers):
-        d = members.seed.shape[0]
-        pairs = _to_pairs(members.table)
-        rows = [dumps(pairs[i:i + d])[1:-1] for i in range(0, len(pairs), d)]
-        head, tail = f'{{"cols":{d},"entries":[', f'],"rows":{d}}}'
-        texts = (head + ",".join([rows[i] for i in member]) + tail
-                 for start in range(0, len(members), 256)
-                 for member in action_rows(members.n, start, start + 256).tolist())
-    else:
-        texts = (dumps(matrix_to_dict(m)) for m in members)
     for k, text in enumerate(texts):
         yield ("," if k else "") + text
     yield "]"

@@ -226,10 +226,8 @@ def _outcomes(info: np.ndarray, e: np.ndarray, basis: BellBasis, tol: Tolerance)
                 np.copyto(corrected, bob, where=~scaled[:, None, None])
             return probs, zero, bob, corrected, np.abs(corrected @ fidelity_of)[..., 0] ** 2
     else:
-        members = np.asarray(basis.members, dtype=np.complex128)
-
         def rows(start: int):
-            block = members[start:start + OUTCOME_BLOCK].conj()
+            block = basis.members.block(start, start + OUTCOME_BLOCK).conj()
             bob = np.einsum("akj,tk->taj", block, info) @ e
             probs, zero = _probabilities(bob)
             ops = np.einsum("tij,akj->taik", e.swapaxes(-1, -2), block)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from qtel.bell import (
     BellBasis,
+    Members,
     bell_basis_from_members,
     generate_from_seed,
     is_maximal_member,
@@ -58,7 +59,7 @@ class TestCompleteness:
         basis = standard_basis(1)
         members = list(basis.members)
         members[1] = members[0]
-        broken = BellBasis(1, tuple(members))
+        broken = BellBasis(1, Members(np.stack(members).reshape(-1, 2)))
         ok, dev = verify_completeness(broken)
         assert not ok and dev > 0.1
 
@@ -106,7 +107,7 @@ class TestMaximality:
         separable = np.zeros((2, 2), dtype=complex)
         separable[0, 0] = 1.0
         members[3] = separable
-        basis = BellBasis(1, tuple(members))
+        basis = BellBasis(1, Members(np.stack(members).reshape(-1, 2)))
         assert not is_maximal_member(basis, 3)
 
     def test_random_seed_members_maximal(self):
@@ -167,6 +168,18 @@ class TestRawConstructor:
         # a 1x1 matrix is not a 2n-qubit state for any n >= 1, as for StateVector
         with pytest.raises(ShapeError, match="n >= 1"):
             bell_basis_from_members([np.eye(1)])
+
+    @pytest.mark.parametrize("at", [0, 2])
+    @pytest.mark.parametrize("member", [1.0, [0.5, 0.5]], ids=["scalar", "vector"])
+    def test_rejects_member_that_is_not_a_matrix(self, at, member):
+        members = list(standard_basis(1).members)
+        members[at] = member
+        with pytest.raises(ShapeError, match=rf"member {at} has shape \("):
+            bell_basis_from_members(members)
+
+    def test_rejects_scalar_family(self):
+        with pytest.raises(ShapeError, match=r"member 0 has shape \(\)"):
+            bell_basis_from_members([1.0] * 4)
 
     def test_accepts_non_pauli_generated_family(self):
         rng = np.random.default_rng(15)

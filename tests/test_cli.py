@@ -21,7 +21,8 @@ import qtel.serialize
 import qtel.teleport
 from qtel.cli import main
 from qtel.linalg import StateVector
-from qtel.serialize import matrix_to_dict, save_state
+from qtel.serialize import save_state
+from test_serialize import matrix_to_dict
 
 
 @pytest.fixture

@@ -29,7 +29,10 @@ Bob's and the corrected states are read from the blocks `teleport._outcomes`
 forms for that run.
 The members that `partial_basis_from_set` and `n2_catalog` take from one
 `pauli.matrices_of` stack must be those of one `matrix_of` per string, bit
-for bit.
+for bit.  A dense copy of a generated basis must give the generated basis's
+completeness deviation and `basis_to_list` text bit for bit, and every reader
+of a basis, of either kind, must read its members only through
+`bell.Members.rows`, never as a whole stack.
 """
 
 import collections
@@ -39,7 +42,6 @@ import sys
 import threading
 import time
 import tracemalloc
-from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -51,8 +53,8 @@ import qtel.errors
 import qtel.linalg
 import qtel.magic
 from qtel import pauli, teleport
-from qtel.bell import (BellBasis, bell_basis_from_members, generate_from_seed, standard_basis,
-                       verify_completeness)
+from qtel.bell import (BellBasis, Members, bell_basis_from_members, generate_from_seed,
+                       standard_basis, verify_completeness)
 from qtel.channel import channel_from_state, state_from_matrix
 from qtel.cli import main
 from qtel.errors import ResourceLimitError
@@ -66,8 +68,9 @@ from qtel.magic import (
     verify_partial_basis,
 )
 from qtel.pauli import PauliString, commutes, pauli_from_quaternary, product, product_table
-from qtel.serialize import basis_to_list, dumps, matrix_to_dict
+from qtel.serialize import basis_to_list, dumps
 from qtel.teleport import min_fidelities, run_protocol
+from test_serialize import matrix_to_dict, mismatch
 
 
 def set_based_cliques(n) -> CliqueReport:
@@ -388,7 +391,7 @@ def _family(n, kind, rng):
         stack = np.asarray(_generated(n, "haar", rng).members)
         copy, lost = rng.choice(4**n, 2, replace=False)
         stack[lost] = stack[copy]
-    return BellBasis(n, stack)
+    return BellBasis(n, Members(stack.reshape(-1, 2**n)))
 
 
 def _set_cpus(mp, cpus):
@@ -442,7 +445,7 @@ def test_block_completeness_equals_dense_resolution_n5(kind):
 def test_column_blocks_are_the_columns_of_the_member_matrix_bit_for_bit(n, kind):
     basis = _generated(n, "standard" if kind == "standard" else "haar", np.random.default_rng(n))
     if kind == "dense":
-        basis = BellBasis(n, np.asarray(basis.members))
+        basis = bell_basis_from_members(np.asarray(basis.members))
     vecs = np.asarray(basis.members).reshape(4**n, -1)
     for width in _widths(n):
         width = min(4**n, width or qtel.bell.COMPLETENESS_BLOCK_COLUMNS)
@@ -565,7 +568,8 @@ def test_completeness_of_one_block_starts_no_thread(monkeypatch):
 def test_completeness_with_a_nan_entry_is_false(n, width, entry):
     members = np.asarray(standard_basis(n).members).copy()
     members[entry] = np.nan
-    complete, deviation = _block_completeness(BellBasis(n, members), width, cpus=2)
+    complete, deviation = _block_completeness(BellBasis(n, Members(members.reshape(-1, 2**n))),
+                                              width, cpus=2)
     assert not complete and np.isnan(deviation)
 
 
@@ -590,27 +594,61 @@ def test_completeness_runs_on_the_caller_when_no_thread_starts(monkeypatch):
     assert verify_completeness(basis) == dense_completeness(basis)
 
 
-class _Unbuildable(Sequence):
-    """4^n members that fail the test if their stack is ever built."""
+class _Unbuildable:
+    """The `Members` of 4^n members that fail the test if a row of them is ever read."""
 
     def __init__(self, n):
         self.n = n
 
-    def __len__(self):
-        return 4**self.n
+    def rows(self, start, stop):
+        raise AssertionError("a member row was read")
 
-    def __getitem__(self, alpha):
-        raise AssertionError("a member was built")
-
-    def __array__(self, dtype=None, copy=None):
-        raise AssertionError("the member matrix was built")
+    @property
+    def table(self):
+        raise AssertionError("a member row was read")
 
 
 def test_completeness_limit_refuses_n7_before_building_members():
     with pytest.raises(ResourceLimitError, match="n=7 needs a 4096 MiB member matrix"):
         verify_completeness(BellBasis(7, _Unbuildable(7)))
-    with pytest.raises(AssertionError, match="member matrix was built"):  # n = 6 is allowed
+    with pytest.raises(AssertionError, match="member row was read"):  # n = 6 is allowed
         verify_completeness(BellBasis(6, _Unbuildable(6)))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("kind", ["standard", "haar"])
+def test_dense_copy_of_a_generated_basis_keeps_its_deviation_and_text(n, kind):
+    basis = _generated(n, kind, np.random.default_rng(n))
+    dense = bell_basis_from_members(list(np.asarray(basis.members)))
+    assert basis.seed is not None and dense.seed is None
+    assert _same_bits(np.array([verify_completeness(dense)[1]]),
+                      np.array([verify_completeness(basis)[1]]))
+    text = "".join(basis_to_list(basis.members))
+    assert mismatch("".join(basis_to_list(dense.members)), text) is None
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_every_reader_reads_a_basis_through_its_rows(monkeypatch, n):
+    rng = np.random.default_rng(n)
+    generated = _generated(n, "haar", rng)
+    dense = bell_basis_from_members(np.asarray(generated.members))
+    infos = np.stack([random_state(n, rng).amplitudes for _ in range(2)])
+    es = np.stack([_channel_matrix(n, kind, rng) for kind in ("perfect", "imperfect")])
+    ch = channel_from_state(state_from_matrix(es[0], n), n)
+
+    def unread(self, dtype=None, copy=None):
+        raise AssertionError("a member stack was built")
+
+    monkeypatch.setattr(Members, "__array__", unread)
+    with pytest.raises(AssertionError, match="member stack was built"):
+        np.asarray(generated.members)
+    for basis in (generated, dense):
+        text = "".join(basis_to_list(basis.members))
+        assert "".join(basis_to_list(bell_basis_from_members(basis.members).members)) == text
+        assert verify_completeness(basis)[0]
+        records = run_protocol(StateVector(n, infos[0]), ch, basis).records
+        assert records.fidelities.min() == pytest.approx(1.0)
+        assert min_fidelities(infos, es, basis).shape == (2,)
 
 
 def test_completeness_limit_is_the_module_constant(monkeypatch):
@@ -701,7 +739,8 @@ def phase_columns(info, e, basis, tol=DEFAULT_TOL):
 
 
 def phase_members(seed, alphas):
-    """`PauliMembers(seed)` read at `alphas` as it was, its rows found by decoding each phase."""
+    """The members of the basis of `seed` read at `alphas` as they were, the rows of their
+    table found by decoding each phase."""
     d = seed.shape[0]
     perm, phase = phase_tables(d.bit_length() - 1)
     perm, phase = perm[alphas], phase[alphas]
@@ -730,7 +769,7 @@ def test_signed_copies_equal_concatenated_products_bit_for_bit(shape, axis):
     v = np.empty(shape, dtype=complex)
     v.real, v.imag = rng.choice(entries, shape), rng.choice(entries, shape)
     assert _same_bits(pauli.signed_copies(v, axis), concatenated_copies(v, axis))
-    if axis == 0:  # the tables of two seeds of that size, as PauliMembers builds them
+    if axis == 0:  # the tables of two seeds of that size, as generate_from_seed builds them
         for seed in (np.eye(shape[0]) / np.sqrt(shape[0]),
                      haar_random_unitary(shape[0], rng) / np.sqrt(shape[0])):
             assert _same_bits(pauli.signed_copies(seed, axis), concatenated_copies(seed, axis))
@@ -841,7 +880,7 @@ def _basis(n, kind, rng):
     """A generated basis, "standard" or "haar", or with "-dense" stored member by member."""
     seed_kind, _, storage = kind.partition("-")
     basis = _generated(n, seed_kind, rng)
-    return BellBasis(n, np.asarray(basis.members)) if storage else basis
+    return bell_basis_from_members(np.asarray(basis.members)) if storage else basis
 
 
 def assert_all_rows_equal_useful_rows(n, basis_kind, channel_kind, info_kind, rng):

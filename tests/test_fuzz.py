@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 
 from qtel.bell import standard_basis
 from qtel.cli import main
-from qtel.serialize import matrix_to_dict
+from qtel.serialize import basis_to_list
 
 # the integer fields of a file, and --n, take these besides their valid values
 ODD_SIZES = [-1, 0, 1, 1.5, "2", True, 5000, 20000, 2**70, 10**4000, -10**4000]
@@ -76,7 +76,7 @@ def state_doc(n_qubits: int, kind: str, seed: int) -> dict:
 
 
 def basis_doc(n: int) -> list:
-    return [matrix_to_dict(m) for m in standard_basis(n).members]
+    return json.loads("".join(basis_to_list(standard_basis(n).members)))
 
 
 @st.composite

@@ -5,20 +5,35 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qtel.bell import PauliMembers, standard_basis
+from qtel.bell import Members, standard_basis
 from qtel.errors import ValidationError
 from qtel.linalg import StateVector, haar_random_unitary, random_state
+from qtel.pauli import signed_copies
 from qtel.serialize import (
+    _to_pairs,
     basis_to_list,
     load_basis_members,
     load_state,
     matrix_from_dict,
-    matrix_to_dict,
     pairs_to_array,
     save_state,
     state_from_dict,
     state_to_dict,
 )
+
+
+def matrix_to_dict(matrix) -> dict:
+    """One matrix object of a ``--basis`` file, encoded on its own with the array encoder:
+    the reference for `basis_to_list`, and how the tests write basis files."""
+    matrix = np.asarray(matrix, dtype=np.complex128)
+    return {"rows": matrix.shape[0], "cols": matrix.shape[1], "entries": _to_pairs(matrix)}
+
+
+def dense_store(matrices) -> Members:
+    """The dense store of `matrices`, a (4^n, 2^n, 2^n) stack, as `bell_basis_from_members`
+    builds it but unchecked."""
+    stack = np.stack(matrices)
+    return Members(stack.reshape(-1, stack.shape[-1]))
 
 
 class TestStateRoundTrip:
@@ -112,7 +127,7 @@ class TestBasisFiles:
     def test_round_trip(self, tmp_path):
         members = [np.eye(2, dtype=complex) / np.sqrt(2) for _ in range(4)]
         path = tmp_path / "basis.json"
-        path.write_text("".join(basis_to_list(members)))
+        path.write_text("".join(basis_to_list(dense_store(members))))
         restored = load_basis_members(str(path))
         assert len(restored) == 4
         assert all(np.array_equal(r, m) for r, m in zip(restored, members))
@@ -161,14 +176,16 @@ class TestBasisEncoding:
         parts = seed.view(np.float64)  # real and imaginary parts, interleaved
         hit = rng.random(parts.shape) < zero_fraction
         parts[hit] = np.where(rng.random(parts.shape) < 0.5, 0.0, -0.0)[hit]
-        members = PauliMembers(seed)
+        members = Members(signed_copies(seed, axis=0) + 0.0, seed)
         assert mismatch("".join(basis_to_list(members)), dense_encoding(members)) is None
 
     def test_dense_member_list(self):
         rng = np.random.default_rng(7)
         members = [rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)) for _ in range(16)]
         members[3][1, 2] = complex(-0.0, 0.0)
-        assert mismatch("".join(basis_to_list(members)), dense_encoding(members)) is None
+        text = "".join(basis_to_list(dense_store(members)))
+        assert mismatch(text, dense_encoding(members)) is None
+        assert "[-0.0,0.0]" in text  # a dense table is written as given, its -0.0 kept
 
 
 class TestDiagnostics:

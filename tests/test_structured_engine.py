@@ -24,7 +24,7 @@ from scipy.optimize import minimize as scipy_minimize
 from scipy.optimize import rosen
 
 from qtel import teleport
-from qtel.bell import (BellBasis, bell_basis_from_members, generate_from_seed,
+from qtel.bell import (BellBasis, Members, bell_basis_from_members, generate_from_seed,
                        standard_basis)
 from qtel.channel import Channel, channel_from_state, state_from_matrix
 from qtel.errors import ValidationError
@@ -131,7 +131,7 @@ def test_protocol_matches_dense_reference(case, storage):
     info, ch, b0 = make_case(n, channel_kind, seed_kind, info_kind, rng)
     basis = generate_from_seed(state_from_matrix(b0, n))
     if storage == "dense":
-        basis = BellBasis(n, tuple(dense_members(b0, n)))
+        basis = bell_basis_from_members(dense_members(b0, n))
     shot_seed = int(rng.integers(2**31))
     result = run_protocol(info, ch, basis, mode="sampled", seed=shot_seed, shots=500)
 
@@ -223,7 +223,7 @@ def test_reading_a_record_runs_no_protocol_code(n, channel_kind, storage):
     info, ch, b0 = make_case(n, channel_kind, seed_kind, "basis", rng)
     basis = generate_from_seed(state_from_matrix(b0, n))
     if storage == "dense":
-        basis = BellBasis(n, tuple(dense_members(b0, n)))
+        basis = bell_basis_from_members(dense_members(b0, n))
     records = run_protocol(info, ch, basis).records
 
     def refuse(*args, **kwargs):
@@ -332,17 +332,19 @@ def test_validated_dense_family_is_a_read_only_stack(perfect):
     seed = state_from_matrix(haar_random_unitary(2**n, rng) / 2, n)
     members = list(generate_from_seed(seed).members)
     basis = bell_basis_from_members(members)
-    assert isinstance(basis.members, np.ndarray) and not basis.members.flags.writeable
-    assert basis.members.shape == (4**n, 2**n, 2**n)
+    table = basis.members.table
+    assert not table.flags.writeable and table.shape == (4**n * 2**n, 2**n)
     with pytest.raises(ValueError):
-        basis.members[0, 0, 0] = 0.0
+        table[0, 0] = 0.0
+    stack = np.stack(members)
+    assert np.asarray(basis.members).view(np.uint64).tobytes() == stack.view(np.uint64).tobytes()
     e = (haar_random_unitary(2**n, rng) if perfect
          else rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n)))
     e /= np.linalg.norm(e)
     ch = channel_from_state(state_from_matrix(e, n), n)
     info = random_state(n, rng)
     runs = []
-    for family in (basis, BellBasis(n, tuple(members))):
+    for family in (basis, BellBasis(n, Members(stack.reshape(-1, 2**n)))):
         records = run_protocol(info, ch, family).records
         runs.append((records.probs, records.zero, *run_states(info, ch, family),
                      records.fidelities))
@@ -358,7 +360,7 @@ def test_seed_is_copied_from_the_seed_state():
 
 
 def test_dense_family_has_no_seed():
-    basis = BellBasis(1, tuple(standard_basis(1).members))
+    basis = bell_basis_from_members(standard_basis(1).members)
     assert basis.seed is None and len(basis.members) == 4
 
 
@@ -366,7 +368,7 @@ def test_dense_family_has_no_seed():
 def test_zero_info_state_within_a_loose_tolerance(dense):
     basis = standard_basis(1)
     if dense:
-        basis = BellBasis(1, tuple(basis.members))
+        basis = bell_basis_from_members(basis.members)
     info = StateVector(1, np.zeros(2))
     ch = channel_from_state(state_from_matrix(np.eye(2) / np.sqrt(2), 1), 1)
     result = run_protocol(info, ch, basis, tol=Tolerance(1.0))

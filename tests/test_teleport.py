@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qtel import errors, teleport
-from qtel.bell import BellBasis, generate_from_seed, standard_basis, standard_seed
+from qtel.bell import bell_basis_from_members, generate_from_seed, standard_basis, standard_seed
 from qtel.channel import channel_from_state, state_from_matrix
 from qtel.errors import (DomainError, InternalConsistencyError, ResourceLimitError, ShapeError,
                          ValidationError)
@@ -120,7 +120,7 @@ class TestTransformationOperator:
     def test_alpha_out_of_range(self, n, dense):
         basis = standard_basis(n)
         if dense:
-            basis = BellBasis(n, tuple(basis.members))
+            basis = bell_basis_from_members(basis.members)
         ch = bell_channel() if n == 1 else two_bell_channel()
         for alpha in (-1, 4**n):
             with pytest.raises(DomainError, match=f"alpha={alpha} out of range"):
